@@ -32,10 +32,3 @@ def maybe_jit(fn):
     if NUMBA_ENABLED:
         return _njit(cache=True)(fn)
     return fn
-
-
-def force_jit(fn):
-    """JIT regardless of the env flag (used by the benchmark). None if no numba."""
-    if HAS_NUMBA:
-        return _njit(cache=True)(fn)
-    return None

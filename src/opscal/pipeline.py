@@ -8,8 +8,11 @@ every W steps; OPS/OBS advance one projected Newton step per observation
 (consuming the stream from its first point); TOPS/HOPS (and TOBS/HOBS)
 track or hedge over the online scaler's forecasts on the emitted steps;
 WHB is the windowed histogram-binning baseline and TWHB its tracked
-variant. Metrics are cumulative over the emitted region and snapshotted at
-evaluation timestamps from T_cal + 2W to the end of the stream.
+variant. The windowed columns (WPS, WBS, WHB) are applied once per refit
+segment, one vectorised call each, since their parameters are constant
+between refits. Metrics are cumulative over the emitted region and
+snapshotted at evaluation timestamps from T_cal + 2W to the end of the
+stream.
 
 Replications use independent seed substreams keyed by replication index,
 so results are identical whether they run inline or in a worker pool, and
@@ -55,19 +58,19 @@ from .ons import OnsConfig, initial_theta, ons_regret_bound
 from .plotting import line_plot_svg
 from .scalers import (
     beta_apply,
-    beta_features,
     fit_beta_batch,
     fit_histogram_binning,
     fit_platt_batch,
+    online_scaler_run,
     platt_apply,
     platt_features,
+    windowed_run,
 )
 
 METHODS = ("BM", "FPS", "WPS", "OPS", "TOPS", "HOPS",
            "FBS", "WBS", "OBS", "TOBS", "HOBS", "WHB", "TWHB")
 
 _PC = OnsConfig.platt()
-_BC = OnsConfig.beta()
 
 # which computed columns each method depends on
 _NEEDS_OPS = {"OPS", "TOPS", "HOPS"}
@@ -96,6 +99,12 @@ class ExperimentConfig:
             raise ValueError("epsilon must lie in (0, 1]")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.eval_stride < 1:
+            raise ValueError("eval_stride must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.stream.W < 1:
+            raise ValueError("W must be >= 1 (the refit period; snapshots start at T_cal + 2W)")
         if self.stream.kind == "adversarial":
             extra = set(self.methods) - {"OPS", "HOPS"}
             if extra:
@@ -118,21 +127,6 @@ def eval_timestamps(T: int, t_cal: int, window: int, stride: int) -> np.ndarray:
     if ts[-1] != T:
         ts.append(T)
     return np.asarray(ts, dtype=int)
-
-
-def _windowed_param_schedule(scores, ys, t_cal, window, T, fitter, init_params):
-    """Parameter per step for a windowed learner over the emitted region.
-
-    Returns a list mapping emitted step offset -> params; refits on the
-    full prefix (s <= t-1) at every t with mod(t - t_cal, window) == 0.
-    """
-    params = init_params
-    out = []
-    for t in range(t_cal + 1, T + 1):
-        if (t - t_cal) % window == 0:
-            params = fitter(scores[: t - 1], ys[: t - 1])
-        out.append(params)
-    return out
 
 
 def run_replication(spec: StreamSpec, methods, epsilon: float):
@@ -161,10 +155,7 @@ def run_replication(spec: StreamSpec, methods, epsilon: float):
 
     ops_full = None
     if want & _NEEDS_OPS:
-        ops_full, _ = kernels.ons_pass(
-            np.ascontiguousarray(platt_features(ts)), ty, _PC.gamma, _PC.rho, _PC.radius,
-            initial_theta(2),
-        )
+        ops_full, _ = online_scaler_run(ts, ty, "platt")
         if "OPS" in want:
             cols["OPS"] = ops_full[em]
             fit = fit_platt_batch(ts, ty)
@@ -176,10 +167,7 @@ def run_replication(spec: StreamSpec, methods, epsilon: float):
 
     obs_full = None
     if want & _NEEDS_OBS:
-        obs_full, _ = kernels.ons_pass(
-            np.ascontiguousarray(beta_features(ts)), ty, _BC.gamma, _BC.rho, _BC.radius,
-            initial_theta(3),
-        )
+        obs_full, _ = online_scaler_run(ts, ty, "beta")
         if "OBS" in want:
             cols["OBS"] = obs_full[em]
             fit = fit_beta_batch(ts, ty)
@@ -193,26 +181,21 @@ def run_replication(spec: StreamSpec, methods, epsilon: float):
         if "FPS" in want:
             cols["FPS"] = platt_apply(fps_params, ts[em])
         if "WPS" in want:
-            sched = _windowed_param_schedule(ts, ty, t_cal, spec.W, T, fit_platt_batch, fps_params)
-            cols["WPS"] = np.array(
-                [platt_apply(p, s) for p, s in zip(sched, ts[em])]
-            )
+            cols["WPS"] = windowed_run(fit_platt_batch, platt_apply, fps_params,
+                                       t_cal, spec.W, ts, ty)
 
     if want & {"FBS", "WBS"}:
         fbs_params = fit_beta_batch(ts[:t_cal], ty[:t_cal])
         if "FBS" in want:
             cols["FBS"] = beta_apply(fbs_params, ts[em])
         if "WBS" in want:
-            sched = _windowed_param_schedule(ts, ty, t_cal, spec.W, T, fit_beta_batch, fbs_params)
-            cols["WBS"] = np.array(
-                [beta_apply(p, s) for p, s in zip(sched, ts[em])]
-            )
+            cols["WBS"] = windowed_run(fit_beta_batch, beta_apply, fbs_params,
+                                       t_cal, spec.W, ts, ty)
 
     if want & {"WHB", "TWHB"}:
         fitter = lambda s, y: fit_histogram_binning(s, y, m=scheme.m)  # noqa: E731
-        whb0 = fitter(ts[:t_cal], ty[:t_cal])
-        sched = _windowed_param_schedule(ts, ty, t_cal, spec.W, T, fitter, whb0)
-        whb = np.array([m.predict(s) for m, s in zip(sched, ts[em])])
+        whb = windowed_run(fitter, lambda m, s: m.predict(s), fitter(ts[:t_cal], ty[:t_cal]),
+                           t_cal, spec.W, ts, ty)
         if "WHB" in want:
             cols["WHB"] = whb
         if "TWHB" in want:
@@ -485,18 +468,10 @@ def run_truth_windows(kind: str, seeds, windows_global, methods=("BM", "OPS"), d
         if "BM" in methods:
             cols["BM"] = (stream.scores, 0)  # defined from global t = 1
         if "OPS" in methods:
-            probs, _ = kernels.ons_pass(
-                np.ascontiguousarray(platt_features(stream.test_scores())),
-                np.ascontiguousarray(stream.test_y()),
-                _PC.gamma, _PC.rho, _PC.radius, initial_theta(2),
-            )
+            probs, _ = online_scaler_run(stream.test_scores(), stream.test_y(), "platt")
             cols["OPS"] = (probs, t_train)
         if "OBS" in methods:
-            probs, _ = kernels.ons_pass(
-                np.ascontiguousarray(beta_features(stream.test_scores())),
-                np.ascontiguousarray(stream.test_y()),
-                _BC.gamma, _BC.rho, _BC.radius, initial_theta(3),
-            )
+            probs, _ = online_scaler_run(stream.test_scores(), stream.test_y(), "beta")
             cols["OBS"] = (probs, t_train)
         for lo, hi in windows_global:
             for m, (col, offset) in cols.items():
@@ -546,11 +521,7 @@ def check_regret_bound(seeds: int = 20) -> list:
                 spec = default_spec(kind, seed=seed, drift=drift)
                 stream = build_scored_stream(spec)
                 ts, ty = stream.test_scores(), stream.test_y()
-                probs, _ = kernels.ons_pass(
-                    np.ascontiguousarray(platt_features(ts)),
-                    np.ascontiguousarray(ty),
-                    _PC.gamma, _PC.rho, _PC.radius, initial_theta(2),
-                )
+                probs, _ = online_scaler_run(ts, ty, "platt")
                 fit = fit_platt_batch(ts, ty)
                 reg = _stream_regret(probs, ts, ty, fit.as_array(), platt_apply)
                 B = max(1.0, float(np.linalg.norm(fit.as_array())))
@@ -589,10 +560,7 @@ def check_tracking_sharpness(seeds: int = 3, epsilons=(0.05, 0.1, 0.2)) -> list:
                 stream = build_scored_stream(spec)
                 ts = np.ascontiguousarray(stream.test_scores())
                 ty = np.ascontiguousarray(stream.test_y())
-                probs, _ = kernels.ons_pass(
-                    np.ascontiguousarray(platt_features(ts)), ty,
-                    _PC.gamma, _PC.rho, _PC.radius, initial_theta(2),
-                )
+                probs, _ = online_scaler_run(ts, ty, "platt")
                 tracked = kernels.tracking_pass(probs, ty, eps, scheme.m)
                 T_used = len(ty)
                 margin = (
@@ -689,10 +657,7 @@ def check_hedging_sharpness_and_brier(seeds: int = 100, epsilon: float = 0.1) ->
                 stream = build_scored_stream(spec)
                 ts = np.ascontiguousarray(stream.test_scores())
                 ty = np.ascontiguousarray(stream.test_y())
-                probs, _ = kernels.ons_pass(
-                    np.ascontiguousarray(platt_features(ts)), ty,
-                    _PC.gamma, _PC.rho, _PC.radius, initial_theta(2),
-                )
+                probs, _ = online_scaler_run(ts, ty, "platt")
                 us = substream(spec.seed, P_HEDGE).random(len(ty))
                 hedged = kernels.hops_pass(probs, ty, us, epsilon, scheme.m)
                 T_used = len(ty)

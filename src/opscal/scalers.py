@@ -8,8 +8,10 @@ Three families share one damped-Newton logistic core:
 Batch fits minimize the summed log-loss over the radius-100 parameter ball
 (the same feasible set the online Newton learner projects onto, so batch
 and online comparators live in one class). Windowed learners refit on the
-full prefix every W steps; the online learner advances one Newton step per
-observation.
+full prefix every W steps; since their parameters are constant between
+refits, ``windowed_run`` fits once per refit segment and applies that
+segment's parameters in one vectorised call. The online learner advances
+one Newton step per observation.
 """
 
 from __future__ import annotations
@@ -115,13 +117,13 @@ def newton_logistic(
     w = _renorm_to_ball(np.asarray(init, dtype=float).copy(), radius)
 
     def loss(wv):
-        return float(np.sum(log_loss(sigmoid(X @ wv), y))) + 0.5 * ridge * float(wv @ wv)
+        pv = sigmoid(X @ wv)
+        return float(np.sum(log_loss(pv, y))) + 0.5 * ridge * float(wv @ wv), pv
 
-    cur = loss(w)
+    cur, p = loss(w)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        p = sigmoid(X @ w)
         grad = X.T @ (p - y) + ridge * w
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
@@ -134,9 +136,9 @@ def newton_logistic(
         accepted = False
         for _ in range(60):
             cand = _renorm_to_ball(w - alpha * step, radius)
-            cand_loss = loss(cand)
+            cand_loss, cand_p = loss(cand)
             if cand_loss < cur:
-                w, cur = cand, cand_loss
+                w, cur, p = cand, cand_loss, cand_p
                 accepted = True
                 break
             alpha *= 0.5
@@ -214,10 +216,10 @@ def fit_histogram_binning(scores, ys, m: int = 10) -> HistogramBinningModel:
 class WindowedLearner:
     """Periodically refit batch learner: Platt, beta, or histogram binning.
 
-    Parameters change only at steps t with mod(t - t_cal, window) == 0, at
-    which point the model is refit on the full prefix (all history so far,
-    not a sliding window). The first refit happens at t = t_cal + window;
-    until then the initial (calibration-set) fit governs.
+    Parameters change only at the ``refit_times`` steps, at which point the
+    model is refit on the full prefix (all history so far, not a sliding
+    window). The first refit happens at t = t_cal + window; until then the
+    initial (calibration-set) fit governs.
     """
 
     family: str  # "platt" | "beta" | "hb"
@@ -248,15 +250,47 @@ class WindowedLearner:
         return self.params.predict(score)
 
 
+def refit_times(t_cal: int, window: int, T: int) -> range:
+    """The windowed refit rule: the steps t_cal < t <= T with
+    mod(t - t_cal, window) == 0. At each, the model is refit on the full
+    prefix s <= t-1 before it forecasts t."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    return range(t_cal + window, T + 1, window)
+
+
+def windowed_run(fit, apply, params, t_cal: int, window: int, scores, ys) -> np.ndarray:
+    """Windowed forecasts for t = t_cal+1 .. T, where T = len(scores).
+
+    ``params`` governs until the first refit; ``fit(scores, ys)`` refits on
+    the prefix at each ``refit_times`` step. Parameters are constant between
+    refits, so each segment [t_k, t_{k+1}) is served by one vectorised
+    ``apply(params, scores)`` call. Equals a ``windowed_step`` replay
+    element for element.
+    """
+    scores = np.asarray(scores, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    T = len(scores)
+    out = np.empty(T - t_cal)
+    start = t_cal + 1
+    for t in [*refit_times(t_cal, window, T), T + 1]:
+        if t > start:
+            out[start - t_cal - 1 : t - t_cal - 1] = apply(params, scores[start - 1 : t - 1])
+        if t <= T:
+            params = fit(scores[: t - 1], ys[: t - 1])
+        start = t
+    return out
+
+
 def windowed_step(learner: WindowedLearner, t: int, hist_scores, hist_ys, score_t):
     """Forecast at time t (1-based); history holds all (score, y) with s <= t-1.
 
-    At refit steps - mod(t - t_cal, window) == 0 - the learner refits on the
-    whole history before forecasting.
+    At ``refit_times`` steps the learner refits on the whole history before
+    forecasting.
     """
     if t <= learner.t_cal:
         raise ValueError("windowed learners only forecast after the calibration prefix")
-    if (t - learner.t_cal) % learner.window == 0:
+    if t in refit_times(learner.t_cal, learner.window, t):
         learner.params = learner._fit(np.asarray(hist_scores, dtype=float)[: t - 1],
                                       np.asarray(hist_ys, dtype=float)[: t - 1])
         learner.refit_steps.append(t)

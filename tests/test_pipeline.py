@@ -55,6 +55,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="adversarial"):
             quick_config(stream=spec, methods=("BM", "OPS"))
 
+    @pytest.mark.parametrize("stride", [0, -5])
+    def test_eval_stride_must_be_positive(self, stride):
+        with pytest.raises(ValueError, match="eval_stride"):
+            quick_config(eval_stride=stride)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_must_be_positive(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            quick_config(workers=workers)
+
+    @pytest.mark.parametrize("W, methods", [
+        (0, ("WPS",)), (0, ("WBS",)), (0, ("WHB",)), (0, ("TWHB",)),
+        (0, ("BM", "OPS")),  # W also places the first snapshot at T_cal + 2W
+        (-4, ("BM", "OPS")),
+    ])
+    def test_window_must_be_positive(self, W, methods):
+        with pytest.raises(ValueError, match="W must be >= 1"):
+            quick_config(stream=small_spec(W=W), methods=methods)
+
     def test_stream_too_short(self):
         with pytest.raises(ValueError, match="too short"):
             eval_timestamps(T=100, t_cal=50, window=100, stride=10)

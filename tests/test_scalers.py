@@ -1,7 +1,10 @@
 import math
+from itertools import pairwise
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opscal.core import log_loss, logit, sigmoid
 from opscal.ons import OnsConfig, OnsState
@@ -16,6 +19,7 @@ from opscal.scalers import (
     online_scaler_run,
     online_scaler_step,
     platt_apply,
+    windowed_run,
     windowed_step,
 )
 
@@ -232,6 +236,63 @@ class TestWindowedLearner:
         learner = WindowedLearner(family="platt", window=10, t_cal=5)
         with pytest.raises(ValueError):
             windowed_step(learner, 3, np.zeros(3), np.zeros(3), 0.5)
+
+
+FIT_APPLY = {
+    "platt": (fit_platt_batch, platt_apply),
+    "beta": (fit_beta_batch, beta_apply),
+    "hb": (lambda s, y: fit_histogram_binning(s, y, 10), lambda model, s: model.predict(s)),
+}
+
+
+@st.composite
+def windowed_cases(draw):
+    """(family, T, t_cal, W, seed) with W = 1, W not dividing T - t_cal, or
+    W >= T - t_cal."""
+    T = draw(st.integers(40, 160))
+    t_cal = draw(st.integers(10, T - 5))  # histogram binning needs 10 points
+    n = T - t_cal
+    W = draw(st.one_of(
+        st.just(1),
+        st.sampled_from([w for w in range(2, n) if n % w != 0]),
+        st.integers(n, 2 * n),
+    ))
+    family = draw(st.sampled_from(sorted(FIT_APPLY)))
+    return family, T, t_cal, W, draw(st.integers(0, 2**32 - 1))
+
+
+class TestWindowedRun:
+    @settings(max_examples=60, deadline=None)
+    @given(windowed_cases())
+    def test_segments_equal_stepwise_replay(self, case):
+        family, T, t_cal, W, seed = case
+        rng = np.random.default_rng(seed)
+        scores = rng.uniform(0.0, 1.0, T)
+        y = (rng.random(T) < scores).astype(float)
+        fit, apply = FIT_APPLY[family]
+        init = fit(scores[:t_cal], y[:t_cal])
+        refits, segments = [], []
+
+        def recording_fit(s, ys):
+            refits.append(len(s) + 1)
+            return fit(s, ys)
+
+        def recording_apply(params, s):
+            segments.append(len(s))
+            return apply(params, s)
+
+        col = windowed_run(recording_fit, recording_apply, init, t_cal, W, scores, y)
+        learner = WindowedLearner(family=family, window=W, t_cal=t_cal, params=init)
+        replay = [windowed_step(learner, t, scores, y, scores[t - 1]) for t in range(t_cal + 1, T + 1)]
+        assert col.tolist() == replay
+        assert learner.refit_steps == refits
+        bounds = [t_cal + 1, *refits, T + 1]
+        assert segments == [hi - lo for lo, hi in pairwise(bounds) if hi > lo]
+
+    def test_rejects_nonpositive_window(self):
+        scores = np.full(20, 0.5)
+        with pytest.raises(ValueError, match="window"):
+            windowed_run(fit_platt_batch, platt_apply, (1.0, 0.0), 10, 0, scores, scores)
 
 
 class TestOnlineScalerStep:
