@@ -4,8 +4,9 @@ The sequential per-step loops (online Newton updates, hedging, tracking)
 dominate experiment runtime and cannot be vectorized across time, so they
 are JIT-compiled with numba when available. Setting the environment
 variable ``OPSCAL_NUMBA=0`` (or numba being absent) selects the plain
-Python/numpy path. Both paths run the *same* function bodies, so results
-are bit-identical either way.
+Python path. Both run the *same* function bodies, compiled on numpy arrays
+or interpreted on Python floats (``opscal.kernels`` picks the container from
+``NUMBA_ENABLED``), so results are bit-identical either way.
 """
 
 from __future__ import annotations

@@ -76,8 +76,6 @@ def tracking_update(state: TrackingState, expert_p: float, y) -> TrackingState:
 
 def tracking_run(expert_ps, ys, scheme: BinningScheme) -> np.ndarray:
     """Whole-stream tracking via the batched kernel."""
-    expert_ps = np.ascontiguousarray(np.asarray(expert_ps, dtype=float))
-    ys = np.ascontiguousarray(np.asarray(ys, dtype=float))
     return kernels.tracking_pass(expert_ps, ys, scheme.epsilon, scheme.m)
 
 
@@ -140,9 +138,7 @@ def f99_distribution(state: F99State) -> HedgeDistribution:
     it (they must commit y before the draw resolves).
     """
     try:
-        lo, hi, plo = kernels.f99_dist_row(
-            state.counts, state.outcome_sums, state.scheme.epsilon, state.scheme.m
-        )
+        lo, hi, plo = kernels.f99_dist_row(state.counts, state.outcome_sums, 0, state.scheme.epsilon, state.scheme.m)
     except RuntimeError as exc:
         raise CalibeatingInvariantError(str(exc)) from None
     if hi == lo:
@@ -178,7 +174,6 @@ def f99_update(state: F99State, chosen: float, y) -> F99State:
 
 def f99_run(ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:
     """Covariate-free hedging over an outcome sequence (batched kernel)."""
-    ys = np.ascontiguousarray(np.asarray(ys, dtype=float))
     us = rng.random(len(ys))
     expert = np.zeros(len(ys))
     return kernels.hops_pass(expert, ys, us, scheme.epsilon, scheme.m)
@@ -216,8 +211,6 @@ def hops_step(state: HopsState, expert_p: float, y, rng: np.random.Generator):
 
 def hops_run(expert_ps, ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:
     """Whole-stream hedging over an expert column (batched kernel)."""
-    expert_ps = np.ascontiguousarray(np.asarray(expert_ps, dtype=float))
-    ys = np.ascontiguousarray(np.asarray(ys, dtype=float))
     us = rng.random(len(ys))
     return kernels.hops_pass(expert_ps, ys, us, scheme.epsilon, scheme.m)
 

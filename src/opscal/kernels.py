@@ -1,12 +1,19 @@
 """Hot sequential kernels: online Newton passes, tracking, hedging.
 
-These are the per-step loops that dominate experiment runtime. Each is a
-plain function JIT-compiled by numba unless ``OPSCAL_NUMBA=0`` (see
-``opscal._accel``); the un-jitted fallbacks execute the identical code, so
-the two paths produce bit-identical outputs.
+These per-step loops dominate experiment runtime. Each rule has one body,
+using per-element indexing and float arithmetic only, with state in flat
+buffers (a d x d matrix is d*d long, entry (i, j) at i*d + j). Under numba
+(``opscal._accel``) the bodies are compiled and run on numpy arrays.
+Without it they run on Python floats: the public passes call
+``ndarray.tolist()`` on their inputs once per call and state buffers are
+``[0.0] * n``, as reading a float out of a list is several times cheaper
+than reading an ``np.float64`` out of an array. Python floats do IEEE
+double arithmetic like ``np.float64`` and ``math.exp`` serves both, so the
+two paths give bit-identical outputs, written into preallocated arrays.
 
 Conventions:
-  - features are (T, d) float64 with a trailing bias column of ones
+  - features are (T, d) float64 with a trailing bias column of ones; the
+    bodies see them flattened, step t at [t*d, (t+1)*d)
   - outcomes are float64 0.0/1.0
   - ``us`` are pre-drawn Uniform[0,1) variates, one per time step; hedging
     consumes exactly one per step whether or not it randomizes, so seeded
@@ -18,23 +25,32 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from ._accel import maybe_jit
+from ._accel import NUMBA_ENABLED, maybe_jit
+
+# a fresh buffer of n zeros in the platform's container
+_zeros = np.zeros if NUMBA_ENABLED else [0.0].__mul__
+
+
+def _flat(a):
+    a = np.ascontiguousarray(a, dtype=np.float64).ravel()
+    return a if NUMBA_ENABLED else a.tolist()
 
 
 def _project_anorm(A, theta_tilde, radius):
     # argmin over the radius-ball of (theta_tilde - theta)^T A (theta_tilde - theta),
-    # via eigendecomposition of A and bisection on the KKT multiplier.
-    d = theta_tilde.shape[0]
+    # via eigendecomposition of A (flat or square) and bisection on the KKT multiplier.
+    d = len(theta_tilde)
     nrm2 = 0.0
     for i in range(d):
         nrm2 += theta_tilde[i] * theta_tilde[i]
     if nrm2 <= radius * radius:
         return theta_tilde.copy()
-    w, Q = np.linalg.eigh(A)
+    w, Q = np.linalg.eigh(np.asarray(A).reshape((d, d)))
     v = np.zeros(d)
     for j in range(d):
         s = 0.0
@@ -80,51 +96,72 @@ def _project_anorm(A, theta_tilde, radius):
     return out
 
 
-def _ons_step_arrays(theta, A, Ainv, x, y, gamma, radius):
-    # One online-Newton step, in place. Returns the forecast made with the
-    # PRE-update theta. A accumulates grad grad^T; Ainv tracks A^{-1} by
-    # Sherman-Morrison so the hot path never solves a linear system.
-    d = theta.shape[0]
+def _ons_init(theta0, rho):
+    # Online-Newton start state: a copy of theta0, A = rho I and A^{-1}.
+    d = len(theta0)
+    theta = _zeros(d)
+    A = _zeros(d * d)
+    Ainv = _zeros(d * d)
+    for i in range(d):
+        theta[i] = theta0[i]
+        A[i * d + i] = rho
+        Ainv[i * d + i] = 1.0 / rho
+    return theta, A, Ainv
+
+
+def _ons_forecast(theta, x, k):
+    # sigmoid(theta . x[k:k+d]), evaluated on the side that cannot overflow.
     z = 0.0
-    for i in range(d):
-        z += theta[i] * x[i]
+    for i in range(len(theta)):
+        z += theta[i] * x[k + i]
     if z >= 0.0:
-        p = 1.0 / (1.0 + math.exp(-z))
-    else:
-        ez = math.exp(z)
-        p = ez / (1.0 + ez)
-    r = p - y
-    g = np.zeros(d)
+        return 1.0 / (1.0 + math.exp(-z))
+    ez = math.exp(z)
+    return ez / (1.0 + ez)
+
+
+def _ons_update(theta, A, Ainv, x, k, r, gamma, radius):
+    # The online-Newton update, in place, for the log-loss gradient
+    # g = r * x[k:k+d] with r = forecast - outcome. A accumulates g g^T;
+    # Ainv tracks A^{-1} by Sherman-Morrison so the hot path never solves a
+    # linear system.
+    d = len(theta)
+    g = _zeros(d)
     for i in range(d):
-        g[i] = r * x[i]
-    for i in range(d):
-        for j in range(d):
-            A[i, j] += g[i] * g[j]
-    v = np.zeros(d)
-    for i in range(d):
-        s = 0.0
-        for j in range(d):
-            s += Ainv[i, j] * g[j]
-        v[i] = s
+        g[i] = r * x[k + i]
+    # A += g g^T, v = Ainv g, denom = 1 + g . v
+    v = _zeros(d)
     denom = 1.0
     for i in range(d):
-        denom += g[i] * v[i]
-    for i in range(d):
+        gi = g[i]
+        s = 0.0
         for j in range(d):
-            Ainv[i, j] -= v[i] * v[j] / denom
-    # (A + g g^T)^{-1} g == v / denom, the updated-inverse Newton direction
+            A[i * d + j] += gi * g[j]
+            s += Ainv[i * d + j] * g[j]
+        v[i] = s
+        denom += gi * s
+    # Ainv -= v v^T / denom; (A + g g^T)^{-1} g == v / denom, the
+    # updated-inverse Newton direction
+    tt = _zeros(d)
     tnorm2 = 0.0
-    tt = np.zeros(d)
     for i in range(d):
-        tt[i] = theta[i] - (v[i] / denom) / gamma
-        tnorm2 += tt[i] * tt[i]
-    if tnorm2 <= radius * radius:
-        for i in range(d):
-            theta[i] = tt[i]
-    else:
-        proj = project_anorm(A, tt, radius)
-        for i in range(d):
-            theta[i] = proj[i]
+        vi = v[i]
+        for j in range(d):
+            Ainv[i * d + j] -= vi * v[j] / denom
+        ti = theta[i] - (vi / denom) / gamma
+        tt[i] = ti
+        tnorm2 += ti * ti
+    if tnorm2 > radius * radius:
+        tt = project_anorm(A, tt, radius)
+    for i in range(d):
+        theta[i] = tt[i]
+
+
+def _ons_step_arrays(theta, A, Ainv, x, k, y, gamma, radius):
+    # One online-Newton step on the features x[k:k+d] and outcome y, in
+    # place. Returns the forecast made with the PRE-update theta.
+    p = ons_forecast(theta, x, k)
+    ons_update(theta, A, Ainv, x, k, p - y, gamma, radius)
     return p
 
 
@@ -132,68 +169,55 @@ def _ons_pass(feats, ys, gamma, rho, radius, theta0):
     # Full online-Newton pass. Returns per-step forecasts (made with the
     # pre-update parameters) and the parameter trace: thetas[t] is the
     # parameter vector IN FORCE at step t (0-based), thetas[T] the final.
-    T, d = feats.shape
-    theta = theta0.copy()
-    A = np.zeros((d, d))
-    Ainv = np.zeros((d, d))
-    for i in range(d):
-        A[i, i] = rho
-        Ainv[i, i] = 1.0 / rho
+    T = len(ys)
+    theta, A, Ainv = ons_init(theta0, rho)
+    d = len(theta)
     probs = np.zeros(T)
     thetas = np.zeros((T + 1, d))
-    thetas[0] = theta
+    thetas[0] = theta0
     for t in range(T):
-        probs[t] = ons_step_arrays(theta, A, Ainv, feats[t], ys[t], gamma, radius)
-        thetas[t + 1] = theta
+        probs[t] = ons_step_arrays(theta, A, Ainv, feats, t * d, ys[t], gamma, radius)
+        for i in range(d):
+            thetas[t + 1, i] = theta[i]
     return probs, thetas
 
 
 def _tracking_pass(expert, ys, eps, m):
     # Per-bin past-outcome averages of the expert's bin; midpoint when the
     # bin has no history yet. State sees strictly-past steps only.
-    T = expert.shape[0]
-    counts = np.zeros(m)
-    sums = np.zeros(m)
+    T = len(expert)
+    counts = _zeros(m)
+    sums = _zeros(m)
     out = np.zeros(T)
     for t in range(T):
         b = int(math.floor(expert[t] / eps))
         if b >= m:
             b = m - 1
-        if counts[b] > 0.0:
-            out[t] = sums[b] / counts[b]
-        else:
-            out[t] = (b + 0.5) * eps
+        out[t] = sums[b] / counts[b] if counts[b] > 0.0 else (b + 0.5) * eps
         counts[b] += 1.0
         sums[b] += ys[t]
     return out
 
 
-def _f99_dist_row(counts, sums, eps, m):
-    # Hedging distribution for one forecaster instance. Returns
-    # (lo_mid, hi_mid, prob_lo): a point mass has hi_mid == lo_mid and
-    # prob_lo == 1. Condition A (some bin's observed average sits inside
-    # the bin) gives a deterministic midpoint forecast; otherwise some
-    # adjacent (excess, deficit) pair exists and we hedge between their
-    # midpoints. Smallest index wins in both cases.
+def _f99_dist_row(counts, sums, base, eps, m):
+    # Hedging distribution for one forecaster instance, whose m bin counts
+    # and outcome sums sit at [base, base + m). Returns (lo_mid, hi_mid,
+    # prob_lo): a point mass has hi_mid == lo_mid and prob_lo == 1.
+    # Condition A (some bin's observed average sits inside the bin) gives a
+    # deterministic midpoint forecast; otherwise some adjacent (excess,
+    # deficit) pair exists and we hedge between their midpoints. Smallest
+    # index wins in both cases.
     for b in range(m):
-        if counts[b] == 0.0:
-            pb = (b + 0.5) * eps
-        else:
-            pb = sums[b] / counts[b]
+        pb = (b + 0.5) * eps if counts[base + b] == 0.0 else sums[base + b] / counts[base + b]
         if pb >= b * eps and pb <= (b + 1.0) * eps:
             mid = (b + 0.5) * eps
             return mid, mid, 1.0
     for b in range(m - 1):
-        if counts[b] == 0.0:
-            pb = (b + 0.5) * eps
-        else:
-            pb = sums[b] / counts[b]
+        pb = (b + 0.5) * eps if counts[base + b] == 0.0 else sums[base + b] / counts[base + b]
         eb = pb - (b + 1.0) * eps
         if eb > 0.0:
-            if counts[b + 1] == 0.0:
-                pb1 = (b + 1.5) * eps
-            else:
-                pb1 = sums[b + 1] / counts[b + 1]
+            n1 = counts[base + b + 1]
+            pb1 = (b + 1.5) * eps if n1 == 0.0 else sums[base + b + 1] / n1
             db1 = (b + 1.0) * eps - pb1
             if db1 > 0.0:
                 lo = (b + 0.5) * eps
@@ -203,53 +227,41 @@ def _f99_dist_row(counts, sums, eps, m):
 
 
 def _hops_pass(expert, ys, us, eps, m):
-    # One independent hedging forecaster per expert bin; each sees only the
-    # outcome subsequence routed to it. us[t] resolves the (possible)
-    # randomization at step t.
-    T = expert.shape[0]
-    counts = np.zeros((m, m))
-    sums = np.zeros((m, m))
+    # One independent hedging forecaster per expert bin (row r of the flat
+    # m*m state); each sees only the outcome subsequence routed to it.
+    # us[t] resolves the (possible) randomization at step t.
+    T = len(expert)
+    counts = _zeros(m * m)
+    sums = _zeros(m * m)
     out = np.zeros(T)
     for t in range(T):
         r = int(math.floor(expert[t] / eps))
         if r >= m:
             r = m - 1
-        lo, hi, plo = f99_dist_row(counts[r], sums[r], eps, m)
-        if us[t] < plo:
-            chosen = lo
-        else:
-            chosen = hi
+        lo, hi, plo = f99_dist_row(counts, sums, r * m, eps, m)
+        chosen = lo if us[t] < plo else hi
         out[t] = chosen
         c = int(math.floor(chosen / eps))
         if c >= m:
             c = m - 1
-        counts[r, c] += 1.0
-        sums[r, c] += ys[t]
+        counts[r * m + c] += 1.0
+        sums[r * m + c] += ys[t]
     return out
 
 
 def _ops_adversarial_pass(feats, gamma, rho, radius, theta0):
     # Deterministic forecaster versus the outcome adversary y = 1{p <= 0.5}.
-    T, d = feats.shape
-    theta = theta0.copy()
-    A = np.zeros((d, d))
-    Ainv = np.zeros((d, d))
-    for i in range(d):
-        A[i, i] = rho
-        Ainv[i, i] = 1.0 / rho
+    # The adversary sees the forecast before the outcome, so the online-Newton
+    # step runs as its two halves.
+    theta, A, Ainv = ons_init(theta0, rho)
+    d = len(theta)
+    T = len(feats) // d
     probs = np.zeros(T)
     ys = np.zeros(T)
     for t in range(T):
-        z = 0.0
-        for i in range(d):
-            z += theta[i] * feats[t, i]
-        if z >= 0.0:
-            p = 1.0 / (1.0 + math.exp(-z))
-        else:
-            ez = math.exp(z)
-            p = ez / (1.0 + ez)
+        p = ons_forecast(theta, feats, t * d)
         y = 1.0 if p <= 0.5 else 0.0
-        ons_step_arrays(theta, A, Ainv, feats[t], y, gamma, radius)
+        ons_update(theta, A, Ainv, feats, t * d, p - y, gamma, radius)
         probs[t] = p
         ys[t] = y
     return probs, ys
@@ -259,66 +271,69 @@ def _hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
     # Joint pass: online scaler + hedging, against an adversary that sees
     # the announced hedge distribution (not the draw) and sets
     # y = 1{mean(distribution) <= 0.5}. The draw happens after y is fixed.
-    T, d = feats.shape
-    theta = theta0.copy()
-    A = np.zeros((d, d))
-    Ainv = np.zeros((d, d))
-    for i in range(d):
-        A[i, i] = rho
-        Ainv[i, i] = 1.0 / rho
-    counts = np.zeros((m, m))
-    sums = np.zeros((m, m))
+    theta, A, Ainv = ons_init(theta0, rho)
+    d = len(theta)
+    T = len(us)
+    counts = _zeros(m * m)
+    sums = _zeros(m * m)
     ops = np.zeros(T)
     hops = np.zeros(T)
     ys = np.zeros(T)
     for t in range(T):
-        z = 0.0
-        for i in range(d):
-            z += theta[i] * feats[t, i]
-        if z >= 0.0:
-            p = 1.0 / (1.0 + math.exp(-z))
-        else:
-            ez = math.exp(z)
-            p = ez / (1.0 + ez)
+        p = ons_forecast(theta, feats, t * d)
         r = int(math.floor(p / eps))
         if r >= m:
             r = m - 1
-        lo, hi, plo = f99_dist_row(counts[r], sums[r], eps, m)
+        lo, hi, plo = f99_dist_row(counts, sums, r * m, eps, m)
         mean = plo * lo + (1.0 - plo) * hi
         y = 1.0 if mean <= 0.5 else 0.0
-        if us[t] < plo:
-            chosen = lo
-        else:
-            chosen = hi
+        chosen = lo if us[t] < plo else hi
         c = int(math.floor(chosen / eps))
         if c >= m:
             c = m - 1
-        counts[r, c] += 1.0
-        sums[r, c] += y
-        ons_step_arrays(theta, A, Ainv, feats[t], y, gamma, radius)
+        counts[r * m + c] += 1.0
+        sums[r * m + c] += y
+        ons_update(theta, A, Ainv, feats, t * d, p - y, gamma, radius)
         ops[t] = p
         hops[t] = chosen
         ys[t] = y
     return ops, hops, ys
 
 
-# plain-Python references (benchmark baseline; bit-identical results)
-project_anorm_py = _project_anorm
-ons_step_arrays_py = _ons_step_arrays
-ons_pass_py = _ons_pass
-tracking_pass_py = _tracking_pass
-f99_dist_row_py = _f99_dist_row
-hops_pass_py = _hops_pass
-ops_adversarial_pass_py = _ops_adversarial_pass
-hops_adversarial_pass_py = _hops_adversarial_pass
+def _entry(body, jit=True):
+    """The public pass over ``body``: numpy arrays in and out. Array
+    arguments are flattened into the platform's container once per call."""
+    kernel = maybe_jit(body) if jit else body
 
-# jitted (or fallback) exports; passes resolve these globals, so the whole
-# call graph is compiled together when numba is on
+    @functools.wraps(body)
+    def run(*args):
+        return kernel(*[_flat(a) if np.ndim(a) else a for a in args])
+
+    return run
+
+
+# jitted (or plain) step-level helpers; the bodies resolve these globals at
+# call time, so under numba the whole call graph compiles together, and on
+# the pure path a wrapper swapped in for one of them sees every call
 project_anorm = maybe_jit(_project_anorm)
+ons_init = maybe_jit(_ons_init)
+ons_forecast = maybe_jit(_ons_forecast)
+ons_update = maybe_jit(_ons_update)
 ons_step_arrays = maybe_jit(_ons_step_arrays)
-ons_pass = maybe_jit(_ons_pass)
-tracking_pass = maybe_jit(_tracking_pass)
 f99_dist_row = maybe_jit(_f99_dist_row)
-hops_pass = maybe_jit(_hops_pass)
-ops_adversarial_pass = maybe_jit(_ops_adversarial_pass)
-hops_adversarial_pass = maybe_jit(_hops_adversarial_pass)
+
+# public whole-stream passes
+ons_pass = _entry(_ons_pass)
+tracking_pass = _entry(_tracking_pass)
+hops_pass = _entry(_hops_pass)
+ops_adversarial_pass = _entry(_ops_adversarial_pass)
+hops_adversarial_pass = _entry(_hops_adversarial_pass)
+
+# un-jitted bodies over the same inputs (numba parity tests; under numba the
+# helpers they call are still the compiled ones)
+project_anorm_py = _project_anorm
+ons_pass_py = _entry(_ons_pass, jit=False)
+tracking_pass_py = _entry(_tracking_pass, jit=False)
+hops_pass_py = _entry(_hops_pass, jit=False)
+ops_adversarial_pass_py = _entry(_ops_adversarial_pass, jit=False)
+hops_adversarial_pass_py = _entry(_hops_adversarial_pass, jit=False)

@@ -93,19 +93,30 @@ def logloss_gradient(theta, feature, y) -> np.ndarray:
     return (p - float(y)) * feature
 
 
+def ons_advance(state: OnsState, feature, y, config: OnsConfig):
+    """Forecast with ``state.theta``, then take one online Newton step.
+
+    Returns (forecast, successor state) and leaves ``state`` untouched. The
+    arithmetic is the whole-stream kernel's own step body, run on copies of
+    the state, so a replay of these steps equals a kernel pass exactly.
+    """
+    feature = np.asarray(feature, dtype=float)
+    d = config.dim
+    if feature.shape != (d,) or state.theta.shape != (d,):
+        raise ValueError("feature/config dimension mismatch")
+    theta = state.theta.copy()
+    A = state.A.flatten()
+    A_inv = state.A_inv.flatten()
+    forecast = kernels.ons_step_arrays(theta, A, A_inv, feature, 0, float(y), config.gamma, config.radius)
+    return float(forecast), OnsState(theta=theta, A=A.reshape(d, d), A_inv=A_inv.reshape(d, d), t=state.t + 1)
+
+
 def ons_step(state: OnsState, feature, y, config: OnsConfig) -> OnsState:
     """One online Newton update; returns the successor state.
 
     The caller makes its forecast from ``state.theta`` before invoking this.
     """
-    feature = np.asarray(feature, dtype=float)
-    if feature.shape != (config.dim,):
-        raise ValueError("feature dimension mismatch")
-    theta = state.theta.copy()
-    A = state.A.copy()
-    A_inv = state.A_inv.copy()
-    kernels.ons_step_arrays(theta, A, A_inv, feature, float(y), config.gamma, config.radius)
-    return OnsState(theta=theta, A=A, A_inv=A_inv, t=state.t + 1)
+    return ons_advance(state, feature, y, config)[1]
 
 
 def project_ellipsoid(A, theta_tilde, radius: float) -> np.ndarray:

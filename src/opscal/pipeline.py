@@ -95,8 +95,10 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ValueError(f"unknown methods: {bad}")
-        if not (0.0 < self.epsilon <= 1.0):
-            raise ValueError("epsilon must lie in (0, 1]")
+        last_mid = (BinningScheme(self.epsilon).m - 0.5) * self.epsilon
+        if last_mid > 1.0:
+            raise ValueError(f"epsilon {self.epsilon} puts the last bin midpoint at {last_mid:.4g} > 1, where "
+                             "tracking and hedging would forecast; 1/k for an integer k is safe")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.eval_stride < 1:
@@ -199,28 +201,18 @@ def run_replication(spec: StreamSpec, methods, epsilon: float):
         if "WHB" in want:
             cols["WHB"] = whb
         if "TWHB" in want:
-            cols["TWHB"] = kernels.tracking_pass(
-                np.ascontiguousarray(whb), ty[em], scheme.epsilon, scheme.m
-            )
+            cols["TWHB"] = kernels.tracking_pass(whb, ty[em], scheme.epsilon, scheme.m)
 
     if "TOPS" in want:
-        cols["TOPS"] = kernels.tracking_pass(
-            np.ascontiguousarray(ops_full[em]), ty[em], scheme.epsilon, scheme.m
-        )
+        cols["TOPS"] = kernels.tracking_pass(ops_full[em], ty[em], scheme.epsilon, scheme.m)
     if "HOPS" in want:
         us = substream(spec.seed, P_HEDGE).random(T - t_cal)
-        cols["HOPS"] = kernels.hops_pass(
-            np.ascontiguousarray(ops_full[em]), ty[em], us, scheme.epsilon, scheme.m
-        )
+        cols["HOPS"] = kernels.hops_pass(ops_full[em], ty[em], us, scheme.epsilon, scheme.m)
     if "TOBS" in want:
-        cols["TOBS"] = kernels.tracking_pass(
-            np.ascontiguousarray(obs_full[em]), ty[em], scheme.epsilon, scheme.m
-        )
+        cols["TOBS"] = kernels.tracking_pass(obs_full[em], ty[em], scheme.epsilon, scheme.m)
     if "HOBS" in want:
         us = substream(spec.seed, P_HEDGE_BETA).random(T - t_cal)
-        cols["HOBS"] = kernels.hops_pass(
-            np.ascontiguousarray(obs_full[em]), ty[em], us, scheme.epsilon, scheme.m
-        )
+        cols["HOBS"] = kernels.hops_pass(obs_full[em], ty[em], us, scheme.epsilon, scheme.m)
 
     ys_em = ty[em]
     _assert_tracking_guarantee(cols, ops_full, obs_full, em, ys_em, scheme)
@@ -253,23 +245,19 @@ def _assert_tracking_guarantee(cols, ops_full, obs_full, em, ys_em, scheme):
 
 
 def _run_adversarial_replication(spec: StreamSpec, methods, scheme: BinningScheme):
-    stream = build_scored_stream(spec)
-    feats = np.ascontiguousarray(platt_features(stream.scores))
-    want = set(methods)
+    scores = build_scored_stream(spec).scores
+    feats = platt_features(scores)
     cols = {}
-    diag = {}
-    if "HOPS" in want:
-        us = substream(spec.seed, P_HEDGE).random(len(stream.scores))
-        ops, hops, ys = kernels.hops_adversarial_pass(
+    if "HOPS" in methods:
+        us = substream(spec.seed, P_HEDGE).random(len(scores))
+        ops, cols["HOPS"], ys = kernels.hops_adversarial_pass(
             feats, us, scheme.epsilon, scheme.m, _PC.gamma, _PC.rho, _PC.radius, initial_theta(2)
         )
-        cols["HOPS"] = hops
-        if "OPS" in want:
+        if "OPS" in methods:
             cols["OPS"] = ops
     else:
-        ops, ys = kernels.ops_adversarial_pass(feats, _PC.gamma, _PC.rho, _PC.radius, initial_theta(2))
-        cols["OPS"] = ops
-    return cols, ys, None, diag
+        cols["OPS"], ys = kernels.ops_adversarial_pass(feats, _PC.gamma, _PC.rho, _PC.radius, initial_theta(2))
+    return cols, ys, None, {}
 
 
 def _metric_series(col, ys, timestamps, t_cal, scheme):
@@ -595,7 +583,7 @@ def check_adversarial_calibration(seeds: int = 100, T: int = 10_000, epsilon: fl
         spec = StreamSpec(kind="adversarial", seed=replication_seed(seed, 0),
                           T_train=0, T_test=T, T_cal=0)
         stream = build_scored_stream(spec)
-        feats = np.ascontiguousarray(platt_features(stream.scores))
+        feats = platt_features(stream.scores)
         us = substream(spec.seed, P_HEDGE).random(T)
         ops, hops, ys = kernels.hops_adversarial_pass(
             feats, us, epsilon, scheme.m, _PC.gamma, _PC.rho, _PC.radius, initial_theta(2)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .core import CLIP_HI, CLIP_LO, log_loss, logit, sigmoid
-from .ons import OnsConfig, OnsState, initial_theta
+from .ons import OnsConfig, OnsState, initial_theta, ons_advance
 
 PARAM_RADIUS = 100.0
 
@@ -316,14 +316,7 @@ def online_scaler_step(state: OnsState, score, y, family: str, config: OnsConfig
     """
     if config is None:
         config = OnsConfig.platt() if family == "platt" else OnsConfig.beta()
-    x = np.ascontiguousarray(family_features(family, [score])[0])
-    if x.shape != (config.dim,) or state.theta.shape != (config.dim,):
-        raise ValueError("family/config dimension mismatch")
-    theta = state.theta.copy()
-    A = state.A.copy()
-    A_inv = state.A_inv.copy()
-    forecast = kernels.ons_step_arrays(theta, A, A_inv, x, float(y), config.gamma, config.radius)
-    return float(forecast), OnsState(theta=theta, A=A, A_inv=A_inv, t=state.t + 1)
+    return ons_advance(state, family_features(family, [score])[0], y, config)
 
 
 def online_scaler_run(scores, ys, family: str, config: OnsConfig | None = None):
@@ -334,8 +327,5 @@ def online_scaler_run(scores, ys, family: str, config: OnsConfig | None = None):
     """
     if config is None:
         config = OnsConfig.platt() if family == "platt" else OnsConfig.beta()
-    feats = np.ascontiguousarray(family_features(family, scores))
-    ys = np.ascontiguousarray(np.asarray(ys, dtype=float))
-    theta0 = initial_theta(config.dim)
-    probs, thetas = kernels.ons_pass(feats, ys, config.gamma, config.rho, config.radius, theta0)
-    return probs, thetas
+    feats = family_features(family, scores)
+    return kernels.ons_pass(feats, ys, config.gamma, config.rho, config.radius, initial_theta(config.dim))

@@ -24,6 +24,17 @@ class TestRunCommand:
         assert (out / "TOPS_ce.csv").exists()
         assert (out / "ce.svg").exists()
 
+    def test_bad_eps_fails_before_any_replication(self, tmp_path, monkeypatch):
+        import opscal.pipeline
+
+        calls = []
+        monkeypatch.setattr(opscal.pipeline, "run_replication", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="last bin midpoint"):
+            main(["run", "--stream", "covmulti", "--reps", "1", "--methods", "OPS,TOPS,HOPS",
+                  "--eps", "0.3", "--out", str(tmp_path / "out")])
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(

@@ -1,10 +1,15 @@
-"""Pin the jitted kernels to their plain-Python fallbacks.
+"""Pin the kernels' outputs, on either execution path.
 
+Golden SHA-256 digests of each pass's output bytes on fixed seeds pin the
+kernels to the outputs of the numpy-array implementation they replaced. A
+property test replays the step-level APIs (numpy state) against the
+whole-stream passes (Python-list state on the pure path) with ``==``.
 With numba enabled the exports are compiled; the *_py names are the same
-code objects un-jitted, so outputs must agree exactly. A subprocess run
-with OPSCAL_NUMBA=0 checks the env-flag path end to end.
+bodies un-jitted, so outputs must agree exactly. A subprocess run with
+OPSCAL_NUMBA=0 checks the env-flag path end to end.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,10 +17,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opscal import kernels
 from opscal._accel import NUMBA_ENABLED
-from opscal.ons import initial_theta
+from opscal.calibeating import HopsState, hops_run, hops_step
+from opscal.core import BinningScheme
+from opscal.ons import OnsConfig, OnsState, initial_theta
+from opscal.scalers import beta_features, online_scaler_run, online_scaler_step, platt_features
 
 needs_numba = pytest.mark.skipif(not NUMBA_ENABLED, reason="numba disabled or absent")
 
@@ -25,6 +35,112 @@ def platt_feats(rng, T):
     feats = np.column_stack([np.log(scores / (1 - scores)), np.ones(T)])
     ys = (rng.random(T) < scores).astype(float)
     return np.ascontiguousarray(feats), ys
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def stream(seed, T):
+    rng = np.random.default_rng(seed)
+    scores = rng.uniform(0.01, 0.99, T)
+    ys = (rng.random(T) < np.clip(scores + 0.15, 0, 1)).astype(float)
+    return scores, ys, rng.random(T)
+
+
+def feats_of(family, scores):
+    make = platt_features if family == "platt" else beta_features
+    return np.ascontiguousarray(make(scores))
+
+
+class TestGoldenOutputs:
+    """SHA-256 of the output bytes, recorded from the numpy-array kernels."""
+
+    @pytest.mark.parametrize("seed, T, family, rho, radius, theta_dim, golden", [
+        (101, 600, "platt", 100.0, 100.0, 2,
+         "413fa7f33fdc628870e52ccb800ebb04cac7ba0e962c1e5c98f2471399d9fa1c"),
+        (102, 600, "beta", 25.0, 100.0, 3,
+         "1a8bed3d1c509594c7e4fb9cd5fc4c53994a28846648fde2cb128fcf4f0a2a93"),
+        # radius small enough that the A-norm projection fires
+        (103, 300, "platt", 1.0, 1.2, 2,
+         "6c705b6744d5ed14dc6078ed417eb2b935511475db53b6a774a0ac4b2f19f4ab"),
+        (103, 300, "beta", 1.0, 1.5, 3,
+         "9debdc3d8c027378331cd586e34b3d635727298432b2a3c5fd01a13ad064f667"),
+    ])
+    def test_ons_pass(self, seed, T, family, rho, radius, theta_dim, golden):
+        scores, ys, _ = stream(seed, T)
+        out = kernels.ons_pass(feats_of(family, scores), ys, 0.1, rho, radius, initial_theta(theta_dim))
+        assert digest(*out) == golden
+
+    @pytest.mark.skipif(NUMBA_ENABLED, reason="compiled kernels bind project_anorm at compile time")
+    @pytest.mark.parametrize("family, dim, radius, calls", [("platt", 2, 1.2, 140), ("beta", 3, 1.5, 135)])
+    def test_projection_fires_through_module_name(self, monkeypatch, family, dim, radius, calls):
+        seen = []
+        original = kernels.project_anorm
+        monkeypatch.setattr(kernels, "project_anorm", lambda *a: seen.append(1) or original(*a))
+        scores, ys, _ = stream(103, 300)
+        kernels.ons_pass(feats_of(family, scores), ys, 0.1, 1.0, radius, initial_theta(dim))
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("eps, m, golden", [
+        (0.1, 10, "db29bbee7c97b33c7c682b2caf786864b83b6bc7d6171bd6f71c40c448affc5c"),
+        (0.05, 20, "53b62a95b6e8c2fa312d19f8e874b5a1f58a77b5904e57c8734e5485e19e9069"),
+    ])
+    def test_tracking_pass(self, eps, m, golden):
+        scores, ys, _ = stream(104, 2000)
+        assert digest(kernels.tracking_pass(scores, ys, eps, m)) == golden
+
+    @pytest.mark.parametrize("eps, m, golden", [
+        (0.1, 10, "efe4d5e9e13f8ad26aeb3ec171dcba3b7fc44414b3ed7ed5ed963bdea71acf39"),
+        (0.2, 5, "2a7d3b5a56b4c94a3d607a29fb5da3c6735153fade0297597004bb55afe60df7"),
+    ])
+    def test_hops_pass(self, eps, m, golden):
+        scores, ys, us = stream(105, 2000)
+        assert digest(kernels.hops_pass(scores, ys, us, eps, m)) == golden
+
+    def test_adversarial_passes(self):
+        scores, _, us = stream(106, 1000)
+        feats = feats_of("platt", scores)
+        ops = kernels.ops_adversarial_pass(feats, 0.1, 100.0, 100.0, initial_theta(2))
+        hops = kernels.hops_adversarial_pass(feats, us, 0.1, 10, 0.1, 100.0, 100.0, initial_theta(2))
+        assert digest(*ops) == "d34862f9d704ef4fcb797d081a79310a170a5ffb79ba01ccc131171d476a29e6"
+        assert digest(*hops) == "9995cd64bd915abbe2fb08672de09e8ee03868c24be915dda8fd14e1ea7aab2e"
+
+
+class TestStepReplay:
+    """The step APIs feed numpy state into the same bodies the whole-stream
+    passes run on their own containers; both must agree exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(["platt", "beta"]), T=st.integers(1, 150),
+           radius=st.sampled_from([100.0, 1.5, 0.8]), seed=st.integers(0, 2**32 - 1))
+    def test_online_scaler_step_equals_run(self, family, T, radius, seed):
+        base = OnsConfig.platt() if family == "platt" else OnsConfig.beta()
+        config = OnsConfig(dim=base.dim, gamma=base.gamma, rho=base.rho, radius=radius)
+        scores, ys, _ = stream(seed, T)
+        probs, thetas = online_scaler_run(scores, ys, family, config)
+        state = OnsState.init(config)
+        for t in range(T):
+            assert np.array_equal(state.theta, thetas[t])
+            p, state = online_scaler_step(state, scores[t], ys[t], family, config)
+            assert p == probs[t]
+        assert np.array_equal(state.theta, thetas[T])
+
+    @settings(max_examples=40, deadline=None)
+    @given(T=st.integers(1, 300), eps=st.sampled_from([0.05, 0.1, 0.2, 0.25]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_hops_step_equals_run(self, T, eps, seed):
+        scheme = BinningScheme(eps)
+        scores, ys, _ = stream(seed, T)
+        batch = hops_run(scores, ys, scheme, np.random.default_rng(seed))
+        draw = np.random.default_rng(seed)
+        state = HopsState(scheme)
+        for t in range(T):
+            chosen, state = hops_step(state, scores[t], ys[t], draw)
+            assert chosen == batch[t]
 
 
 @needs_numba

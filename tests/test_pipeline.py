@@ -55,6 +55,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="adversarial"):
             quick_config(stream=spec, methods=("BM", "OPS"))
 
+    @pytest.mark.parametrize("eps", [0.3, 0.07])
+    def test_epsilon_with_last_midpoint_above_one(self, eps):
+        with pytest.raises(ValueError, match="last bin midpoint"):
+            quick_config(epsilon=eps)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.25, 0.5, 1.0])
+    def test_epsilon_accepted(self, eps):
+        assert quick_config(epsilon=eps).epsilon == eps
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, 1.5])
+    def test_epsilon_outside_unit_interval(self, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            quick_config(epsilon=eps)
+
     @pytest.mark.parametrize("stride", [0, -5])
     def test_eval_stride_must_be_positive(self, stride):
         with pytest.raises(ValueError, match="eval_stride"):
