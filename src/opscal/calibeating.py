@@ -22,9 +22,12 @@ the realized draw happens after - adversaries get the distribution, never
 the draw. Step functions consume one uniform per call (used or not) so
 that step-by-step runs replay the batched kernels exactly.
 
-Step-level functions here are the readable reference; the pipeline uses
-the kernels in ``opscal.kernels``, and the test suite pins the two
-implementations together.
+The whole-stream runs (``tracking_run``, ``hops_run`` and ``f99_run``,
+which is ``hops_run`` over a constant expert) are the one entry to the
+tracking and hedging kernels in ``opscal.kernels``; the pipeline and the
+theorem checks call them. The step-level functions share the kernels'
+hedging rule (``kernels.f99_dist_row``) and route with ``core.bin_index``,
+and the test suite pins step-by-step replays to the whole-stream runs.
 """
 
 from __future__ import annotations
@@ -137,13 +140,15 @@ def f99_distribution(state: F99State) -> HedgeDistribution:
     Exposed separately from the draw so outcome generators may condition on
     it (they must commit y before the draw resolves).
     """
+    scheme = state.scheme
     try:
-        lo, hi, plo = kernels.f99_dist_row(state.counts, state.outcome_sums, 0, state.scheme.epsilon, state.scheme.m)
+        lo, hi, plo = kernels.f99_dist_row(state.counts, state.outcome_sums, 0, scheme.epsilon, scheme.m)
     except RuntimeError as exc:
         raise CalibeatingInvariantError(str(exc)) from None
+    mid = scheme.midpoint  # 1-based bins
     if hi == lo:
-        return HedgeDistribution(support=(lo,), probs=(1.0,))
-    return HedgeDistribution(support=(lo, hi), probs=(plo, 1.0 - plo))
+        return HedgeDistribution(support=(mid(lo + 1),), probs=(1.0,))
+    return HedgeDistribution(support=(mid(lo + 1), mid(hi + 1)), probs=(plo, 1.0 - plo))
 
 
 def f99_forecast(state: F99State, rng: np.random.Generator):
@@ -160,10 +165,8 @@ def f99_forecast(state: F99State, rng: np.random.Generator):
 
 def f99_update(state: F99State, chosen: float, y) -> F99State:
     """Fold the outcome into the statistics of the forecast bin."""
-    eps = state.scheme.epsilon
-    b = int(np.floor(chosen / eps))
-    b = min(b, state.scheme.m - 1)
-    if abs((b + 0.5) * eps - chosen) > 1e-9:
+    b = bin_index(chosen, state.scheme) - 1
+    if abs(state.scheme.midpoint(b + 1) - chosen) > 1e-9:
         raise ValueError("chosen forecast is not a bin midpoint of this scheme")
     counts = state.counts.copy()
     sums = state.outcome_sums.copy()
@@ -173,10 +176,9 @@ def f99_update(state: F99State, chosen: float, y) -> F99State:
 
 
 def f99_run(ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:
-    """Covariate-free hedging over an outcome sequence (batched kernel)."""
-    us = rng.random(len(ys))
-    expert = np.zeros(len(ys))
-    return kernels.hops_pass(expert, ys, us, scheme.epsilon, scheme.m)
+    """Covariate-free hedging over an outcome sequence: ``hops_run`` over an
+    expert that always sits in the first bin."""
+    return hops_run(np.zeros(len(ys)), ys, scheme, rng)
 
 
 @dataclass
@@ -210,9 +212,9 @@ def hops_step(state: HopsState, expert_p: float, y, rng: np.random.Generator):
 
 
 def hops_run(expert_ps, ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:
-    """Whole-stream hedging over an expert column (batched kernel)."""
-    us = rng.random(len(ys))
-    return kernels.hops_pass(expert_ps, ys, us, scheme.epsilon, scheme.m)
+    """Whole-stream hedging over an expert column (batched kernel); draws
+    one uniform per step from ``rng``."""
+    return kernels.hops_pass(expert_ps, ys, rng.random(len(ys)), scheme.epsilon, scheme.m)
 
 
 def climatology_run(outcomes, epsilon: float, rng: np.random.Generator) -> ForecastTrace:

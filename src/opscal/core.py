@@ -68,12 +68,16 @@ def log_loss(p, y):
 
 @dataclass(frozen=True)
 class BinningScheme:
-    """Uniform-width probability bins B_1=[0,eps), ..., B_m=[1-eps, 1].
+    """Uniform-width probability bins B_1=[0,eps), ..., B_m=[(m-1)eps, 1].
 
     Bins are left-closed/right-open except the last, which is closed at 1.
-    m = ceil(1/eps); eps need not divide 1 exactly, in which case the last
-    bin absorbs the remainder (near-integer 1/eps snaps down so that
-    eps = 0.05, 0.1, 0.2 give exactly m = 20, 10, 5).
+    m = ceil(1/eps), where a near-integer 1/eps snaps down so that
+    eps = 0.05, 0.1, 0.2 give exactly m = 20, 10, 5. When eps does not
+    divide 1 the last bin is cut short at 1, but its midpoint stays
+    (m - 1/2) eps, and tracking and hedging forecast midpoints. So an eps
+    whose last bin midpoint exceeds 1 is rejected here: 0.4 (m = 3, last
+    midpoint 1.0) and 0.15 (m = 7) are accepted, 0.3 (m = 4, last midpoint
+    1.05) is not. 1/k for an integer k is always accepted.
     """
 
     epsilon: float
@@ -83,6 +87,10 @@ class BinningScheme:
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in (0, 1]")
         object.__setattr__(self, "m", int(math.ceil(1.0 / self.epsilon - 1e-9)))
+        last_mid = (self.m - 0.5) * self.epsilon
+        if last_mid > 1.0:
+            raise ValueError(f"epsilon {self.epsilon} puts the last bin midpoint at {last_mid:.4g} > 1, where "
+                             "tracking and hedging would forecast; 1/k for an integer k is safe")
 
     def midpoints(self) -> np.ndarray:
         """Midpoint of bin b is (b - 0.5) * eps, b = 1..m."""
@@ -108,11 +116,12 @@ def bin_index(p, scheme: BinningScheme):
     the upper bin.
     """
     p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
+    # array methods, not np.any/np.isscalar: the step-level APIs route one
+    # float per call, where each numpy dispatch is a visible share
+    if (p_arr < 0.0).any() or (p_arr > 1.0).any():
         raise ValueError("probabilities must lie in [0, 1]")
-    idx = np.floor(p_arr / scheme.epsilon).astype(int) + 1
-    idx = np.minimum(idx, scheme.m)
-    return int(idx) if np.isscalar(p) or idx.ndim == 0 else idx
+    idx = np.minimum(np.floor(p_arr / scheme.epsilon).astype(int) + 1, scheme.m)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 @dataclass

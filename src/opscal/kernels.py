@@ -20,7 +20,9 @@ Conventions:
     replays align across step-by-step and whole-stream execution
   - bins are 0-based here (the public API is 1-based); bin width ``eps``
     and count ``m`` are passed explicitly and must come from the same
-    BinningScheme the caller uses for metrics
+    BinningScheme the caller uses for metrics. A forecast routes to bin
+    min(floor(p / eps), m - 1); hedging picks bins, and the forecast it
+    emits is the picked bin's midpoint (b + 0.5) * eps
 """
 
 from __future__ import annotations
@@ -201,17 +203,16 @@ def _tracking_pass(expert, ys, eps, m):
 
 def _f99_dist_row(counts, sums, base, eps, m):
     # Hedging distribution for one forecaster instance, whose m bin counts
-    # and outcome sums sit at [base, base + m). Returns (lo_mid, hi_mid,
-    # prob_lo): a point mass has hi_mid == lo_mid and prob_lo == 1.
-    # Condition A (some bin's observed average sits inside the bin) gives a
-    # deterministic midpoint forecast; otherwise some adjacent (excess,
-    # deficit) pair exists and we hedge between their midpoints. Smallest
-    # index wins in both cases.
+    # and outcome sums sit at [base, base + m). Returns (lo_bin, hi_bin,
+    # prob_lo), 0-based bins: a point mass has hi_bin == lo_bin and
+    # prob_lo == 1. Condition A (some bin's observed average sits inside the
+    # bin) gives a deterministic forecast of that bin; otherwise some
+    # adjacent (excess, deficit) pair exists and we hedge between the two
+    # bins. Smallest index wins in both cases.
     for b in range(m):
         pb = (b + 0.5) * eps if counts[base + b] == 0.0 else sums[base + b] / counts[base + b]
         if pb >= b * eps and pb <= (b + 1.0) * eps:
-            mid = (b + 0.5) * eps
-            return mid, mid, 1.0
+            return b, b, 1.0
     for b in range(m - 1):
         pb = (b + 0.5) * eps if counts[base + b] == 0.0 else sums[base + b] / counts[base + b]
         eb = pb - (b + 1.0) * eps
@@ -220,9 +221,7 @@ def _f99_dist_row(counts, sums, base, eps, m):
             pb1 = (b + 1.5) * eps if n1 == 0.0 else sums[base + b + 1] / n1
             db1 = (b + 1.0) * eps - pb1
             if db1 > 0.0:
-                lo = (b + 0.5) * eps
-                hi = (b + 1.5) * eps
-                return lo, hi, db1 / (db1 + eb)
+                return b, b + 1, db1 / (db1 + eb)
     raise RuntimeError("hedging invariant violated: neither condition holds")
 
 
@@ -239,11 +238,8 @@ def _hops_pass(expert, ys, us, eps, m):
         if r >= m:
             r = m - 1
         lo, hi, plo = f99_dist_row(counts, sums, r * m, eps, m)
-        chosen = lo if us[t] < plo else hi
-        out[t] = chosen
-        c = int(math.floor(chosen / eps))
-        if c >= m:
-            c = m - 1
+        c = lo if us[t] < plo else hi
+        out[t] = (c + 0.5) * eps
         counts[r * m + c] += 1.0
         sums[r * m + c] += ys[t]
     return out
@@ -285,17 +281,14 @@ def _hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
         if r >= m:
             r = m - 1
         lo, hi, plo = f99_dist_row(counts, sums, r * m, eps, m)
-        mean = plo * lo + (1.0 - plo) * hi
+        mean = plo * ((lo + 0.5) * eps) + (1.0 - plo) * ((hi + 0.5) * eps)
         y = 1.0 if mean <= 0.5 else 0.0
-        chosen = lo if us[t] < plo else hi
-        c = int(math.floor(chosen / eps))
-        if c >= m:
-            c = m - 1
+        c = lo if us[t] < plo else hi
         counts[r * m + c] += 1.0
         sums[r * m + c] += y
         ons_update(theta, A, Ainv, feats, t * d, p - y, gamma, radius)
         ops[t] = p
-        hops[t] = chosen
+        hops[t] = (c + 0.5) * eps
         ys[t] = y
     return ops, hops, ys
 

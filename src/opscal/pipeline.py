@@ -8,11 +8,14 @@ every W steps; OPS/OBS advance one projected Newton step per observation
 (consuming the stream from its first point); TOPS/HOPS (and TOBS/HOBS)
 track or hedge over the online scaler's forecasts on the emitted steps;
 WHB is the windowed histogram-binning baseline and TWHB its tracked
-variant. The windowed columns (WPS, WBS, WHB) are applied once per refit
-segment, one vectorised call each, since their parameters are constant
-between refits. Metrics are cumulative over the emitted region and
-snapshotted at evaluation timestamps from T_cal + 2W to the end of the
-stream.
+variant. The Platt and beta families run the same recipe from one table
+(``_FAMILIES``), and every tracking, hedging and climatology run, here and
+in the theorem checks, goes through ``calibeating.tracking_run``,
+``hops_run`` or ``f99_run``. The windowed columns (WPS, WBS, WHB) are
+applied once per refit segment, one vectorised call each, since their
+parameters are constant between refits. Metrics are cumulative over the
+emitted region and snapshotted at evaluation timestamps from T_cal + 2W to
+the end of the stream.
 
 Replications use independent seed substreams keyed by replication index,
 so results are identical whether they run inline or in a worker pool, and
@@ -31,14 +34,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .calibeating import CalibeatingInvariantError
-from .core import BinningScheme
+from .calibeating import CalibeatingInvariantError, f99_run, hops_run, tracking_run
+from .core import BinningScheme, log_loss
 from .datagen import (
     P_HEDGE,
     P_HEDGE_BETA,
     P_STREAM,
     StreamSpec,
     build_scored_stream,
+    default_spec,
     replication_seed,
     substream,
 )
@@ -72,9 +76,13 @@ METHODS = ("BM", "FPS", "WPS", "OPS", "TOPS", "HOPS",
 
 _PC = OnsConfig.platt()
 
-# which computed columns each method depends on
-_NEEDS_OPS = {"OPS", "TOPS", "HOPS"}
-_NEEDS_OBS = {"OBS", "TOBS", "HOBS"}
+# The paper's recipe over its two scaler families: each row names the
+# family, its online, fixed, windowed, tracked and hedged methods, and the
+# substream purpose of its hedging uniforms.
+_FAMILIES = (
+    ("platt", ("OPS", "FPS", "WPS", "TOPS", "HOPS"), P_HEDGE),
+    ("beta", ("OBS", "FBS", "WBS", "TOBS", "HOBS"), P_HEDGE_BETA),
+)
 _NEEDS_CAL_FIT = {"FPS", "WPS", "FBS", "WBS", "WHB", "TWHB"}
 
 
@@ -95,10 +103,7 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ValueError(f"unknown methods: {bad}")
-        last_mid = (BinningScheme(self.epsilon).m - 0.5) * self.epsilon
-        if last_mid > 1.0:
-            raise ValueError(f"epsilon {self.epsilon} puts the last bin midpoint at {last_mid:.4g} > 1, where "
-                             "tracking and hedging would forecast; 1/k for an integer k is safe")
+        BinningScheme(self.epsilon)  # rejects a bad epsilon before any replication
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.eval_stride < 1:
@@ -136,15 +141,14 @@ def run_replication(spec: StreamSpec, methods, epsilon: float):
     columns are emitted-region forecasts (t = T_cal+1 .. T)."""
     scheme = BinningScheme(epsilon)
     if spec.kind == "adversarial":
-        return _run_adversarial_replication(spec, methods, scheme)
+        ops, hops, ys = _adversarial_run(spec, scheme, hedged="HOPS" in methods)
+        return {m: {"OPS": ops, "HOPS": hops}[m] for m in methods}, ys, None, {}
 
     stream = build_scored_stream(spec)
-    ts = np.ascontiguousarray(stream.test_scores())
-    ty = np.ascontiguousarray(stream.test_y())
+    ts, ty = stream.test_scores(), stream.test_y()
     truth = stream.test_truth()
-    T = len(ts)
     t_cal = spec.T_cal
-    em = slice(t_cal, T)
+    ys = ty[t_cal:]
 
     want = set(methods)
     cols = {}
@@ -153,46 +157,26 @@ def run_replication(spec: StreamSpec, methods, epsilon: float):
         diag["csv_dropped_rows"] = stream.n_dropped_rows
 
     if "BM" in want:
-        cols["BM"] = ts[em]
+        cols["BM"] = ts[t_cal:]
 
-    ops_full = None
-    if want & _NEEDS_OPS:
-        ops_full, _ = online_scaler_run(ts, ty, "platt")
-        if "OPS" in want:
-            cols["OPS"] = ops_full[em]
-            fit = fit_platt_batch(ts, ty)
-            reg = _stream_regret(ops_full, ts, ty, fit.as_array(), platt_apply)
-            B = max(1.0, float(np.linalg.norm(fit.as_array())))
-            diag["OPS_regret"] = reg
-            diag["OPS_regret_bound"] = float(ons_regret_bound(T, B))
-            diag["OPS_comparator_norm"] = float(np.linalg.norm(fit.as_array()))
-
-    obs_full = None
-    if want & _NEEDS_OBS:
-        obs_full, _ = online_scaler_run(ts, ty, "beta")
-        if "OBS" in want:
-            cols["OBS"] = obs_full[em]
-            fit = fit_beta_batch(ts, ty)
-            reg = _stream_regret(obs_full, ts, ty, fit.as_array(), beta_apply)
-            B = max(1.0, float(np.linalg.norm(fit.as_array())))
-            diag["OBS_regret"] = reg
-            diag["OBS_regret_bound"] = float(ons_regret_bound(T, B))
-
-    if want & {"FPS", "WPS"}:
-        fps_params = fit_platt_batch(ts[:t_cal], ty[:t_cal])
-        if "FPS" in want:
-            cols["FPS"] = platt_apply(fps_params, ts[em])
-        if "WPS" in want:
-            cols["WPS"] = windowed_run(fit_platt_batch, platt_apply, fps_params,
-                                       t_cal, spec.W, ts, ty)
-
-    if want & {"FBS", "WBS"}:
-        fbs_params = fit_beta_batch(ts[:t_cal], ty[:t_cal])
-        if "FBS" in want:
-            cols["FBS"] = beta_apply(fbs_params, ts[em])
-        if "WBS" in want:
-            cols["WBS"] = windowed_run(fit_beta_batch, beta_apply, fbs_params,
-                                       t_cal, spec.W, ts, ty)
+    for family, (online, fixed, windowed, tracked, hedged), hedge_key in _FAMILIES:
+        fit, apply = _batch_fns(family)
+        if want & {online, tracked, hedged}:
+            full, _ = online_scaler_run(ts, ty, family)
+            expert = full[t_cal:]
+            if online in want:
+                cols[online] = expert
+                diag[online + "_regret"], diag[online + "_regret_bound"] = _regret_diag(full, ts, ty, family)
+            if tracked in want:
+                cols[tracked] = _tracked(tracked, expert, ys, scheme)
+            if hedged in want:
+                cols[hedged] = hops_run(expert, ys, scheme, substream(spec.seed, hedge_key))
+        if want & {fixed, windowed}:
+            params = fit(ts[:t_cal], ty[:t_cal])
+            if fixed in want:
+                cols[fixed] = apply(params, ts[t_cal:])
+            if windowed in want:
+                cols[windowed] = windowed_run(fit, apply, params, t_cal, spec.W, ts, ty)
 
     if want & {"WHB", "TWHB"}:
         fitter = lambda s, y: fit_histogram_binning(s, y, m=scheme.m)  # noqa: E731
@@ -201,63 +185,56 @@ def run_replication(spec: StreamSpec, methods, epsilon: float):
         if "WHB" in want:
             cols["WHB"] = whb
         if "TWHB" in want:
-            cols["TWHB"] = kernels.tracking_pass(whb, ty[em], scheme.epsilon, scheme.m)
+            cols["TWHB"] = tracking_run(whb, ys, scheme)
 
-    if "TOPS" in want:
-        cols["TOPS"] = kernels.tracking_pass(ops_full[em], ty[em], scheme.epsilon, scheme.m)
-    if "HOPS" in want:
-        us = substream(spec.seed, P_HEDGE).random(T - t_cal)
-        cols["HOPS"] = kernels.hops_pass(ops_full[em], ty[em], us, scheme.epsilon, scheme.m)
-    if "TOBS" in want:
-        cols["TOBS"] = kernels.tracking_pass(obs_full[em], ty[em], scheme.epsilon, scheme.m)
-    if "HOBS" in want:
-        us = substream(spec.seed, P_HEDGE_BETA).random(T - t_cal)
-        cols["HOBS"] = kernels.hops_pass(obs_full[em], ty[em], us, scheme.epsilon, scheme.m)
-
-    ys_em = ty[em]
-    _assert_tracking_guarantee(cols, ops_full, obs_full, em, ys_em, scheme)
-    return cols, ys_em, (None if truth is None else truth[em]), diag
+    return cols, ys, (None if truth is None else truth[t_cal:]), diag
 
 
-def _stream_regret(probs, scores, ys, oracle_params, apply_fn):
-    from .core import log_loss
-
-    oracle = apply_fn(oracle_params, scores)
-    return float(np.sum(log_loss(probs, ys)) - np.sum(log_loss(oracle, ys)))
-
-
-def _assert_tracking_guarantee(cols, ops_full, obs_full, em, ys_em, scheme):
-    """The tracked forecaster's sharpness can trail the online scaler's by at
-    most eps + eps^2/4 + (log T + 1)/(eps T), deterministically on every run."""
-    T_emit = len(ys_em)
-    if T_emit == 0:
-        return
-    slack = tracking_sharpness_slack(scheme.epsilon, T_emit) + 1e-12
-    for tracked_name, expert_full in (("TOPS", ops_full), ("TOBS", obs_full)):
-        if tracked_name in cols and expert_full is not None:
-            shp_tracked = sharpness(cols[tracked_name], ys_em, scheme)
-            shp_expert = sharpness(expert_full[em], ys_em, scheme)
-            if shp_tracked < shp_expert - slack:
-                raise CalibeatingInvariantError(
-                    f"tracking sharpness guarantee violated for {tracked_name}: "
-                    f"{shp_tracked:.6f} < {shp_expert:.6f} - {slack:.6f}"
-                )
+def _batch_fns(family):
+    """The family's batch fit and apply, looked up as module globals at call
+    time, so a wrapper swapped in for either name sees every call."""
+    if family == "platt":
+        return fit_platt_batch, platt_apply
+    return fit_beta_batch, beta_apply
 
 
-def _run_adversarial_replication(spec: StreamSpec, methods, scheme: BinningScheme):
-    scores = build_scored_stream(spec).scores
-    feats = platt_features(scores)
-    cols = {}
-    if "HOPS" in methods:
-        us = substream(spec.seed, P_HEDGE).random(len(scores))
-        ops, cols["HOPS"], ys = kernels.hops_adversarial_pass(
-            feats, us, scheme.epsilon, scheme.m, _PC.gamma, _PC.rho, _PC.radius, initial_theta(2)
-        )
-        if "OPS" in methods:
-            cols["OPS"] = ops
-    else:
-        cols["OPS"], ys = kernels.ops_adversarial_pass(feats, _PC.gamma, _PC.rho, _PC.radius, initial_theta(2))
-    return cols, ys, None, {}
+def _regret_diag(probs, scores, ys, family):
+    """(regret, bound): the online scaler's log-loss regret against the
+    family's batch fit on the whole stream, and the online-Newton bound for
+    a comparator of that norm."""
+    fit, apply = _batch_fns(family)
+    theta = fit(scores, ys).as_array()
+    oracle = apply(theta, scores)
+    regret = float(np.sum(log_loss(probs, ys)) - np.sum(log_loss(oracle, ys)))
+    return regret, float(ons_regret_bound(len(ys), max(1.0, float(np.linalg.norm(theta)))))
+
+
+def _tracked(name, expert, ys, scheme):
+    """Tracking over the expert column. The tracked forecaster's sharpness
+    can trail the expert's by at most eps + eps^2/4 + (log T + 1)/(eps T),
+    deterministically on every run; a violation raises."""
+    out = tracking_run(expert, ys, scheme)
+    if len(ys):
+        slack = tracking_sharpness_slack(scheme.epsilon, len(ys)) + 1e-12
+        shp_tracked, shp_expert = sharpness(out, ys, scheme), sharpness(expert, ys, scheme)
+        if shp_tracked < shp_expert - slack:
+            raise CalibeatingInvariantError(
+                f"tracking sharpness guarantee violated for {name}: "
+                f"{shp_tracked:.6f} < {shp_expert:.6f} - {slack:.6f}"
+            )
+    return out
+
+
+def _adversarial_run(spec: StreamSpec, scheme: BinningScheme, hedged: bool):
+    """The online Platt scaler against the outcome adversary, with or
+    without hedging. Returns (ops, hops, ys); hops is None unhedged."""
+    feats = platt_features(build_scored_stream(spec).scores)
+    ons = (_PC.gamma, _PC.rho, _PC.radius, initial_theta(2))
+    if hedged:
+        us = substream(spec.seed, P_HEDGE).random(len(feats))
+        return kernels.hops_adversarial_pass(feats, us, scheme.epsilon, scheme.m, *ons)
+    ops, ys = kernels.ops_adversarial_pass(feats, *ons)
+    return ops, None, ys
 
 
 def _metric_series(col, ys, timestamps, t_cal, scheme):
@@ -441,8 +418,6 @@ def run_truth_windows(kind: str, seeds, windows_global, methods=("BM", "OPS"), d
     time axis (the train block is t = 1..T_train). Methods are limited to
     columns defined from the first test point: BM, OPS, OBS.
     """
-    from .datagen import default_spec
-
     bad = set(methods) - {"BM", "OPS", "OBS"}
     if bad:
         raise ValueError(f"truth windows support BM/OPS/OBS only, got {sorted(bad)}")
@@ -455,12 +430,10 @@ def run_truth_windows(kind: str, seeds, windows_global, methods=("BM", "OPS"), d
         cols = {}
         if "BM" in methods:
             cols["BM"] = (stream.scores, 0)  # defined from global t = 1
-        if "OPS" in methods:
-            probs, _ = online_scaler_run(stream.test_scores(), stream.test_y(), "platt")
-            cols["OPS"] = (probs, t_train)
-        if "OBS" in methods:
-            probs, _ = online_scaler_run(stream.test_scores(), stream.test_y(), "beta")
-            cols["OBS"] = (probs, t_train)
+        for family, (online, *_), _ in _FAMILIES:
+            if online in methods:
+                probs, _ = online_scaler_run(stream.test_scores(), stream.test_y(), family)
+                cols[online] = (probs, t_train)
         for lo, hi in windows_global:
             for m, (col, offset) in cols.items():
                 a, b = lo - 1 - offset, hi - offset
@@ -491,32 +464,26 @@ class TheoremCheck:
     seeds: int
     measured: float
     bound: float
-    passed: bool
     direction: str  # "<=" or ">="
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.measured <= self.bound if self.direction == "<=" else self.measured >= self.bound)
 
 
 def check_regret_bound(seeds: int = 20) -> list:
     """Online-scaler regret vs the batch comparator on the four synthetic
     stream configurations (T = 5000 test points each)."""
-    from .datagen import default_spec
-
     rows = []
     for kind in ("covmulti", "labelmulti"):
         for drift in (False, True):
-            worst_excess = -np.inf
-            worst_bound = np.inf
+            runs = []
             for seed in range(seeds):
-                spec = default_spec(kind, seed=seed, drift=drift)
-                stream = build_scored_stream(spec)
+                stream = build_scored_stream(default_spec(kind, seed=seed, drift=drift))
                 ts, ty = stream.test_scores(), stream.test_y()
                 probs, _ = online_scaler_run(ts, ty, "platt")
-                fit = fit_platt_batch(ts, ty)
-                reg = _stream_regret(probs, ts, ty, fit.as_array(), platt_apply)
-                B = max(1.0, float(np.linalg.norm(fit.as_array())))
-                bound = float(ons_regret_bound(len(ty), B))
-                if reg - bound > worst_excess:
-                    worst_excess = reg - bound
-                    worst_bound = bound
+                runs.append(_regret_diag(probs, ts, ty, "platt"))
+            reg, bound = max(runs, key=lambda rb: rb[0] - rb[1])  # the seed with the least slack
             rows.append(
                 TheoremCheck(
                     name="regret-bound",
@@ -524,9 +491,8 @@ def check_regret_bound(seeds: int = 20) -> list:
                     epsilon=float("nan"),
                     T=5000,
                     seeds=seeds,
-                    measured=worst_excess + worst_bound,
-                    bound=worst_bound,
-                    passed=bool(worst_excess <= 0.0),
+                    measured=reg,
+                    bound=bound,
                     direction="<=",
                 )
             )
@@ -535,8 +501,6 @@ def check_regret_bound(seeds: int = 20) -> list:
 
 def check_tracking_sharpness(seeds: int = 3, epsilons=(0.05, 0.1, 0.2)) -> list:
     """Per-run tracking sharpness guarantee across bin widths."""
-    from .datagen import default_spec
-
     rows = []
     for eps in epsilons:
         scheme = BinningScheme(eps)
@@ -544,12 +508,10 @@ def check_tracking_sharpness(seeds: int = 3, epsilons=(0.05, 0.1, 0.2)) -> list:
         T_used = 0
         for kind in ("covmulti", "labelmulti"):
             for seed in range(seeds):
-                spec = default_spec(kind, seed=seed, drift=True)
-                stream = build_scored_stream(spec)
-                ts = np.ascontiguousarray(stream.test_scores())
-                ty = np.ascontiguousarray(stream.test_y())
+                stream = build_scored_stream(default_spec(kind, seed=seed, drift=True))
+                ts, ty = stream.test_scores(), stream.test_y()
                 probs, _ = online_scaler_run(ts, ty, "platt")
-                tracked = kernels.tracking_pass(probs, ty, eps, scheme.m)
+                tracked = tracking_run(probs, ty, scheme)
                 T_used = len(ty)
                 margin = (
                     sharpness(tracked, ty, scheme)
@@ -566,7 +528,6 @@ def check_tracking_sharpness(seeds: int = 3, epsilons=(0.05, 0.1, 0.2)) -> list:
                 seeds=seeds,
                 measured=worst,
                 bound=0.0,
-                passed=bool(worst >= 0.0),
                 direction=">=",
             )
         )
@@ -582,15 +543,10 @@ def check_adversarial_calibration(seeds: int = 100, T: int = 10_000, epsilon: fl
     for seed in range(seeds):
         spec = StreamSpec(kind="adversarial", seed=replication_seed(seed, 0),
                           T_train=0, T_test=T, T_cal=0)
-        stream = build_scored_stream(spec)
-        feats = platt_features(stream.scores)
-        us = substream(spec.seed, P_HEDGE).random(T)
-        ops, hops, ys = kernels.hops_adversarial_pass(
-            feats, us, epsilon, scheme.m, _PC.gamma, _PC.rho, _PC.radius, initial_theta(2)
-        )
+        ops, hops, ys = _adversarial_run(spec, scheme, hedged=True)
         ces_hedged.append(calibration_error(hops, ys, scheme))
         bs_gap.append(brier(hops, ys) - brier(ops, ys))
-        ops_det, ys_det = kernels.ops_adversarial_pass(feats, _PC.gamma, _PC.rho, _PC.radius, initial_theta(2))
+        ops_det, _, ys_det = _adversarial_run(spec, scheme, hedged=False)
         ces_det.append(calibration_error(ops_det, ys_det, scheme))
     rows = [
         TheoremCheck(
@@ -601,7 +557,6 @@ def check_adversarial_calibration(seeds: int = 100, T: int = 10_000, epsilon: fl
             seeds=seeds,
             measured=float(np.mean(ces_hedged)),
             bound=float(hedging_ce_bound(epsilon, T)),
-            passed=bool(np.mean(ces_hedged) <= hedging_ce_bound(epsilon, T)),
             direction="<=",
         ),
         TheoremCheck(
@@ -612,7 +567,6 @@ def check_adversarial_calibration(seeds: int = 100, T: int = 10_000, epsilon: fl
             seeds=seeds,
             measured=float(np.mean(ces_det)),
             bound=0.4,
-            passed=bool(np.mean(ces_det) >= 0.4),
             direction=">=",
         ),
         TheoremCheck(
@@ -623,7 +577,6 @@ def check_adversarial_calibration(seeds: int = 100, T: int = 10_000, epsilon: fl
             seeds=seeds,
             measured=float(np.mean(bs_gap)),
             bound=float(hedging_brier_slack(epsilon, T) + 0.01),
-            passed=bool(np.mean(bs_gap) <= hedging_brier_slack(epsilon, T) + 0.01),
             direction="<=",
         ),
     ]
@@ -632,8 +585,6 @@ def check_adversarial_calibration(seeds: int = 100, T: int = 10_000, epsilon: fl
 
 def check_hedging_sharpness_and_brier(seeds: int = 100, epsilon: float = 0.1) -> list:
     """Seed-averaged hedging guarantees on the four synthetic streams."""
-    from .datagen import default_spec
-
     scheme = BinningScheme(epsilon)
     rows = []
     for kind in ("covmulti", "labelmulti"):
@@ -643,11 +594,9 @@ def check_hedging_sharpness_and_brier(seeds: int = 100, epsilon: float = 0.1) ->
             for seed in range(seeds):
                 spec = default_spec(kind, seed=seed, drift=drift)
                 stream = build_scored_stream(spec)
-                ts = np.ascontiguousarray(stream.test_scores())
-                ty = np.ascontiguousarray(stream.test_y())
+                ts, ty = stream.test_scores(), stream.test_y()
                 probs, _ = online_scaler_run(ts, ty, "platt")
-                us = substream(spec.seed, P_HEDGE).random(len(ty))
-                hedged = kernels.hops_pass(probs, ty, us, epsilon, scheme.m)
+                hedged = hops_run(probs, ty, scheme, substream(spec.seed, P_HEDGE))
                 T_used = len(ty)
                 shp_gaps.append(sharpness(hedged, ty, scheme) - sharpness(probs, ty, scheme))
                 bs_gaps.append(brier(hedged, ty) - brier(probs, ty))
@@ -661,9 +610,6 @@ def check_hedging_sharpness_and_brier(seeds: int = 100, epsilon: float = 0.1) ->
                     seeds=seeds,
                     measured=float(np.mean(shp_gaps)),
                     bound=float(-(hedging_sharpness_slack(epsilon, T_used) + 0.01)),
-                    passed=bool(
-                        np.mean(shp_gaps) >= -(hedging_sharpness_slack(epsilon, T_used) + 0.01)
-                    ),
                     direction=">=",
                 )
             )
@@ -676,7 +622,6 @@ def check_hedging_sharpness_and_brier(seeds: int = 100, epsilon: float = 0.1) ->
                     seeds=seeds,
                     measured=float(np.mean(bs_gaps)),
                     bound=float(hedging_brier_slack(epsilon, T_used) + 0.01),
-                    passed=bool(np.mean(bs_gaps) <= hedging_brier_slack(epsilon, T_used) + 0.01),
                     direction="<=",
                 )
             )
@@ -685,14 +630,8 @@ def check_hedging_sharpness_and_brier(seeds: int = 100, epsilon: float = 0.1) ->
 
 def check_climatology(seeds: int = 20, T: int = 5000, p: float = 0.37, epsilon: float = 0.1):
     """Covariate-free hedging settles at the long-run outcome frequency."""
-    scheme = BinningScheme(epsilon)
-    tails = []
-    for seed in range(seeds):
-        rep_seed = replication_seed(seed, 0)
-        ys = (substream(rep_seed, P_STREAM).random(T) < p).astype(float)
-        us = substream(rep_seed, P_HEDGE).random(T)
-        fc = kernels.hops_pass(np.zeros(T), ys, us, epsilon, scheme.m)
-        tails.append(float(np.mean(fc[-1000:])))
+    tails = [run_climatology(p, T, epsilon, replications=1, master_seed=seed).tail_means[0]
+             for seed in range(seeds)]
     tail_mean = float(np.mean(tails))
     return [
         TheoremCheck(
@@ -703,7 +642,6 @@ def check_climatology(seeds: int = 20, T: int = 5000, p: float = 0.37, epsilon: 
             seeds=seeds,
             measured=abs(tail_mean - p),
             bound=0.05,
-            passed=bool(abs(tail_mean - p) <= 0.05),
             direction="<=",
         )
     ]
@@ -757,8 +695,7 @@ def run_climatology(
     for rep in range(replications):
         rep_seed = replication_seed(master_seed, rep)
         ys = (substream(rep_seed, P_STREAM).random(T) < p).astype(float)
-        us = substream(rep_seed, P_HEDGE).random(T)
-        fc = kernels.hops_pass(np.zeros(T), ys, us, epsilon, scheme.m)
+        fc = f99_run(ys, scheme, substream(rep_seed, P_HEDGE))
         tails.append(float(np.mean(fc[-min(1000, T):])))
         if first is None:
             first = (fc, ys)

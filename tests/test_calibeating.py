@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opscal import kernels
 from opscal.calibeating import (
     CalibeatingInvariantError,
     F99State,
@@ -21,6 +24,11 @@ from opscal.calibeating import (
 from opscal.core import BinningScheme
 from opscal.metrics import calibration_error, sharpness
 from opscal.metrics import hedging_sharpness_slack, tracking_sharpness_slack
+from opscal.ons import OnsConfig, initial_theta
+from opscal.scalers import platt_features
+
+# bin widths BinningScheme accepts, including ones that do not divide 1
+ACCEPTED_EPS = [1.0 / k for k in range(1, 26)] + [0.15, 0.35, 0.4]
 
 
 def scheme10():
@@ -295,3 +303,43 @@ class TestCalibeatingGuarantees:
             ces.append(calibration_error(h, ys, scheme))
         assert float(np.mean(ces)) <= 0.1
         assert calibration_error(expert, ys, scheme) >= 0.6
+
+
+@st.composite
+def scheme_and_stream(draw, max_T=200):
+    """A bin width, an expert column mixing exact 0, 1, bin edges and
+    arbitrary values, and an arbitrary outcome sequence."""
+    scheme = BinningScheme(draw(st.sampled_from(ACCEPTED_EPS)))
+    T = draw(st.integers(1, max_T))
+    edges = st.integers(0, scheme.m).map(lambda b: min(b * scheme.epsilon, 1.0))
+    point = st.one_of(st.sampled_from([0.0, 1.0]), edges, st.floats(0.0, 1.0))
+    expert = np.array(draw(st.lists(point, min_size=T, max_size=T)))
+    ys = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=T, max_size=T)))
+    return scheme, expert, ys, draw(st.integers(0, 2**32 - 1))
+
+
+class TestForecastRange:
+    """Every accepted bin width keeps tracking and hedging inside [0, 1]."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=scheme_and_stream())
+    def test_tracked_and_hedged_forecasts(self, case):
+        scheme, expert, ys, seed = case
+        tracked = tracking_run(expert, ys, scheme)
+        hedged = hops_run(expert, ys, scheme, np.random.default_rng(seed))
+        assert np.all((tracked >= 0.0) & (tracked <= 1.0))
+        assert np.all((hedged >= 0.0) & (hedged <= 1.0))
+        assert np.all(np.isin(hedged, scheme.midpoints()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=scheme_and_stream(max_T=300))
+    def test_adversarial_hedging_keeps_condition_a_or_b(self, case):
+        # the adversary answers every announced distribution; the kernel
+        # raises if neither condition A nor condition B holds
+        scheme, scores, _, seed = case
+        us = np.random.default_rng(seed).random(len(scores))
+        pc = OnsConfig.platt()
+        _, hops, ys = kernels.hops_adversarial_pass(
+            platt_features(scores), us, scheme.epsilon, scheme.m, pc.gamma, pc.rho, pc.radius, initial_theta(2))
+        assert np.all(np.isin(hops, scheme.midpoints()))
+        assert set(np.unique(ys)) <= {0.0, 1.0}

@@ -102,6 +102,12 @@ class TestOtherCommands:
         assert "last 1000 forecasts" in capsys.readouterr().out
         assert (tmp_path / "climatology_trace.csv").exists()
 
+    def test_climatology_bad_eps_fails_before_output(self, tmp_path):
+        with pytest.raises(ValueError, match="last bin midpoint"):
+            main(["climatology", "--eps", "0.3", "--T", "500", "--reps", "1",
+                  "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
     def test_bench_smoke(self, capsys):
         rc = main(["bench", "--T", "2000", "--repeats", "1"])
         assert rc == 0

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opscal.core import (
     BinningScheme,
@@ -86,8 +89,25 @@ class TestBinningScheme:
         assert BinningScheme(0.2).m == 5
         assert BinningScheme(0.5).m == 2
 
-    def test_m_absorbs_remainder(self):
-        assert BinningScheme(0.3).m == 4
+    def test_last_bin_midpoint_above_one_rejected(self):
+        # eps = 0.3 gives m = 4 and a last midpoint of 1.05, which tracking
+        # and hedging would forecast
+        for eps in (0.3, 0.07, 0.45):
+            with pytest.raises(ValueError, match="last bin midpoint"):
+                BinningScheme(eps)
+        assert BinningScheme(0.4).m == 3 and BinningScheme(0.4).midpoint(3) == 1.0
+        assert BinningScheme(0.15).m == 7
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 10_000))
+    def test_rejects_exactly_when_last_midpoint_exceeds_one(self, k):
+        eps = Fraction(k, 10_000)
+        m = math.ceil(1 / eps)
+        if (m - Fraction(1, 2)) * eps > 1:
+            with pytest.raises(ValueError, match="last bin midpoint"):
+                BinningScheme(float(eps))
+        else:
+            assert BinningScheme(float(eps)).m == m
 
     def test_midpoints(self):
         s = BinningScheme(0.1)

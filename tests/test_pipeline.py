@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -136,6 +137,87 @@ class TestRunReplication:
         assert set(cols) == {"OPS", "HOPS"}
         assert truth is None
         assert set(np.unique(ys)) <= {0.0, 1.0}
+
+
+ALL_METHODS = ("BM", "FPS", "WPS", "OPS", "TOPS", "HOPS",
+               "FBS", "WBS", "OBS", "TOBS", "HOBS", "WHB", "TWHB")
+
+
+def replication_digest(spec, methods):
+    """SHA-256 over every column, the outcomes, the truth and the diag
+    values run_replication returns."""
+    cols, ys, truth, diag = run_replication(spec, methods, 0.1)
+    h = hashlib.sha256()
+    for name in sorted(cols):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(cols[name], dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(ys, dtype=np.float64).tobytes())
+    if truth is not None:
+        h.update(np.ascontiguousarray(truth, dtype=np.float64).tobytes())
+    for key in sorted(diag):
+        h.update(key.encode())
+        h.update(np.float64(diag[key]).tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenReplication:
+    """Digests recorded before the Platt and beta families shared one loop;
+    any bit change in any column or diag value fails."""
+
+    ADV = replace(default_spec("adversarial", seed=1), T_test=2000)
+
+    @pytest.mark.parametrize("spec, methods, golden", [
+        (small_spec(seed=13), ALL_METHODS,
+         "f94b2aeca96b7b57430bcd6aa84520a01242bab07a612187603f4afaefeefcaf"),
+        (small_spec("covmulti", seed=14), ("BM", "FPS", "WPS", "OPS", "TOPS", "HOPS"),
+         "533994697344176bbcf32a05b4cea9760e54919ed5dc5d40af3430d192c2a554"),
+        (ADV, ("OPS",), "1cebbea2fb4f57e2cccd70aa9b0a0940f2465b242f01903de5728bb598295799"),
+        (ADV, ("HOPS",), "c2b6775dd5753873943fb3028e23586688732a87600faa4134e03f7ef9638725"),
+        (ADV, ("OPS", "HOPS"), "4e923bd732efc11eb5d03748a35e83f6e4a85e2f3f4841699e331875937e646b"),
+    ], ids=["labelmulti-all", "covmulti-default", "adv-OPS", "adv-HOPS", "adv-OPS-HOPS"])
+    def test_replication_digest(self, spec, methods, golden):
+        assert replication_digest(spec, methods) == golden
+
+
+class TestBenchmarkPatchPoints:
+    """The benchmark times layers by swapping these module-level names at
+    run time; the pipeline must resolve each of them at call time."""
+
+    PIPELINE_NAMES = ("run_replication", "build_scored_stream", "platt_apply", "beta_apply",
+                      "fit_platt_batch", "fit_beta_batch", "calibration_error", "sharpness",
+                      "metric_report", "line_plot_svg")
+    KERNEL_NAMES = ("ons_pass", "tracking_pass", "hops_pass",
+                    "hops_adversarial_pass", "ops_adversarial_pass")
+
+    def test_every_swapped_name_sees_its_calls(self, monkeypatch, tmp_path):
+        import opscal.kernels
+        import opscal.pipeline
+
+        calls = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in self.PIPELINE_NAMES:
+            count(opscal.pipeline, name)
+        for name in self.KERNEL_NAMES:
+            count(opscal.kernels, name)
+
+        run_pipeline(quick_config(methods=ALL_METHODS, replications=1, output_dir=str(tmp_path / "a")))
+        assert {k: calls.get(k) for k in ("run_replication", "ons_pass", "tracking_pass", "hops_pass")} == {
+            "run_replication": 1, "ons_pass": 2, "tracking_pass": 3, "hops_pass": 2}
+        adversarial = replace(default_spec("adversarial", seed=2), T_test=2000)
+        for methods in (("OPS", "HOPS"), ("OPS",)):
+            run_pipeline(ExperimentConfig(stream=adversarial, methods=methods, replications=1,
+                                          eval_stride=500, output_dir=str(tmp_path / "b")))
+        assert calls["hops_adversarial_pass"] == 1 and calls["ops_adversarial_pass"] == 1
+        assert set(calls) == set(self.PIPELINE_NAMES + self.KERNEL_NAMES)
 
 
 class TestRunPipeline:
