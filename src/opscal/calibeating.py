@@ -24,29 +24,34 @@ that step-by-step runs replay the batched kernels exactly.
 
 The whole-stream runs (``tracking_run``, ``hops_run`` and ``f99_run``,
 which is ``hops_run`` over a constant expert) are the one entry to the
-tracking and hedging kernels in ``opscal.kernels``; the pipeline and the
-theorem checks call them. The step-level functions share the kernels'
-hedging rule (``kernels.f99_dist_row``) and route with ``core.bin_index``,
-and the test suite pins step-by-step replays to the whole-stream runs.
+tracking and hedging passes in ``opscal.kernels``; the pipeline and the
+theorem checks call them. The step-level functions are thin wrappers over
+the kernels' own step bodies (``kernels.bin_of``, ``bin_average``,
+``f99_dist_row`` and ``hops_step``), run on copies of the numpy state, and
+the test suite pins step-by-step replays to the whole-stream runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .core import BinningScheme, ForecastTrace, bin_index
+from .core import BinningScheme, ForecastTrace, check_unit
+from .kernels import CalibeatingInvariantError  # noqa: F401 (re-exported)
 
 
-class CalibeatingInvariantError(RuntimeError):
-    """A structural guarantee (condition A-or-B, a theorem bound) failed."""
+def _route(p, scheme: BinningScheme) -> int:
+    """The 0-based bin of one forecast, which must lie in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("probabilities must lie in [0, 1]")
+    return kernels.bin_of(float(p), scheme.epsilon, scheme.m)
 
 
 @dataclass
-class TrackingState:
-    """Per-bin counts and outcome sums over strictly-past expert steps."""
+class _Tallies:
+    """Per-bin counts and outcome sums, zero unless given."""
 
     scheme: BinningScheme
     counts: np.ndarray = None
@@ -54,32 +59,42 @@ class TrackingState:
 
     def __post_init__(self):
         if self.counts is None:
-            self.counts = np.zeros(self.scheme.m)
+            self.counts = np.zeros(self._size())
         if self.outcome_sums is None:
-            self.outcome_sums = np.zeros(self.scheme.m)
+            self.outcome_sums = np.zeros(self._size())
+
+    def _size(self) -> int:
+        return self.scheme.m
+
+    def _copy(self):
+        return type(self)(self.scheme, self.counts.copy(), self.outcome_sums.copy())
+
+    def _folded(self, b: int, y):
+        """A copy with outcome y folded into slot b; self is untouched."""
+        new = self._copy()
+        new.counts[b] += 1.0
+        new.outcome_sums[b] += float(y)
+        return new
+
+
+class TrackingState(_Tallies):
+    """Per-bin counts and outcome sums over strictly-past expert steps."""
 
 
 def tracking_forecast(state: TrackingState, expert_p: float) -> float:
     """Past outcome average of the expert's bin; its midpoint when empty."""
-    b = bin_index(expert_p, state.scheme) - 1
-    if state.counts[b] > 0.0:
-        return float(state.outcome_sums[b] / state.counts[b])
-    return (b + 0.5) * state.scheme.epsilon
+    b = _route(expert_p, state.scheme)
+    return float(kernels.bin_average(state.counts, state.outcome_sums, b, state.scheme.epsilon))
 
 
 def tracking_update(state: TrackingState, expert_p: float, y) -> TrackingState:
     """Fold (expert_p, y) into the expert bin's statistics."""
-    b = bin_index(expert_p, state.scheme) - 1
-    counts = state.counts.copy()
-    sums = state.outcome_sums.copy()
-    counts[b] += 1.0
-    sums[b] += float(y)
-    return TrackingState(scheme=state.scheme, counts=counts, outcome_sums=sums)
+    return state._folded(_route(expert_p, state.scheme), y)
 
 
 def tracking_run(expert_ps, ys, scheme: BinningScheme) -> np.ndarray:
     """Whole-stream tracking via the batched kernel."""
-    return kernels.tracking_pass(expert_ps, ys, scheme.epsilon, scheme.m)
+    return kernels.tracking_pass(check_unit(expert_ps, "probabilities"), ys, scheme.epsilon, scheme.m)
 
 
 @dataclass
@@ -105,27 +120,15 @@ class HedgeDistribution:
         return self.support[1]
 
 
-@dataclass
-class F99State:
+class F99State(_Tallies):
     """One hedging forecaster: per-bin forecast counts and outcome sums."""
-
-    scheme: BinningScheme
-    counts: np.ndarray = None
-    outcome_sums: np.ndarray = None
-
-    def __post_init__(self):
-        if self.counts is None:
-            self.counts = np.zeros(self.scheme.m)
-        if self.outcome_sums is None:
-            self.outcome_sums = np.zeros(self.scheme.m)
 
     def observed_averages(self) -> np.ndarray:
         """p_b: running outcome mean where bin b's midpoint was forecast,
         the midpoint itself while the bin is untouched."""
-        out = self.scheme.midpoints().copy()
-        nz = self.counts > 0
-        out[nz] = self.outcome_sums[nz] / self.counts[nz]
-        return out
+        eps = self.scheme.epsilon
+        return np.array([kernels.bin_average(self.counts, self.outcome_sums, b, eps)
+                         for b in range(self.scheme.m)])
 
     def deficits(self) -> np.ndarray:
         return self.scheme.left_edges() - self.observed_averages()
@@ -141,10 +144,7 @@ def f99_distribution(state: F99State) -> HedgeDistribution:
     it (they must commit y before the draw resolves).
     """
     scheme = state.scheme
-    try:
-        lo, hi, plo = kernels.f99_dist_row(state.counts, state.outcome_sums, 0, scheme.epsilon, scheme.m)
-    except RuntimeError as exc:
-        raise CalibeatingInvariantError(str(exc)) from None
+    lo, hi, plo = kernels.f99_dist_row(state.counts, state.outcome_sums, 0, scheme.epsilon, scheme.m)
     mid = scheme.midpoint  # 1-based bins
     if hi == lo:
         return HedgeDistribution(support=(mid(lo + 1),), probs=(1.0,))
@@ -165,14 +165,10 @@ def f99_forecast(state: F99State, rng: np.random.Generator):
 
 def f99_update(state: F99State, chosen: float, y) -> F99State:
     """Fold the outcome into the statistics of the forecast bin."""
-    b = bin_index(chosen, state.scheme) - 1
+    b = _route(chosen, state.scheme)
     if abs(state.scheme.midpoint(b + 1) - chosen) > 1e-9:
         raise ValueError("chosen forecast is not a bin midpoint of this scheme")
-    counts = state.counts.copy()
-    sums = state.outcome_sums.copy()
-    counts[b] += 1.0
-    sums[b] += float(y)
-    return F99State(scheme=state.scheme, counts=counts, outcome_sums=sums)
+    return state._folded(b, y)
 
 
 def f99_run(ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:
@@ -181,21 +177,19 @@ def f99_run(ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:
     return hops_run(np.zeros(len(ys)), ys, scheme, rng)
 
 
-@dataclass
-class HopsState:
-    """m independent hedging forecasters, one per expert bin."""
+class HopsState(_Tallies):
+    """m independent hedging forecasters, one per expert bin, in the
+    kernels' layout: flat m*m counts and outcome sums, the forecaster of
+    expert bin r at row r, [r*m, (r + 1)*m)."""
 
-    scheme: BinningScheme
-    instances: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.instances:
-            self.instances = [F99State(self.scheme) for _ in range(self.scheme.m)]
+    def _size(self) -> int:
+        return self.scheme.m * self.scheme.m
 
     def distribution(self, expert_p: float) -> HedgeDistribution:
         """The announced distribution of the instance routed by expert_p."""
-        b = bin_index(expert_p, self.scheme) - 1
-        return f99_distribution(self.instances[b])
+        m = self.scheme.m
+        base = _route(expert_p, self.scheme) * m
+        return f99_distribution(F99State(self.scheme, self.counts[base:base + m], self.outcome_sums[base:base + m]))
 
 
 def hops_step(state: HopsState, expert_p: float, y, rng: np.random.Generator):
@@ -204,17 +198,17 @@ def hops_step(state: HopsState, expert_p: float, y, rng: np.random.Generator):
     Returns (drawn forecast, new HopsState). The expert's bin is determined
     by the raw expert forecast. Consumes one uniform per call.
     """
-    b = bin_index(expert_p, state.scheme) - 1
-    dist, chosen = f99_forecast(state.instances[b], rng)
-    new_instances = list(state.instances)
-    new_instances[b] = f99_update(state.instances[b], chosen, y)
-    return chosen, HopsState(scheme=state.scheme, instances=new_instances)
+    scheme = state.scheme
+    r = _route(expert_p, scheme)
+    new = state._copy()
+    u = float(rng.random())
+    return kernels.hops_step(new.counts, new.outcome_sums, r, float(y), u, scheme.epsilon, scheme.m), new
 
 
 def hops_run(expert_ps, ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:
     """Whole-stream hedging over an expert column (batched kernel); draws
     one uniform per step from ``rng``."""
-    return kernels.hops_pass(expert_ps, ys, rng.random(len(ys)), scheme.epsilon, scheme.m)
+    return kernels.hops_pass(check_unit(expert_ps, "probabilities"), ys, rng.random(len(ys)), scheme.epsilon, scheme.m)
 
 
 def climatology_run(outcomes, epsilon: float, rng: np.random.Generator) -> ForecastTrace:

@@ -21,15 +21,21 @@ CLIP_HI = 0.99
 LOGLOSS_EPS = 1e-12
 
 
+def check_unit(x, noun: str) -> np.ndarray:
+    """``x`` as a float array; raises ValueError naming ``noun`` unless every
+    value lies in [0, 1] (NaN and infinities do not)."""
+    a = np.asarray(x, dtype=float)
+    if not ((a >= 0.0) & (a <= 1.0)).all():
+        raise ValueError(f"{noun} must lie in [0, 1]")
+    return a
+
+
 def clip_score(score):
     """Clip raw base-model scores into [0.01, 0.99].
 
     Applied once at ingestion. Rejects values outside [0, 1].
     """
-    s = np.asarray(score, dtype=float)
-    if np.any(s < 0.0) or np.any(s > 1.0) or not np.all(np.isfinite(s)):
-        raise ValueError("scores must lie in [0, 1]")
-    out = np.clip(s, CLIP_LO, CLIP_HI)
+    out = np.clip(check_unit(score, "scores"), CLIP_LO, CLIP_HI)
     return float(out) if np.isscalar(score) or out.ndim == 0 else out
 
 
@@ -50,10 +56,7 @@ def logit(p):
     Values in [0, 0.01) or (0.99, 1] are clipped to the boundary first;
     values outside [0, 1] are rejected. Hence |logit(p)| <= log(99).
     """
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0) or not np.all(np.isfinite(p_arr)):
-        raise ValueError("probabilities must lie in [0, 1]")
-    c = np.clip(p_arr, CLIP_LO, CLIP_HI)
+    c = np.clip(check_unit(p, "probabilities"), CLIP_LO, CLIP_HI)
     out = np.log(c / (1.0 - c))
     return float(out) if np.isscalar(p) or out.ndim == 0 else out
 
@@ -113,13 +116,9 @@ def bin_index(p, scheme: BinningScheme):
     """1-based index of the bin containing p; p = 1 maps to m.
 
     Left-closed convention: a forecast exactly on a boundary belongs to
-    the upper bin.
+    the upper bin; the vectorised, 1-based form of ``kernels.bin_of``.
     """
-    p_arr = np.asarray(p, dtype=float)
-    # array methods, not np.any/np.isscalar: the step-level APIs route one
-    # float per call, where each numpy dispatch is a visible share
-    if (p_arr < 0.0).any() or (p_arr > 1.0).any():
-        raise ValueError("probabilities must lie in [0, 1]")
+    p_arr = check_unit(p, "probabilities")
     idx = np.minimum(np.floor(p_arr / scheme.epsilon).astype(int) + 1, scheme.m)
     return int(idx) if idx.ndim == 0 else idx
 

@@ -20,9 +20,10 @@ Conventions:
     replays align across step-by-step and whole-stream execution
   - bins are 0-based here (the public API is 1-based); bin width ``eps``
     and count ``m`` are passed explicitly and must come from the same
-    BinningScheme the caller uses for metrics. A forecast routes to bin
-    min(floor(p / eps), m - 1); hedging picks bins, and the forecast it
-    emits is the picked bin's midpoint (b + 0.5) * eps
+    BinningScheme the caller uses for metrics. ``bin_of`` routes a forecast
+    to bin min(floor(p / eps), m - 1), ``bin_average`` is tracking's
+    forecast for a bin and ``hops_step`` one hedging step, which emits the
+    picked bin's midpoint (b + 0.5) * eps; the step APIs call them too
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ import math
 import numpy as np
 
 from ._accel import NUMBA_ENABLED, maybe_jit
+
+
+class CalibeatingInvariantError(RuntimeError):
+    """A structural guarantee (condition A-or-B, a theorem bound) failed."""
+
 
 # a fresh buffer of n zeros in the platform's container
 _zeros = np.zeros if NUMBA_ENABLED else [0.0].__mul__
@@ -184,18 +190,29 @@ def _ons_pass(feats, ys, gamma, rho, radius, theta0):
     return probs, thetas
 
 
+def _bin_of(p, eps, m):
+    # The 0-based bin of forecast p, floor(p / eps), with p = 1 clamped into
+    # the last bin m - 1.
+    b = int(math.floor(p / eps))
+    return b if b < m else m - 1
+
+
+def _bin_average(counts, sums, b, eps):
+    # Tracking's forecast for bin b: its running outcome mean, or its
+    # midpoint while the bin is empty.
+    return sums[b] / counts[b] if counts[b] > 0.0 else (b + 0.5) * eps
+
+
 def _tracking_pass(expert, ys, eps, m):
-    # Per-bin past-outcome averages of the expert's bin; midpoint when the
-    # bin has no history yet. State sees strictly-past steps only.
+    # Per-bin past-outcome averages of the expert's bin. State sees
+    # strictly-past steps only.
     T = len(expert)
     counts = _zeros(m)
     sums = _zeros(m)
     out = np.zeros(T)
     for t in range(T):
-        b = int(math.floor(expert[t] / eps))
-        if b >= m:
-            b = m - 1
-        out[t] = sums[b] / counts[b] if counts[b] > 0.0 else (b + 0.5) * eps
+        b = bin_of(expert[t], eps, m)
+        out[t] = bin_average(counts, sums, b, eps)
         counts[b] += 1.0
         sums[b] += ys[t]
     return out
@@ -222,26 +239,31 @@ def _f99_dist_row(counts, sums, base, eps, m):
             db1 = (b + 1.0) * eps - pb1
             if db1 > 0.0:
                 return b, b + 1, db1 / (db1 + eb)
-    raise RuntimeError("hedging invariant violated: neither condition holds")
+    raise CalibeatingInvariantError("hedging invariant violated: neither condition holds")
+
+
+def _hops_step(counts, sums, r, y, u, eps, m):
+    # One step of the hedging forecaster for expert bin r (row r of the flat
+    # m*m state), in place: announce the row's distribution, resolve it
+    # with the uniform u, fold y into the drawn bin. Returns the drawn
+    # bin's midpoint.
+    lo, hi, plo = f99_dist_row(counts, sums, r * m, eps, m)
+    c = lo if u < plo else hi
+    counts[r * m + c] += 1.0
+    sums[r * m + c] += y
+    return (c + 0.5) * eps
 
 
 def _hops_pass(expert, ys, us, eps, m):
-    # One independent hedging forecaster per expert bin (row r of the flat
-    # m*m state); each sees only the outcome subsequence routed to it.
-    # us[t] resolves the (possible) randomization at step t.
+    # One independent hedging forecaster per expert bin; each sees only the
+    # outcome subsequence routed to it. us[t] resolves the (possible)
+    # randomization at step t.
     T = len(expert)
     counts = _zeros(m * m)
     sums = _zeros(m * m)
     out = np.zeros(T)
     for t in range(T):
-        r = int(math.floor(expert[t] / eps))
-        if r >= m:
-            r = m - 1
-        lo, hi, plo = f99_dist_row(counts, sums, r * m, eps, m)
-        c = lo if us[t] < plo else hi
-        out[t] = (c + 0.5) * eps
-        counts[r * m + c] += 1.0
-        sums[r * m + c] += ys[t]
+        out[t] = hops_step(counts, sums, bin_of(expert[t], eps, m), ys[t], us[t], eps, m)
     return out
 
 
@@ -277,9 +299,7 @@ def _hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
     ys = np.zeros(T)
     for t in range(T):
         p = ons_forecast(theta, feats, t * d)
-        r = int(math.floor(p / eps))
-        if r >= m:
-            r = m - 1
+        r = bin_of(p, eps, m)
         lo, hi, plo = f99_dist_row(counts, sums, r * m, eps, m)
         mean = plo * ((lo + 0.5) * eps) + (1.0 - plo) * ((hi + 0.5) * eps)
         y = 1.0 if mean <= 0.5 else 0.0
@@ -313,7 +333,10 @@ ons_init = maybe_jit(_ons_init)
 ons_forecast = maybe_jit(_ons_forecast)
 ons_update = maybe_jit(_ons_update)
 ons_step_arrays = maybe_jit(_ons_step_arrays)
+bin_of = maybe_jit(_bin_of)
+bin_average = maybe_jit(_bin_average)
 f99_dist_row = maybe_jit(_f99_dist_row)
+hops_step = maybe_jit(_hops_step)
 
 # public whole-stream passes
 ons_pass = _entry(_ons_pass)

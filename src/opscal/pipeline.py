@@ -312,24 +312,8 @@ def run_pipeline(config: ExperimentConfig) -> RunReport:
         ce_std={m: _std(ce[m]) for m in names},
         shp_mean={m: np.mean(shp[m], axis=0) for m in names},
         shp_std={m: _std(shp[m]) for m in names},
-        final={
-            m: {
-                "ce": float(np.mean([f.ce for f in finals[m]])),
-                "shp": float(np.mean([f.shp for f in finals[m]])),
-                "brier": float(np.mean([f.brier for f in finals[m]])),
-                "true_ce": (
-                    None
-                    if finals[m][0].true_ce is None
-                    else float(np.mean([f.true_ce for f in finals[m]]))
-                ),
-                "true_accuracy": (
-                    None
-                    if finals[m][0].true_accuracy is None
-                    else float(np.mean([f.true_accuracy for f in finals[m]]))
-                ),
-            }
-            for m in names
-        },
+        final={m: {k: None if getattr(finals[m][0], k) is None else float(np.mean([getattr(f, k) for f in finals[m]]))
+                   for k in ("ce", "shp", "brier", "true_ce", "true_accuracy")} for m in names},
         diagnostics=_aggregate_diagnostics(diags),
     )
     if config.output_dir:

@@ -21,11 +21,11 @@ from opscal.calibeating import (
     tracking_run,
     tracking_update,
 )
-from opscal.core import BinningScheme
+from opscal.core import BinningScheme, bin_index
 from opscal.metrics import calibration_error, sharpness
 from opscal.metrics import hedging_sharpness_slack, tracking_sharpness_slack
-from opscal.ons import OnsConfig, initial_theta
-from opscal.scalers import platt_features
+from opscal.ons import OnsConfig, OnsState, initial_theta
+from opscal.scalers import online_scaler_step, platt_features
 
 # bin widths BinningScheme accepts, including ones that do not divide 1
 ACCEPTED_EPS = [1.0 / k for k in range(1, 26)] + [0.15, 0.35, 0.4]
@@ -159,6 +159,14 @@ class TestF99:
         with pytest.raises(CalibeatingInvariantError):
             f99_distribution(st)
 
+    def test_kernel_step_raises_the_same_invariant_error(self):
+        # the whole-stream passes and the step APIs share one error type
+        st = F99State(scheme10())
+        st.counts[:] = 1.0
+        st.outcome_sums[:] = st.scheme.right_edges() + 0.5
+        with pytest.raises(CalibeatingInvariantError):
+            kernels.hops_step(st.counts, st.outcome_sums, 0, 1.0, 0.5, 0.1, 10)
+
     def test_forecast_consumes_one_uniform(self):
         st = F99State(scheme10())
         rng1 = np.random.default_rng(7)
@@ -215,6 +223,20 @@ class TestHops:
         for t in range(300):
             step[t], st = hops_step(st, expert[t], ys[t], draw)
         assert np.array_equal(batch, step)
+
+    def test_distribution_resolves_to_the_step_draw(self):
+        # the announced distribution of the routed forecaster, resolved with
+        # the step's own uniform, is the forecast hops_step draws
+        rng = np.random.default_rng(13)
+        expert = rng.random(300)
+        ys = (rng.random(300) < expert).astype(float)
+        us = np.random.default_rng(14).random(300)
+        draw = np.random.default_rng(14)
+        st = HopsState(scheme10())
+        for t in range(300):
+            dist = st.distribution(expert[t])
+            chosen, st = hops_step(st, expert[t], ys[t], draw)
+            assert dist.sample(us[t]) == chosen
 
     def test_seeded_replay_is_bit_identical(self):
         rng = np.random.default_rng(10)
@@ -343,3 +365,59 @@ class TestForecastRange:
             platt_features(scores), us, scheme.epsilon, scheme.m, pc.gamma, pc.rho, pc.radius, initial_theta(2))
         assert np.all(np.isin(hops, scheme.midpoints()))
         assert set(np.unique(ys)) <= {0.0, 1.0}
+
+
+NAN = float("nan")
+OUT_OF_RANGE = r"must lie in \[0, 1\]"
+
+
+class TestProbabilityRange:
+    """One unit-interval check guards every entry that routes a forecast."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: bin_index(NAN, scheme10()),
+        lambda: calibration_error(np.array([0.2, NAN]), np.array([0.0, 1.0]), scheme10()),
+        lambda: tracking_forecast(TrackingState(scheme10()), NAN),
+        lambda: tracking_update(TrackingState(scheme10()), NAN, 1.0),
+        lambda: hops_step(HopsState(scheme10()), NAN, 1.0, np.random.default_rng(0)),
+        lambda: f99_update(F99State(scheme10()), NAN, 1.0),
+    ], ids=["bin_index", "calibration_error", "tracking_forecast", "tracking_update", "hops_step", "f99_update"])
+    def test_nan_rejected(self, call):
+        with pytest.raises(ValueError, match=OUT_OF_RANGE):
+            call()
+
+    @pytest.mark.parametrize("bad", [-0.05, 1.5, NAN])
+    @pytest.mark.parametrize("run", [
+        lambda expert, ys: tracking_run(expert, ys, scheme10()),
+        lambda expert, ys: hops_run(expert, ys, scheme10(), np.random.default_rng(0)),
+    ], ids=["tracking_run", "hops_run"])
+    def test_runs_reject_expert_outside_unit_interval(self, run, bad):
+        # -0.05 used to wrap to the last bin, 1.5 to be clamped into it
+        with pytest.raises(ValueError, match=OUT_OF_RANGE):
+            run(np.array([0.95, 0.95, bad, bad]), np.array([1.0, 1.0, 0.0, 1.0]))
+
+
+def _arrays(state):
+    if isinstance(state, OnsState):
+        return [state.theta, state.A, state.A_inv]
+    return [state.counts, state.outcome_sums]
+
+
+class TestStepsLeaveStateUntouched:
+    """Every step API returns a successor state and leaves its input as it
+    was; the replay tests cannot see this, as they rebind the state."""
+
+    @pytest.mark.parametrize("make, step", [
+        (lambda: TrackingState(scheme10()), lambda st, p, y, rng: tracking_update(st, p, y)),
+        (lambda: F99State(scheme10()), lambda st, p, y, rng: f99_update(st, f99_forecast(st, rng)[1], y)),
+        (lambda: HopsState(scheme10()), lambda st, p, y, rng: hops_step(st, p, y, rng)[1]),
+        (lambda: OnsState.init(OnsConfig.platt()), lambda st, p, y, rng: online_scaler_step(st, p, y, "platt")[1]),
+    ], ids=["tracking_update", "f99_update", "hops_step", "online_scaler_step"])
+    def test_input_state_unchanged(self, make, step):
+        rng = np.random.default_rng(0)
+        state = make()
+        for p, y in zip(rng.random(50), (rng.random(50) < 0.5).astype(float)):
+            before = [a.copy() for a in _arrays(state)]
+            successor = step(state, p, y, rng)
+            assert all(np.array_equal(a, b) for a, b in zip(_arrays(state), before))
+            state = successor

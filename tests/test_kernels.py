@@ -22,10 +22,18 @@ from hypothesis import strategies as st
 
 from opscal import kernels
 from opscal._accel import NUMBA_ENABLED
-from opscal.calibeating import HopsState, hops_run, hops_step
-from opscal.core import BinningScheme
+from opscal.calibeating import (
+    HopsState,
+    TrackingState,
+    hops_run,
+    hops_step,
+    tracking_forecast,
+    tracking_run,
+    tracking_update,
+)
 from opscal.ons import OnsConfig, OnsState, initial_theta
 from opscal.scalers import beta_features, online_scaler_run, online_scaler_step, platt_features
+from test_calibeating import scheme_and_stream
 
 needs_numba = pytest.mark.skipif(not NUMBA_ENABLED, reason="numba disabled or absent")
 
@@ -129,18 +137,21 @@ class TestStepReplay:
             assert p == probs[t]
         assert np.array_equal(state.theta, thetas[T])
 
-    @settings(max_examples=40, deadline=None)
-    @given(T=st.integers(1, 300), eps=st.sampled_from([0.05, 0.1, 0.2, 0.25]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_hops_step_equals_run(self, T, eps, seed):
-        scheme = BinningScheme(eps)
-        scores, ys, _ = stream(seed, T)
-        batch = hops_run(scores, ys, scheme, np.random.default_rng(seed))
+    @settings(max_examples=100, deadline=None)
+    @given(case=scheme_and_stream(max_T=300))
+    def test_hops_step_equals_run(self, case):
+        # every accepted bin width, with expert values at exact 0, 1 and the
+        # bin edges, where step routing and kernel routing must agree
+        scheme, expert, ys, seed = case
+        hedged = hops_run(expert, ys, scheme, np.random.default_rng(seed))
+        tracked = tracking_run(expert, ys, scheme)
         draw = np.random.default_rng(seed)
-        state = HopsState(scheme)
-        for t in range(T):
-            chosen, state = hops_step(state, scores[t], ys[t], draw)
-            assert chosen == batch[t]
+        hedge, track = HopsState(scheme), TrackingState(scheme)
+        for t in range(len(ys)):
+            assert tracking_forecast(track, expert[t]) == tracked[t]
+            track = tracking_update(track, expert[t], ys[t])
+            chosen, hedge = hops_step(hedge, expert[t], ys[t], draw)
+            assert chosen == hedged[t]
 
 
 @needs_numba
