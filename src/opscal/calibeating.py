@@ -28,7 +28,9 @@ tracking and hedging passes in ``opscal.kernels``; the pipeline and the
 theorem checks call them. The step-level functions are thin wrappers over
 the kernels' own step bodies (``kernels.bin_of``, ``bin_average``,
 ``f99_dist_row`` and ``hops_step``), run on copies of the numpy state, and
-the test suite pins step-by-step replays to the whole-stream runs.
+the test suite pins step-by-step replays to the whole-stream runs. Every
+entry point rejects an expert forecast or an outcome outside [0, 1], NaN
+included; outcomes need not be 0 or 1.
 """
 
 from __future__ import annotations
@@ -47,6 +49,24 @@ def _route(p, scheme: BinningScheme) -> int:
     if not 0.0 <= p <= 1.0:
         raise ValueError("probabilities must lie in [0, 1]")
     return kernels.bin_of(float(p), scheme.epsilon, scheme.m)
+
+
+def _outcome(y) -> float:
+    """One outcome as a float; it must lie in [0, 1] (NaN does not)."""
+    y = float(y)
+    if not 0.0 <= y <= 1.0:
+        raise ValueError("outcomes must lie in [0, 1]")
+    return y
+
+
+def _columns(expert_ps, ys):
+    """The expert and outcome columns as float arrays of one length, both
+    in [0, 1]."""
+    expert_ps = check_unit(expert_ps, "probabilities")
+    ys = check_unit(ys, "outcomes")
+    if expert_ps.shape != ys.shape:
+        raise ValueError("expert forecasts and outcomes must have equal length")
+    return expert_ps, ys
 
 
 @dataclass
@@ -69,11 +89,11 @@ class _Tallies:
     def _copy(self):
         return type(self)(self.scheme, self.counts.copy(), self.outcome_sums.copy())
 
-    def _folded(self, b: int, y):
+    def _folded(self, b: int, y: float):
         """A copy with outcome y folded into slot b; self is untouched."""
         new = self._copy()
         new.counts[b] += 1.0
-        new.outcome_sums[b] += float(y)
+        new.outcome_sums[b] += y
         return new
 
 
@@ -88,13 +108,15 @@ def tracking_forecast(state: TrackingState, expert_p: float) -> float:
 
 
 def tracking_update(state: TrackingState, expert_p: float, y) -> TrackingState:
-    """Fold (expert_p, y) into the expert bin's statistics."""
-    return state._folded(_route(expert_p, state.scheme), y)
+    """Fold (expert_p, y) into the expert bin's statistics; y must lie in
+    [0, 1]."""
+    return state._folded(_route(expert_p, state.scheme), _outcome(y))
 
 
 def tracking_run(expert_ps, ys, scheme: BinningScheme) -> np.ndarray:
-    """Whole-stream tracking via the batched kernel."""
-    return kernels.tracking_pass(check_unit(expert_ps, "probabilities"), ys, scheme.epsilon, scheme.m)
+    """Whole-stream tracking via the batched kernel. Expert forecasts and
+    outcomes must lie in [0, 1] and have one length."""
+    return kernels.tracking_pass(*_columns(expert_ps, ys), scheme.epsilon, scheme.m)
 
 
 @dataclass
@@ -164,11 +186,12 @@ def f99_forecast(state: F99State, rng: np.random.Generator):
 
 
 def f99_update(state: F99State, chosen: float, y) -> F99State:
-    """Fold the outcome into the statistics of the forecast bin."""
+    """Fold the outcome, which must lie in [0, 1], into the statistics of
+    the forecast bin."""
     b = _route(chosen, state.scheme)
     if abs(state.scheme.midpoint(b + 1) - chosen) > 1e-9:
         raise ValueError("chosen forecast is not a bin midpoint of this scheme")
-    return state._folded(b, y)
+    return state._folded(b, _outcome(y))
 
 
 def f99_run(ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:
@@ -196,19 +219,23 @@ def hops_step(state: HopsState, expert_p: float, y, rng: np.random.Generator):
     """Route to the expert-bin instance, forecast, then absorb the outcome.
 
     Returns (drawn forecast, new HopsState). The expert's bin is determined
-    by the raw expert forecast. Consumes one uniform per call.
+    by the raw expert forecast. The outcome y must lie in [0, 1]. Consumes
+    one uniform per call.
     """
     scheme = state.scheme
     r = _route(expert_p, scheme)
+    y = _outcome(y)
     new = state._copy()
     u = float(rng.random())
-    return kernels.hops_step(new.counts, new.outcome_sums, r, float(y), u, scheme.epsilon, scheme.m), new
+    return kernels.hops_step(new.counts, new.outcome_sums, r, y, u, scheme.epsilon, scheme.m), new
 
 
 def hops_run(expert_ps, ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:
     """Whole-stream hedging over an expert column (batched kernel); draws
-    one uniform per step from ``rng``."""
-    return kernels.hops_pass(check_unit(expert_ps, "probabilities"), ys, rng.random(len(ys)), scheme.epsilon, scheme.m)
+    one uniform per step from ``rng``. Expert forecasts and outcomes must
+    lie in [0, 1] and have one length."""
+    expert_ps, ys = _columns(expert_ps, ys)
+    return kernels.hops_pass(expert_ps, ys, rng.random(len(ys)), scheme.epsilon, scheme.m)
 
 
 def climatology_run(outcomes, epsilon: float, rng: np.random.Generator) -> ForecastTrace:

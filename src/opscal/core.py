@@ -40,13 +40,17 @@ def clip_score(score):
 
 
 def sigmoid(z):
-    """Numerically stable logistic function, scalar or array."""
+    """Numerically stable logistic function, scalar or array.
+
+    One pass: with e = exp(-|z|), which lies in [0, 1] and so cannot
+    overflow, it is 1/(1+e) where z >= 0 and e/(1+e) elsewhere. As -|z| is
+    -z on the first side and z on the other, every element takes the same
+    exp and the same division as the two-branch form 1/(1+exp(-z)),
+    exp(z)/(1+exp(z)), so the results agree bit for bit.
+    """
     z_arr = np.asarray(z, dtype=float)
-    out = np.empty_like(z_arr)
-    pos = z_arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z_arr[pos]))
-    ez = np.exp(z_arr[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z_arr))
+    out = np.where(z_arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(out) if np.isscalar(z) or out.ndim == 0 else out
 
 

@@ -103,13 +103,23 @@ def newton_logistic(
 ):
     """Damped Newton minimization of total log-loss (+ ridge/2 ||w||^2).
 
-    Step-halving line search; iterates outside the radius ball are radially
-    renormalized to the boundary. When a radius is set and the final iterate
-    separates the data (every point classified with strictly positive
-    margin, so the unregularized loss keeps decreasing along that ray), the
-    fit is renormalized to the boundary - the cap binds and ||w|| == radius
-    exactly. Returns (weights, converged, n_iter). The Hessian solve carries
-    a 1e-12-scaled jitter so rank-deficient designs stay solvable.
+    Step-halving line search (at most 60 halvings); iterates outside the
+    radius ball are radially renormalized to the boundary. The search ends
+    early, and exactly, at the first halving where w - alpha*step rounds to
+    w bit for bit: alpha halves by a power of two and rounding is monotone,
+    so every later halving rounds to w as well and all remaining candidates
+    are one point. That point is w itself, whose loss is the current one
+    and so cannot be accepted, unless the renormalization moves it (w on
+    the boundary with a norm that rounds above the radius); then it is
+    tried once. So the search accepts the iterate the full 60 halvings
+    would, with fewer loss evaluations.
+
+    When a radius is set and the final iterate separates the data (every
+    point classified with strictly positive margin, so the unregularized
+    loss keeps decreasing along that ray), the fit is renormalized to the
+    boundary - the cap binds and ||w|| == radius exactly. Returns
+    (weights, converged, n_iter). The Hessian solve carries a 1e-12-scaled
+    jitter so rank-deficient designs stay solvable.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -135,11 +145,18 @@ def newton_logistic(
         alpha = 1.0
         accepted = False
         for _ in range(60):
-            cand = _renorm_to_ball(w - alpha * step, radius)
+            raw = w - alpha * step
+            cand = _renorm_to_ball(raw, radius)
+            # once the step rounds away, every smaller one does too
+            stuck = raw.tobytes() == w.tobytes()
+            if stuck and cand is raw:
+                break
             cand_loss, cand_p = loss(cand)
             if cand_loss < cur:
                 w, cur, p = cand, cand_loss, cand_p
                 accepted = True
+                break
+            if stuck:
                 break
             alpha *= 0.5
         if not accepted:
@@ -299,12 +316,22 @@ def windowed_step(learner: WindowedLearner, t: int, hist_scores, hist_ys, score_
     return learner._apply(score_t)
 
 
+# the online families: feature rows and the default online-Newton config
+_ONLINE_FAMILIES = {"platt": (platt_features, OnsConfig.platt), "beta": (beta_features, OnsConfig.beta)}
+
+
+def _online_family(family: str, config: OnsConfig | None):
+    """(feature function, config) of an online family; ``config`` defaults
+    to the family's own."""
+    try:
+        features, default = _ONLINE_FAMILIES[family]
+    except KeyError:
+        raise ValueError("family must be platt or beta") from None
+    return features, default() if config is None else config
+
+
 def family_features(family: str, scores) -> np.ndarray:
-    if family == "platt":
-        return platt_features(scores)
-    if family == "beta":
-        return beta_features(scores)
-    raise ValueError("family must be platt or beta")
+    return _online_family(family, None)[0](scores)
 
 
 def online_scaler_step(state: OnsState, score, y, family: str, config: OnsConfig | None = None):
@@ -314,9 +341,8 @@ def online_scaler_step(state: OnsState, score, y, family: str, config: OnsConfig
     computed before the update, sharing the kernel's arithmetic so that a
     step-by-step run replays a whole-stream kernel pass.
     """
-    if config is None:
-        config = OnsConfig.platt() if family == "platt" else OnsConfig.beta()
-    return ons_advance(state, family_features(family, [score])[0], y, config)
+    features, config = _online_family(family, config)
+    return ons_advance(state, features([score])[0], y, config)
 
 
 def online_scaler_run(scores, ys, family: str, config: OnsConfig | None = None):
@@ -325,7 +351,6 @@ def online_scaler_run(scores, ys, family: str, config: OnsConfig | None = None):
     Returns (forecasts, theta_trace); theta_trace[t] is the parameter vector
     in force at 0-based step t.
     """
-    if config is None:
-        config = OnsConfig.platt() if family == "platt" else OnsConfig.beta()
-    feats = family_features(family, scores)
-    return kernels.ons_pass(feats, ys, config.gamma, config.rho, config.radius, initial_theta(config.dim))
+    features, config = _online_family(family, config)
+    return kernels.ons_pass(features(scores), ys, config.gamma, config.rho, config.radius,
+                            initial_theta(config.dim))

@@ -397,6 +397,46 @@ class TestProbabilityRange:
             run(np.array([0.95, 0.95, bad, bad]), np.array([1.0, 1.0, 0.0, 1.0]))
 
 
+class TestOutcomeRange:
+    """Outcomes entering tracking and hedging must lie in [0, 1]: one
+    outside it, or NaN, would be folded into a bin's average for good."""
+
+    @pytest.mark.parametrize("bad", [-0.5, 3.0, NAN])
+    @pytest.mark.parametrize("call", [
+        lambda y: tracking_update(TrackingState(scheme10()), 0.55, y),
+        lambda y: f99_update(F99State(scheme10()), 0.05, y),
+        lambda y: hops_step(HopsState(scheme10()), 0.55, y, np.random.default_rng(0)),
+    ], ids=["tracking_update", "f99_update", "hops_step"])
+    def test_steps_reject(self, call, bad):
+        with pytest.raises(ValueError, match=r"outcomes must lie in \[0, 1\]"):
+            call(bad)
+
+    @pytest.mark.parametrize("bad", [-0.5, 5.0, NAN])
+    @pytest.mark.parametrize("run", [
+        lambda ys: tracking_run(np.full(len(ys), 0.55), ys, scheme10()),
+        lambda ys: hops_run(np.full(len(ys), 0.55), ys, scheme10(), np.random.default_rng(0)),
+        lambda ys: f99_run(ys, scheme10(), np.random.default_rng(0)),
+        lambda ys: climatology_run(ys, 0.1, np.random.default_rng(0)),
+    ], ids=["tracking_run", "hops_run", "f99_run", "climatology_run"])
+    def test_runs_reject(self, run, bad):
+        with pytest.raises(ValueError, match=r"outcomes must lie in \[0, 1\]"):
+            run(np.array([1.0, 0.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("run", [
+        lambda expert, ys: tracking_run(expert, ys, scheme10()),
+        lambda expert, ys: hops_run(expert, ys, scheme10(), np.random.default_rng(0)),
+    ], ids=["tracking_run", "hops_run"])
+    def test_runs_reject_unequal_lengths(self, run):
+        with pytest.raises(ValueError, match="equal length"):
+            run(np.full(4, 0.55), np.array([1.0, 0.0, 1.0]))
+
+    def test_fractional_outcomes_accepted(self):
+        # the rule is [0, 1], not {0, 1}: a fractional outcome is an average
+        state = tracking_update(TrackingState(scheme10()), 0.55, 0.25)
+        assert tracking_forecast(state, 0.55) == 0.25
+        assert tracking_run([0.55, 0.55], [0.25, 1.0], scheme10()).tolist() == [0.55, 0.25]
+
+
 def _arrays(state):
     if isinstance(state, OnsState):
         return [state.theta, state.A, state.A_inv]

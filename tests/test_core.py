@@ -1,10 +1,12 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from opscal.core import (
     BinningScheme,
@@ -40,6 +42,60 @@ class TestSigmoid:
         out = sigmoid(z)
         assert out.shape == (3,)
         assert np.allclose(out, [1 / (1 + math.e**2), 0.5, 1 / (1 + math.exp(-3))])
+
+
+def masked_two_branch_sigmoid(z):
+    """The boolean-mask form of the logistic function, kept as an oracle:
+    1/(1+exp(-z)) gathered and scattered where z >= 0, exp(z)/(1+exp(z))
+    elsewhere."""
+    z_arr = np.asarray(z, dtype=float)
+    out = np.empty_like(z_arr)
+    pos = z_arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z_arr[pos]))
+    ez = np.exp(z_arr[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return float(out) if np.isscalar(z) or out.ndim == 0 else out
+
+
+# both branches' edges: signed zeros, infinities, NaN, subnormals, and
+# |z| past 745, where exp underflows to zero (and exp(|z|) would overflow)
+SIGMOID_EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308,
+                 -2.2e-308, 745.2, -745.2, 746.0, -746.0, 1e308, -1e308)
+sigmoid_floats = st.one_of(st.sampled_from(SIGMOID_EDGES), st.floats(allow_nan=True, allow_infinity=True))
+
+
+def same_bits(a, b) -> bool:
+    """Bit-for-bit equality; NaN matches NaN (the sign of a NaN from exp is
+    not specified)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return False
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+class TestSigmoidOnePass:
+    @given(st.one_of(sigmoid_floats.map(lambda z: ("float", z)),
+                     sigmoid_floats.map(lambda z: ("0-d", np.array(z))),
+                     hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+                                elements=sigmoid_floats).map(lambda a: ("n-d", a))))
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_masked_two_branch_form(self, case):
+        _, z = case
+        expected = masked_two_branch_sigmoid(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(z)
+        assert type(got) is type(expected)
+        assert same_bits(got, expected)
+
+    def test_long_random_array_bitwise(self):
+        rng = np.random.default_rng(5)
+        z = np.concatenate([rng.standard_normal(20_000) * s for s in (1.0, 30.0, 800.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(z)
+        assert same_bits(got, masked_two_branch_sigmoid(z))
 
 
 class TestLogit:

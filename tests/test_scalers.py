@@ -3,22 +3,28 @@ from itertools import pairwise
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from opscal import scalers
 from opscal.core import log_loss, logit, sigmoid
 from opscal.ons import OnsConfig, OnsState
 from opscal.scalers import (
     BetaParams,
     PlattParams,
     WindowedLearner,
+    _renorm_to_ball,
     beta_apply,
+    beta_features,
+    family_features,
     fit_beta_batch,
     fit_histogram_binning,
     fit_platt_batch,
+    newton_logistic,
     online_scaler_run,
     online_scaler_step,
     platt_apply,
+    platt_features,
     windowed_run,
     windowed_step,
 )
@@ -324,3 +330,157 @@ class TestOnlineScalerStep:
         state = OnsState.init(OnsConfig.platt())
         with pytest.raises(ValueError):
             online_scaler_step(state, 0.5, 1.0, "beta")
+
+
+def reference_newton_logistic(X, y, init, ridge=0.0, radius=None, tol=1e-8, max_iter=200, evals=None):
+    """``newton_logistic`` with a line search that always runs all 60
+    halvings until one lowers the loss; kept as the oracle for the early
+    exit. ``evals``, a list, counts loss evaluations when given."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, d = X.shape
+    w = _renorm_to_ball(np.asarray(init, dtype=float).copy(), radius)
+
+    def loss(wv):
+        if evals is not None:
+            evals.append(1)
+        pv = sigmoid(X @ wv)
+        return float(np.sum(log_loss(pv, y))) + 0.5 * ridge * float(wv @ wv), pv
+
+    cur, p = loss(w)
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        grad = X.T @ (p - y) + ridge * w
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= tol:
+            converged = True
+            break
+        hess = (X * (p * (1.0 - p))[:, None]).T @ X + ridge * np.eye(d)
+        jitter = 1e-12 * max(float(np.trace(hess)), 1.0)
+        step = np.linalg.solve(hess + jitter * np.eye(d), grad)
+        alpha = 1.0
+        accepted = False
+        for _ in range(60):
+            cand = _renorm_to_ball(w - alpha * step, radius)
+            cand_loss, cand_p = loss(cand)
+            if cand_loss < cur:
+                w, cur, p = cand, cand_loss, cand_p
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            converged = gnorm <= 1e-6 or (radius is not None and np.linalg.norm(w) >= radius - 1e-9)
+            break
+    if radius is not None:
+        margins = (2.0 * y - 1.0) * (X @ w)
+        nrm = float(np.linalg.norm(w))
+        if np.all(margins > 0.0) and 0.0 < nrm < radius:
+            w = w * (radius / nrm)
+    return w, converged, it
+
+
+def assert_same_fit(got, want):
+    assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+    assert (got[1], got[2]) == (want[1], want[2])
+
+
+@pytest.fixture
+def loss_evals(monkeypatch):
+    """Counts ``newton_logistic``'s loss evaluations, each one call of
+    ``scalers.log_loss``."""
+    calls = []
+    original = scalers.log_loss
+    monkeypatch.setattr(scalers, "log_loss", lambda p, y: calls.append(1) or original(p, y))
+    return calls
+
+
+def design(kind: str, n: int, seed: int):
+    """(X, y) of one of four shapes: a Platt or beta design over scores with
+    Bernoulli outcomes, a separable one, or a degenerate one (one repeated
+    score, so the slope columns are collinear with the bias, under a single
+    label)."""
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.01, 0.99, n)
+    if kind == "platt":
+        return platt_features(s), (rng.random(n) < platt_apply((1.3, -0.2), s)).astype(float)
+    if kind == "beta":
+        return beta_features(s), (rng.random(n) < s).astype(float)
+    if kind == "separable":
+        return platt_features(s), (s > 0.5).astype(float)
+    return beta_features(np.full(n, s[0])), np.full(n, float(rng.random() < 0.5))
+
+
+class TestNewtonEarlyExit:
+    def test_failed_search_stops_once_the_step_rounds_away(self, loss_evals):
+        # this fit's last line search lowers no loss: run to all 60 halvings,
+        # it makes 70 loss evaluations in all
+        X, y = design("platt", 5000, 0)
+        ref_evals = []
+        want = reference_newton_logistic(X, y, np.array([1.0, 0.0]), radius=100.0, evals=ref_evals)
+        got = newton_logistic(X, y, np.array([1.0, 0.0]), radius=100.0)
+        assert len(ref_evals) >= 60
+        assert len(loss_evals) < 40
+        assert_same_fit(got, want)
+
+    @pytest.mark.parametrize("X, y, init, radius", [
+        # the rescaled candidate is tried and rejected
+        (*design("separable", 97, 1), np.array([1.0, 1.0]), 1.5),
+        # the rescaled candidate lowers the loss: accepted, the fit goes on
+        (*design("beta", 500, 2), np.ones(3), 1.5),
+    ], ids=["rejected", "accepted"])
+    def test_boundary_iterate_rescaled_by_the_ball(self, monkeypatch, X, y, init, radius):
+        # separable data drive w onto the boundary, where its norm rounds
+        # above the radius: once the step rounds away, _renorm_to_ball still
+        # moves the stuck candidate w, so it is tried once
+        outputs, moved_stuck = set(), []
+
+        def renorm(theta, radius):
+            out = _renorm_to_ball(theta, radius)
+            if theta.tobytes() in outputs and out is not theta:
+                moved_stuck.append(theta.copy())
+            outputs.add(out.tobytes())
+            return out
+
+        monkeypatch.setattr(scalers, "_renorm_to_ball", renorm)
+        got = newton_logistic(X, y, init, radius=radius)
+        monkeypatch.undo()
+        assert moved_stuck and np.linalg.norm(moved_stuck[0]) > radius
+        assert_same_fit(got, reference_newton_logistic(X, y, init, radius=radius))
+
+    @given(kind=st.sampled_from(["platt", "beta", "separable", "degenerate"]),
+           n=st.integers(1, 2000), seed=st.integers(0, 2**16),
+           ridge=st.sampled_from([0.0, 1.0]), radius=st.sampled_from([None, 100.0, 1.5]),
+           init_scale=st.sampled_from([0.0, 1.0, 300.0]))
+    @settings(max_examples=80, deadline=None)
+    @example(kind="platt", n=2000, seed=3, ridge=0.0, radius=100.0, init_scale=1.0)
+    @example(kind="beta", n=2000, seed=4, ridge=1.0, radius=None, init_scale=0.0)
+    @example(kind="separable", n=2000, seed=5, ridge=0.0, radius=1.5, init_scale=1.0)
+    @example(kind="degenerate", n=2000, seed=6, ridge=0.0, radius=100.0, init_scale=300.0)
+    def test_bitwise_equal_to_the_full_search(self, kind, n, seed, ridge, radius, init_scale):
+        X, y = design(kind, n, seed)
+        init = init_scale * np.random.default_rng(seed + 1).standard_normal(X.shape[1])
+        got = newton_logistic(X, y, init, ridge=ridge, radius=radius)
+        assert_same_fit(got, reference_newton_logistic(X, y, init, ridge=ridge, radius=radius))
+
+
+class TestOnlineFamilies:
+    def test_unknown_family_raises(self):
+        state = OnsState.init(OnsConfig.platt())
+        for call in (lambda: online_scaler_step(state, 0.5, 1.0, "hb"),
+                     lambda: online_scaler_run(np.full(3, 0.5), np.ones(3), "hb"),
+                     lambda: family_features("hb", [0.5])):
+            with pytest.raises(ValueError, match="family"):
+                call()
+
+    @pytest.mark.parametrize("family, config", [("platt", OnsConfig.platt()), ("beta", OnsConfig.beta())])
+    def test_default_config_is_the_family_one(self, family, config):
+        rng = np.random.default_rng(3)
+        scores = rng.uniform(0.01, 0.99, 50)
+        y = (rng.random(50) < scores).astype(float)
+        default = online_scaler_run(scores, y, family)
+        explicit = online_scaler_run(scores, y, family, config)
+        assert all(np.array_equal(a, b) for a, b in zip(default, explicit))
+        p, state = online_scaler_step(OnsState.init(config), 0.3, 1.0, family)
+        q, explicit_state = online_scaler_step(OnsState.init(config), 0.3, 1.0, family, config)
+        assert p == q and np.array_equal(state.theta, explicit_state.theta)
