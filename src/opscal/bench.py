@@ -21,7 +21,7 @@ from . import kernels
 from ._accel import NUMBA_ENABLED
 from .ons import initial_theta
 
-CASES = ("ons_pass", "tracking_pass", "hops_pass")
+CASES = ("ons_pass", "tracking_pass", "hops_pass", "hops_adversarial_pass")
 
 
 def _inputs(T: int, seed: int = 0):
@@ -44,6 +44,7 @@ def run_cases(T: int, repeats: int = 3) -> dict:
         "ons_pass": lambda: kernels.ons_pass(feats, ys, 0.1, 100.0, 100.0, theta0),
         "tracking_pass": lambda: kernels.tracking_pass(expert, ys, 0.1, 10),
         "hops_pass": lambda: kernels.hops_pass(expert, ys, us, 0.1, 10),
+        "hops_adversarial_pass": lambda: kernels.hops_adversarial_pass(feats, us, 0.1, 10, 0.1, 100.0, 100.0, theta0),
     }
     for fn in calls.values():  # warm up (JIT compile / cache load)
         fn()
@@ -76,18 +77,18 @@ def run_benchmark(T: int = 100_000, repeats: int = 3, file=sys.stdout) -> dict:
             print(proc.stderr, file=sys.stderr)
     print(f"kernel benchmark, T={T} steps (best of {repeats})", file=file)
     if other is None:
-        print(f"{'kernel':<16}{label_here + ' [s]':>12}", file=file)
+        print(f"{'kernel':<24}{label_here + ' [s]':>12}", file=file)
         for name in CASES:
-            print(f"{name:<16}{here[name]:>12.4f}", file=file)
+            print(f"{name:<24}{here[name]:>12.4f}", file=file)
         if NUMBA_ENABLED:
             print("(pure-numpy subprocess failed; see stderr)", file=file)
         else:
             print("numba disabled or absent: only the fallback path was timed", file=file)
         return {"path": label_here, "timings": here}
-    print(f"{'kernel':<16}{'numba [s]':>12}{'numpy [s]':>12}{'speedup':>10}", file=file)
+    print(f"{'kernel':<24}{'numba [s]':>12}{'numpy [s]':>12}{'speedup':>10}", file=file)
     for name in CASES:
         ratio = other[name] / here[name] if here[name] > 0 else float("inf")
-        print(f"{name:<16}{here[name]:>12.4f}{other[name]:>12.4f}{ratio:>9.1f}x", file=file)
+        print(f"{name:<24}{here[name]:>12.4f}{other[name]:>12.4f}{ratio:>9.1f}x", file=file)
     return {"numba": here, "numpy": other}
 
 

@@ -26,11 +26,22 @@ The whole-stream runs (``tracking_run``, ``hops_run`` and ``f99_run``,
 which is ``hops_run`` over a constant expert) are the one entry to the
 tracking and hedging passes in ``opscal.kernels``; the pipeline and the
 theorem checks call them. The step-level functions are thin wrappers over
-the kernels' own step bodies (``kernels.bin_of``, ``bin_average``,
-``f99_dist_row`` and ``hops_step``), run on copies of the numpy state, and
-the test suite pins step-by-step replays to the whole-stream runs. Every
-entry point rejects an expert forecast or an outcome outside [0, 1], NaN
-included; outcomes need not be 0 or 1.
+the kernels' own step bodies, run on copies of the state, and the test
+suite pins step-by-step replays to the whole-stream runs:
+
+  - tracking calls ``kernels.bin_of`` and ``bin_average`` on a
+    ``TrackingState``'s bin counts and outcome sums;
+  - ``hops_step`` calls ``kernels.hops_advance`` on a ``HopsState``'s
+    counts, outcome sums and status buffer (each bin's hedging status
+    code), which the state derives once at construction and each step
+    advances by reclassifying the one bin it folds into;
+  - ``f99_distribution`` and ``HopsState.distribution`` call
+    ``kernels.f99_dist_row``, which classifies the row on every call, so
+    an ``F99State`` whose arrays were edited in place is still read
+    correctly.
+
+Every entry point rejects an expert forecast or an outcome outside
+[0, 1], NaN included; outcomes need not be 0 or 1.
 """
 
 from __future__ import annotations
@@ -87,7 +98,10 @@ class _Tallies:
         return self.scheme.m
 
     def _copy(self):
-        return type(self)(self.scheme, self.counts.copy(), self.outcome_sums.copy())
+        # bypasses __post_init__, so nothing derived is computed again
+        new = object.__new__(type(self))
+        new.scheme, new.counts, new.outcome_sums = self.scheme, self.counts.copy(), self.outcome_sums.copy()
+        return new
 
     def _folded(self, b: int, y: float):
         """A copy with outcome y folded into slot b; self is untouched."""
@@ -104,7 +118,7 @@ class TrackingState(_Tallies):
 def tracking_forecast(state: TrackingState, expert_p: float) -> float:
     """Past outcome average of the expert's bin; its midpoint when empty."""
     b = _route(expert_p, state.scheme)
-    return float(kernels.bin_average(state.counts, state.outcome_sums, b, state.scheme.epsilon))
+    return float(kernels.bin_average(state.counts, state.outcome_sums, b, b, state.scheme.epsilon))
 
 
 def tracking_update(state: TrackingState, expert_p: float, y) -> TrackingState:
@@ -149,7 +163,7 @@ class F99State(_Tallies):
         """p_b: running outcome mean where bin b's midpoint was forecast,
         the midpoint itself while the bin is untouched."""
         eps = self.scheme.epsilon
-        return np.array([kernels.bin_average(self.counts, self.outcome_sums, b, eps)
+        return np.array([kernels.bin_average(self.counts, self.outcome_sums, b, b, eps)
                          for b in range(self.scheme.m)])
 
     def deficits(self) -> np.ndarray:
@@ -203,10 +217,25 @@ def f99_run(ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:
 class HopsState(_Tallies):
     """m independent hedging forecasters, one per expert bin, in the
     kernels' layout: flat m*m counts and outcome sums, the forecaster of
-    expert bin r at row r, [r*m, (r + 1)*m)."""
+    expert bin r at row r, [r*m, (r + 1)*m).
+
+    ``status`` holds every bin's hedging status code (``kernels.cell_status``)
+    in the kernels' container. It is derived from the tallies at
+    construction, copied with the state and advanced by each step, so a
+    step classifies only the bin it folds into. Build a new state rather
+    than editing ``counts`` or ``outcome_sums`` in place."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.status = kernels.status_of(self.counts, self.outcome_sums, self.scheme.epsilon, self.scheme.m)
 
     def _size(self) -> int:
         return self.scheme.m * self.scheme.m
+
+    def _copy(self):
+        new = super()._copy()
+        new.status = self.status.copy()
+        return new
 
     def distribution(self, expert_p: float) -> HedgeDistribution:
         """The announced distribution of the instance routed by expert_p."""
@@ -227,7 +256,7 @@ def hops_step(state: HopsState, expert_p: float, y, rng: np.random.Generator):
     y = _outcome(y)
     new = state._copy()
     u = float(rng.random())
-    return kernels.hops_step(new.counts, new.outcome_sums, r, y, u, scheme.epsilon, scheme.m), new
+    return kernels.hops_advance(new.counts, new.outcome_sums, new.status, r, y, u, scheme.epsilon, scheme.m), new
 
 
 def hops_run(expert_ps, ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:

@@ -14,16 +14,35 @@ two paths give bit-identical outputs, written into preallocated arrays.
 Conventions:
   - features are (T, d) float64 with a trailing bias column of ones; the
     bodies see them flattened, step t at [t*d, (t+1)*d)
-  - outcomes are float64 0.0/1.0
+  - outcomes are float64 in [0, 1]
   - ``us`` are pre-drawn Uniform[0,1) variates, one per time step; hedging
     consumes exactly one per step whether or not it randomizes, so seeded
     replays align across step-by-step and whole-stream execution
   - bins are 0-based here (the public API is 1-based); bin width ``eps``
     and count ``m`` are passed explicitly and must come from the same
-    BinningScheme the caller uses for metrics. ``bin_of`` routes a forecast
-    to bin min(floor(p / eps), m - 1), ``bin_average`` is tracking's
-    forecast for a bin and ``hops_step`` one hedging step, which emits the
-    picked bin's midpoint (b + 0.5) * eps; the step APIs call them too
+    BinningScheme the caller uses for metrics
+
+State buffers: tracking keeps m bin counts and outcome sums; hedging
+keeps one row of m bins per forecaster in flat m*m ``counts`` and
+``sums`` (row r at [r*m, (r + 1)*m)) and a ``status`` buffer of the same
+layout holding each bin's hedging status code: inside its bin (condition
+A), excess, deficit, or none of these. The codes are floats, so every
+buffer is a ``_zeros`` container.
+
+Step bodies, which the passes and the step APIs all call:
+  - ``ons_init``, ``ons_forecast`` and ``ons_update`` are the online-Newton
+    start, forecast and update
+  - ``bin_of`` routes a forecast to bin min(floor(p / eps), m - 1)
+  - ``bin_average`` is a bin's outcome mean, its midpoint while empty:
+    tracking's forecast, and the average hedging classifies
+  - ``cell_status`` classifies one bin; ``hedge_select`` picks the
+    hedging distribution of a row by scanning its status codes;
+    ``hedge_fold`` folds an outcome into the drawn bin and reclassifies
+    that bin, the only one a step changes; ``hops_advance`` is one hedging
+    step (select, draw with u, fold), which emits the drawn bin's
+    midpoint (b + 0.5) * eps
+  - ``f99_dist_row`` and ``hops_step`` serve state that carries no status
+    buffer: they classify the row, then select or advance
 """
 
 from __future__ import annotations
@@ -150,19 +169,18 @@ def _ons_update(theta, A, Ainv, x, k, r, gamma, radius):
         denom += gi * s
     # Ainv -= v v^T / denom; (A + g g^T)^{-1} g == v / denom, the
     # updated-inverse Newton direction
-    tt = _zeros(d)
     tnorm2 = 0.0
     for i in range(d):
         vi = v[i]
         for j in range(d):
             Ainv[i * d + j] -= vi * v[j] / denom
         ti = theta[i] - (vi / denom) / gamma
-        tt[i] = ti
+        theta[i] = ti
         tnorm2 += ti * ti
     if tnorm2 > radius * radius:
-        tt = project_anorm(A, tt, radius)
-    for i in range(d):
-        theta[i] = tt[i]
+        tt = project_anorm(A, theta, radius)
+        for i in range(d):
+            theta[i] = tt[i]
 
 
 def _ons_step_arrays(theta, A, Ainv, x, k, y, gamma, radius):
@@ -197,10 +215,11 @@ def _bin_of(p, eps, m):
     return b if b < m else m - 1
 
 
-def _bin_average(counts, sums, b, eps):
-    # Tracking's forecast for bin b: its running outcome mean, or its
-    # midpoint while the bin is empty.
-    return sums[b] / counts[b] if counts[b] > 0.0 else (b + 0.5) * eps
+def _bin_average(counts, sums, k, b, eps):
+    # The running outcome mean in slot k of the state, which tallies bin b,
+    # or the bin's midpoint while the slot is empty: tracking's forecast,
+    # and the average hedging classifies.
+    return sums[k] / counts[k] if counts[k] > 0.0 else (b + 0.5) * eps
 
 
 def _tracking_pass(expert, ys, eps, m):
@@ -212,46 +231,97 @@ def _tracking_pass(expert, ys, eps, m):
     out = np.zeros(T)
     for t in range(T):
         b = bin_of(expert[t], eps, m)
-        out[t] = bin_average(counts, sums, b, eps)
+        out[t] = bin_average(counts, sums, b, b, eps)
         counts[b] += 1.0
         sums[b] += ys[t]
     return out
 
 
-def _f99_dist_row(counts, sums, base, eps, m):
-    # Hedging distribution for one forecaster instance, whose m bin counts
-    # and outcome sums sit at [base, base + m). Returns (lo_bin, hi_bin,
-    # prob_lo), 0-based bins: a point mass has hi_bin == lo_bin and
-    # prob_lo == 1. Condition A (some bin's observed average sits inside the
-    # bin) gives a deterministic forecast of that bin; otherwise some
-    # adjacent (excess, deficit) pair exists and we hedge between the two
-    # bins. Smallest index wins in both cases.
+def _cell_status(counts, sums, base, b, eps):
+    # The hedging status code of bin b in the row at base, from its average
+    # p_b: 0.0 inside the bin (condition A), 1.0 excess (p_b above the right
+    # edge), 2.0 deficit (p_b below the left edge), 3.0 none of these (a NaN
+    # average). An empty bin averages its midpoint, so it is inside.
+    pb = bin_average(counts, sums, base + b, b, eps)
+    if pb >= b * eps and pb <= (b + 1.0) * eps:
+        return 0.0
+    if pb - (b + 1.0) * eps > 0.0:
+        return 1.0
+    if b * eps - pb > 0.0:
+        return 2.0
+    return 3.0
+
+
+def _classify_row(counts, sums, status, base, eps, m):
+    # Write the status of each of the m bins of the row at base; returns
+    # status.
     for b in range(m):
-        pb = (b + 0.5) * eps if counts[base + b] == 0.0 else sums[base + b] / counts[base + b]
-        if pb >= b * eps and pb <= (b + 1.0) * eps:
+        status[base + b] = cell_status(counts, sums, base, b, eps)
+    return status
+
+
+def _status_of(counts, sums, eps, m):
+    # A new status buffer for flat state of rows of m bins, every row
+    # classified.
+    status = _zeros(len(counts))
+    for base in range(0, len(counts), m):
+        classify_row(counts, sums, status, base, eps, m)
+    return status
+
+
+def _hedge_select(status, counts, sums, base, eps, m):
+    # Hedging distribution for the forecaster whose m bins sit at
+    # [base, base + m). Returns (lo_bin, hi_bin, prob_lo), 0-based bins: a
+    # point mass has hi_bin == lo_bin and prob_lo == 1. Condition A (some
+    # bin's average sits inside the bin) gives a deterministic forecast of
+    # that bin; otherwise some adjacent (excess, deficit) pair exists and we
+    # hedge between the two bins. Smallest index wins in both cases. Bins
+    # off condition A are not empty, so their averages are sums / counts.
+    for k in range(base, base + m):
+        if status[k] == 0.0:
+            b = k - base
             return b, b, 1.0
-    for b in range(m - 1):
-        pb = (b + 0.5) * eps if counts[base + b] == 0.0 else sums[base + b] / counts[base + b]
-        eb = pb - (b + 1.0) * eps
-        if eb > 0.0:
-            n1 = counts[base + b + 1]
-            pb1 = (b + 1.5) * eps if n1 == 0.0 else sums[base + b + 1] / n1
-            db1 = (b + 1.0) * eps - pb1
-            if db1 > 0.0:
-                return b, b + 1, db1 / (db1 + eb)
+    for k in range(base, base + m - 1):
+        if status[k] == 1.0 and status[k + 1] == 2.0:
+            b = k - base
+            eb = sums[k] / counts[k] - (b + 1.0) * eps
+            db1 = (b + 1.0) * eps - sums[k + 1] / counts[k + 1]
+            return b, b + 1, db1 / (db1 + eb)
     raise CalibeatingInvariantError("hedging invariant violated: neither condition holds")
 
 
-def _hops_step(counts, sums, r, y, u, eps, m):
+def _hedge_fold(counts, sums, status, base, c, y, eps):
+    # Fold outcome y into bin c of the row at base, the one bin whose
+    # status can change, and reclassify it.
+    counts[base + c] += 1.0
+    sums[base + c] += y
+    status[base + c] = cell_status(counts, sums, base, c, eps)
+
+
+def _hops_advance(counts, sums, status, r, y, u, eps, m):
     # One step of the hedging forecaster for expert bin r (row r of the flat
     # m*m state), in place: announce the row's distribution, resolve it
     # with the uniform u, fold y into the drawn bin. Returns the drawn
     # bin's midpoint.
-    lo, hi, plo = f99_dist_row(counts, sums, r * m, eps, m)
+    base = r * m
+    lo, hi, plo = hedge_select(status, counts, sums, base, eps, m)
     c = lo if u < plo else hi
-    counts[r * m + c] += 1.0
-    sums[r * m + c] += y
+    hedge_fold(counts, sums, status, base, c, y, eps)
     return (c + 0.5) * eps
+
+
+def _f99_dist_row(counts, sums, base, eps, m):
+    # hedge_select for state that carries no status: classifies the row
+    # first.
+    status = classify_row(counts, sums, _zeros(len(counts)), base, eps, m)
+    return hedge_select(status, counts, sums, base, eps, m)
+
+
+def _hops_step(counts, sums, r, y, u, eps, m):
+    # hops_advance for state that carries no status: classifies row r
+    # first.
+    status = classify_row(counts, sums, _zeros(len(counts)), r * m, eps, m)
+    return hops_advance(counts, sums, status, r, y, u, eps, m)
 
 
 def _hops_pass(expert, ys, us, eps, m):
@@ -261,9 +331,10 @@ def _hops_pass(expert, ys, us, eps, m):
     T = len(expert)
     counts = _zeros(m * m)
     sums = _zeros(m * m)
+    status = status_of(counts, sums, eps, m)
     out = np.zeros(T)
     for t in range(T):
-        out[t] = hops_step(counts, sums, bin_of(expert[t], eps, m), ys[t], us[t], eps, m)
+        out[t] = hops_advance(counts, sums, status, bin_of(expert[t], eps, m), ys[t], us[t], eps, m)
     return out
 
 
@@ -294,18 +365,18 @@ def _hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
     T = len(us)
     counts = _zeros(m * m)
     sums = _zeros(m * m)
+    status = status_of(counts, sums, eps, m)
     ops = np.zeros(T)
     hops = np.zeros(T)
     ys = np.zeros(T)
     for t in range(T):
         p = ons_forecast(theta, feats, t * d)
-        r = bin_of(p, eps, m)
-        lo, hi, plo = f99_dist_row(counts, sums, r * m, eps, m)
+        base = bin_of(p, eps, m) * m
+        lo, hi, plo = hedge_select(status, counts, sums, base, eps, m)
         mean = plo * ((lo + 0.5) * eps) + (1.0 - plo) * ((hi + 0.5) * eps)
         y = 1.0 if mean <= 0.5 else 0.0
         c = lo if us[t] < plo else hi
-        counts[r * m + c] += 1.0
-        sums[r * m + c] += y
+        hedge_fold(counts, sums, status, base, c, y, eps)
         ons_update(theta, A, Ainv, feats, t * d, p - y, gamma, radius)
         ops[t] = p
         hops[t] = (c + 0.5) * eps
@@ -335,6 +406,12 @@ ons_update = maybe_jit(_ons_update)
 ons_step_arrays = maybe_jit(_ons_step_arrays)
 bin_of = maybe_jit(_bin_of)
 bin_average = maybe_jit(_bin_average)
+cell_status = maybe_jit(_cell_status)
+classify_row = maybe_jit(_classify_row)
+status_of = maybe_jit(_status_of)
+hedge_select = maybe_jit(_hedge_select)
+hedge_fold = maybe_jit(_hedge_fold)
+hops_advance = maybe_jit(_hops_advance)
 f99_dist_row = maybe_jit(_f99_dist_row)
 hops_step = maybe_jit(_hops_step)
 

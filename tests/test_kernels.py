@@ -4,11 +4,16 @@ Golden SHA-256 digests of each pass's output bytes on fixed seeds pin the
 kernels to the outputs of the numpy-array implementation they replaced. A
 property test replays the step-level APIs (numpy state) against the
 whole-stream passes (Python-list state on the pure path) with ``==``.
-With numba enabled the exports are compiled; the *_py names are the same
+The hedging kernels, which scan a status code per bin, are compared bit
+for bit with the two-loop reference that classified every bin on every
+call, kept here. On the pure path every body also runs on the numpy
+arrays numba compiles for, against the Python-float run. With numba enabled the exports are compiled; the *_py names are the same
 bodies un-jitted, so outputs must agree exactly. A subprocess run with
 OPSCAL_NUMBA=0 checks the env-flag path end to end.
 """
 
+import contextlib
+import copy
 import hashlib
 import json
 import os
@@ -23,6 +28,7 @@ from hypothesis import strategies as st
 from opscal import kernels
 from opscal._accel import NUMBA_ENABLED
 from opscal.calibeating import (
+    CalibeatingInvariantError,
     HopsState,
     TrackingState,
     hops_run,
@@ -31,9 +37,10 @@ from opscal.calibeating import (
     tracking_run,
     tracking_update,
 )
+from opscal.core import BinningScheme
 from opscal.ons import OnsConfig, OnsState, initial_theta
 from opscal.scalers import beta_features, online_scaler_run, online_scaler_step, platt_features
-from test_calibeating import scheme_and_stream
+from test_calibeating import ACCEPTED_EPS, scheme_and_stream
 
 needs_numba = pytest.mark.skipif(not NUMBA_ENABLED, reason="numba disabled or absent")
 
@@ -152,6 +159,301 @@ class TestStepReplay:
             track = tracking_update(track, expert[t], ys[t])
             chosen, hedge = hops_step(hedge, expert[t], ys[t], draw)
             assert chosen == hedged[t]
+
+
+def reference_f99_dist_row(counts, sums, base, eps, m):
+    # The two-loop hedging distribution that classified every bin on every
+    # call, kept as the reference for the status-scanning kernels.
+    for b in range(m):
+        pb = (b + 0.5) * eps if counts[base + b] == 0.0 else sums[base + b] / counts[base + b]
+        if pb >= b * eps and pb <= (b + 1.0) * eps:
+            return b, b, 1.0
+    for b in range(m - 1):
+        pb = (b + 0.5) * eps if counts[base + b] == 0.0 else sums[base + b] / counts[base + b]
+        eb = pb - (b + 1.0) * eps
+        if eb > 0.0:
+            n1 = counts[base + b + 1]
+            pb1 = (b + 1.5) * eps if n1 == 0.0 else sums[base + b + 1] / n1
+            db1 = (b + 1.0) * eps - pb1
+            if db1 > 0.0:
+                return b, b + 1, db1 / (db1 + eb)
+    raise CalibeatingInvariantError("hedging invariant violated: neither condition holds")
+
+
+def reference_hops_pass(expert, ys, us, eps, m):
+    counts, sums = [0.0] * (m * m), [0.0] * (m * m)
+    out = np.zeros(len(expert))
+    for t, (p, y, u) in enumerate(zip(expert.tolist(), ys.tolist(), us.tolist())):
+        base = kernels.bin_of(p, eps, m) * m
+        lo, hi, plo = reference_f99_dist_row(counts, sums, base, eps, m)
+        c = lo if u < plo else hi
+        counts[base + c] += 1.0
+        sums[base + c] += y
+        out[t] = (c + 0.5) * eps
+    return out
+
+
+def reference_hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
+    theta, A, Ainv = kernels.ons_init(theta0.tolist(), rho)
+    x = feats.ravel().tolist()
+    d, T = len(theta), len(us)
+    counts, sums = [0.0] * (m * m), [0.0] * (m * m)
+    ops, hops, ys = np.zeros(T), np.zeros(T), np.zeros(T)
+    for t, u in enumerate(us.tolist()):
+        p = kernels.ons_forecast(theta, x, t * d)
+        base = kernels.bin_of(p, eps, m) * m
+        lo, hi, plo = reference_f99_dist_row(counts, sums, base, eps, m)
+        y = 1.0 if plo * ((lo + 0.5) * eps) + (1.0 - plo) * ((hi + 0.5) * eps) <= 0.5 else 0.0
+        c = lo if u < plo else hi
+        counts[base + c] += 1.0
+        sums[base + c] += y
+        kernels.ons_update(theta, A, Ainv, x, t * d, p - y, gamma, radius)
+        ops[t], hops[t], ys[t] = p, (c + 0.5) * eps, y
+    return ops, hops, ys
+
+
+def outcome(eps, m):
+    """Outcomes in [0, 1]: 0 and 1, bin edges (a bin holding one of them
+    alone averages exactly on its edge) and arbitrary fractions."""
+    edges = st.integers(0, m).map(lambda b: min(b * eps, 1.0))
+    return st.one_of(st.sampled_from([0.0, 1.0]), edges, st.floats(0.0, 1.0))
+
+
+@st.composite
+def hedging_row(draw, mode="any"):
+    """One forecaster's m bins inside flat state of a few rows. In mode
+    "any" each bin is empty, averages exactly on its left or right edge, or
+    holds an arbitrary average in [0, 1]; in "off_a" no bin of the row is
+    inside, each has an excess, a deficit or a NaN average, so the row
+    hedges or raises; in "all_excess" every average of the row lies above
+    its bin, so it raises."""
+    eps = draw(st.sampled_from(ACCEPTED_EPS))
+    m = BinningScheme(eps).m
+    rows = draw(st.integers(1, 3))
+    r = draw(st.integers(0, rows - 1))
+    counts, sums = [0.0] * (rows * m), [0.0] * (rows * m)
+    for k in range(rows * m):
+        b = k % m
+        n = float(draw(st.sampled_from([1, 2, 4, 8, 3, 7])))
+        if k // m == r and mode == "all_excess":
+            kind = "excess"
+        elif k // m == r and mode == "off_a":
+            kind = draw(st.sampled_from(["excess", "deficit", "excess", "deficit", "nan"]))
+        else:
+            kind = draw(st.sampled_from(["empty", "left", "right", "any", "any"]))
+        if kind == "empty":
+            continue
+        if kind == "excess":
+            avg = (b + 1.0) * eps + draw(st.floats(1e-9, 1.0))
+        elif kind == "deficit":
+            avg = b * eps - draw(st.floats(1e-9, 1.0))
+        elif kind == "nan":
+            avg = float("nan")
+        elif kind == "any":
+            avg = draw(st.floats(0.0, 1.0))
+        else:
+            avg = b * eps if kind == "left" else (b + 1.0) * eps
+            n = float(draw(st.sampled_from([1, 2, 4, 8])))  # sums / n is exactly the edge
+        counts[k], sums[k] = n, avg * n
+    return counts, sums, r * m, eps, m
+
+
+ROWS = st.one_of(hedging_row(), hedging_row("off_a"), hedging_row("all_excess"))
+
+
+def same_outcome(call, reference):
+    """Both return the same value, bit for bit, or both raise the
+    invariant error."""
+    try:
+        want = reference()
+    except CalibeatingInvariantError:
+        with pytest.raises(CalibeatingInvariantError):
+            call()
+        return
+    assert call() == want
+
+
+class TestHedgingOracle:
+    """The status-scanning hedging kernels against the two-loop reference
+    that classified every bin on every call."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(row=ROWS, arrays=st.booleans())
+    def test_dist_row(self, row, arrays):
+        counts, sums, base, eps, m = row
+        if arrays:
+            counts, sums = np.array(counts), np.array(sums)
+        same_outcome(lambda: kernels.f99_dist_row(counts, sums, base, eps, m),
+                     lambda: reference_f99_dist_row(counts, sums, base, eps, m))
+        status = kernels.status_of(counts, sums, eps, m)
+        same_outcome(lambda: kernels.hedge_select(status, counts, sums, base, eps, m),
+                     lambda: reference_f99_dist_row(counts, sums, base, eps, m))
+
+    @settings(max_examples=50, deadline=None)
+    @given(row=hedging_row("all_excess"))
+    def test_all_excess_row_raises(self, row):
+        counts, sums, base, eps, m = row
+        with pytest.raises(CalibeatingInvariantError):
+            kernels.f99_dist_row(counts, sums, base, eps, m)
+        with pytest.raises(CalibeatingInvariantError):
+            kernels.hops_step(counts, sums, base // m, 0.5, 0.5, eps, m)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), eps=st.sampled_from(ACCEPTED_EPS), T=st.integers(1, 400),
+           seed=st.integers(0, 2**32 - 1))
+    def test_hops_pass(self, data, eps, T, seed):
+        m = BinningScheme(eps).m
+        rng = np.random.default_rng(seed)
+        # few expert bins, so rows fill up and leave condition A
+        expert = rng.choice(rng.random(3), T)
+        ys = np.array(data.draw(st.lists(outcome(eps, m), min_size=T, max_size=T)))
+        us = rng.random(T)
+        assert np.array_equal(kernels.hops_pass(expert, ys, us, eps, m),
+                              reference_hops_pass(expert, ys, us, eps, m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.sampled_from(ACCEPTED_EPS), T=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+    def test_hops_adversarial_pass(self, eps, T, seed):
+        m = BinningScheme(eps).m
+        scores, _, us = stream(seed, T)
+        args = (feats_of("platt", scores), us, eps, m, 0.1, 100.0, 100.0, initial_theta(2))
+        for got, want in zip(kernels.hops_adversarial_pass(*args), reference_hops_adversarial_pass(*args)):
+            assert np.array_equal(got, want)
+
+
+def status_select(state, p):
+    """The distribution hedge_select reads off a HopsState's cached status,
+    as (support, probs) on 1-based midpoints."""
+    scheme = state.scheme
+    base = kernels.bin_of(p, scheme.epsilon, scheme.m) * scheme.m
+    lo, hi, plo = kernels.hedge_select(state.status, state.counts, state.outcome_sums, base,
+                                       scheme.epsilon, scheme.m)
+    if lo == hi:
+        return (scheme.midpoint(lo + 1),), (1.0,)
+    return (scheme.midpoint(lo + 1), scheme.midpoint(hi + 1)), (plo, 1.0 - plo)
+
+
+class TestHopsStateStatus:
+    @settings(max_examples=50, deadline=None)
+    @given(case=scheme_and_stream(max_T=300), data=st.data())
+    def test_rebuilt_state_continues_the_replay(self, case, data):
+        # a state rebuilt from another's tallies derives the same status and
+        # goes on drawing the same forecasts; the announced distribution,
+        # which classifies per call, agrees with the cached status throughout
+        scheme, expert, ys, seed = case
+        cut = data.draw(st.integers(0, len(ys)))
+        draw = np.random.default_rng(seed)
+        state = HopsState(scheme)
+        for t in range(cut):
+            dist = state.distribution(expert[t])
+            assert (dist.support, dist.probs) == status_select(state, expert[t])
+            _, state = hops_step(state, expert[t], ys[t], draw)
+        rebuilt = HopsState(scheme, state.counts.copy(), state.outcome_sums.copy())
+        assert list(rebuilt.status) == list(state.status)
+        draw_rebuilt = copy.deepcopy(draw)
+        for t in range(cut, len(ys)):
+            dist = rebuilt.distribution(expert[t])
+            assert (dist.support, dist.probs) == status_select(rebuilt, expert[t])
+            a, state = hops_step(state, expert[t], ys[t], draw)
+            b, rebuilt = hops_step(rebuilt, expert[t], ys[t], draw_rebuilt)
+            assert a == b
+            assert list(rebuilt.status) == list(state.status)
+
+    def test_status_is_copied_not_shared(self):
+        state = HopsState(BinningScheme(0.1))
+        before = list(state.status)
+        _, successor = hops_step(state, 0.55, 1.0, np.random.default_rng(0))
+        assert list(state.status) == before
+        assert list(successor.status) != before
+
+
+@contextlib.contextmanager
+def numba_container():
+    """Run the pure-path bodies on numpy arrays, as under numba: fresh
+    buffers from ``np.zeros`` and inputs never ``tolist()``-ed."""
+    saved = kernels._zeros, kernels.NUMBA_ENABLED
+    kernels._zeros, kernels.NUMBA_ENABLED = np.zeros, True  # _flat keeps arrays
+    try:
+        yield
+    finally:
+        kernels._zeros, kernels.NUMBA_ENABLED = saved
+
+
+@pytest.mark.skipif(NUMBA_ENABLED, reason="compiled kernels bind their containers at compile time")
+class TestNumbaContainer:
+    """Every kernel body run on the container numba compiles for, bit for
+    bit against the Python-float path. This checks the container semantics
+    the compiled code sees, not numba compilation."""
+
+    def test_containers_switch(self):
+        assert isinstance(kernels.status_of([0.0] * 4, [0.0] * 4, 0.5, 2), list)
+        with numba_container():
+            assert isinstance(kernels.status_of(np.zeros(4), np.zeros(4), 0.5, 2), np.ndarray)
+            assert isinstance(kernels._flat(np.zeros(3)), np.ndarray)
+            assert isinstance(kernels.ons_init(np.zeros(2), 1.0)[1], np.ndarray)
+
+    @pytest.mark.parametrize("family, rho, radius", [
+        ("platt", 100.0, 100.0), ("beta", 25.0, 100.0),
+        ("platt", 1.0, 1.2), ("beta", 1.0, 1.5),  # the A-norm projection fires
+    ])
+    def test_ons_passes(self, family, rho, radius):
+        scores, ys, _ = stream(107, 300)
+        feats, theta0 = feats_of(family, scores), initial_theta(3 if family == "beta" else 2)
+
+        def run():
+            return (*kernels.ons_pass(feats, ys, 0.1, rho, radius, theta0),
+                    *kernels.ops_adversarial_pass(feats, 0.1, rho, radius, theta0))
+
+        floats = run()
+        with numba_container():
+            assert all(np.array_equal(a, b) for a, b in zip(floats, run()))
+
+    @pytest.mark.parametrize("eps", [0.1, 0.05, 0.15, 1.0 / 3])
+    def test_tracking_and_hedging_passes(self, eps):
+        m = BinningScheme(eps).m
+        scores, ys, us = stream(108, 1500)
+        ys[::7] = 0.3  # fractional outcomes
+        feats = feats_of("platt", scores)
+
+        def run():
+            return (kernels.tracking_pass(scores, ys, eps, m), kernels.hops_pass(scores, ys, us, eps, m),
+                    *kernels.hops_adversarial_pass(feats, us, eps, m, 0.1, 100.0, 100.0, initial_theta(2)))
+
+        floats = run()
+        with numba_container():
+            assert all(np.array_equal(a, b) for a, b in zip(floats, run()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(row=ROWS)
+    def test_hedging_steps(self, row):
+        # f99_dist_row and hops_step classify into a _zeros buffer
+        counts, sums, base, eps, m = row
+
+        def steps():
+            c, s = np.array(counts), np.array(sums)
+            try:
+                # bytes, so that NaN sums compare equal
+                return (kernels.f99_dist_row(c, s, base, eps, m),
+                        kernels.hops_step(c, s, base // m, 0.5, 0.25, eps, m), c.tobytes(), s.tobytes())
+            except CalibeatingInvariantError:
+                return "raised"
+
+        floats = steps()
+        with numba_container():
+            assert steps() == floats
+
+    def test_step_replay(self):
+        # the step APIs, with the status held in an array, replay the
+        # float-path pass
+        scheme = BinningScheme(0.1)
+        scores, ys, _ = stream(109, 400)
+        hedged = hops_run(scores, ys, scheme, np.random.default_rng(3))
+        with numba_container():
+            draw, state = np.random.default_rng(3), HopsState(scheme)
+            assert isinstance(state.status, np.ndarray)
+            for t in range(len(ys)):
+                chosen, state = hops_step(state, scores[t], ys[t], draw)
+                assert chosen == hedged[t]
 
 
 @needs_numba
