@@ -35,10 +35,10 @@ suite pins step-by-step replays to the whole-stream runs:
     counts, outcome sums and status buffer (each bin's hedging status
     code), which the state derives once at construction and each step
     advances by reclassifying the one bin it folds into;
-  - ``f99_distribution`` and ``HopsState.distribution`` call
-    ``kernels.f99_dist_row``, which classifies the row on every call, so
-    an ``F99State`` whose arrays were edited in place is still read
-    correctly.
+  - ``f99_distribution`` and ``HopsState.distribution`` classify the
+    row with ``kernels.status_of`` on every call, then pick the
+    distribution with ``kernels.hedge_select``, so an ``F99State`` whose
+    arrays were edited in place is still read correctly.
 
 Every entry point rejects an expert forecast or an outcome outside
 [0, 1], NaN included; outcomes need not be 0 or 1.
@@ -80,7 +80,7 @@ def _columns(expert_ps, ys):
     return expert_ps, ys
 
 
-@dataclass
+@dataclass(eq=False)
 class _Tallies:
     """Per-bin counts and outcome sums, zero unless given."""
 
@@ -179,8 +179,9 @@ def f99_distribution(state: F99State) -> HedgeDistribution:
     Exposed separately from the draw so outcome generators may condition on
     it (they must commit y before the draw resolves).
     """
-    scheme = state.scheme
-    lo, hi, plo = kernels.f99_dist_row(state.counts, state.outcome_sums, 0, scheme.epsilon, scheme.m)
+    scheme, counts, sums = state.scheme, state.counts, state.outcome_sums
+    status = kernels.status_of(counts, sums, scheme.epsilon, scheme.m)
+    lo, hi, plo = kernels.hedge_select(status, counts, sums, 0, scheme.epsilon, scheme.m)
     mid = scheme.midpoint  # 1-based bins
     if hi == lo:
         return HedgeDistribution(support=(mid(lo + 1),), probs=(1.0,))

@@ -5,7 +5,6 @@ Subcommands:
   theorems     the structural-guarantee check suite
   climatology  covariate-free hedging on a Bernoulli outcome stream
   dump-stream  write a generated stream to CSV (t, score, y, truth)
-  bench        time the hot kernels on both execution paths
 
 A config file (INI; sections [stream] and [run]) may supply any value;
 explicit command-line flags win over config-file values, which win over
@@ -144,17 +143,7 @@ def main(argv=None) -> int:
     _add_stream_flags(dm_p)
     dm_p.add_argument("--out", required=True, help="output CSV path")
 
-    be_p = sub.add_parser("bench", help="time kernels on both execution paths")
-    be_p.add_argument("--T", type=int, default=100_000)
-    be_p.add_argument("--repeats", type=int, default=3)
-
     args = ap.parse_args(argv)
-
-    if args.command == "bench":
-        from .bench import run_benchmark
-
-        run_benchmark(args.T, args.repeats)
-        return 0
 
     if args.command == "theorems":
         rows = run_theorem_suite(output_dir=args.out, quick=args.quick)

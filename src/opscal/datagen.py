@@ -379,26 +379,14 @@ def ingest_csv(
     ]
 
     parsed = []
-    n_dropped = 0
     for row in rows:
-        if len(row) != len(header):
-            n_dropped += 1
-            continue
         try:
-            vals = [float(row[i]) for i in range(len(header)) if i != label_i]
-            lab = float(row[label_i])
+            vals = [float(v) for v in row]
         except ValueError:
-            n_dropped += 1
             continue
-        full = [None] * len(header)
-        k = 0
-        for i in range(len(header)):
-            if i == label_i:
-                full[i] = lab
-            else:
-                full[i] = vals[k]
-                k += 1
-        parsed.append(full)
+        if len(vals) == len(header) and all(map(math.isfinite, vals)):
+            parsed.append(vals)
+    n_dropped = len(rows) - len(parsed)
     if not parsed:
         raise ValueError("no usable rows in CSV")
     data = np.asarray(parsed, dtype=float)

@@ -41,8 +41,9 @@ Step bodies, which the passes and the step APIs all call:
     that bin, the only one a step changes; ``hops_advance`` is one hedging
     step (select, draw with u, fold), which emits the drawn bin's
     midpoint (b + 0.5) * eps
-  - ``f99_dist_row`` and ``hops_step`` serve state that carries no status
-    buffer: they classify the row, then select or advance
+  - ``status_of`` builds the status buffer of flat state by classifying
+    every bin; a caller whose state carries no status buffer passes its
+    result to ``hedge_select`` or ``hops_advance``
 """
 
 from __future__ import annotations
@@ -252,20 +253,13 @@ def _cell_status(counts, sums, base, b, eps):
     return 3.0
 
 
-def _classify_row(counts, sums, status, base, eps, m):
-    # Write the status of each of the m bins of the row at base; returns
-    # status.
-    for b in range(m):
-        status[base + b] = cell_status(counts, sums, base, b, eps)
-    return status
-
-
 def _status_of(counts, sums, eps, m):
-    # A new status buffer for flat state of rows of m bins, every row
-    # classified.
+    # A new status buffer for flat state of rows of m bins, every bin of
+    # every row classified.
     status = _zeros(len(counts))
     for base in range(0, len(counts), m):
-        classify_row(counts, sums, status, base, eps, m)
+        for b in range(m):
+            status[base + b] = cell_status(counts, sums, base, b, eps)
     return status
 
 
@@ -308,20 +302,6 @@ def _hops_advance(counts, sums, status, r, y, u, eps, m):
     c = lo if u < plo else hi
     hedge_fold(counts, sums, status, base, c, y, eps)
     return (c + 0.5) * eps
-
-
-def _f99_dist_row(counts, sums, base, eps, m):
-    # hedge_select for state that carries no status: classifies the row
-    # first.
-    status = classify_row(counts, sums, _zeros(len(counts)), base, eps, m)
-    return hedge_select(status, counts, sums, base, eps, m)
-
-
-def _hops_step(counts, sums, r, y, u, eps, m):
-    # hops_advance for state that carries no status: classifies row r
-    # first.
-    status = classify_row(counts, sums, _zeros(len(counts)), r * m, eps, m)
-    return hops_advance(counts, sums, status, r, y, u, eps, m)
 
 
 def _hops_pass(expert, ys, us, eps, m):
@@ -407,13 +387,10 @@ ons_step_arrays = maybe_jit(_ons_step_arrays)
 bin_of = maybe_jit(_bin_of)
 bin_average = maybe_jit(_bin_average)
 cell_status = maybe_jit(_cell_status)
-classify_row = maybe_jit(_classify_row)
 status_of = maybe_jit(_status_of)
 hedge_select = maybe_jit(_hedge_select)
 hedge_fold = maybe_jit(_hedge_fold)
 hops_advance = maybe_jit(_hops_advance)
-f99_dist_row = maybe_jit(_f99_dist_row)
-hops_step = maybe_jit(_hops_step)
 
 # public whole-stream passes
 ons_pass = _entry(_ons_pass)

@@ -56,7 +56,7 @@ def initial_theta(dim: int) -> np.ndarray:
     raise ValueError("dim must be 2 or 3")
 
 
-@dataclass
+@dataclass(eq=False)
 class OnsState:
     """Parameters theta, curvature A = rho I + sum grad grad^T, and its
     inverse maintained by Sherman-Morrison (a cache, never authoritative)."""

@@ -674,6 +674,12 @@ def run_climatology(
     Writes the first replication's forecast trace and a trace plot.
     """
     scheme = BinningScheme(epsilon)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
     tails = []
     first = None
     for rep in range(replications):

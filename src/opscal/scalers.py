@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .core import CLIP_HI, CLIP_LO, log_loss, logit, sigmoid
+from .core import clip_score, log_loss, logit, sigmoid
 from .ons import OnsConfig, OnsState, initial_theta, ons_advance
 
 PARAM_RADIUS = 100.0
@@ -63,8 +63,9 @@ def platt_features(scores) -> np.ndarray:
 
 
 def beta_features(scores) -> np.ndarray:
-    """(log s, log(1-s), 1) rows over clipped scores."""
-    s = np.clip(np.atleast_1d(np.asarray(scores, dtype=float)), CLIP_LO, CLIP_HI)
+    """(log s, log(1-s), 1) rows; scores are checked and clipped by
+    clip_score."""
+    s = clip_score(np.atleast_1d(scores))
     return np.column_stack([np.log(s), np.log(1.0 - s), np.ones(len(s))])
 
 
@@ -76,9 +77,10 @@ def platt_apply(params, score):
 
 
 def beta_apply(params, score):
-    """sigmoid(a log(score) + b log(1-score) + c); b = -a recovers Platt."""
+    """sigmoid(a log(score) + b log(1-score) + c); b = -a recovers Platt.
+    The score is checked and clipped by clip_score."""
     p = _params_array(params, 3)
-    s = np.clip(np.asarray(score, dtype=float), CLIP_LO, CLIP_HI)
+    s = clip_score(score)
     out = sigmoid(p[0] * np.log(s) + p[1] * np.log(1.0 - s) + p[2])
     return float(out) if np.isscalar(score) else out
 

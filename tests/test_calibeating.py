@@ -164,8 +164,9 @@ class TestF99:
         st = F99State(scheme10())
         st.counts[:] = 1.0
         st.outcome_sums[:] = st.scheme.right_edges() + 0.5
+        status = kernels.status_of(st.counts, st.outcome_sums, 0.1, 10)
         with pytest.raises(CalibeatingInvariantError):
-            kernels.hops_step(st.counts, st.outcome_sums, 0, 1.0, 0.5, 0.1, 10)
+            kernels.hops_advance(st.counts, st.outcome_sums, status, 0, 1.0, 0.5, 0.1, 10)
 
     def test_forecast_consumes_one_uniform(self):
         st = F99State(scheme10())
@@ -461,3 +462,17 @@ class TestStepsLeaveStateUntouched:
             successor = step(state, p, y, rng)
             assert all(np.array_equal(a, b) for a, b in zip(_arrays(state), before))
             state = successor
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TrackingState(scheme10()),
+    lambda: F99State(scheme10()),
+    lambda: HopsState(scheme10()),
+    lambda: OnsState.init(OnsConfig.platt()),
+], ids=["TrackingState", "F99State", "HopsState", "OnsState"])
+def test_states_compare_by_identity(make):
+    # the states hold numpy arrays, so a field-wise == would ask an array
+    # for its truth value; they compare by identity instead
+    a, b = make(), make()
+    assert a == a and a != b
+    assert a in [b, a]

@@ -273,14 +273,14 @@ def write_csv(path, header, rows):
 
 
 class TestIngestCsv:
-    def _make(self, tmp_path, n=60, cluster=False, missing=0):
+    def _make(self, tmp_path, n=60, cluster=False, missing=0, bad=""):
         rng = np.random.default_rng(0)
         rows = []
         for i in range(n):
             sortv = (100.0 if i >= n // 2 else 0.0) if cluster else float(i * 5)
             rows.append([sortv, float(rng.normal()), int(rng.integers(0, 2))])
         for _ in range(missing):
-            rows.append([1.0, "", 1])
+            rows.append([1.0, bad, 1])
         path = tmp_path / "data.csv"
         write_csv(path, ["age", "feat", "label"], rows)
         return path
@@ -335,12 +335,15 @@ class TestIngestCsv:
             assert np.all(raw_rows[order][:n_a, 0] == 0.0)
 
     def test_missing_rows_dropped_and_counted(self):
+        # empty, non-numeric and non-finite cells all drop their row
         import tempfile, pathlib
 
-        with tempfile.TemporaryDirectory() as d:
-            path = self._make(pathlib.Path(d), missing=3)
-            s = build_scored_stream(self._spec(path))
-            assert s.n_dropped_rows == 3
+        for bad in ("", "x", "nan", "inf", "-inf"):
+            with tempfile.TemporaryDirectory() as d:
+                path = self._make(pathlib.Path(d), missing=3, bad=bad)
+                s = build_scored_stream(self._spec(path))
+                assert s.n_dropped_rows == 3
+                assert len(s.y) == 60 and np.all(np.isfinite(s.scores))
 
     def test_score_column_bypasses_training(self):
         import tempfile, pathlib

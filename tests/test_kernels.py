@@ -283,8 +283,6 @@ class TestHedgingOracle:
         counts, sums, base, eps, m = row
         if arrays:
             counts, sums = np.array(counts), np.array(sums)
-        same_outcome(lambda: kernels.f99_dist_row(counts, sums, base, eps, m),
-                     lambda: reference_f99_dist_row(counts, sums, base, eps, m))
         status = kernels.status_of(counts, sums, eps, m)
         same_outcome(lambda: kernels.hedge_select(status, counts, sums, base, eps, m),
                      lambda: reference_f99_dist_row(counts, sums, base, eps, m))
@@ -293,10 +291,11 @@ class TestHedgingOracle:
     @given(row=hedging_row("all_excess"))
     def test_all_excess_row_raises(self, row):
         counts, sums, base, eps, m = row
+        status = kernels.status_of(counts, sums, eps, m)
         with pytest.raises(CalibeatingInvariantError):
-            kernels.f99_dist_row(counts, sums, base, eps, m)
+            kernels.hedge_select(status, counts, sums, base, eps, m)
         with pytest.raises(CalibeatingInvariantError):
-            kernels.hops_step(counts, sums, base // m, 0.5, 0.5, eps, m)
+            kernels.hops_advance(counts, sums, status, base // m, 0.5, 0.5, eps, m)
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), eps=st.sampled_from(ACCEPTED_EPS), T=st.integers(1, 400),
@@ -426,15 +425,17 @@ class TestNumbaContainer:
     @settings(max_examples=100, deadline=None)
     @given(row=ROWS)
     def test_hedging_steps(self, row):
-        # f99_dist_row and hops_step classify into a _zeros buffer
+        # status_of classifies into a _zeros buffer
         counts, sums, base, eps, m = row
 
         def steps():
             c, s = np.array(counts), np.array(sums)
+            status = kernels.status_of(c, s, eps, m)
             try:
                 # bytes, so that NaN sums compare equal
-                return (kernels.f99_dist_row(c, s, base, eps, m),
-                        kernels.hops_step(c, s, base // m, 0.5, 0.25, eps, m), c.tobytes(), s.tobytes())
+                return (kernels.hedge_select(status, c, s, base, eps, m),
+                        kernels.hops_advance(c, s, status, base // m, 0.5, 0.25, eps, m),
+                        c.tobytes(), s.tobytes(), list(status))
             except CalibeatingInvariantError:
                 return "raised"
 

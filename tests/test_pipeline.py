@@ -356,6 +356,14 @@ class TestClimatologyRunner:
         # the very first covariate-free forecast is the lowest bin midpoint
         assert rep.forecasts[0] == pytest.approx(0.05)
 
+    @pytest.mark.parametrize("kwargs", [dict(p=1.5), dict(p=-0.1), dict(p=float("nan")),
+                                        dict(T=0), dict(replications=0)])
+    def test_bad_arguments_rejected_before_output(self, tmp_path, kwargs):
+        out = tmp_path / "clim"
+        with pytest.raises(ValueError):
+            run_climatology(**{"T": 50, "replications": 1, **kwargs, "output_dir": str(out)})
+        assert not out.exists()
+
 
 class TestDumpStream:
     def test_dump_columns(self, tmp_path):

@@ -484,3 +484,18 @@ class TestOnlineFamilies:
         p, state = online_scaler_step(OnsState.init(config), 0.3, 1.0, family)
         q, explicit_state = online_scaler_step(OnsState.init(config), 0.3, 1.0, family, config)
         assert p == q and np.array_equal(state.theta, explicit_state.theta)
+
+    @pytest.mark.parametrize("family", ["platt", "beta"])
+    @pytest.mark.parametrize("bad", [1.5, -0.2, math.nan])
+    def test_bad_scores_rejected(self, family, bad):
+        # both families check a score before clipping it
+        apply, params, config = ((platt_apply, (1.0, 0.0), OnsConfig.platt()) if family == "platt"
+                                 else (beta_apply, (1.0, 1.0, 0.0), OnsConfig.beta()))
+        scores = np.array([0.3, bad, 0.6])
+        for call in (lambda: apply(params, bad),
+                     lambda: apply(params, scores),
+                     lambda: family_features(family, [bad]),
+                     lambda: online_scaler_run(scores, np.ones(3), family),
+                     lambda: online_scaler_step(OnsState.init(config), bad, 1.0, family)):
+            with pytest.raises(ValueError, match="must lie in"):
+                call()
