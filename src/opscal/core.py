@@ -127,7 +127,7 @@ def bin_index(p, scheme: BinningScheme):
     return int(idx) if idx.ndim == 0 else idx
 
 
-@dataclass
+@dataclass(eq=False)
 class BinStats:
     """Per-bin aggregates: counts, outcome sums, forecast sums.
 
@@ -168,7 +168,7 @@ class BinStats:
         return out
 
 
-@dataclass
+@dataclass(eq=False)
 class ForecastTrace:
     """Aligned per-step record of one stream pass.
 

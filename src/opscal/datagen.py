@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CLIP_HI, CLIP_LO, sigmoid
+from .core import CLIP_HI, CLIP_LO, clip_score, sigmoid
 from .scalers import newton_logistic
 
 # substream purposes
@@ -85,6 +85,12 @@ class StreamSpec:
             raise ValueError(f"unknown stream kind {self.kind!r}")
         if self.kind == "csv" and (self.csv_path is None or self.label_column is None):
             raise ValueError("csv streams need csv_path and label_column")
+        if self.T_train < 0:
+            raise ValueError("T_train must be >= 0")
+        if self.T_cal < 0:
+            raise ValueError("T_cal must be >= 0")
+        if self.T_test < 1:
+            raise ValueError("T_test must be >= 1")
 
     @property
     def T_total(self) -> int:
@@ -102,7 +108,7 @@ def default_spec(kind: str, seed: int = 0, drift: bool = True) -> StreamSpec:
                           W=500, delta=delta)
     if kind == "adversarial":
         return StreamSpec(kind=kind, seed=seed, T_train=0, T_test=10000, T_cal=0, W=500)
-    raise ValueError("csv streams have no canonical spec; build one explicitly")
+    raise ValueError(f"no canonical spec for stream kind {kind!r} (build csv specs explicitly)")
 
 
 def sinusoidal_features(x) -> np.ndarray:
@@ -127,7 +133,7 @@ def _with_intercept(X: np.ndarray) -> np.ndarray:
     return np.column_stack([X, np.ones(len(X))])
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledStream:
     """Raw covariates, model features (with intercept), outcomes, truth."""
 
@@ -253,7 +259,7 @@ _GENERATORS = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class BaseModelWeights:
     """Logistic weights over the stream's featurization (intercept last)."""
 
@@ -291,7 +297,7 @@ def base_scores(model: BaseModelWeights, features) -> np.ndarray:
     return np.clip(sigmoid(np.asarray(features, dtype=float) @ model.w), CLIP_LO, CLIP_HI)
 
 
-@dataclass
+@dataclass(eq=False)
 class ScoredStream:
     """A stream with base scores attached; the pipeline's input.
 
@@ -356,9 +362,10 @@ def ingest_csv(
     With ``sortby_column`` the data is ordered by that column plus i.i.d.
     uniform {-1, 0, 1} noise (stable sort - induced covariate drift);
     otherwise rows are shuffled uniformly (the i.i.d. protocol). Base
-    scores come from ``score_column`` when given, else from a logistic
-    model trained on the first T_train rows. Rows with missing or
-    non-numeric values are dropped and counted.
+    scores come from ``score_column`` when given (it must lie in [0, 1];
+    ``core.clip_score`` raises otherwise), else from a logistic model
+    trained on the first T_train rows. Rows with missing or non-numeric
+    values are dropped and counted.
     """
     path = str(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -414,7 +421,7 @@ def ingest_csv(
     spec = replace(spec, T_test=T_total - spec.T_train)
     y = data[:, label_i]
     if score_i is not None:
-        scores = np.clip(data[:, score_i], CLIP_LO, CLIP_HI)
+        scores = clip_score(data[:, score_i])
         model = None
     else:
         feats = _with_intercept(data[:, feature_is])

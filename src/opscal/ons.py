@@ -137,7 +137,7 @@ def project_ellipsoid(A, theta_tilde, radius: float) -> np.ndarray:
     return kernels.project_anorm(np.ascontiguousarray(A), np.ascontiguousarray(theta_tilde), float(radius))
 
 
-@dataclass
+@dataclass(eq=False)
 class RegretReport:
     method_loss: float
     oracle_loss: float

@@ -262,7 +262,7 @@ def _pipeline_worker(args):
     return rep, out, final, diag
 
 
-@dataclass
+@dataclass(eq=False)
 class RunReport:
     config: ExperimentConfig
     timestamps: np.ndarray
@@ -653,7 +653,7 @@ def run_theorem_suite(output_dir: str | None = None, quick: bool = False) -> lis
     return rows
 
 
-@dataclass
+@dataclass(eq=False)
 class ClimatologyReport:
     forecasts: np.ndarray
     outcomes: np.ndarray

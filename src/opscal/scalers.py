@@ -195,7 +195,7 @@ def fit_beta_batch(scores, ys) -> BetaParams:
     return BetaParams(float(w[0]), float(w[1]), float(w[2]))
 
 
-@dataclass
+@dataclass(eq=False)
 class HistogramBinningModel:
     """Uniform-mass score bins; each prediction is a stored bin mean."""
 

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import opscal.cli
 from opscal.cli import main
 
 
@@ -24,14 +26,16 @@ class TestRunCommand:
         assert (out / "TOPS_ce.csv").exists()
         assert (out / "ce.svg").exists()
 
-    def test_bad_eps_fails_before_any_replication(self, tmp_path, monkeypatch):
+    def test_bad_eps_fails_before_any_replication(self, tmp_path, monkeypatch, capsys):
         import opscal.pipeline
 
         calls = []
         monkeypatch.setattr(opscal.pipeline, "run_replication", lambda *a: calls.append(a))
-        with pytest.raises(ValueError, match="last bin midpoint"):
+        with pytest.raises(SystemExit) as exc:
             main(["run", "--stream", "covmulti", "--reps", "1", "--methods", "OPS,TOPS,HOPS",
                   "--eps", "0.3", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "last bin midpoint" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "out").exists()
 
@@ -102,10 +106,12 @@ class TestOtherCommands:
         assert "last 1000 forecasts" in capsys.readouterr().out
         assert (tmp_path / "climatology_trace.csv").exists()
 
-    def test_climatology_bad_eps_fails_before_output(self, tmp_path):
-        with pytest.raises(ValueError, match="last bin midpoint"):
+    def test_climatology_bad_eps_fails_before_output(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["climatology", "--eps", "0.3", "--T", "500", "--reps", "1",
                   "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "last bin midpoint" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_module_entrypoint(self):
@@ -115,3 +121,79 @@ class TestOtherCommands:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["climatology", "--reps", "0"], "replications must be >= 1"),
+    (["run", "--stream", "labelmulti", "--tcal", "-5"], "T_cal must be >= 0"),
+    (["run", "--stream", "labelmulti", "--ttrain", "-500"], "T_train must be >= 0"),
+    (["run", "--stream", "cov1d", "--ttest", "0"], "T_test must be >= 1"),
+    (["dump-stream", "--stream", "cov1d", "--ttest", "0"], "T_test must be >= 1"),
+    (["run", "--stream", "nope"], "no canonical spec for stream kind 'nope'"),
+    (["run", "--config", "missing.ini"], "No such file"),
+])
+def test_rejected_arguments_are_usage_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"opscal {argv[0]}: error: " in err and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+CSV_BASE = ["--csv", "data.csv", "--label", "label"]
+
+
+@pytest.mark.parametrize("section, key, value, flag, base", [
+    ("stream", "kind", "covmulti", ["--stream", "covmulti"], []),
+    ("stream", "csv", "data.csv", ["--csv", "data.csv"], ["--label", "label"]),
+    ("stream", "label", "label", ["--label", "label"], ["--csv", "data.csv"]),
+    ("stream", "sortby", "age", ["--sortby", "age"], CSV_BASE),
+    ("stream", "score", "score", ["--score", "score"], CSV_BASE),
+    ("stream", "seed", "7", ["--seed", "7"], ["--stream", "labelmulti"]),
+    ("stream", "t_train", "300", ["--ttrain", "300"], ["--stream", "labelmulti"]),
+    ("stream", "t_cal", "200", ["--tcal", "200"], ["--stream", "labelmulti"]),
+    ("stream", "window", "150", ["--window", "150"], ["--stream", "labelmulti"]),
+    ("stream", "t_test", "1200", ["--ttest", "1200"], ["--stream", "labelmulti"]),
+    ("stream", "delta", "0.0001", ["--delta", "0.0001"], ["--stream", "labelmulti"]),
+    ("stream", "drift", "no", ["--no-drift"], ["--stream", "labelmulti"]),
+    ("run", "methods", "BM,OPS", ["--methods", "BM,OPS"], ["--stream", "labelmulti"]),
+    ("run", "eps", "0.2", ["--eps", "0.2"], ["--stream", "labelmulti"]),
+    ("run", "reps", "3", ["--reps", "3"], ["--stream", "labelmulti"]),
+    ("run", "eval_stride", "300", ["--eval-stride", "300"], ["--stream", "labelmulti"]),
+    ("run", "workers", "2", ["--workers", "2"], ["--stream", "labelmulti"]),
+    ("run", "out", "o", ["--out", "o"], ["--stream", "labelmulti"]),
+])
+def test_config_key_matches_its_flag(tmp_path, monkeypatch, section, key, value, flag, base):
+    configs = []
+
+    def capture(config):
+        configs.append(config)
+        return SimpleNamespace(ce_mean={}, shp_mean={}, diagnostics={}, files=[])
+
+    monkeypatch.setattr(opscal.cli, "run_pipeline", capture)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    assert main(["run", "--config", str(cfg)] + base) == 0
+    assert main(["run"] + base + flag) == 0
+    from_file, from_flag = configs
+    assert from_file == from_flag
+    if base[:1] == ["--stream"]:  # complete without the key, so the key must matter
+        assert main(["run"] + base) == 0
+        assert configs[-1] != from_flag
+
+
+@pytest.mark.parametrize("line, message", [
+    ("reps = two", "argument --reps: invalid int value: 'two'"),
+    ("rep = 4", "unknown keys in"),
+])
+def test_bad_config_value_is_a_usage_error(tmp_path, capsys, line, message):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[stream]\nkind = covmulti\n[run]\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"opscal run: error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

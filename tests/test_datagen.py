@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,6 +265,11 @@ class TestScoredStreams:
         s = default_spec("covmulti")
         assert s.T_cal == 1000 and s.W == 500 and s.T_test == 5000
 
+    @pytest.mark.parametrize("field, bad", [("T_train", -1), ("T_cal", -5), ("T_test", 0)])
+    def test_bad_sizes_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            replace(default_spec("labelmulti"), **{field: bad})
+
 
 def write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
@@ -358,6 +364,22 @@ class TestIngestCsv:
             s = build_scored_stream(spec)
             assert s.base is None
             assert np.all((s.scores >= CLIP_LO) & (s.scores <= CLIP_HI))
+
+    def test_score_column_checked_then_clipped(self, tmp_path):
+        rng = np.random.default_rng(2)
+        raw = np.concatenate([[0.0, 1.0, 0.005, 0.995], rng.random(46)])
+        labels = rng.integers(0, 2, size=len(raw))
+        spec = StreamSpec(kind="csv", seed=0, csv_path="scored.csv", label_column="label",
+                          score_column="score", T_train=5, T_cal=5, W=5)
+        path = tmp_path / "scored.csv"
+        write_csv(path, ["score", "label"], [[s, int(y)] for s, y in zip(raw, labels)])
+        s = ingest_csv(path, "label", score_column="score", spec=spec)
+        assert np.array_equal(np.sort(s.scores), np.sort(np.clip(raw, CLIP_LO, CLIP_HI)))
+        for bad in (1.5, -0.2):
+            write_csv(path, ["score", "label"],
+                      [[bad if i == 7 else s, int(y)] for i, (s, y) in enumerate(zip(raw, labels))])
+            with pytest.raises(ValueError, match=r"scores must lie in \[0, 1\]"):
+                ingest_csv(path, "label", score_column="score", spec=spec)
 
     def test_error_paths(self):
         import tempfile, pathlib

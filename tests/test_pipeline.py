@@ -6,9 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opscal.datagen import StreamSpec, default_spec
+from opscal.core import BinningScheme, BinStats, ForecastTrace
+from opscal.datagen import (
+    BaseModelWeights,
+    LabeledStream,
+    ScoredStream,
+    StreamSpec,
+    default_spec,
+)
+from opscal.ons import RegretReport
 from opscal.pipeline import (
+    ClimatologyReport,
     ExperimentConfig,
+    RunReport,
     check_climatology,
     dump_stream,
     eval_timestamps,
@@ -18,6 +28,7 @@ from opscal.pipeline import (
     run_theorem_suite,
     run_truth_windows,
 )
+from opscal.scalers import HistogramBinningModel
 
 
 def small_spec(kind="labelmulti", **kw):
@@ -382,3 +393,23 @@ class TestDumpStream:
     def test_adversarial_dump_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="adversar"):
             dump_stream(default_spec("adversarial"), str(tmp_path / "x.csv"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BinStats.from_arrays(np.array([0.2]), np.array([1.0]), BinningScheme(0.1)),
+    lambda: ForecastTrace(y=np.zeros(2), forecasts={"BM": np.zeros(2)}),
+    lambda: RegretReport(1.0, 1.0, 0.0, np.zeros(2)),
+    lambda: ClimatologyReport(np.zeros(2), np.zeros(2), [0.5]),
+    lambda: RunReport(quick_config(), np.arange(2), {}, {}, {}, {}),
+    lambda: HistogramBinningModel(np.linspace(0.0, 1.0, 3), np.array([0.2, 0.8])),
+    lambda: BaseModelWeights(np.zeros(2), True, 1),
+    lambda: LabeledStream(np.zeros(2), np.zeros((2, 1)), np.zeros(2), None),
+    lambda: ScoredStream(small_spec(), np.full(2, 0.5), np.zeros(2), None, None),
+], ids=["BinStats", "ForecastTrace", "RegretReport", "ClimatologyReport", "RunReport",
+        "HistogramBinningModel", "BaseModelWeights", "LabeledStream", "ScoredStream"])
+def test_result_records_compare_by_identity(make):
+    # the records hold numpy arrays, so a field-wise == would ask an array
+    # for its truth value; they compare by identity instead
+    a, b = make(), make()
+    assert a == a and a != b
+    assert a in [b, a]
