@@ -29,10 +29,6 @@ from .pipeline import (
     run_theorem_suite,
 )
 
-DEFAULT_METHODS_CAL = "BM,FPS,WPS,OPS,TOPS,HOPS"
-DEFAULT_METHODS_NOCAL = "BM,OPS,TOPS,HOPS"
-
-
 def _read_config(path, keys) -> dict:
     """The file's [stream] and [run] values, keyed by flag destination;
     a key outside ``keys`` raises ValueError."""
@@ -94,7 +90,8 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run the online-calibration pipeline")
     _add_stream_flags(run_p)
-    run_p.add_argument("--methods", help=f"comma list, e.g. {DEFAULT_METHODS_CAL}")
+    run_p.add_argument("--methods", type=lambda v: tuple(m.strip() for m in v.split(",") if m.strip()),
+                       help="comma list, e.g. BM,FPS,WPS,OPS,TOPS,HOPS (default by stream kind)")
     run_p.add_argument("--eps", type=float, help="bin width (default 0.1)")
     run_p.add_argument("--reps", type=int, help="replications (default 100)")
     run_p.add_argument("--eval-stride", type=int, help="snapshot spacing (default 250)")
@@ -153,14 +150,11 @@ def main(argv=None) -> int:
     try:
         spec = _build_spec(args)
         if args.command == "run":
-            default_methods = DEFAULT_METHODS_CAL if spec.T_cal >= 1 else DEFAULT_METHODS_NOCAL
-            methods = args.methods if args.methods is not None else default_methods
             config = ExperimentConfig(
                 stream=spec,
-                methods=tuple(m.strip() for m in methods.split(",") if m.strip()),
                 master_seed=spec.seed,
-                **_given(args, epsilon="eps", replications="reps", eval_stride="eval_stride",
-                         workers="workers", output_dir="out"),
+                **_given(args, methods="methods", epsilon="eps", replications="reps",
+                         eval_stride="eval_stride", workers="workers", output_dir="out"),
             )
     except ValueError as exc:
         cmd_p.error(str(exc))

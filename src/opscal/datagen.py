@@ -19,6 +19,8 @@ Kinds:
   adversarial i.i.d. uniform scores; outcomes are produced by the
              forecast adversary at run time
 
+Each synthetic kind is one row of ``_SYNTH`` (sampler, base-model
+featurization, canonical drift rate), and ``generate`` draws any of them.
 Synthetic kinds carry the exact conditional probability Pr(Y=1 | X=x_t)
 ("truth") for the truth-referenced metrics. The base model is a logistic
 regression trained on the first T_train points; its scores are clipped to
@@ -30,6 +32,7 @@ from __future__ import annotations
 import csv as _csv
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,17 +44,6 @@ P_STREAM = 0
 P_HEDGE = 1
 P_SHUFFLE = 2
 P_HEDGE_BETA = 3
-
-SYNTH_KINDS = ("cov1d", "label1d", "reg1d", "covmulti", "labelmulti")
-ALL_KINDS = SYNTH_KINDS + ("csv", "adversarial")
-
-# canonical drift parameters: 180-degree rotation over the full index for
-# covmulti, final class prior 0.9 for labelmulti
-CANONICAL_DELTA = {
-    "covmulti": math.pi / 6000.0,
-    "labelmulti": 0.4 / 6000.0,
-}
-
 
 def substream(seed: int, *keys: int) -> np.random.Generator:
     """Independent generator for (seed, keys...) - order-free and stable."""
@@ -81,7 +73,7 @@ class StreamSpec:
     score_column: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
+        if self.kind not in _SYNTH and self.kind not in ("csv", "adversarial"):
             raise ValueError(f"unknown stream kind {self.kind!r}")
         if self.kind == "csv" and (self.csv_path is None or self.label_column is None):
             raise ValueError("csv streams need csv_path and label_column")
@@ -91,6 +83,8 @@ class StreamSpec:
             raise ValueError("T_cal must be >= 0")
         if self.T_test < 1:
             raise ValueError("T_test must be >= 1")
+        if not math.isfinite(self.delta):
+            raise ValueError("delta must be finite")
 
     @property
     def T_total(self) -> int:
@@ -100,15 +94,13 @@ class StreamSpec:
 def default_spec(kind: str, seed: int = 0, drift: bool = True) -> StreamSpec:
     """Canonical sizes per kind; drift=False selects the i.i.d. variant of
     the multivariate kinds (delta = 0)."""
-    if kind in ("cov1d", "label1d", "reg1d"):
-        return StreamSpec(kind=kind, seed=seed, T_train=1000, T_test=5000, T_cal=0, W=500)
-    if kind in ("covmulti", "labelmulti"):
-        delta = CANONICAL_DELTA[kind] if drift else 0.0
-        return StreamSpec(kind=kind, seed=seed, T_train=1000, T_test=5000, T_cal=1000,
-                          W=500, delta=delta)
     if kind == "adversarial":
         return StreamSpec(kind=kind, seed=seed, T_train=0, T_test=10000, T_cal=0, W=500)
-    raise ValueError(f"no canonical spec for stream kind {kind!r} (build csv specs explicitly)")
+    if kind not in _SYNTH:
+        raise ValueError(f"no canonical spec for stream kind {kind!r} (build csv specs explicitly)")
+    delta = _SYNTH[kind].delta
+    return StreamSpec(kind=kind, seed=seed, T_train=1000, T_test=5000, W=500,
+                      T_cal=0 if delta is None else 1000, delta=(delta or 0.0) if drift else 0.0)
 
 
 def sinusoidal_features(x) -> np.ndarray:
@@ -220,43 +212,30 @@ def labelmulti_at(t, delta: float, rng: np.random.Generator):
     return x, y, truth
 
 
-def gen_cov1d(spec: StreamSpec) -> LabeledStream:
-    rng = substream(spec.seed, P_STREAM)
-    x, y, truth = cov1d_at(np.arange(1, spec.T_total + 1), rng)
-    return LabeledStream(x=x, features=sinusoidal_features(x), y=y, truth=truth)
+class _Synth(NamedTuple):  # one synthetic kind: how its stream is drawn and featurized
+    sample: Callable  # (t, [delta,] rng) -> (x, y, truth) at time indices t
+    features: Callable  # x -> base-model feature rows, intercept last
+    delta: float | None  # canonical drift rate; None: the sampler takes none
 
 
-def gen_label1d(spec: StreamSpec) -> LabeledStream:
-    rng = substream(spec.seed, P_STREAM)
-    x, y, truth = label1d_at(np.arange(1, spec.T_total + 1), rng)
-    return LabeledStream(x=x, features=_with_intercept(x.reshape(-1, 1)), y=y, truth=truth)
-
-
-def gen_reg1d(spec: StreamSpec) -> LabeledStream:
-    rng = substream(spec.seed, P_STREAM)
-    x, y, truth = reg1d_at(np.arange(1, spec.T_total + 1), rng)
-    return LabeledStream(x=x, features=sinusoidal_features(x), y=y, truth=truth)
-
-
-def gen_covmulti(spec: StreamSpec) -> LabeledStream:
-    rng = substream(spec.seed, P_STREAM)
-    x, y, truth = covmulti_at(np.arange(1, spec.T_total + 1), spec.delta, rng)
-    return LabeledStream(x=x, features=_with_intercept(x), y=y, truth=truth)
-
-
-def gen_labelmulti(spec: StreamSpec) -> LabeledStream:
-    rng = substream(spec.seed, P_STREAM)
-    x, y, truth = labelmulti_at(np.arange(1, spec.T_total + 1), spec.delta, rng)
-    return LabeledStream(x=x, features=_with_intercept(x), y=y, truth=truth)
-
-
-_GENERATORS = {
-    "cov1d": gen_cov1d,
-    "label1d": gen_label1d,
-    "reg1d": gen_reg1d,
-    "covmulti": gen_covmulti,
-    "labelmulti": gen_labelmulti,
+_SYNTH = {
+    "cov1d": _Synth(cov1d_at, sinusoidal_features, None),
+    "label1d": _Synth(label1d_at, _with_intercept, None),
+    "reg1d": _Synth(reg1d_at, sinusoidal_features, None),
+    # a 180-degree rotation over the full index
+    "covmulti": _Synth(covmulti_at, _with_intercept, math.pi / 6000.0),
+    # a final class prior of 0.9
+    "labelmulti": _Synth(labelmulti_at, _with_intercept, 0.4 / 6000.0),
 }
+
+
+def generate(spec: StreamSpec) -> LabeledStream:
+    """Draw a synthetic stream at t = 1 .. T_total from substream
+    (seed, P_STREAM); the multivariate kinds drift at ``spec.delta``."""
+    row = _SYNTH[spec.kind]
+    drift = () if row.delta is None else (spec.delta,)
+    x, y, truth = row.sample(np.arange(1, spec.T_total + 1), *drift, substream(spec.seed, P_STREAM))
+    return LabeledStream(x=x, features=row.features(x), y=y, truth=truth)
 
 
 @dataclass(eq=False)
@@ -342,7 +321,7 @@ def build_scored_stream(spec: StreamSpec) -> ScoredStream:
             seed=spec.seed,
             spec=spec,
         )
-    stream = _GENERATORS[spec.kind](spec)
+    stream = generate(spec)
     model = train_base_logistic(stream.features[: spec.T_train], stream.y[: spec.T_train],
                                 ridge=BASE_MODEL_RIDGE)
     scores = base_scores(model, stream.features)

@@ -15,6 +15,7 @@ execution replay identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,8 @@ class OnsConfig:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 (Platt) or 3 (beta)")
-        if min(self.gamma, self.rho, self.radius) <= 0:
-            raise ValueError("gamma, rho, radius must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.gamma, self.rho, self.radius)):
+            raise ValueError("gamma, rho, radius must be finite and positive")
 
     @classmethod
     def platt(cls) -> "OnsConfig":
@@ -48,12 +49,9 @@ class OnsConfig:
 
 
 def initial_theta(dim: int) -> np.ndarray:
-    """(1, 0) for the 2-d Platt family, (1, 1, 0) for the 3-d beta family."""
-    if dim == 2:
-        return np.array([1.0, 0.0])
-    if dim == 3:
-        return np.array([1.0, 1.0, 0.0])
-    raise ValueError("dim must be 2 or 3")
+    """Unit weights and a zero bias: (1, 0) for the 2-d Platt family, (1, 1, 0)
+    for the 3-d beta family."""
+    return np.append(np.ones(dim - 1), 0.0)
 
 
 @dataclass(eq=False)
@@ -149,10 +147,10 @@ def regret(trace: ForecastTrace, oracle_params, method: str | None = None) -> Re
     """Cumulative log-loss of a method column minus the loss of the fixed
     comparator ``oracle_params`` applied to the base scores.
 
-    The comparator family is inferred from the parameter length
-    (2 -> Platt, 3 -> beta); ``method`` defaults to the only column.
+    The comparator family is the one whose feature width is the parameter
+    length (2 -> Platt, 3 -> beta); ``method`` defaults to the only column.
     """
-    from .scalers import beta_apply, platt_apply  # local import to avoid cycle
+    from .scalers import _FAMILIES  # local import to avoid cycle
 
     if len(trace) == 0:
         raise ValueError("empty trace")
@@ -163,12 +161,10 @@ def regret(trace: ForecastTrace, oracle_params, method: str | None = None) -> Re
             raise ValueError("method must be named when the trace has several columns")
         method = next(iter(trace.forecasts))
     params = np.asarray(oracle_params, dtype=float)
-    if params.shape == (2,):
-        oracle_fc = platt_apply(params, trace.score)
-    elif params.shape == (3,):
-        oracle_fc = beta_apply(params, trace.score)
-    else:
+    apply = next((f.apply for f in _FAMILIES.values() if params.shape == (f.config.dim,)), None)
+    if apply is None:
         raise ValueError("oracle_params must have length 2 or 3")
+    oracle_fc = apply(params, trace.score)
     method_loss = float(np.sum(log_loss(trace.forecasts[method], trace.y)))
     oracle_loss = float(np.sum(log_loss(oracle_fc, trace.y)))
     return RegretReport(

@@ -71,25 +71,23 @@ from .scalers import (
     windowed_run,
 )
 
-METHODS = ("BM", "FPS", "WPS", "OPS", "TOPS", "HOPS",
-           "FBS", "WBS", "OBS", "TOBS", "HOBS", "WHB", "TWHB")
-
-_PC = OnsConfig.platt()
-
 # The paper's recipe over its two scaler families: each row names the
-# family, its online, fixed, windowed, tracked and hedged methods, and the
+# family, its fixed, windowed, online, tracked and hedged methods, and the
 # substream purpose of its hedging uniforms.
 _FAMILIES = (
-    ("platt", ("OPS", "FPS", "WPS", "TOPS", "HOPS"), P_HEDGE),
-    ("beta", ("OBS", "FBS", "WBS", "TOBS", "HOBS"), P_HEDGE_BETA),
+    ("platt", ("FPS", "WPS", "OPS", "TOPS", "HOPS"), P_HEDGE),
+    ("beta", ("FBS", "WBS", "OBS", "TOBS", "HOBS"), P_HEDGE_BETA),
 )
-_NEEDS_CAL_FIT = {"FPS", "WPS", "FBS", "WBS", "WHB", "TWHB"}
+METHODS = ("BM", *(m for _, names, _ in _FAMILIES for m in names), "WHB", "TWHB")
+# the methods that start from a batch fit on the calibration prefix
+_NEEDS_CAL_FIT = tuple(m for _, (fixed, windowed, *_), _ in _FAMILIES
+                       for m in (fixed, windowed)) + ("WHB", "TWHB")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     stream: StreamSpec
-    methods: tuple = ("BM", "FPS", "WPS", "OPS", "TOPS", "HOPS")
+    methods: tuple | None = None  # None: the stream's default, set below
     epsilon: float = 0.1
     replications: int = 100
     master_seed: int = 0
@@ -98,6 +96,11 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.methods is None:  # FPS and WPS need a calibration prefix
+            default = (("OPS", "HOPS") if self.stream.kind == "adversarial"
+                       else ("BM", "FPS", "WPS", "OPS", "TOPS", "HOPS") if self.stream.T_cal >= 1
+                       else ("BM", "OPS", "TOPS", "HOPS"))
+            object.__setattr__(self, "methods", default)
         if not self.methods:
             raise ValueError("methods must be nonempty")
         bad = [m for m in self.methods if m not in METHODS]
@@ -121,8 +124,8 @@ class ExperimentConfig:
                 )
             if self.stream.T_cal != 0:
                 raise ValueError("adversarial streams have no calibration prefix (T_cal must be 0)")
-        elif self.stream.T_cal < 1 and (set(self.methods) & _NEEDS_CAL_FIT):
-            raise ValueError("FPS/WPS/FBS/WBS/WHB/TWHB need a calibration prefix (T_cal >= 1)")
+        elif self.stream.T_cal < 1 and (set(self.methods) & set(_NEEDS_CAL_FIT)):
+            raise ValueError(f"{'/'.join(_NEEDS_CAL_FIT)} need a calibration prefix (T_cal >= 1)")
 
 
 def eval_timestamps(T: int, t_cal: int, window: int, stride: int) -> np.ndarray:
@@ -159,7 +162,7 @@ def run_replication(spec: StreamSpec, methods, epsilon: float):
     if "BM" in want:
         cols["BM"] = ts[t_cal:]
 
-    for family, (online, fixed, windowed, tracked, hedged), hedge_key in _FAMILIES:
+    for family, (fixed, windowed, online, tracked, hedged), hedge_key in _FAMILIES:
         fit, apply = _batch_fns(family)
         if want & {online, tracked, hedged}:
             full, _ = online_scaler_run(ts, ty, family)
@@ -229,7 +232,8 @@ def _adversarial_run(spec: StreamSpec, scheme: BinningScheme, hedged: bool):
     """The online Platt scaler against the outcome adversary, with or
     without hedging. Returns (ops, hops, ys); hops is None unhedged."""
     feats = platt_features(build_scored_stream(spec).scores)
-    ons = (_PC.gamma, _PC.rho, _PC.radius, initial_theta(2))
+    pc = OnsConfig.platt()
+    ons = (pc.gamma, pc.rho, pc.radius, initial_theta(pc.dim))
     if hedged:
         us = substream(spec.seed, P_HEDGE).random(len(feats))
         return kernels.hops_adversarial_pass(feats, us, scheme.epsilon, scheme.m, *ons)
@@ -257,8 +261,7 @@ def _pipeline_worker(args):
         out[name] = _metric_series(col, ys, timestamps, rep_spec.T_cal, scheme)
     final = {}
     for name, col in cols.items():
-        rep_m = metric_report(col, ys, scheme, truth=truth)
-        final[name] = rep_m
+        final[name] = metric_report(col, ys, scheme, truth=truth)
     return rep, out, final, diag
 
 
@@ -277,6 +280,8 @@ class RunReport:
 
 def run_pipeline(config: ExperimentConfig) -> RunReport:
     """Run all replications, aggregate CE/SHP series, write outputs."""
+    if config.stream.kind == "csv":  # the test length is the file's, known once ingested
+        config = replace(config, stream=build_scored_stream(config.stream).spec)
     spec = config.stream
     T = spec.T_test
     timestamps = eval_timestamps(T, spec.T_cal, spec.W, config.eval_stride)
@@ -323,16 +328,15 @@ def run_pipeline(config: ExperimentConfig) -> RunReport:
 
 def _aggregate_diagnostics(diags):
     out = {}
-    for key in ("OPS_regret", "OBS_regret"):
+    for _, (_, _, online, *_), _ in _FAMILIES:
+        key = online + "_regret"
         vals = [d[key] for d in diags if key in d]
         if vals:
             bounds = [d[key + "_bound"] for d in diags if key + "_bound" in d]
             out[key + "_mean"] = float(np.mean(vals))
             out[key + "_max"] = float(np.max(vals))
             out[key + "_bound_min"] = float(np.min(bounds))
-            out[key + "_bound_satisfied"] = bool(
-                all(v <= b for v, b in zip(vals, bounds))
-            )
+            out[key + "_bound_satisfied"] = all(v <= b for v, b in zip(vals, bounds))
     if diags and "csv_dropped_rows" in diags[0]:
         out["csv_dropped_rows"] = int(diags[0]["csv_dropped_rows"])
     return out
@@ -414,7 +418,7 @@ def run_truth_windows(kind: str, seeds, windows_global, methods=("BM", "OPS"), d
         cols = {}
         if "BM" in methods:
             cols["BM"] = (stream.scores, 0)  # defined from global t = 1
-        for family, (online, *_), _ in _FAMILIES:
+        for family, (_, _, online, *_), _ in _FAMILIES:
             if online in methods:
                 probs, _ = online_scaler_run(stream.test_scores(), stream.test_y(), family)
                 cols[online] = (probs, t_train)

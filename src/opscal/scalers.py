@@ -1,9 +1,12 @@
 """Post-hoc mapping families and their fixed / windowed / online learners.
 
-Three families share one damped-Newton logistic core:
+Two logistic families share one damped-Newton core:
   - Platt: sigmoid(a logit(s) + b), features (logit s, 1)
   - beta:  sigmoid(a log s + b log(1-s) + c), features (log s, log(1-s), 1)
-  - histogram binning: uniform-mass bins with bin-mean predictions
+Each is one row of ``_FAMILIES`` (features, parameter record, default
+online-Newton config, apply), and the batch fit, the online learner and the
+regret comparator all read that row. Histogram binning (uniform-mass bins
+with bin-mean predictions) joins them only as a windowed learner.
 
 Batch fits minimize the summed log-loss over the radius-100 parameter ball
 (the same feasible set the online Newton learner projects onto, so batch
@@ -16,7 +19,8 @@ one Newton step per observation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,30 +31,28 @@ from .ons import OnsConfig, OnsState, initial_theta, ons_advance
 PARAM_RADIUS = 100.0
 
 
+class _Params:
+    """A batch fit's parameters, weights first and the bias last."""
+
+    def as_array(self) -> np.ndarray:
+        return np.array(astuple(self))
+
+
 @dataclass(frozen=True)
-class PlattParams:
+class PlattParams(_Params):
     a: float
     b: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b])
-
 
 @dataclass(frozen=True)
-class BetaParams:
+class BetaParams(_Params):
     a: float
     b: float
     c: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c])
-
 
 def _params_array(params, n: int) -> np.ndarray:
-    if isinstance(params, (PlattParams, BetaParams)):
-        arr = params.as_array()
-    else:
-        arr = np.asarray(params, dtype=float)
+    arr = params.as_array() if isinstance(params, _Params) else np.asarray(params, dtype=float)
     if arr.shape != (n,):
         raise ValueError(f"expected {n} parameters, got shape {arr.shape}")
     return arr
@@ -83,6 +85,19 @@ def beta_apply(params, score):
     s = clip_score(score)
     out = sigmoid(p[0] * np.log(s) + p[1] * np.log(1.0 - s) + p[2])
     return float(out) if np.isscalar(score) else out
+
+
+class _Family(NamedTuple):  # one mapping family, read by every learner
+    features: Callable  # scores -> feature rows, bias column last
+    params: type  # the batch fit's parameter record
+    config: OnsConfig  # default online-Newton config; dim is the feature width
+    apply: Callable  # (params, score) -> forecast
+
+
+_FAMILIES = {
+    "platt": _Family(platt_features, PlattParams, OnsConfig.platt(), platt_apply),
+    "beta": _Family(beta_features, BetaParams, OnsConfig.beta(), beta_apply),
+}
 
 
 def _renorm_to_ball(theta: np.ndarray, radius: float | None) -> np.ndarray:
@@ -173,26 +188,25 @@ def newton_logistic(
     return w, converged, it
 
 
-def fit_platt_batch(scores, ys) -> PlattParams:
-    """Exact logistic regression over (logit score, 1) within the 100-ball."""
-    scores = np.asarray(scores, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+def _fit_batch(family: str, scores, ys):
+    """Exact logistic regression over the family's features within the
+    PARAM_RADIUS ball, started from ``initial_theta``."""
+    row = _FAMILIES[family]
     if len(scores) == 0:
         raise ValueError("empty data")
-    X = platt_features(scores)
-    w, _, _ = newton_logistic(X, ys, init=np.array([1.0, 0.0]), radius=PARAM_RADIUS)
-    return PlattParams(float(w[0]), float(w[1]))
+    w, _, _ = newton_logistic(row.features(scores), ys, init=initial_theta(row.config.dim),
+                              radius=PARAM_RADIUS)
+    return row.params(*map(float, w))
+
+
+def fit_platt_batch(scores, ys) -> PlattParams:
+    """Exact logistic regression over (logit score, 1) within the 100-ball."""
+    return _fit_batch("platt", scores, ys)
 
 
 def fit_beta_batch(scores, ys) -> BetaParams:
     """Three-parameter analogue of fit_platt_batch."""
-    scores = np.asarray(scores, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if len(scores) == 0:
-        raise ValueError("empty data")
-    X = beta_features(scores)
-    w, _, _ = newton_logistic(X, ys, init=np.array([1.0, 1.0, 0.0]), radius=PARAM_RADIUS)
-    return BetaParams(float(w[0]), float(w[1]), float(w[2]))
+    return _fit_batch("beta", scores, ys)
 
 
 @dataclass(eq=False)
@@ -249,24 +263,16 @@ class WindowedLearner:
     refit_steps: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.family not in ("platt", "beta", "hb"):
+        if self.family not in _WINDOWED:
             raise ValueError("family must be platt, beta, or hb")
         if self.window < 1:
             raise ValueError("window must be >= 1")
 
-    def _fit(self, scores, ys):
-        if self.family == "platt":
-            return fit_platt_batch(scores, ys)
-        if self.family == "beta":
-            return fit_beta_batch(scores, ys)
-        return fit_histogram_binning(scores, ys, self.hb_bins)
 
-    def _apply(self, score):
-        if self.family == "platt":
-            return platt_apply(self.params, score)
-        if self.family == "beta":
-            return beta_apply(self.params, score)
-        return self.params.predict(score)
+# windowed families: refit(scores, ys, hb_bins), only hb reading hb_bins, and apply(params, score)
+_WINDOWED = {name: (lambda s, y, _, name=name: _fit_batch(name, s, y), row.apply)
+             for name, row in _FAMILIES.items()}
+_WINDOWED["hb"] = (fit_histogram_binning, HistogramBinningModel.predict)
 
 
 def refit_times(t_cal: int, window: int, T: int) -> range:
@@ -309,27 +315,23 @@ def windowed_step(learner: WindowedLearner, t: int, hist_scores, hist_ys, score_
     """
     if t <= learner.t_cal:
         raise ValueError("windowed learners only forecast after the calibration prefix")
+    fit, apply = _WINDOWED[learner.family]
     if t in refit_times(learner.t_cal, learner.window, t):
-        learner.params = learner._fit(np.asarray(hist_scores, dtype=float)[: t - 1],
-                                      np.asarray(hist_ys, dtype=float)[: t - 1])
+        learner.params = fit(np.asarray(hist_scores, dtype=float)[: t - 1],
+                             np.asarray(hist_ys, dtype=float)[: t - 1], learner.hb_bins)
         learner.refit_steps.append(t)
     if learner.params is None:
         raise ValueError("learner has no parameters yet (initialize from the calibration fit)")
-    return learner._apply(score_t)
-
-
-# the online families: feature rows and the default online-Newton config
-_ONLINE_FAMILIES = {"platt": (platt_features, OnsConfig.platt), "beta": (beta_features, OnsConfig.beta)}
+    return apply(learner.params, score_t)
 
 
 def _online_family(family: str, config: OnsConfig | None):
     """(feature function, config) of an online family; ``config`` defaults
     to the family's own."""
-    try:
-        features, default = _ONLINE_FAMILIES[family]
-    except KeyError:
-        raise ValueError("family must be platt or beta") from None
-    return features, default() if config is None else config
+    row = _FAMILIES.get(family)
+    if row is None:
+        raise ValueError("family must be platt or beta")
+    return row.features, row.config if config is None else config
 
 
 def family_features(family: str, scores) -> np.ndarray:

@@ -91,6 +91,29 @@ class TestRunCommand:
         assert report["diagnostics"]["csv_dropped_rows"] == 0
 
 
+    def test_csv_snapshot_times_follow_the_file(self, tmp_path):
+        # 400 usable rows and T_train 80 leave 320 test points
+        rng = np.random.default_rng(0)
+        path = tmp_path / "d.csv"
+        rows = [f"{i % 60},{rng.normal():.6f},{int(rng.integers(0, 2))}" for i in range(400)]
+        path.write_text("\n".join(["age,f1,label"] + rows) + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "--csv", str(path), "--label", "label", "--ttrain", "80", "--tcal", "80",
+                     "--window", "60", "--methods", "BM,OPS", "--reps", "1", "--eval-stride", "100",
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["timestamps"] == [200, 300, 320]
+        assert report["stream"]["T_test"] == 320
+        assert [line.split(",")[0] for line in (out / "BM_ce.csv").read_text().split()[1:]] == [
+            "200", "300", "320"]
+
+    def test_adversarial_default_methods(self, tmp_path, capsys):
+        assert main(["run", "--stream", "adversarial", "--ttest", "1200", "--reps", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["methods"] == ["OPS", "HOPS"]
+
+
 class TestOtherCommands:
     def test_dump_stream(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -197,3 +220,12 @@ def test_bad_config_value_is_a_usage_error(tmp_path, capsys, line, message):
     assert exc.value.code == 2
     assert f"opscal run: error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_delta_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["dump-stream", "--stream", "covmulti", "--delta", "nan", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "opscal dump-stream: error: delta must be finite" in capsys.readouterr().err
+    assert not out.exists()

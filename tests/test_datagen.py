@@ -1,5 +1,9 @@
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -15,11 +19,7 @@ from opscal.datagen import (
     cov1d_at,
     covmulti_at,
     default_spec,
-    gen_cov1d,
-    gen_covmulti,
-    gen_label1d,
-    gen_labelmulti,
-    gen_reg1d,
+    generate,
     ingest_csv,
     label1d_at,
     labelmulti_at,
@@ -151,7 +151,7 @@ class TestCovMulti:
 
     def test_feature_dimension_55(self):
         spec = default_spec("covmulti", seed=0)
-        stream = gen_covmulti(spec)
+        stream = generate(spec)
         assert pairwise_expand(stream.x).shape[1] == 55
 
     def test_delta_zero_constant_axis(self):
@@ -269,6 +269,63 @@ class TestScoredStreams:
     def test_bad_sizes_rejected(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be"):
             replace(default_spec("labelmulti"), **{field: bad})
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            replace(default_spec("covmulti"), delta=delta)
+
+
+# Digests of every synthetic kind's canonical scored stream (scores, outcomes,
+# truth), recorded before the kinds shared one generator. They are computed
+# in a child process with one BLAS thread: the 49-feature base-model fits of
+# cov1d and reg1d round differently under a threaded BLAS.
+GOLDEN_STREAMS = {
+    ("cov1d", 0, True): "03f6db8c3e392d4e03c76c747bb6175ef435d1a9bf239cffb1a1d4f4f3834c96",
+    ("cov1d", 1, True): "c30b2dc9c9f651a04e6c682a48c12b57a311f17e4af97864ef9f97daa96dd1c2",
+    ("label1d", 0, True): "f5ebf3a0ed23588338b651c6e308dc8ce2f922fe4b54c1e731350c5aaa405dee",
+    ("label1d", 1, True): "f56407bc999d792ebe33a743101db8fd09dd63d36c9f61592b84162543c7bd91",
+    ("reg1d", 0, True): "97dfffafec9a74459b4ed57d62222aeeb16527f6583a6391dc4a503a8e747669",
+    ("reg1d", 1, True): "6cae511780d9a50e52e5349b8b348fb2fc374d90f13f4ff7e36d2e611c7e0b45",
+    ("covmulti", 0, True): "89a3ad86a4087f30d48b809bc5257042c8a34ab631c228260e523225d5ed498c",
+    ("covmulti", 0, False): "8dc31d1c505c4c08974f9ade1fddc70f4df8fda370cdf7e72a025d585edab8c5",
+    ("covmulti", 1, True): "efa132fbfbe1b987f923fe4ea3345c04b5750475202962cee713ff5b6b4eed8f",
+    ("covmulti", 1, False): "153f965ed215f9cb66a533451d7a1a7dd167765b90e4d44d003f2055ef999a7c",
+    ("labelmulti", 0, True): "1e663b5b633f1a7e7854dea9fa1c97b954f92d8b2719620bfdd3c76b09117d58",
+    ("labelmulti", 0, False): "a4c698404383fb267fdaa78bcfc0e4e830473c43fce6f1c1302318ddb0004127",
+    ("labelmulti", 1, True): "b7bdcb4fabedc69378ba2d7be217b3fd6e87a3be56de3e382bf1ae802592fe15",
+    ("labelmulti", 1, False): "322633e4838feb2716faec887d77aa224094f3770c78c889fdd1fe7df625cd00",
+}
+
+STREAM_DIGESTS = """
+import hashlib, json, sys
+import numpy as np
+from opscal.datagen import build_scored_stream, default_spec
+out = []
+for kind, seed, drift in json.loads(sys.argv[1]):
+    s = build_scored_stream(default_spec(kind, seed, drift))
+    h = hashlib.sha256()
+    for a in (s.scores, s.y, s.truth):
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    out.append(h.hexdigest())
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def stream_digests():
+    keys = list(GOLDEN_STREAMS)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", STREAM_DIGESTS, json.dumps(keys)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return dict(zip(keys, json.loads(proc.stdout)))
+
+
+class TestGoldenStreams:
+    @pytest.mark.parametrize("key", list(GOLDEN_STREAMS), ids=lambda k: "-".join(map(str, k)))
+    def test_scored_stream_digest(self, stream_digests, key):
+        assert stream_digests[key] == GOLDEN_STREAMS[key]
 
 
 def write_csv(path, header, rows):

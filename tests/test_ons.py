@@ -75,6 +75,18 @@ class TestLoglossGradient:
             logloss_gradient((1.0, 0.0), (1.0, 0.0, 1.0), 1)
 
 
+class TestOnsConfig:
+    @pytest.mark.parametrize("field", ["gamma", "rho", "radius"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive(self, field, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            OnsConfig(**{"dim": 2, "gamma": 0.1, "rho": 100.0, "radius": 100.0, field: bad})
+
+    def test_initial_theta_is_unit_weights_and_zero_bias(self):
+        assert initial_theta(2).tolist() == [1.0, 0.0]
+        assert initial_theta(3).tolist() == [1.0, 1.0, 0.0]
+
+
 class TestOnsStep:
     def test_hand_computed_newton_step(self):
         cfg = OnsConfig.platt()

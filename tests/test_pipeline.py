@@ -67,6 +67,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="adversarial"):
             quick_config(stream=spec, methods=("BM", "OPS"))
 
+    @pytest.mark.parametrize("kind, methods", [
+        ("cov1d", ("BM", "OPS", "TOPS", "HOPS")),
+        ("label1d", ("BM", "OPS", "TOPS", "HOPS")),
+        ("reg1d", ("BM", "OPS", "TOPS", "HOPS")),
+        ("covmulti", ("BM", "FPS", "WPS", "OPS", "TOPS", "HOPS")),
+        ("labelmulti", ("BM", "FPS", "WPS", "OPS", "TOPS", "HOPS")),
+        ("adversarial", ("OPS", "HOPS")),
+    ])
+    def test_default_methods_fit_every_canonical_stream(self, kind, methods):
+        assert ExperimentConfig(stream=default_spec(kind)).methods == methods
+
     @pytest.mark.parametrize("eps", [0.3, 0.07])
     def test_epsilon_with_last_midpoint_above_one(self, eps):
         with pytest.raises(ValueError, match="last bin midpoint"):
