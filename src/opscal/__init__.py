@@ -36,11 +36,9 @@ from .scalers import (
 )
 from .calibeating import (
     CalibeatingInvariantError,
-    F99State,
     HedgeDistribution,
     HopsState,
     TrackingState,
-    climatology_run,
     f99_distribution,
     f99_forecast,
     f99_update,

@@ -31,14 +31,17 @@ suite pins step-by-step replays to the whole-stream runs:
 
   - tracking calls ``kernels.bin_of`` and ``bin_average`` on a
     ``TrackingState``'s bin counts and outcome sums;
-  - ``hops_step`` calls ``kernels.hops_advance`` on a ``HopsState``'s
-    counts, outcome sums and status buffer (each bin's hedging status
-    code), which the state derives once at construction and each step
-    advances by reclassifying the one bin it folds into;
-  - ``f99_distribution`` and ``HopsState.distribution`` classify the
-    row with ``kernels.status_of`` on every call, then pick the
-    distribution with ``kernels.hedge_select``, so an ``F99State`` whose
-    arrays were edited in place is still read correctly.
+  - hedging has one state type, ``HopsState``: counts, outcome sums and a
+    status buffer (each bin's hedging status code), which the state
+    derives once at construction and each step advances by reclassifying
+    the one bin it folds into. ``hops_step`` calls
+    ``kernels.hops_advance`` on it; the covariate-free step API
+    (``f99_distribution``, ``f99_forecast``, ``f99_update``) works on
+    row 0, the forecaster ``f99_run`` drives, and folds with
+    ``kernels.hedge_fold``;
+  - ``HopsState.distribution`` reads the cached status of the routed row
+    with ``kernels.hedge_select``, so no call classifies a bin again. A
+    state is built from arrays, never edited in place.
 
 Every entry point rejects an expert forecast or an outcome outside
 [0, 1], NaN included; outcomes need not be 0 or 1.
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import BinningScheme, ForecastTrace, check_unit
+from .core import BinningScheme, check_unit
 from .kernels import CalibeatingInvariantError  # noqa: F401 (re-exported)
 
 
@@ -82,17 +85,21 @@ def _columns(expert_ps, ys):
 
 @dataclass(eq=False)
 class _Tallies:
-    """Per-bin counts and outcome sums, zero unless given."""
+    """Per-bin counts and outcome sums, zero unless given; given ones must
+    be 1-D of the state's length."""
 
     scheme: BinningScheme
     counts: np.ndarray = None
     outcome_sums: np.ndarray = None
 
     def __post_init__(self):
-        if self.counts is None:
-            self.counts = np.zeros(self._size())
-        if self.outcome_sums is None:
-            self.outcome_sums = np.zeros(self._size())
+        n = self._size()
+        for name in ("counts", "outcome_sums"):
+            a = getattr(self, name)
+            if a is None:
+                setattr(self, name, np.zeros(n))
+            elif np.shape(a) != (n,):
+                raise ValueError(f"{name} must be 1-D of length {n}, not of shape {np.shape(a)}")
 
     def _size(self) -> int:
         return self.scheme.m
@@ -101,13 +108,6 @@ class _Tallies:
         # bypasses __post_init__, so nothing derived is computed again
         new = object.__new__(type(self))
         new.scheme, new.counts, new.outcome_sums = self.scheme, self.counts.copy(), self.outcome_sums.copy()
-        return new
-
-    def _folded(self, b: int, y: float):
-        """A copy with outcome y folded into slot b; self is untouched."""
-        new = self._copy()
-        new.counts[b] += 1.0
-        new.outcome_sums[b] += y
         return new
 
 
@@ -124,7 +124,11 @@ def tracking_forecast(state: TrackingState, expert_p: float) -> float:
 def tracking_update(state: TrackingState, expert_p: float, y) -> TrackingState:
     """Fold (expert_p, y) into the expert bin's statistics; y must lie in
     [0, 1]."""
-    return state._folded(_route(expert_p, state.scheme), _outcome(y))
+    b, y = _route(expert_p, state.scheme), _outcome(y)
+    new = state._copy()
+    new.counts[b] += 1.0
+    new.outcome_sums[b] += y
+    return new
 
 
 def tracking_run(expert_ps, ys, scheme: BinningScheme) -> np.ndarray:
@@ -156,69 +160,11 @@ class HedgeDistribution:
         return self.support[1]
 
 
-class F99State(_Tallies):
-    """One hedging forecaster: per-bin forecast counts and outcome sums."""
-
-    def observed_averages(self) -> np.ndarray:
-        """p_b: running outcome mean where bin b's midpoint was forecast,
-        the midpoint itself while the bin is untouched."""
-        eps = self.scheme.epsilon
-        return np.array([kernels.bin_average(self.counts, self.outcome_sums, b, b, eps)
-                         for b in range(self.scheme.m)])
-
-    def deficits(self) -> np.ndarray:
-        return self.scheme.left_edges() - self.observed_averages()
-
-    def excesses(self) -> np.ndarray:
-        return self.observed_averages() - self.scheme.right_edges()
-
-
-def f99_distribution(state: F99State) -> HedgeDistribution:
-    """The announced forecast distribution for the next step.
-
-    Exposed separately from the draw so outcome generators may condition on
-    it (they must commit y before the draw resolves).
-    """
-    scheme, counts, sums = state.scheme, state.counts, state.outcome_sums
-    status = kernels.status_of(counts, sums, scheme.epsilon, scheme.m)
-    lo, hi, plo = kernels.hedge_select(status, counts, sums, 0, scheme.epsilon, scheme.m)
-    mid = scheme.midpoint  # 1-based bins
-    if hi == lo:
-        return HedgeDistribution(support=(mid(lo + 1),), probs=(1.0,))
-    return HedgeDistribution(support=(mid(lo + 1), mid(hi + 1)), probs=(plo, 1.0 - plo))
-
-
-def f99_forecast(state: F99State, rng: np.random.Generator):
-    """Announce the distribution, then draw the forecast from it.
-
-    Consumes exactly one uniform from ``rng`` whether or not the
-    distribution randomizes, so seeded runs replay bit-for-bit against the
-    batched kernels.
-    """
-    dist = f99_distribution(state)
-    u = float(rng.random())
-    return dist, dist.sample(u)
-
-
-def f99_update(state: F99State, chosen: float, y) -> F99State:
-    """Fold the outcome, which must lie in [0, 1], into the statistics of
-    the forecast bin."""
-    b = _route(chosen, state.scheme)
-    if abs(state.scheme.midpoint(b + 1) - chosen) > 1e-9:
-        raise ValueError("chosen forecast is not a bin midpoint of this scheme")
-    return state._folded(b, _outcome(y))
-
-
-def f99_run(ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:
-    """Covariate-free hedging over an outcome sequence: ``hops_run`` over an
-    expert that always sits in the first bin."""
-    return hops_run(np.zeros(len(ys)), ys, scheme, rng)
-
-
 class HopsState(_Tallies):
     """m independent hedging forecasters, one per expert bin, in the
     kernels' layout: flat m*m counts and outcome sums, the forecaster of
-    expert bin r at row r, [r*m, (r + 1)*m).
+    expert bin r at row r, [r*m, (r + 1)*m). Row 0 is also the
+    covariate-free forecaster of the ``f99_*`` step API.
 
     ``status`` holds every bin's hedging status code (``kernels.cell_status``)
     in the kernels' container. It is derived from the tallies at
@@ -240,9 +186,55 @@ class HopsState(_Tallies):
 
     def distribution(self, expert_p: float) -> HedgeDistribution:
         """The announced distribution of the instance routed by expert_p."""
-        m = self.scheme.m
-        base = _route(expert_p, self.scheme) * m
-        return f99_distribution(F99State(self.scheme, self.counts[base:base + m], self.outcome_sums[base:base + m]))
+        scheme = self.scheme
+        base = _route(expert_p, scheme) * scheme.m
+        lo, hi, plo = kernels.hedge_select(self.status, self.counts, self.outcome_sums, base,
+                                           scheme.epsilon, scheme.m)
+        mid = scheme.midpoint  # 1-based bins
+        if hi == lo:
+            return HedgeDistribution(support=(mid(lo + 1),), probs=(1.0,))
+        return HedgeDistribution(support=(mid(lo + 1), mid(hi + 1)), probs=(plo, 1.0 - plo))
+
+
+def f99_distribution(state: HopsState) -> HedgeDistribution:
+    """The announced forecast distribution of the covariate-free forecaster
+    (row 0) for the next step.
+
+    Exposed separately from the draw so outcome generators may condition on
+    it (they must commit y before the draw resolves).
+    """
+    return state.distribution(0.0)
+
+
+def f99_forecast(state: HopsState, rng: np.random.Generator):
+    """Announce the distribution, then draw the forecast from it.
+
+    Consumes exactly one uniform from ``rng`` whether or not the
+    distribution randomizes, so seeded runs replay bit-for-bit against the
+    batched kernels.
+    """
+    dist = f99_distribution(state)
+    u = float(rng.random())
+    return dist, dist.sample(u)
+
+
+def f99_update(state: HopsState, chosen: float, y) -> HopsState:
+    """Fold the outcome, which must lie in [0, 1], into row 0's statistics
+    of the forecast bin."""
+    scheme = state.scheme
+    c = _route(chosen, scheme)
+    if abs(scheme.midpoint(c + 1) - chosen) > 1e-9:
+        raise ValueError("chosen forecast is not a bin midpoint of this scheme")
+    y = _outcome(y)
+    new = state._copy()
+    kernels.hedge_fold(new.counts, new.outcome_sums, new.status, 0, c, y, scheme.epsilon)
+    return new
+
+
+def f99_run(ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:
+    """Covariate-free hedging over an outcome sequence: ``hops_run`` over an
+    expert that always sits in the first bin."""
+    return hops_run(np.zeros(len(ys)), ys, scheme, rng)
 
 
 def hops_step(state: HopsState, expert_p: float, y, rng: np.random.Generator):
@@ -266,14 +258,3 @@ def hops_run(expert_ps, ys, scheme: BinningScheme, rng: np.random.Generator) -> 
     lie in [0, 1] and have one length."""
     expert_ps, ys = _columns(expert_ps, ys)
     return kernels.hops_pass(expert_ps, ys, rng.random(len(ys)), scheme.epsilon, scheme.m)
-
-
-def climatology_run(outcomes, epsilon: float, rng: np.random.Generator) -> ForecastTrace:
-    """Run a single covariate-free hedging forecaster over an outcome
-    sequence and return the forecast trace."""
-    outcomes = np.asarray(outcomes, dtype=float)
-    if len(outcomes) == 0:
-        raise ValueError("empty outcome sequence")
-    scheme = BinningScheme(epsilon)
-    forecasts = f99_run(outcomes, scheme, rng)
-    return ForecastTrace(y=outcomes, forecasts={"F99": forecasts})

@@ -53,14 +53,14 @@ def _build_spec(args) -> StreamSpec:
     kind = "csv" if args.csv is not None else args.kind
     if kind is None:
         raise ValueError("provide --stream KIND or --csv PATH (or a config file)")
-    sizes = _given(args, T_train="t_train", T_cal="t_cal", W="window")
+    sizes = _given(args, T_train="t_train", T_cal="t_cal", W="window", delta="delta")
     if kind == "csv":
         spec = StreamSpec(kind="csv", seed=args.seed, csv_path=args.csv,
                           label_column=args.label, sortby_column=args.sortby,
                           score_column=args.score, T_cal=1000)
     else:
         spec = default_spec(kind, seed=args.seed, drift=args.drift)
-        sizes.update(_given(args, T_test="t_test", delta="delta"))
+        sizes.update(_given(args, T_test="t_test"))
     return replace(spec, **sizes)
 
 

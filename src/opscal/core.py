@@ -103,12 +103,6 @@ class BinningScheme:
         """Midpoint of bin b is (b - 0.5) * eps, b = 1..m."""
         return (np.arange(self.m) + 0.5) * self.epsilon
 
-    def left_edges(self) -> np.ndarray:
-        return np.arange(self.m) * self.epsilon
-
-    def right_edges(self) -> np.ndarray:
-        return (np.arange(self.m) + 1.0) * self.epsilon
-
     def midpoint(self, b: int) -> float:
         """Midpoint of 1-based bin index b."""
         if not 1 <= b <= self.m:

@@ -85,6 +85,10 @@ class StreamSpec:
             raise ValueError("T_test must be >= 1")
         if not math.isfinite(self.delta):
             raise ValueError("delta must be finite")
+        if self.delta != 0.0 and (self.kind not in _SYNTH or _SYNTH[self.kind].delta is None):
+            drifting = ", ".join(k for k, row in _SYNTH.items() if row.delta is not None)
+            raise ValueError(f"stream kind {self.kind!r} does not drift, so delta must be 0 "
+                             f"(it applies to {drifting})")
 
     @property
     def T_total(self) -> int:

@@ -42,8 +42,7 @@ Step bodies, which the passes and the step APIs all call:
     step (select, draw with u, fold), which emits the drawn bin's
     midpoint (b + 0.5) * eps
   - ``status_of`` builds the status buffer of flat state by classifying
-    every bin; a caller whose state carries no status buffer passes its
-    result to ``hedge_select`` or ``hops_advance``
+    every bin, once per pass and once per ``HopsState`` construction
 """
 
 from __future__ import annotations

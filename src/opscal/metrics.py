@@ -25,31 +25,38 @@ def _check_lengths(p, y):
     return p, y
 
 
+def _ce(stats: BinStats, T: int) -> float:
+    return float(np.sum(stats.counts * np.abs(stats.forecast_means() - stats.outcome_means())) / T)
+
+
+def _shp(stats: BinStats, T: int) -> float:
+    return float(np.sum(stats.counts * stats.outcome_means() ** 2) / T)
+
+
+def _refinement(stats: BinStats, T: int) -> float:
+    ybars = stats.outcome_means()
+    return float(np.sum(stats.counts * ybars * (1.0 - ybars)) / T)
+
+
 def calibration_error(p, y, scheme: BinningScheme) -> float:
     """(1/T) sum_b N_b |pbar_b - ybar_b| over the epsilon-bins.
 
     Empty bins contribute zero (their N_b factor vanishes).
     """
     p, y = _check_lengths(p, y)
-    stats = BinStats.from_arrays(p, y, scheme)
-    return float(
-        np.sum(stats.counts * np.abs(stats.forecast_means() - stats.outcome_means())) / len(p)
-    )
+    return _ce(BinStats.from_arrays(p, y, scheme), len(p))
 
 
 def sharpness(p, y, scheme: BinningScheme) -> float:
     """(1/T) sum_b N_b ybar_b^2; ybar_b = 0 on empty bins."""
     p, y = _check_lengths(p, y)
-    stats = BinStats.from_arrays(p, y, scheme)
-    return float(np.sum(stats.counts * stats.outcome_means() ** 2) / len(p))
+    return _shp(BinStats.from_arrays(p, y, scheme), len(p))
 
 
 def refinement(p, y, scheme: BinningScheme) -> float:
     """(1/T) sum_b N_b ybar_b (1 - ybar_b)."""
     p, y = _check_lengths(p, y)
-    stats = BinStats.from_arrays(p, y, scheme)
-    ybars = stats.outcome_means()
-    return float(np.sum(stats.counts * ybars * (1.0 - ybars)) / len(p))
+    return _refinement(BinStats.from_arrays(p, y, scheme), len(p))
 
 
 def brier(p, y) -> float:
@@ -93,13 +100,11 @@ def metric_report(p, y, scheme: BinningScheme, truth=None) -> MetricReport:
     """All metrics of one forecast column in a single pass."""
     p, y = _check_lengths(p, y)
     stats = BinStats.from_arrays(p, y, scheme)
-    ybars = stats.outcome_means()
-    T = len(p)
     return MetricReport(
-        ce=float(np.sum(stats.counts * np.abs(stats.forecast_means() - ybars)) / T),
-        shp=float(np.sum(stats.counts * ybars**2) / T),
-        refinement=float(np.sum(stats.counts * ybars * (1.0 - ybars)) / T),
-        brier=float(np.mean((y - p) ** 2)),
+        ce=_ce(stats, len(p)),
+        shp=_shp(stats, len(p)),
+        refinement=_refinement(stats, len(p)),
+        brier=brier(p, y),
         ybar=float(np.mean(y)),
         true_ce=None if truth is None else true_ce(p, truth),
         true_accuracy=None if truth is None else true_accuracy(p, truth),

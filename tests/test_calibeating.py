@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from opscal import kernels
 from opscal.calibeating import (
     CalibeatingInvariantError,
-    F99State,
     HedgeDistribution,
     HopsState,
     TrackingState,
-    climatology_run,
     f99_distribution,
     f99_forecast,
     f99_update,
@@ -25,6 +23,7 @@ from opscal.core import BinningScheme, bin_index
 from opscal.metrics import calibration_error, sharpness
 from opscal.metrics import hedging_sharpness_slack, tracking_sharpness_slack
 from opscal.ons import OnsConfig, OnsState, initial_theta
+from opscal.pipeline import run_climatology
 from opscal.scalers import online_scaler_step, platt_features
 
 # bin widths BinningScheme accepts, including ones that do not divide 1
@@ -33,6 +32,15 @@ ACCEPTED_EPS = [1.0 / k for k in range(1, 26)] + [0.15, 0.35, 0.4]
 
 def scheme10():
     return BinningScheme(0.1)
+
+
+def f99_state(scheme, counts, sums):
+    """A HopsState whose row 0, the covariate-free forecaster, holds the
+    given per-bin counts and outcome sums; the other rows are empty."""
+    m = scheme.m
+    c, s = np.zeros(m * m), np.zeros(m * m)
+    c[:m], s[:m] = counts, sums
+    return HopsState(scheme, c, s)
 
 
 class TestHedgeDistribution:
@@ -97,14 +105,14 @@ class TestTracking:
 
 class TestF99:
     def test_fresh_state_forecasts_first_midpoint(self):
-        st = F99State(scheme10())
+        st = HopsState(scheme10())
         dist = f99_distribution(st)
         assert dist.support == (0.05,)
         assert dist.probs == (1.0,)
 
     def test_untouched_bins_satisfy_condition_a(self):
         # any bin initialized at its midpoint is inside [l_b, r_b]
-        st = F99State(scheme10())
+        st = HopsState(scheme10())
         st = f99_update(st, 0.05, 1.0)  # p_1 = 1 now; bin 2 untouched
         dist = f99_distribution(st)
         assert len(dist.support) == 1
@@ -113,63 +121,55 @@ class TestF99:
     def test_hand_built_hedge_case(self):
         # no bin satisfies condition A; bins 3/4 are the smallest
         # (excess, deficit) pair: p_3 = 0.35 (e=0.05), p_4 = 0.25 (d=0.05)
-        st = F99State(scheme10())
         averages = [0.15, 0.25, 0.35, 0.25, 0.55, 0.65, 0.75, 0.85, 0.95, 0.8]
-        st.counts[:] = 1.0
-        st.outcome_sums[:] = averages
+        st = f99_state(scheme10(), 1.0, averages)
         dist = f99_distribution(st)
         assert dist.support == (pytest.approx(0.25), pytest.approx(0.35))
         assert dist.probs[0] == pytest.approx(0.5)
         assert dist.probs[1] == pytest.approx(0.5)
 
     def test_update_examples(self):
-        st = F99State(scheme10())
+        st = HopsState(scheme10())
         st = f99_update(st, 0.05, 1.0)
-        assert st.observed_averages()[0] == 1.0
-        assert st.deficits()[0] == pytest.approx(-1.0)
-        assert st.excesses()[0] == pytest.approx(0.9)
+        # p_1 = 1: deficit 0.0 - 1 < 0, excess 1 - 0.1 > 0
+        assert st.counts[0] == 1.0 and st.outcome_sums[0] == 1.0
+        assert st.status[0] == 1.0  # the excess code
 
     def test_update_running_mean(self):
-        st = F99State(scheme10())
-        st.counts[3] = 3.0
-        st.outcome_sums[3] = 1.0  # mean 1/3
-        st = f99_update(st, 0.35, 1.0)
-        assert st.observed_averages()[3] == pytest.approx(0.5)
+        counts, sums = np.zeros(10), np.zeros(10)
+        counts[3], sums[3] = 3.0, 1.0  # mean 1/3
+        st = f99_update(f99_state(scheme10(), counts, sums), 0.35, 1.0)
+        assert st.outcome_sums[3] / st.counts[3] == pytest.approx(0.5)
 
     def test_update_isolation(self):
-        st = F99State(scheme10())
+        st = HopsState(scheme10())
         st = f99_update(st, 0.45, 1.0)
-        before = st.observed_averages().copy()
+        before = st.counts.copy(), st.outcome_sums.copy()
         st = f99_update(st, 0.45, 0.0)
-        after = st.observed_averages()
-        assert after[4] != before[4]
-        mask = np.arange(10) != 4
-        assert np.array_equal(after[mask], before[mask])
+        after = st.counts, st.outcome_sums
+        assert after[0][4] != before[0][4]
+        mask = np.arange(100) != 4
+        assert all(np.array_equal(a[mask], b[mask]) for a, b in zip(after, before))
 
     def test_update_rejects_non_midpoint(self):
         with pytest.raises(ValueError):
-            f99_update(F99State(scheme10()), 0.12, 1.0)
+            f99_update(HopsState(scheme10()), 0.12, 1.0)
 
     def test_invariant_violation_raises(self):
         # corrupted state: every observed average above its right endpoint,
         # so no condition-A bin and no deficit to pair for condition B
-        st = F99State(scheme10())
-        st.counts[:] = 1.0
-        st.outcome_sums[:] = st.scheme.right_edges() + 0.5
+        st = f99_state(scheme10(), 1.0, (np.arange(10) + 1.0) * 0.1 + 0.5)
         with pytest.raises(CalibeatingInvariantError):
             f99_distribution(st)
 
     def test_kernel_step_raises_the_same_invariant_error(self):
         # the whole-stream passes and the step APIs share one error type
-        st = F99State(scheme10())
-        st.counts[:] = 1.0
-        st.outcome_sums[:] = st.scheme.right_edges() + 0.5
-        status = kernels.status_of(st.counts, st.outcome_sums, 0.1, 10)
+        st = f99_state(scheme10(), 1.0, (np.arange(10) + 1.0) * 0.1 + 0.5)
         with pytest.raises(CalibeatingInvariantError):
-            kernels.hops_advance(st.counts, st.outcome_sums, status, 0, 1.0, 0.5, 0.1, 10)
+            kernels.hops_advance(st.counts, st.outcome_sums, st.status, 0, 1.0, 0.5, 0.1, 10)
 
     def test_forecast_consumes_one_uniform(self):
-        st = F99State(scheme10())
+        st = HopsState(scheme10())
         rng1 = np.random.default_rng(7)
         rng2 = np.random.default_rng(7)
         _, chosen = f99_forecast(st, rng1)
@@ -180,7 +180,7 @@ class TestF99:
 
     def test_distribution_probs_valid_over_random_runs(self):
         rng = np.random.default_rng(11)
-        st = F99State(scheme10())
+        st = HopsState(scheme10())
         for _ in range(500):
             dist, chosen = f99_forecast(st, rng)
             assert all(p >= 0.0 for p in dist.probs)
@@ -258,23 +258,23 @@ class TestHops:
 
 class TestClimatology:
     def test_constant_ones_converges_to_top_midpoint(self):
-        tr = climatology_run(np.ones(2000), 0.1, np.random.default_rng(0))
-        assert float(np.mean(tr.forecasts["F99"][-200:])) == pytest.approx(0.95, abs=1e-9)
+        f = f99_run(np.ones(2000), scheme10(), np.random.default_rng(0))
+        assert float(np.mean(f[-200:])) == pytest.approx(0.95, abs=1e-9)
 
     def test_bernoulli_stream_tracks_base_rate(self):
         rng = np.random.default_rng(42)
         ys = (rng.random(5000) < 0.37).astype(float)
-        tr = climatology_run(ys, 0.1, np.random.default_rng(1))
-        assert abs(float(np.mean(tr.forecasts["F99"][-1000:])) - 0.37) <= 0.05
+        f = f99_run(ys, scheme10(), np.random.default_rng(1))
+        assert abs(float(np.mean(f[-1000:])) - 0.37) <= 0.05
 
     def test_alternating_stream_settles_near_half(self):
         ys = np.tile([0.0, 1.0], 2500)
-        tr = climatology_run(ys, 0.1, np.random.default_rng(2))
-        assert abs(float(np.mean(tr.forecasts["F99"][-1000:])) - 0.5) <= 0.05
+        f = f99_run(ys, scheme10(), np.random.default_rng(2))
+        assert abs(float(np.mean(f[-1000:])) - 0.5) <= 0.05
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            climatology_run(np.zeros(0), 0.1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            run_climatology(T=0)
 
 
 class TestCalibeatingGuarantees:
@@ -381,7 +381,7 @@ class TestProbabilityRange:
         lambda: tracking_forecast(TrackingState(scheme10()), NAN),
         lambda: tracking_update(TrackingState(scheme10()), NAN, 1.0),
         lambda: hops_step(HopsState(scheme10()), NAN, 1.0, np.random.default_rng(0)),
-        lambda: f99_update(F99State(scheme10()), NAN, 1.0),
+        lambda: f99_update(HopsState(scheme10()), NAN, 1.0),
     ], ids=["bin_index", "calibration_error", "tracking_forecast", "tracking_update", "hops_step", "f99_update"])
     def test_nan_rejected(self, call):
         with pytest.raises(ValueError, match=OUT_OF_RANGE):
@@ -405,7 +405,7 @@ class TestOutcomeRange:
     @pytest.mark.parametrize("bad", [-0.5, 3.0, NAN])
     @pytest.mark.parametrize("call", [
         lambda y: tracking_update(TrackingState(scheme10()), 0.55, y),
-        lambda y: f99_update(F99State(scheme10()), 0.05, y),
+        lambda y: f99_update(HopsState(scheme10()), 0.05, y),
         lambda y: hops_step(HopsState(scheme10()), 0.55, y, np.random.default_rng(0)),
     ], ids=["tracking_update", "f99_update", "hops_step"])
     def test_steps_reject(self, call, bad):
@@ -417,8 +417,7 @@ class TestOutcomeRange:
         lambda ys: tracking_run(np.full(len(ys), 0.55), ys, scheme10()),
         lambda ys: hops_run(np.full(len(ys), 0.55), ys, scheme10(), np.random.default_rng(0)),
         lambda ys: f99_run(ys, scheme10(), np.random.default_rng(0)),
-        lambda ys: climatology_run(ys, 0.1, np.random.default_rng(0)),
-    ], ids=["tracking_run", "hops_run", "f99_run", "climatology_run"])
+    ], ids=["tracking_run", "hops_run", "f99_run"])
     def test_runs_reject(self, run, bad):
         with pytest.raises(ValueError, match=r"outcomes must lie in \[0, 1\]"):
             run(np.array([1.0, 0.0, bad, 1.0]))
@@ -438,9 +437,24 @@ class TestOutcomeRange:
         assert tracking_run([0.55, 0.55], [0.25, 1.0], scheme10()).tolist() == [0.55, 0.25]
 
 
+@pytest.mark.parametrize("make, n, shapes", [
+    (TrackingState, 10, [(9,), (11,), (10, 10), ()]),
+    (HopsState, 100, [(10,), (99,), (10, 10), ()]),
+], ids=["TrackingState", "HopsState"])
+def test_malformed_tallies_rejected(make, n, shapes):
+    # a wrong length used to pass construction and end in an IndexError
+    # inside a later step
+    for shape in shapes:
+        for args in ((np.ones(shape), np.zeros(n)), (np.zeros(n), np.ones(shape))):
+            with pytest.raises(ValueError, match=f"must be 1-D of length {n},"):
+                make(scheme10(), *args)
+
+
 def _arrays(state):
     if isinstance(state, OnsState):
         return [state.theta, state.A, state.A_inv]
+    if isinstance(state, HopsState):
+        return [state.counts, state.outcome_sums, state.status]
     return [state.counts, state.outcome_sums]
 
 
@@ -450,7 +464,7 @@ class TestStepsLeaveStateUntouched:
 
     @pytest.mark.parametrize("make, step", [
         (lambda: TrackingState(scheme10()), lambda st, p, y, rng: tracking_update(st, p, y)),
-        (lambda: F99State(scheme10()), lambda st, p, y, rng: f99_update(st, f99_forecast(st, rng)[1], y)),
+        (lambda: HopsState(scheme10()), lambda st, p, y, rng: f99_update(st, f99_forecast(st, rng)[1], y)),
         (lambda: HopsState(scheme10()), lambda st, p, y, rng: hops_step(st, p, y, rng)[1]),
         (lambda: OnsState.init(OnsConfig.platt()), lambda st, p, y, rng: online_scaler_step(st, p, y, "platt")[1]),
     ], ids=["tracking_update", "f99_update", "hops_step", "online_scaler_step"])
@@ -466,10 +480,9 @@ class TestStepsLeaveStateUntouched:
 
 @pytest.mark.parametrize("make", [
     lambda: TrackingState(scheme10()),
-    lambda: F99State(scheme10()),
     lambda: HopsState(scheme10()),
     lambda: OnsState.init(OnsConfig.platt()),
-], ids=["TrackingState", "F99State", "HopsState", "OnsState"])
+], ids=["TrackingState", "HopsState", "OnsState"])
 def test_states_compare_by_identity(make):
     # the states hold numpy arrays, so a field-wise == would ask an array
     # for its truth value; they compare by identity instead

@@ -229,3 +229,14 @@ def test_non_finite_delta_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "opscal dump-stream: error: delta must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stream", [["--stream", "cov1d"], ["--csv", "data.csv", "--label", "label"]],
+                         ids=["cov1d", "csv"])
+def test_delta_on_a_kind_that_does_not_drift_is_a_usage_error(tmp_path, capsys, stream):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *stream, "--delta", "0.5", "--reps", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "opscal run: error: stream kind" in capsys.readouterr().err
+    assert not out.exists()

@@ -275,6 +275,14 @@ class TestScoredStreams:
         with pytest.raises(ValueError, match="delta must be finite"):
             replace(default_spec("covmulti"), delta=delta)
 
+    @pytest.mark.parametrize("kind", ["cov1d", "label1d", "reg1d", "adversarial", "csv"])
+    def test_delta_rejected_where_nothing_drifts(self, kind):
+        # the sampler would ignore it, yet report.json would record it
+        spec = StreamSpec(kind="csv", csv_path="x.csv", label_column="y") if kind == "csv" else default_spec(kind)
+        with pytest.raises(ValueError, match=f"stream kind '{kind}' does not drift"):
+            replace(spec, delta=0.5)
+        assert replace(spec, delta=0.0) == spec
+
 
 # Digests of every synthetic kind's canonical scored stream (scores, outcomes,
 # truth), recorded before the kinds shared one generator. They are computed

@@ -31,6 +31,9 @@ from opscal.calibeating import (
     CalibeatingInvariantError,
     HopsState,
     TrackingState,
+    f99_forecast,
+    f99_run,
+    f99_update,
     hops_run,
     hops_step,
     tracking_forecast,
@@ -152,13 +155,17 @@ class TestStepReplay:
         scheme, expert, ys, seed = case
         hedged = hops_run(expert, ys, scheme, np.random.default_rng(seed))
         tracked = tracking_run(expert, ys, scheme)
-        draw = np.random.default_rng(seed)
-        hedge, track = HopsState(scheme), TrackingState(scheme)
+        climate = f99_run(ys, scheme, np.random.default_rng(seed))
+        draw, f99_draw = np.random.default_rng(seed), np.random.default_rng(seed)
+        hedge, track, f99 = HopsState(scheme), TrackingState(scheme), HopsState(scheme)
         for t in range(len(ys)):
             assert tracking_forecast(track, expert[t]) == tracked[t]
             track = tracking_update(track, expert[t], ys[t])
             chosen, hedge = hops_step(hedge, expert[t], ys[t], draw)
             assert chosen == hedged[t]
+            _, chosen = f99_forecast(f99, f99_draw)
+            assert chosen == climate[t]
+            f99 = f99_update(f99, chosen, ys[t])
 
 
 def reference_f99_dist_row(counts, sums, base, eps, m):
@@ -320,13 +327,12 @@ class TestHedgingOracle:
             assert np.array_equal(got, want)
 
 
-def status_select(state, p):
-    """The distribution hedge_select reads off a HopsState's cached status,
-    as (support, probs) on 1-based midpoints."""
+def reference_distribution(state, p):
+    """The distribution the two-loop reference computes from a
+    HopsState's tallies alone, as (support, probs) on 1-based midpoints."""
     scheme = state.scheme
     base = kernels.bin_of(p, scheme.epsilon, scheme.m) * scheme.m
-    lo, hi, plo = kernels.hedge_select(state.status, state.counts, state.outcome_sums, base,
-                                       scheme.epsilon, scheme.m)
+    lo, hi, plo = reference_f99_dist_row(state.counts, state.outcome_sums, base, scheme.epsilon, scheme.m)
     if lo == hi:
         return (scheme.midpoint(lo + 1),), (1.0,)
     return (scheme.midpoint(lo + 1), scheme.midpoint(hi + 1)), (plo, 1.0 - plo)
@@ -338,21 +344,22 @@ class TestHopsStateStatus:
     def test_rebuilt_state_continues_the_replay(self, case, data):
         # a state rebuilt from another's tallies derives the same status and
         # goes on drawing the same forecasts; the announced distribution,
-        # which classifies per call, agrees with the cached status throughout
+        # read off the cached status, agrees with the two-loop reference,
+        # which classifies from the tallies, throughout
         scheme, expert, ys, seed = case
         cut = data.draw(st.integers(0, len(ys)))
         draw = np.random.default_rng(seed)
         state = HopsState(scheme)
         for t in range(cut):
             dist = state.distribution(expert[t])
-            assert (dist.support, dist.probs) == status_select(state, expert[t])
+            assert (dist.support, dist.probs) == reference_distribution(state, expert[t])
             _, state = hops_step(state, expert[t], ys[t], draw)
         rebuilt = HopsState(scheme, state.counts.copy(), state.outcome_sums.copy())
         assert list(rebuilt.status) == list(state.status)
         draw_rebuilt = copy.deepcopy(draw)
         for t in range(cut, len(ys)):
             dist = rebuilt.distribution(expert[t])
-            assert (dist.support, dist.probs) == status_select(rebuilt, expert[t])
+            assert (dist.support, dist.probs) == reference_distribution(rebuilt, expert[t])
             a, state = hops_step(state, expert[t], ys[t], draw)
             b, rebuilt = hops_step(rebuilt, expert[t], ys[t], draw_rebuilt)
             assert a == b
