@@ -55,6 +55,9 @@ def _build_spec(args) -> StreamSpec:
         raise ValueError("provide --stream KIND or --csv PATH (or a config file)")
     sizes = _given(args, T_train="t_train", T_cal="t_cal", W="window", delta="delta")
     if kind == "csv":
+        if args.t_test is not None:
+            raise ValueError("--ttest applies to synthetic kinds; a csv stream tests on "
+                             "the rows after its training block")
         spec = StreamSpec(kind="csv", seed=args.seed, csv_path=args.csv,
                           label_column=args.label, sortby_column=args.sortby,
                           score_column=args.score, T_cal=1000)

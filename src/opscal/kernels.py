@@ -31,7 +31,12 @@ buffer is a ``_zeros`` container.
 
 Step bodies, which the passes and the step APIs all call:
   - ``ons_init``, ``ons_forecast`` and ``ons_update`` are the online-Newton
-    start, forecast and update
+    start, forecast and update. The forecast and update are written out as
+    straight-line scalar arithmetic for the two widths there are, d = 2
+    (Platt) and d = 3 (beta), as on the pure path the interpreter's cost
+    of loops over i and j was about half of a step. Every sum keeps the
+    loop's start value and order, so the bits, signed zeros included, are
+    the loop's; ``ons_init`` rejects any other width.
   - ``bin_of`` routes a forecast to bin min(floor(p / eps), m - 1)
   - ``bin_average`` is a bin's outcome mean, its midpoint while empty:
     tracking's forecast, and the average hedging classifies
@@ -125,7 +130,10 @@ def _project_anorm(A, theta_tilde, radius):
 
 def _ons_init(theta0, rho):
     # Online-Newton start state: a copy of theta0, A = rho I and A^{-1}.
+    # The forecast and update are written out for d = 2 and d = 3 only.
     d = len(theta0)
+    if d != 2 and d != 3:
+        raise ValueError("theta0 must have length 2 (Platt) or 3 (beta)")
     theta = _zeros(d)
     A = _zeros(d * d)
     Ainv = _zeros(d * d)
@@ -138,9 +146,11 @@ def _ons_init(theta0, rho):
 
 def _ons_forecast(theta, x, k):
     # sigmoid(theta . x[k:k+d]), evaluated on the side that cannot overflow.
-    z = 0.0
-    for i in range(len(theta)):
-        z += theta[i] * x[k + i]
+    # The dot product sums from 0.0 in index order, as a loop would.
+    if len(theta) == 2:
+        z = 0.0 + theta[0] * x[k] + theta[1] * x[k + 1]
+    else:
+        z = 0.0 + theta[0] * x[k] + theta[1] * x[k + 1] + theta[2] * x[k + 2]
     if z >= 0.0:
         return 1.0 / (1.0 + math.exp(-z))
     ez = math.exp(z)
@@ -149,37 +159,67 @@ def _ons_forecast(theta, x, k):
 
 def _ons_update(theta, A, Ainv, x, k, r, gamma, radius):
     # The online-Newton update, in place, for the log-loss gradient
-    # g = r * x[k:k+d] with r = forecast - outcome. A accumulates g g^T;
-    # Ainv tracks A^{-1} by Sherman-Morrison so the hot path never solves a
-    # linear system.
-    d = len(theta)
-    g = _zeros(d)
-    for i in range(d):
-        g[i] = r * x[k + i]
-    # A += g g^T, v = Ainv g, denom = 1 + g . v
-    v = _zeros(d)
-    denom = 1.0
-    for i in range(d):
-        gi = g[i]
-        s = 0.0
-        for j in range(d):
-            A[i * d + j] += gi * g[j]
-            s += Ainv[i * d + j] * g[j]
-        v[i] = s
-        denom += gi * s
-    # Ainv -= v v^T / denom; (A + g g^T)^{-1} g == v / denom, the
-    # updated-inverse Newton direction
-    tnorm2 = 0.0
-    for i in range(d):
-        vi = v[i]
-        for j in range(d):
-            Ainv[i * d + j] -= vi * v[j] / denom
-        ti = theta[i] - (vi / denom) / gamma
-        theta[i] = ti
-        tnorm2 += ti * ti
+    # g = r * x[k:k+d] with r = forecast - outcome: A += g g^T; v = Ainv g
+    # and denom = 1 + g . v; Ainv -= v v^T / denom (Sherman-Morrison, so the
+    # hot path never solves a linear system); theta -= (v / denom) / gamma,
+    # as (A + g g^T)^{-1} g == v / denom. Each sum starts from 0.0 (1.0 for
+    # denom) and adds its terms in index order, so signed zeros come out as
+    # from a loop over i and j.
+    if len(theta) == 2:
+        g0 = r * x[k]
+        g1 = r * x[k + 1]
+        A[0] += g0 * g0
+        A[1] += g0 * g1
+        A[2] += g1 * g0
+        A[3] += g1 * g1
+        v0 = 0.0 + Ainv[0] * g0 + Ainv[1] * g1
+        v1 = 0.0 + Ainv[2] * g0 + Ainv[3] * g1
+        denom = 1.0 + g0 * v0 + g1 * v1
+        Ainv[0] -= v0 * v0 / denom
+        Ainv[1] -= v0 * v1 / denom
+        Ainv[2] -= v1 * v0 / denom
+        Ainv[3] -= v1 * v1 / denom
+        t0 = theta[0] - (v0 / denom) / gamma
+        t1 = theta[1] - (v1 / denom) / gamma
+        theta[0] = t0
+        theta[1] = t1
+        tnorm2 = 0.0 + t0 * t0 + t1 * t1
+    else:
+        g0 = r * x[k]
+        g1 = r * x[k + 1]
+        g2 = r * x[k + 2]
+        A[0] += g0 * g0
+        A[1] += g0 * g1
+        A[2] += g0 * g2
+        A[3] += g1 * g0
+        A[4] += g1 * g1
+        A[5] += g1 * g2
+        A[6] += g2 * g0
+        A[7] += g2 * g1
+        A[8] += g2 * g2
+        v0 = 0.0 + Ainv[0] * g0 + Ainv[1] * g1 + Ainv[2] * g2
+        v1 = 0.0 + Ainv[3] * g0 + Ainv[4] * g1 + Ainv[5] * g2
+        v2 = 0.0 + Ainv[6] * g0 + Ainv[7] * g1 + Ainv[8] * g2
+        denom = 1.0 + g0 * v0 + g1 * v1 + g2 * v2
+        Ainv[0] -= v0 * v0 / denom
+        Ainv[1] -= v0 * v1 / denom
+        Ainv[2] -= v0 * v2 / denom
+        Ainv[3] -= v1 * v0 / denom
+        Ainv[4] -= v1 * v1 / denom
+        Ainv[5] -= v1 * v2 / denom
+        Ainv[6] -= v2 * v0 / denom
+        Ainv[7] -= v2 * v1 / denom
+        Ainv[8] -= v2 * v2 / denom
+        t0 = theta[0] - (v0 / denom) / gamma
+        t1 = theta[1] - (v1 / denom) / gamma
+        t2 = theta[2] - (v2 / denom) / gamma
+        theta[0] = t0
+        theta[1] = t1
+        theta[2] = t2
+        tnorm2 = 0.0 + t0 * t0 + t1 * t1 + t2 * t2
     if tnorm2 > radius * radius:
         tt = project_anorm(A, theta, radius)
-        for i in range(d):
+        for i in range(len(theta)):
             theta[i] = tt[i]
 
 

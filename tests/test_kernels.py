@@ -6,7 +6,9 @@ property test replays the step-level APIs (numpy state) against the
 whole-stream passes (Python-list state on the pure path) with ``==``.
 The hedging kernels, which scan a status code per bin, are compared bit
 for bit with the two-loop reference that classified every bin on every
-call, kept here. On the pure path every body also runs on the numpy
+call; the online-Newton forecast and update, written out per width, are
+compared byte for byte with the loop form they replaced. Both references
+are kept here. On the pure path every body also runs on the numpy
 arrays numba compiles for, against the Python-float run. With numba enabled the exports are compiled; the *_py names are the same
 bodies un-jitted, so outputs must agree exactly. A subprocess run with
 OPSCAL_NUMBA=0 checks the env-flag path end to end.
@@ -16,6 +18,7 @@ import contextlib
 import copy
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -41,7 +44,7 @@ from opscal.calibeating import (
     tracking_update,
 )
 from opscal.core import BinningScheme
-from opscal.ons import OnsConfig, OnsState, initial_theta
+from opscal.ons import OnsConfig, OnsState, initial_theta, ons_advance
 from opscal.scalers import beta_features, online_scaler_run, online_scaler_step, platt_features
 from test_calibeating import ACCEPTED_EPS, scheme_and_stream
 
@@ -168,6 +171,77 @@ class TestStepReplay:
             f99 = f99_update(f99, chosen, ys[t])
 
 
+def reference_ons_state(theta0, rho):
+    # Online-Newton start state on Python lists: theta0, A = rho I, A^{-1}.
+    d = len(theta0)
+    A, Ainv = [0.0] * (d * d), [0.0] * (d * d)
+    for i in range(d):
+        A[i * d + i] = rho
+        Ainv[i * d + i] = 1.0 / rho
+    return [float(v) for v in theta0], A, Ainv
+
+
+def reference_ons_forecast(theta, x, k):
+    # The loop form of the online-Newton forecast, which the kernels write
+    # out per width; kept as their bit-exact reference.
+    z = 0.0
+    for i in range(len(theta)):
+        z += theta[i] * x[k + i]
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    ez = math.exp(z)
+    return ez / (1.0 + ez)
+
+
+def reference_ons_update(theta, A, Ainv, x, k, r, gamma, radius):
+    # The loop form of the online-Newton update, in place, for any width.
+    d = len(theta)
+    g = [r * x[k + i] for i in range(d)]
+    v = [0.0] * d
+    denom = 1.0
+    for i in range(d):
+        s = 0.0
+        for j in range(d):
+            A[i * d + j] += g[i] * g[j]
+            s += Ainv[i * d + j] * g[j]
+        v[i] = s
+        denom += g[i] * s
+    tnorm2 = 0.0
+    for i in range(d):
+        for j in range(d):
+            Ainv[i * d + j] -= v[i] * v[j] / denom
+        theta[i] = theta[i] - (v[i] / denom) / gamma
+        tnorm2 += theta[i] * theta[i]
+    if tnorm2 > radius * radius:
+        tt = kernels.project_anorm(A, theta, radius)
+        for i in range(d):
+            theta[i] = tt[i]
+
+
+def reference_ons_pass(feats, ys, gamma, rho, radius, theta0):
+    theta, A, Ainv = reference_ons_state(theta0, rho)
+    x, d, T = feats.ravel().tolist(), len(theta), len(ys)
+    probs, thetas = np.zeros(T), np.zeros((T + 1, d))
+    thetas[0] = theta0
+    for t, y in enumerate(ys.tolist()):
+        probs[t] = p = reference_ons_forecast(theta, x, t * d)
+        reference_ons_update(theta, A, Ainv, x, t * d, p - y, gamma, radius)
+        thetas[t + 1] = theta
+    return probs, thetas
+
+
+def reference_ops_adversarial_pass(feats, gamma, rho, radius, theta0):
+    theta, A, Ainv = reference_ons_state(theta0, rho)
+    x, d = feats.ravel().tolist(), len(theta)
+    T = len(x) // d
+    probs, ys = np.zeros(T), np.zeros(T)
+    for t in range(T):
+        probs[t] = p = reference_ons_forecast(theta, x, t * d)
+        ys[t] = y = 1.0 if p <= 0.5 else 0.0
+        reference_ons_update(theta, A, Ainv, x, t * d, p - y, gamma, radius)
+    return probs, ys
+
+
 def reference_f99_dist_row(counts, sums, base, eps, m):
     # The two-loop hedging distribution that classified every bin on every
     # call, kept as the reference for the status-scanning kernels.
@@ -201,20 +275,20 @@ def reference_hops_pass(expert, ys, us, eps, m):
 
 
 def reference_hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
-    theta, A, Ainv = kernels.ons_init(theta0.tolist(), rho)
+    theta, A, Ainv = reference_ons_state(theta0, rho)
     x = feats.ravel().tolist()
     d, T = len(theta), len(us)
     counts, sums = [0.0] * (m * m), [0.0] * (m * m)
     ops, hops, ys = np.zeros(T), np.zeros(T), np.zeros(T)
     for t, u in enumerate(us.tolist()):
-        p = kernels.ons_forecast(theta, x, t * d)
+        p = reference_ons_forecast(theta, x, t * d)
         base = kernels.bin_of(p, eps, m) * m
         lo, hi, plo = reference_f99_dist_row(counts, sums, base, eps, m)
         y = 1.0 if plo * ((lo + 0.5) * eps) + (1.0 - plo) * ((hi + 0.5) * eps) <= 0.5 else 0.0
         c = lo if u < plo else hi
         counts[base + c] += 1.0
         sums[base + c] += y
-        kernels.ons_update(theta, A, Ainv, x, t * d, p - y, gamma, radius)
+        reference_ons_update(theta, A, Ainv, x, t * d, p - y, gamma, radius)
         ops[t], hops[t], ys[t] = p, (c + 0.5) * eps, y
     return ops, hops, ys
 
@@ -325,6 +399,119 @@ class TestHedgingOracle:
         args = (feats_of("platt", scores), us, eps, m, 0.1, 100.0, 100.0, initial_theta(2))
         for got, want in zip(kernels.hops_adversarial_pass(*args), reference_hops_adversarial_pass(*args)):
             assert np.array_equal(got, want)
+
+
+def same_bytes(got, want):
+    """Equal bytes, so that signed zeros count."""
+    return np.asarray(got, dtype=np.float64).tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+
+
+# signed zeros, exact ones and arbitrary values, for features, residuals
+# and start parameters of the raw online-Newton step bodies
+SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from([1.0, -1.0, 0.5, -0.5]),
+                   st.floats(-5.0, 5.0, allow_subnormal=False))
+
+
+class TestOnsLoopReference:
+    """The online-Newton forecast and update, written out per admitted
+    width, against the loop form they replaced, byte for byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.sampled_from([2, 3]), data=st.data(), rho=st.sampled_from([1.0, 25.0, 100.0]),
+           radius=st.sampled_from([100.0, 1.5, 0.8, 0.3]))
+    def test_step_bodies(self, d, data, rho, radius):
+        theta0 = data.draw(st.lists(SIGNED, min_size=d, max_size=d))
+        steps = data.draw(st.lists(st.tuples(st.lists(SIGNED, min_size=d, max_size=d), SIGNED),
+                                   min_size=1, max_size=30))
+        state = kernels.ons_init(kernels._flat(np.array(theta0)), rho)
+        ref = reference_ons_state(theta0, rho)
+        for feature, r in steps:
+            x = kernels._flat(np.array(feature))
+            assert same_bytes(kernels.ons_forecast(state[0], x, 0), reference_ons_forecast(ref[0], feature, 0))
+            kernels.ons_update(*state, x, 0, r, 0.1, radius)
+            reference_ons_update(*ref, feature, 0, r, 0.1, radius)
+            assert all(same_bytes(a, b) for a, b in zip(state, ref))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_gradient_keeps_a_negative_zero(self, d):
+        # a zero gradient gives v = +0.0 from sums that start at 0.0, so a
+        # -0.0 parameter stays -0.0; the same sums without their 0.0 start
+        # give v = -0.0 and turn it into +0.0
+        theta0 = [-0.0] * d
+        state, ref = kernels.ons_init(kernels._flat(np.array(theta0)), 1.0), reference_ons_state(theta0, 1.0)
+        kernels.ons_update(*state, kernels._flat(np.ones(d)), 0, -0.0, 0.1, 100.0)
+        reference_ons_update(*ref, [1.0] * d, 0, -0.0, 0.1, 100.0)
+        assert same_bytes(state[0], theta0) and same_bytes(ref[0], theta0)
+        assert all(same_bytes(a, b) for a, b in zip(state, ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["platt", "beta"]), T=st.integers(1, 300),
+           rho=st.sampled_from([1.0, 25.0, 100.0]), radius=st.sampled_from([100.0, 1.5, 0.8]),
+           half=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_passes_and_step_replay(self, family, T, rho, radius, half, seed):
+        # scores of exactly 0.5 put logit 0 in the Platt feature, so the
+        # gradient has a signed-zero component; small radii fire the
+        # projection
+        scores, ys, us = stream(seed, T)
+        scores[np.random.default_rng([seed, 1]).random(T) < half] = 0.5
+        feats = feats_of(family, scores)
+        d = feats.shape[1]
+        theta0 = initial_theta(d)
+        ons = (0.1, rho, radius, theta0)
+        for got, want in [
+            (kernels.ons_pass(feats, ys, *ons), reference_ons_pass(feats, ys, *ons)),
+            (kernels.ops_adversarial_pass(feats, *ons), reference_ops_adversarial_pass(feats, *ons)),
+            (kernels.hops_adversarial_pass(feats, us, 0.1, 10, *ons),
+             reference_hops_adversarial_pass(feats, us, 0.1, 10, *ons)),
+        ]:
+            assert all(same_bytes(a, b) for a, b in zip(got, want))
+        config = OnsConfig(dim=d, gamma=0.1, rho=rho, radius=radius)
+        state, (theta, A, Ainv) = OnsState.init(config), reference_ons_state(theta0, rho)
+        x = feats.ravel().tolist()
+        for t in range(T):
+            p, state = ons_advance(state, feats[t], ys[t], config)
+            want = reference_ons_forecast(theta, x, t * d)
+            reference_ons_update(theta, A, Ainv, x, t * d, want - ys[t], 0.1, radius)
+            assert same_bytes(p, want)
+            assert same_bytes(state.theta, theta) and same_bytes(state.A.ravel(), A)
+            assert same_bytes(state.A_inv.ravel(), Ainv)
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_unsupported_width_raises(self, width):
+        rng = np.random.default_rng(0)
+        feats = np.ascontiguousarray(rng.uniform(-1.0, 1.0, (20, width)))
+        ys, us, theta0 = (rng.random(20) < 0.5).astype(float), rng.random(20), np.zeros(width)
+        for run in (lambda: kernels.ons_pass(feats, ys, 0.1, 1.0, 100.0, theta0),
+                    lambda: kernels.ops_adversarial_pass(feats, 0.1, 1.0, 100.0, theta0),
+                    lambda: kernels.hops_adversarial_pass(feats, us, 0.1, 10, 0.1, 1.0, 100.0, theta0)):
+            with pytest.raises(ValueError, match="length 2"):
+                run()
+
+
+class TestOnsLongHorizon:
+    """A million online-Newton steps on the default configurations: the
+    state stays finite, A and its Sherman-Morrison inverse stay exactly
+    symmetric, and A A^{-1} stays within 1e-10 of I. Measured worst
+    max|A A^{-1} - I| over the ten checkpoints: 6.9e-14 (Platt) and
+    3.1e-12 (beta)."""
+
+    CHUNK = 100_000
+
+    @pytest.mark.parametrize("family", ["platt", "beta"])
+    def test_million_steps(self, family):
+        config = OnsConfig.platt() if family == "platt" else OnsConfig.beta()
+        d, rng = config.dim, np.random.default_rng(2024)
+        theta, A, Ainv = kernels.ons_init(kernels._flat(initial_theta(d)), config.rho)
+        for _ in range(10):  # features made one chunk at a time, T = 1e6 in all
+            scores = rng.uniform(0.01, 0.99, self.CHUNK)
+            ys = (rng.random(self.CHUNK) < np.clip(scores + 0.15, 0, 1)).astype(float).tolist()
+            x = kernels._flat(feats_of(family, scores))
+            for t in range(self.CHUNK):
+                kernels.ons_step_arrays(theta, A, Ainv, x, t * d, ys[t], config.gamma, config.radius)
+            a, ainv = np.reshape(A, (d, d)), np.reshape(Ainv, (d, d))
+            assert np.isfinite(theta).all() and np.isfinite(a).all() and np.isfinite(ainv).all()
+            assert np.array_equal(a, a.T) and np.array_equal(ainv, ainv.T)
+            assert np.abs(a @ ainv - np.eye(d)).max() < 1e-10
 
 
 def reference_distribution(state, p):
