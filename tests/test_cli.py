@@ -153,9 +153,9 @@ class TestOtherCommands:
     (["run", "--stream", "cov1d", "--ttest", "0"], "T_test must be >= 1"),
     (["dump-stream", "--stream", "cov1d", "--ttest", "0"], "T_test must be >= 1"),
     (["run", "--stream", "nope"], "no canonical spec for stream kind 'nope'"),
+    (["run", "--config", "missing.ini"], "No such file"),
     (["run", "--csv", "data.csv", "--label", "label", "--ttest", "100"],
      "--ttest applies to synthetic kinds"),
-    (["run", "--config", "missing.ini"], "No such file"),
 ])
 def test_rejected_arguments_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
