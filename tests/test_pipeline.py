@@ -341,6 +341,10 @@ class TestTheoremSuite:
         text = (tmp_path / "theorems.csv").read_text()
         assert text.splitlines()[0] == "check,detail,epsilon,T,seeds,measured,bound,direction,passed"
         assert len(text.splitlines()) == len(rows) + 1
+        # the quick suite's output is pinned: a refactor of the checks must
+        # leave every measured value and bound unchanged
+        digest = hashlib.sha256((tmp_path / "theorems.csv").read_bytes()).hexdigest()
+        assert digest == "8da546b4b56bf3c4a3c71fb4c1c5ca8d2819a2a8328e26bd6c49919b9afb9c21"
 
     def test_climatology_check_alone(self):
         rows = check_climatology(seeds=3, T=3000)
