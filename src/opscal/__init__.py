@@ -12,7 +12,6 @@ from .core import (
     CLIP_LO,
     BinningScheme,
     BinStats,
-    ForecastTrace,
     bin_index,
     clip_score,
     log_loss,

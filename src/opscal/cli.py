@@ -39,7 +39,10 @@ def _read_config(path, keys) -> dict:
     if values.keys() - keys:
         raise ValueError(f"unknown keys in {path}: {sorted(values.keys() - keys)}")
     if "drift" in values:
-        values["drift"] = values["drift"].strip().lower() in ("1", "true", "yes", "on")
+        word = values["drift"].lower()
+        if word not in cp.BOOLEAN_STATES:
+            raise ValueError(f"drift must be one of {'/'.join(cp.BOOLEAN_STATES)}, not {values['drift']!r}")
+        values["drift"] = cp.BOOLEAN_STATES[word]
     return values
 
 

@@ -160,34 +160,3 @@ class BinStats:
         nz = self.counts > 0
         out[nz] = self.forecast_sums[nz] / self.counts[nz]
         return out
-
-
-@dataclass(eq=False)
-class ForecastTrace:
-    """Aligned per-step record of one stream pass.
-
-    ``forecasts`` maps method name -> forecast array; all arrays share the
-    same length. ``score`` is the clipped base-model score (None for
-    covariate-free runs), ``truth`` the conditional probability
-    Pr(Y=1 | X=x_t) when the stream is synthetic. ``t0`` is the global
-    time index of the first record.
-    """
-
-    y: np.ndarray
-    forecasts: dict[str, np.ndarray]
-    score: np.ndarray | None = None
-    truth: np.ndarray | None = None
-    t0: int = 1
-
-    def __post_init__(self):
-        n = len(self.y)
-        for name, col in self.forecasts.items():
-            if len(col) != n:
-                raise ValueError(f"forecast column {name!r} length mismatch")
-        if self.score is not None and len(self.score) != n:
-            raise ValueError("score length mismatch")
-        if self.truth is not None and len(self.truth) != n:
-            raise ValueError("truth length mismatch")
-
-    def __len__(self) -> int:
-        return len(self.y)

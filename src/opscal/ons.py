@@ -10,7 +10,8 @@ The forecast at step t always uses the PRE-update parameters; the pair
 OnsState is a value: steps return fresh states, so distinct streams can run
 in parallel with independent states. The heavy lifting is shared with the
 whole-stream kernel in ``opscal.kernels`` so step-by-step and batched
-execution replay identically.
+execution replay identically. A step rejects an outcome outside [0, 1].
+``regret`` compares a forecast column with a fixed comparator's forecasts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import ForecastTrace, log_loss, sigmoid
+from .core import log_loss, sigmoid
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,13 @@ def ons_advance(state: OnsState, feature, y, config: OnsConfig):
     d = config.dim
     if feature.shape != (d,) or state.theta.shape != (d,):
         raise ValueError("feature/config dimension mismatch")
+    y = float(y)
+    if not 0.0 <= y <= 1.0:
+        raise ValueError("outcomes must lie in [0, 1]")
     theta = state.theta.copy()
     A = state.A.flatten()
     A_inv = state.A_inv.flatten()
-    forecast = kernels.ons_step_arrays(theta, A, A_inv, feature, 0, float(y), config.gamma, config.radius)
+    forecast = kernels.ons_step_arrays(theta, A, A_inv, feature, 0, y, config.gamma, config.radius)
     return float(forecast), OnsState(theta=theta, A=A.reshape(d, d), A_inv=A_inv.reshape(d, d), t=state.t + 1)
 
 
@@ -135,44 +139,13 @@ def project_ellipsoid(A, theta_tilde, radius: float) -> np.ndarray:
     return kernels.project_anorm(np.ascontiguousarray(A), np.ascontiguousarray(theta_tilde), float(radius))
 
 
-@dataclass(eq=False)
-class RegretReport:
-    method_loss: float
-    oracle_loss: float
-    regret: float
-    oracle_params: np.ndarray
-
-
-def regret(trace: ForecastTrace, oracle_params, method: str | None = None) -> RegretReport:
-    """Cumulative log-loss of a method column minus the loss of the fixed
-    comparator ``oracle_params`` applied to the base scores.
-
-    The comparator family is the one whose feature width is the parameter
-    length (2 -> Platt, 3 -> beta); ``method`` defaults to the only column.
-    """
-    from .scalers import _FAMILIES  # local import to avoid cycle
-
-    if len(trace) == 0:
-        raise ValueError("empty trace")
-    if trace.score is None:
-        raise ValueError("trace has no base scores")
-    if method is None:
-        if len(trace.forecasts) != 1:
-            raise ValueError("method must be named when the trace has several columns")
-        method = next(iter(trace.forecasts))
-    params = np.asarray(oracle_params, dtype=float)
-    apply = next((f.apply for f in _FAMILIES.values() if params.shape == (f.config.dim,)), None)
-    if apply is None:
-        raise ValueError("oracle_params must have length 2 or 3")
-    oracle_fc = apply(params, trace.score)
-    method_loss = float(np.sum(log_loss(trace.forecasts[method], trace.y)))
-    oracle_loss = float(np.sum(log_loss(oracle_fc, trace.y)))
-    return RegretReport(
-        method_loss=method_loss,
-        oracle_loss=oracle_loss,
-        regret=method_loss - oracle_loss,
-        oracle_params=params,
-    )
+def regret(probs, ys, comparator) -> float:
+    """Summed log-loss of the forecasts ``probs`` minus that of the
+    comparator's forecasts, both on the outcomes ``ys``."""
+    probs, ys, comparator = (np.asarray(a, dtype=float) for a in (probs, ys, comparator))
+    if ys.size == 0 or not probs.shape == ys.shape == comparator.shape:
+        raise ValueError("forecasts, outcomes and comparator forecasts must have one nonzero length")
+    return float(np.sum(log_loss(probs, ys)) - np.sum(log_loss(comparator, ys)))
 
 
 def ons_regret_bound(T: int, B: float) -> float:

@@ -15,7 +15,9 @@ in the theorem checks, goes through ``calibeating.tracking_run``,
 applied once per refit segment, one vectorised call each, since their
 parameters are constant between refits. Metrics are cumulative over the
 emitted region and snapshotted at evaluation timestamps from T_cal + 2W to
-the end of the stream.
+the end of the stream. The regret, tracking-sharpness and adversarial
+checks take their columns from ``run_replication`` on canonical specs with
+T_cal = 0, so they check what ``opscal run`` emits; regret is ``ons.regret``.
 
 Replications use independent seed substreams keyed by replication index,
 so results are identical whether they run inline or in a worker pool, and
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import kernels
 from .calibeating import CalibeatingInvariantError, f99_run, hops_run, tracking_run
-from .core import BinningScheme, log_loss
+from .core import BinningScheme
 from .datagen import (
     P_HEDGE,
     P_HEDGE_BETA,
@@ -58,7 +60,7 @@ from .metrics import (
     true_accuracy,
     true_ce,
 )
-from .ons import OnsConfig, initial_theta, ons_regret_bound
+from .ons import OnsConfig, initial_theta, ons_regret_bound, regret
 from .plotting import line_plot_svg
 from .scalers import (
     beta_apply,
@@ -143,8 +145,16 @@ def run_replication(spec: StreamSpec, methods, epsilon: float):
     """One pass of the joint protocol. Returns (columns, ys, truth, diag);
     columns are emitted-region forecasts (t = T_cal+1 .. T)."""
     scheme = BinningScheme(epsilon)
-    if spec.kind == "adversarial":
-        ops, hops, ys = _adversarial_run(spec, scheme, hedged="HOPS" in methods)
+    if spec.kind == "adversarial":  # the online Platt scaler against the outcome adversary
+        feats = platt_features(build_scored_stream(spec).scores)
+        pc = OnsConfig.platt()
+        ons = (pc.gamma, pc.rho, pc.radius, initial_theta(pc.dim))
+        hops = None
+        if "HOPS" in methods:
+            us = substream(spec.seed, P_HEDGE).random(len(feats))
+            ops, hops, ys = kernels.hops_adversarial_pass(feats, us, scheme.epsilon, scheme.m, *ons)
+        else:
+            ops, ys = kernels.ops_adversarial_pass(feats, *ons)
         return {m: {"OPS": ops, "HOPS": hops}[m] for m in methods}, ys, None, {}
 
     stream = build_scored_stream(spec)
@@ -207,38 +217,27 @@ def _regret_diag(probs, scores, ys, family):
     a comparator of that norm."""
     fit, apply = _batch_fns(family)
     theta = fit(scores, ys).as_array()
-    oracle = apply(theta, scores)
-    regret = float(np.sum(log_loss(probs, ys)) - np.sum(log_loss(oracle, ys)))
-    return regret, float(ons_regret_bound(len(ys), max(1.0, float(np.linalg.norm(theta)))))
+    bound = ons_regret_bound(len(ys), max(1.0, float(np.linalg.norm(theta))))
+    return regret(probs, ys, apply(theta, scores)), float(bound)
+
+
+def _tracking_margin(tracked, expert, ys, scheme):
+    """SHP(tracked) - SHP(expert) + slack, never negative on any run; the
+    slack is eps + eps^2/4 + (log T + 1)/(eps T)."""
+    return (sharpness(tracked, ys, scheme) - sharpness(expert, ys, scheme)
+            + tracking_sharpness_slack(scheme.epsilon, len(ys)))
 
 
 def _tracked(name, expert, ys, scheme):
-    """Tracking over the expert column. The tracked forecaster's sharpness
-    can trail the expert's by at most eps + eps^2/4 + (log T + 1)/(eps T),
-    deterministically on every run; a violation raises."""
+    """Tracking over the expert column; a negative tracking margin raises."""
     out = tracking_run(expert, ys, scheme)
     if len(ys):
-        slack = tracking_sharpness_slack(scheme.epsilon, len(ys)) + 1e-12
-        shp_tracked, shp_expert = sharpness(out, ys, scheme), sharpness(expert, ys, scheme)
-        if shp_tracked < shp_expert - slack:
+        margin = _tracking_margin(out, expert, ys, scheme)
+        if margin < -1e-12:
             raise CalibeatingInvariantError(
-                f"tracking sharpness guarantee violated for {name}: "
-                f"{shp_tracked:.6f} < {shp_expert:.6f} - {slack:.6f}"
-            )
+                f"tracking sharpness guarantee violated for {name}: SHP(tracked) {sharpness(out, ys, scheme):.6f}, "
+                f"SHP(expert) {sharpness(expert, ys, scheme):.6f}, margin {margin:.6g}")
     return out
-
-
-def _adversarial_run(spec: StreamSpec, scheme: BinningScheme, hedged: bool):
-    """The online Platt scaler against the outcome adversary, with or
-    without hedging. Returns (ops, hops, ys); hops is None unhedged."""
-    feats = platt_features(build_scored_stream(spec).scores)
-    pc = OnsConfig.platt()
-    ons = (pc.gamma, pc.rho, pc.radius, initial_theta(pc.dim))
-    if hedged:
-        us = substream(spec.seed, P_HEDGE).random(len(feats))
-        return kernels.hops_adversarial_pass(feats, us, scheme.epsilon, scheme.m, *ons)
-    ops, ys = kernels.ops_adversarial_pass(feats, *ons)
-    return ops, None, ys
 
 
 def _metric_series(col, ys, timestamps, t_cal, scheme):
@@ -459,19 +458,19 @@ class TheoremCheck:
         return bool(self.measured <= self.bound if self.direction == "<=" else self.measured >= self.bound)
 
 
+def _whole_stream_replication(kind, seed, drift, methods):
+    """``run_replication`` on the canonical spec with T_cal = 0: columns cover the whole test stream."""
+    return run_replication(replace(default_spec(kind, seed=seed, drift=drift), T_cal=0), methods, 0.1)
+
+
 def check_regret_bound(seeds: int = 20) -> list:
     """Online-scaler regret vs the batch comparator on the four synthetic
     stream configurations (T = 5000 test points each)."""
     rows = []
     for kind in ("covmulti", "labelmulti"):
         for drift in (False, True):
-            runs = []
-            for seed in range(seeds):
-                stream = build_scored_stream(default_spec(kind, seed=seed, drift=drift))
-                ts, ty = stream.test_scores(), stream.test_y()
-                probs, _ = online_scaler_run(ts, ty, "platt")
-                runs.append(_regret_diag(probs, ts, ty, "platt"))
-            reg, bound = max(runs, key=lambda rb: rb[0] - rb[1])  # the seed with the least slack
+            diags = [_whole_stream_replication(kind, seed, drift, ("OPS",))[3] for seed in range(seeds)]
+            worst = max(diags, key=lambda d: d["OPS_regret"] - d["OPS_regret_bound"])  # the least slack
             rows.append(
                 TheoremCheck(
                     name="regret-bound",
@@ -479,8 +478,8 @@ def check_regret_bound(seeds: int = 20) -> list:
                     epsilon=float("nan"),
                     T=5000,
                     seeds=seeds,
-                    measured=reg,
-                    bound=bound,
+                    measured=worst["OPS_regret"],
+                    bound=worst["OPS_regret_bound"],
                     direction="<=",
                 )
             )
@@ -488,38 +487,31 @@ def check_regret_bound(seeds: int = 20) -> list:
 
 
 def check_tracking_sharpness(seeds: int = 3, epsilons=(0.05, 0.1, 0.2)) -> list:
-    """Per-run tracking sharpness guarantee across bin widths."""
-    rows = []
-    for eps in epsilons:
-        scheme = BinningScheme(eps)
-        worst = np.inf
-        T_used = 0
-        for kind in ("covmulti", "labelmulti"):
-            for seed in range(seeds):
-                stream = build_scored_stream(default_spec(kind, seed=seed, drift=True))
-                ts, ty = stream.test_scores(), stream.test_y()
-                probs, _ = online_scaler_run(ts, ty, "platt")
-                tracked = tracking_run(probs, ty, scheme)
-                T_used = len(ty)
-                margin = (
-                    sharpness(tracked, ty, scheme)
-                    - sharpness(probs, ty, scheme)
-                    + tracking_sharpness_slack(eps, T_used)
-                )
-                worst = min(worst, margin)
-        rows.append(
-            TheoremCheck(
-                name="tracking-sharpness",
-                detail="SHP(tracked) - SHP(online) + slack, worst run",
-                epsilon=eps,
-                T=T_used,
-                seeds=seeds,
-                measured=worst,
-                bound=0.0,
-                direction=">=",
-            )
+    """Per-run tracking sharpness guarantee across bin widths: one online
+    run per stream, tracked at every width."""
+    schemes = [BinningScheme(eps) for eps in epsilons]
+    worst = [np.inf] * len(schemes)
+    T = 0
+    for kind in ("covmulti", "labelmulti"):
+        for seed in range(seeds):
+            cols, ys, _, _ = _whole_stream_replication(kind, seed, True, ("OPS",))
+            T = len(ys)
+            for i, scheme in enumerate(schemes):
+                tracked = tracking_run(cols["OPS"], ys, scheme)
+                worst[i] = min(worst[i], _tracking_margin(tracked, cols["OPS"], ys, scheme))
+    return [
+        TheoremCheck(
+            name="tracking-sharpness",
+            detail="SHP(tracked) - SHP(online) + slack, worst run",
+            epsilon=scheme.epsilon,
+            T=T,
+            seeds=seeds,
+            measured=margin,
+            bound=0.0,
+            direction=">=",
         )
-    return rows
+        for scheme, margin in zip(schemes, worst)
+    ]
 
 
 def check_adversarial_calibration(seeds: int = 100, T: int = 10_000, epsilon: float = 0.1):
@@ -529,14 +521,13 @@ def check_adversarial_calibration(seeds: int = 100, T: int = 10_000, epsilon: fl
     scheme = BinningScheme(epsilon)
     ces_hedged, ces_det, bs_gap = [], [], []
     for seed in range(seeds):
-        spec = StreamSpec(kind="adversarial", seed=replication_seed(seed, 0),
-                          T_train=0, T_test=T, T_cal=0)
-        ops, hops, ys = _adversarial_run(spec, scheme, hedged=True)
-        ces_hedged.append(calibration_error(hops, ys, scheme))
-        bs_gap.append(brier(hops, ys) - brier(ops, ys))
-        ops_det, _, ys_det = _adversarial_run(spec, scheme, hedged=False)
-        ces_det.append(calibration_error(ops_det, ys_det, scheme))
-    rows = [
+        spec = replace(default_spec("adversarial", seed=replication_seed(seed, 0)), T_test=T)
+        cols, ys = run_replication(spec, ("OPS", "HOPS"), epsilon)[:2]
+        ces_hedged.append(calibration_error(cols["HOPS"], ys, scheme))
+        bs_gap.append(brier(cols["HOPS"], ys) - brier(cols["OPS"], ys))
+        cols, ys = run_replication(spec, ("OPS",), epsilon)[:2]
+        ces_det.append(calibration_error(cols["OPS"], ys, scheme))
+    return [
         TheoremCheck(
             name="hedged-adversarial-ce",
             detail="mean CE of hedged forecasts vs adversary",
@@ -568,7 +559,6 @@ def check_adversarial_calibration(seeds: int = 100, T: int = 10_000, epsilon: fl
             direction="<=",
         ),
     ]
-    return rows
 
 
 def check_hedging_sharpness_and_brier(seeds: int = 100, epsilon: float = 0.1) -> list:

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kernels
-from .core import clip_score, log_loss, logit, sigmoid
+from .core import check_unit, clip_score, log_loss, logit, sigmoid
 from .ons import OnsConfig, OnsState, initial_theta, ons_advance
 
 PARAM_RADIUS = 100.0
@@ -267,6 +267,8 @@ class WindowedLearner:
             raise ValueError("family must be platt, beta, or hb")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if self.hb_bins < 1:
+            raise ValueError("hb_bins must be >= 1")
 
 
 # windowed families: refit(scores, ys, hb_bins), only hb reading hb_bins, and apply(params, score)
@@ -356,5 +358,8 @@ def online_scaler_run(scores, ys, family: str, config: OnsConfig | None = None):
     in force at 0-based step t.
     """
     features, config = _online_family(family, config)
+    ys = check_unit(ys, "outcomes")
+    if np.shape(scores) != ys.shape:
+        raise ValueError("scores and outcomes must have equal length")
     return kernels.ons_pass(features(scores), ys, config.gamma, config.rho, config.radius,
                             initial_theta(config.dim))

@@ -213,6 +213,7 @@ def test_config_key_matches_its_flag(tmp_path, monkeypatch, section, key, value,
 @pytest.mark.parametrize("line, message", [
     ("reps = two", "argument --reps: invalid int value: 'two'"),
     ("rep = 4", "unknown keys in"),
+    ("drift = ture", "drift must be one of"),
 ])
 def test_bad_config_value_is_a_usage_error(tmp_path, capsys, line, message):
     cfg = tmp_path / "exp.ini"

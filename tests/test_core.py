@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 from opscal.core import (
     BinningScheme,
     BinStats,
-    ForecastTrace,
     bin_index,
     clip_score,
     log_loss,
@@ -251,11 +250,3 @@ class TestBinStats:
         # empty upper bin: ybar 0, pbar midpoint
         assert stats.outcome_means()[1] == 0.0
         assert stats.forecast_means()[1] == pytest.approx(0.75)
-
-
-class TestForecastTrace:
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            ForecastTrace(y=np.zeros(3), forecasts={"m": np.zeros(2)})
-        tr = ForecastTrace(y=np.zeros(3), forecasts={"m": np.zeros(3)})
-        assert len(tr) == 3

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from opscal.core import ForecastTrace, log_loss, sigmoid
+from opscal.core import log_loss, sigmoid
 from opscal.ons import (
     OnsConfig,
     OnsState,
@@ -192,9 +192,7 @@ class TestRegret:
         scores, y = self._trace(rng)
         params = fit_platt_batch(scores, y)
         fc = platt_apply(params, scores)
-        tr = ForecastTrace(y=y, forecasts={"OPS": fc}, score=scores)
-        rep = regret(tr, params.as_array())
-        assert rep.regret == pytest.approx(0.0, abs=1e-12)
+        assert regret(fc, y, platt_apply(params, scores)) == pytest.approx(0.0, abs=1e-12)
 
     def test_oracle_minimality(self):
         # the batch fit minimizes the comparator loss, so regret of any
@@ -204,9 +202,7 @@ class TestRegret:
             scores, y = self._trace(rng)
             probs, _ = online_scaler_run(scores, y, "platt")
             params = fit_platt_batch(scores, y)
-            tr = ForecastTrace(y=y, forecasts={"OPS": probs}, score=scores)
-            rep = regret(tr, params.as_array())
-            assert rep.regret >= -1e-6
+            assert regret(probs, y, platt_apply(params, scores)) >= -1e-6
 
     def test_regret_bound_smoke(self):
         # i.i.d. well-specified stream: the guarantee holds with big margin
@@ -215,19 +211,14 @@ class TestRegret:
         y = (rng.random(5000) < scores).astype(float)
         probs, _ = online_scaler_run(scores, y, "platt")
         params = fit_platt_batch(scores, y)
-        tr = ForecastTrace(y=y, forecasts={"OPS": probs}, score=scores)
-        rep = regret(tr, params.as_array())
         B = max(1.0, float(np.linalg.norm(params.as_array())))
-        assert rep.regret <= ons_regret_bound(5000, B)
+        assert regret(probs, y, platt_apply(params, scores)) <= ons_regret_bound(5000, B)
 
     def test_empty_trace_rejected(self):
-        tr = ForecastTrace(y=np.zeros(1), forecasts={"OPS": np.array([0.5])},
-                           score=np.array([0.5]))
         with pytest.raises(ValueError):
-            regret(ForecastTrace(y=np.zeros(0), forecasts={"OPS": np.zeros(0)},
-                                 score=np.zeros(0)), np.array([1.0, 0.0]))
+            regret(np.zeros(0), np.zeros(0), platt_apply(np.array([1.0, 0.0]), np.zeros(0)))
         # well-formed one works
-        regret(tr, np.array([1.0, 0.0]))
+        regret(np.array([0.5]), np.zeros(1), platt_apply(np.array([1.0, 0.0]), np.array([0.5])))
 
 
 class TestOnlineScalerStationarity:

@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opscal.core import BinningScheme, BinStats, ForecastTrace
+from opscal import pipeline
+from opscal.calibeating import CalibeatingInvariantError
+from opscal.core import BinningScheme, BinStats
 from opscal.datagen import (
     BaseModelWeights,
     LabeledStream,
@@ -14,7 +16,6 @@ from opscal.datagen import (
     StreamSpec,
     default_spec,
 )
-from opscal.ons import RegretReport
 from opscal.pipeline import (
     ClimatologyReport,
     ExperimentConfig,
@@ -159,6 +160,16 @@ class TestRunReplication:
         assert set(cols) == {"OPS", "HOPS"}
         assert truth is None
         assert set(np.unique(ys)) <= {0.0, 1.0}
+
+    def test_tracking_margin_violation_raises(self, monkeypatch):
+        # a perfectly sharp expert against a "tracker" that always says 0.5:
+        # SHP 0.5 vs 0.25 exceeds the slack, so the guarantee check fires
+        ys = (np.random.default_rng(3).random(5000) < 0.5).astype(float)
+        scheme = BinningScheme(0.1)
+        assert len(pipeline._tracked("TOPS", ys, ys, scheme)) == 5000  # the real tracker passes
+        monkeypatch.setattr(pipeline, "tracking_run", lambda expert, ys, scheme: np.full(len(ys), 0.5))
+        with pytest.raises(CalibeatingInvariantError, match=r"TOPS: SHP\(tracked\) 0\.25.*SHP\(expert\) 0\.5"):
+            pipeline._tracked("TOPS", ys, ys, scheme)
 
 
 ALL_METHODS = ("BM", "FPS", "WPS", "OPS", "TOPS", "HOPS",
@@ -412,15 +423,13 @@ class TestDumpStream:
 
 @pytest.mark.parametrize("make", [
     lambda: BinStats.from_arrays(np.array([0.2]), np.array([1.0]), BinningScheme(0.1)),
-    lambda: ForecastTrace(y=np.zeros(2), forecasts={"BM": np.zeros(2)}),
-    lambda: RegretReport(1.0, 1.0, 0.0, np.zeros(2)),
     lambda: ClimatologyReport(np.zeros(2), np.zeros(2), [0.5]),
     lambda: RunReport(quick_config(), np.arange(2), {}, {}, {}, {}),
     lambda: HistogramBinningModel(np.linspace(0.0, 1.0, 3), np.array([0.2, 0.8])),
     lambda: BaseModelWeights(np.zeros(2), True, 1),
     lambda: LabeledStream(np.zeros(2), np.zeros((2, 1)), np.zeros(2), None),
     lambda: ScoredStream(small_spec(), np.full(2, 0.5), np.zeros(2), None, None),
-], ids=["BinStats", "ForecastTrace", "RegretReport", "ClimatologyReport", "RunReport",
+], ids=["BinStats", "ClimatologyReport", "RunReport",
         "HistogramBinningModel", "BaseModelWeights", "LabeledStream", "ScoredStream"])
 def test_result_records_compare_by_identity(make):
     # the records hold numpy arrays, so a field-wise == would ask an array

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from opscal import scalers
 from opscal.core import log_loss, logit, sigmoid
-from opscal.ons import OnsConfig, OnsState
+from opscal.ons import OnsConfig, OnsState, initial_theta, ons_step
 from opscal.scalers import (
     BetaParams,
     PlattParams,
@@ -243,6 +243,16 @@ class TestWindowedLearner:
         with pytest.raises(ValueError):
             windowed_step(learner, 3, np.zeros(3), np.zeros(3), 0.5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"window": 0}, "window must be >= 1"),
+        ({"hb_bins": 0}, "hb_bins must be >= 1"),
+        ({"hb_bins": -3}, "hb_bins must be >= 1"),
+    ])
+    def test_rejects_nonpositive_window_or_bins(self, kwargs, message):
+        # checked at construction, not at the first refit
+        with pytest.raises(ValueError, match=message):
+            WindowedLearner(**{"family": "hb", "window": 10, "t_cal": 20, **kwargs})
+
 
 FIT_APPLY = {
     "platt": (fit_platt_batch, platt_apply),
@@ -330,6 +340,42 @@ class TestOnlineScalerStep:
         state = OnsState.init(OnsConfig.platt())
         with pytest.raises(ValueError):
             online_scaler_step(state, 0.5, 1.0, "beta")
+
+
+class TestOnlineScalerOutcomes:
+    """The online scaler's entry points reject an outcome outside [0, 1]
+    (NaN included) and a score column whose length is not the outcomes'."""
+
+    BAD = [float("nan"), 5.0, -0.5, float("inf")]
+
+    @pytest.mark.parametrize("family", ["platt", "beta"])
+    @pytest.mark.parametrize("y", BAD)
+    def test_step_rejects_outcome(self, family, y):
+        config = scalers._FAMILIES[family].config
+        state = OnsState.init(config)
+        with pytest.raises(ValueError, match=r"outcomes must lie in \[0, 1\]"):
+            online_scaler_step(state, 0.4, y, family)
+        feature = family_features(family, [0.4])[0]
+        with pytest.raises(ValueError, match=r"outcomes must lie in \[0, 1\]"):
+            ons_step(state, feature, y, config)
+        # the rejected step left the state as it was
+        assert np.array_equal(state.theta, initial_theta(config.dim)) and state.t == 0
+
+    @pytest.mark.parametrize("family", ["platt", "beta"])
+    @pytest.mark.parametrize("y", BAD)
+    def test_run_rejects_outcome(self, family, y):
+        ys = np.array([1.0, 0.0, y, 1.0])
+        with pytest.raises(ValueError, match=r"outcomes must lie in \[0, 1\]"):
+            online_scaler_run(np.full(4, 0.4), ys, family)
+
+    @pytest.mark.parametrize("n_scores", [3, 5])
+    def test_run_rejects_length_mismatch(self, n_scores):
+        with pytest.raises(ValueError, match="equal length"):
+            online_scaler_run(np.full(n_scores, 0.4), np.ones(4), "platt")
+
+    def test_boundary_outcomes_accepted(self):
+        probs, _ = online_scaler_run(np.full(4, 0.4), np.array([0.0, 1.0, 0.25, 1.0]), "beta")
+        assert np.all((probs >= 0.0) & (probs <= 1.0))
 
 
 def reference_newton_logistic(X, y, init, ridge=0.0, radius=None, tol=1e-8, max_iter=200, evals=None):
