@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opscal import scalers
-from opscal.core import log_loss, logit, sigmoid
+from opscal.core import clip_score, log_loss, logit, sigmoid
 from opscal.ons import OnsConfig, OnsState, initial_theta, ons_step
 from opscal.scalers import (
     BetaParams,
@@ -72,6 +72,38 @@ class TestBetaApply:
     def test_direct_evaluation(self):
         # sigmoid(2 log .5 - log .5) = sigmoid(log .5) = 1/3
         assert beta_apply((2.0, -1.0, 0.0), 0.5) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+CLIP_POINTS = [0.0, 0.005, 0.995, 1.0]
+param = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 2.0))
+score_lists = st.lists(st.one_of(st.sampled_from(CLIP_POINTS), st.floats(0.0, 1.0)), min_size=1, max_size=40)
+
+
+def closed_form(family, p, score):
+    """The apply formulas written out: sigmoid(a logit s + b) and
+    sigmoid(a log s + b log(1-s) + c) over the clipped score."""
+    if family == "platt":
+        return sigmoid(p[0] * logit(score) + p[1])
+    s = clip_score(score)
+    return sigmoid(p[0] * np.log(s) + p[1] * np.log(1.0 - s) + p[2])
+
+
+class TestApplyBitwise:
+    """platt_apply and beta_apply equal their closed forms bit for bit, on
+    arrays and on Python-float scores, the clip points included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.lists(param, min_size=3, max_size=3), scores=score_lists)
+    @example(p=[1.0, -1.0, 0.0], scores=[*CLIP_POINTS, 0.5])
+    @example(p=[1e2, -1e-3, 1e2], scores=CLIP_POINTS)
+    def test_equals_closed_form(self, p, scores):
+        for family, apply, params in (("platt", platt_apply, p[:2]), ("beta", beta_apply, p)):
+            got, want = apply(params, np.array(scores)), closed_form(family, params, np.array(scores))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for s in scores:
+                got, want = apply(params, s), closed_form(family, params, s)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestFitPlattBatch:
