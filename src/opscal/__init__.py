@@ -20,9 +20,7 @@ from .core import (
 )
 from .ons import OnsConfig, OnsState, logloss_gradient, ons_regret_bound, ons_step, project_ellipsoid, regret
 from .scalers import (
-    BetaParams,
     HistogramBinningModel,
-    PlattParams,
     WindowedLearner,
     beta_apply,
     fit_beta_batch,

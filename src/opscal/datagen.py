@@ -317,14 +317,7 @@ def build_scored_stream(spec: StreamSpec) -> ScoredStream:
         return ScoredStream(spec=spec, scores=scores, y=np.zeros(spec.T_test),
                             truth=None, base=None)
     if spec.kind == "csv":
-        return ingest_csv(
-            spec.csv_path,
-            spec.label_column,
-            sortby_column=spec.sortby_column,
-            score_column=spec.score_column,
-            seed=spec.seed,
-            spec=spec,
-        )
+        return ingest_csv(spec)
     stream = generate(spec)
     model = train_base_logistic(stream.features[: spec.T_train], stream.y[: spec.T_train],
                                 ridge=BASE_MODEL_RIDGE)
@@ -332,38 +325,33 @@ def build_scored_stream(spec: StreamSpec) -> ScoredStream:
     return ScoredStream(spec=spec, scores=scores, y=stream.y, truth=stream.truth, base=model)
 
 
-def ingest_csv(
-    path,
-    label_column: str,
-    sortby_column: str | None = None,
-    score_column: str | None = None,
-    seed: int = 0,
-    spec: StreamSpec | None = None,
-) -> ScoredStream:
-    """Load a local CSV into a scored stream.
+def ingest_csv(spec: StreamSpec) -> ScoredStream:
+    """Load the local CSV a csv ``spec`` describes into a scored stream.
 
-    With ``sortby_column`` the data is ordered by that column plus i.i.d.
-    uniform {-1, 0, 1} noise (stable sort - induced covariate drift);
-    otherwise rows are shuffled uniformly (the i.i.d. protocol). Base
-    scores come from ``score_column`` when given (it must lie in [0, 1];
-    ``core.clip_score`` raises otherwise), else from a logistic model
-    trained on the first T_train rows. Rows with missing or non-numeric
-    values are dropped and counted.
+    The spec gives the path, the columns, the seed and the block sizes;
+    T_test becomes the number of rows after T_train. With ``sortby_column``
+    the data is ordered by that column plus i.i.d. uniform {-1, 0, 1} noise
+    (stable sort - induced covariate drift); otherwise rows are shuffled
+    uniformly (the i.i.d. protocol). Base scores come from ``score_column``
+    when given (it must lie in [0, 1]; ``core.clip_score`` raises
+    otherwise), else from a logistic model trained on the first T_train
+    rows. Rows with missing or non-numeric values are dropped and counted.
     """
-    path = str(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    if spec.kind != "csv":
+        raise ValueError(f"ingest_csv reads csv streams, not {spec.kind!r}")
+    with open(spec.csv_path, newline="", encoding="utf-8") as fh:
         reader = _csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError("empty CSV")
         rows = list(reader)
     header = [h.strip() for h in header]
-    for col in filter(None, (label_column, sortby_column, score_column)):
+    for col in filter(None, (spec.label_column, spec.sortby_column, spec.score_column)):
         if col not in header:
             raise ValueError(f"column {col!r} not in CSV header")
-    label_i = header.index(label_column)
-    sort_i = header.index(sortby_column) if sortby_column else None
-    score_i = header.index(score_column) if score_column else None
+    label_i = header.index(spec.label_column)
+    sort_i = header.index(spec.sortby_column) if spec.sortby_column else None
+    score_i = header.index(spec.score_column) if spec.score_column else None
     feature_is = [
         i for i, h in enumerate(header) if i != label_i and i != score_i
     ]
@@ -384,16 +372,12 @@ def ingest_csv(
     if not np.all(np.isin(labels, (0.0, 1.0))):
         raise ValueError("label column must be binary 0/1")
 
-    if spec is None:
-        spec = StreamSpec(kind="csv", seed=seed, csv_path=path, label_column=label_column,
-                          sortby_column=sortby_column, score_column=score_column,
-                          T_train=1000, T_cal=1000, W=500)
     need = spec.T_train + spec.T_cal + 2 * spec.W
     if len(data) < need:
         raise ValueError(f"CSV has {len(data)} usable rows; need at least {need}")
 
-    rng = substream(seed, P_SHUFFLE)
-    if sortby_column is not None:
+    rng = substream(spec.seed, P_SHUFFLE)
+    if spec.sortby_column is not None:
         noisy = data[:, sort_i] + rng.integers(-1, 2, size=len(data)).astype(float)
         order = np.argsort(noisy, kind="stable")
     else:

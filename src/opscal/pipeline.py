@@ -216,7 +216,7 @@ def _regret_diag(probs, scores, ys, family):
     family's batch fit on the whole stream, and the online-Newton bound for
     a comparator of that norm."""
     fit, apply = _batch_fns(family)
-    theta = fit(scores, ys).as_array()
+    theta = fit(scores, ys)
     bound = ons_regret_bound(len(ys), max(1.0, float(np.linalg.norm(theta))))
     return regret(probs, ys, apply(theta, scores)), float(bound)
 
@@ -402,12 +402,18 @@ def run_truth_windows(kind: str, seeds, windows_global, methods=("BM", "OPS"), d
     """Windowed truth-referenced accuracy/CE tables for synthetic streams.
 
     ``windows_global`` are inclusive (lo, hi) pairs on the full-sequence
-    time axis (the train block is t = 1..T_train). Methods are limited to
-    columns defined from the first test point: BM, OPS, OBS.
+    time axis (the train block is t = 1..T_train), each with
+    1 <= lo <= hi <= T_total. Methods are limited to columns defined from
+    the first test point: BM, OPS, OBS; a method is left out of a window
+    that starts before it is defined.
     """
     bad = set(methods) - {"BM", "OPS", "OBS"}
     if bad:
         raise ValueError(f"truth windows support BM/OPS/OBS only, got {sorted(bad)}")
+    T_total = default_spec(kind, drift=drift).T_total
+    outside = [w for w in windows_global if not 1 <= w[0] <= w[1] <= T_total]
+    if outside:
+        raise ValueError(f"windows must satisfy 1 <= lo <= hi <= T_total = {T_total}, got {outside}")
     acc = {m: {w: [] for w in windows_global} for m in methods}
     ce = {m: {w: [] for w in windows_global} for m in methods}
     for seed in seeds:

@@ -3,10 +3,12 @@
 Two logistic families share one damped-Newton core:
   - Platt: sigmoid(a logit(s) + b), features (logit s, 1)
   - beta:  sigmoid(a log s + b log(1-s) + c), features (log s, log(1-s), 1)
-Each is one row of ``_FAMILIES`` (features, parameter record, default
-online-Newton config, apply), and the batch fit, the online learner and the
-regret comparator all read that row. Histogram binning (uniform-mass bins
-with bin-mean predictions) joins them only as a windowed learner.
+Each is one row of ``_FAMILIES``, a feature map and a default online-Newton
+config. The feature map is the family's only arithmetic: the batch fit, the
+online learner and every forecast of a fitted map (``_apply``) read it, and
+a fit is one parameter array, the weights first and the bias last.
+Histogram binning (uniform-mass bins with bin-mean predictions) joins them
+only as a windowed learner.
 
 Batch fits minimize the summed log-loss over the radius-100 parameter ball
 (the same feasible set the online Newton learner projects onto, so batch
@@ -19,7 +21,8 @@ one Newton step per observation.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,33 +32,6 @@ from .core import check_unit, clip_score, log_loss, logit, sigmoid
 from .ons import OnsConfig, OnsState, initial_theta, ons_advance
 
 PARAM_RADIUS = 100.0
-
-
-class _Params:
-    """A batch fit's parameters, weights first and the bias last."""
-
-    def as_array(self) -> np.ndarray:
-        return np.array(astuple(self))
-
-
-@dataclass(frozen=True)
-class PlattParams(_Params):
-    a: float
-    b: float
-
-
-@dataclass(frozen=True)
-class BetaParams(_Params):
-    a: float
-    b: float
-    c: float
-
-
-def _params_array(params, n: int) -> np.ndarray:
-    arr = params.as_array() if isinstance(params, _Params) else np.asarray(params, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"expected {n} parameters, got shape {arr.shape}")
-    return arr
 
 
 def platt_features(scores) -> np.ndarray:
@@ -71,33 +47,50 @@ def beta_features(scores) -> np.ndarray:
     return np.column_stack([np.log(s), np.log(1.0 - s), np.ones(len(s))])
 
 
-def platt_apply(params, score):
-    """sigmoid(a logit(score) + b)."""
-    p = _params_array(params, 2)
-    out = sigmoid(p[0] * logit(np.asarray(score, dtype=float)) + p[1])
-    return float(out) if np.isscalar(score) else out
-
-
-def beta_apply(params, score):
-    """sigmoid(a log(score) + b log(1-score) + c); b = -a recovers Platt.
-    The score is checked and clipped by clip_score."""
-    p = _params_array(params, 3)
-    s = clip_score(score)
-    out = sigmoid(p[0] * np.log(s) + p[1] * np.log(1.0 - s) + p[2])
-    return float(out) if np.isscalar(score) else out
-
-
 class _Family(NamedTuple):  # one mapping family, read by every learner
     features: Callable  # scores -> feature rows, bias column last
-    params: type  # the batch fit's parameter record
     config: OnsConfig  # default online-Newton config; dim is the feature width
-    apply: Callable  # (params, score) -> forecast
 
 
 _FAMILIES = {
-    "platt": _Family(platt_features, PlattParams, OnsConfig.platt(), platt_apply),
-    "beta": _Family(beta_features, BetaParams, OnsConfig.beta(), beta_apply),
+    "platt": _Family(platt_features, OnsConfig.platt()),
+    "beta": _Family(beta_features, OnsConfig.beta()),
 }
+
+
+def _family(name: str) -> _Family:
+    row = _FAMILIES.get(name)
+    if row is None:
+        raise ValueError("family must be platt or beta")
+    return row
+
+
+def family_features(family: str, scores) -> np.ndarray:
+    return _family(family).features(scores)
+
+
+def _apply(family: str, params, score):
+    """sigmoid of the family's feature columns times ``params`` (weights
+    first, the bias last), summed in column order; a float for a scalar
+    score. The bias column is ones, so its product is the bias exactly."""
+    features, config = _family(family)
+    p = np.asarray(params, dtype=float)
+    if p.shape != (config.dim,):
+        raise ValueError(f"expected {config.dim} parameters, got shape {p.shape}")
+    X = features(score)
+    out = sigmoid(sum((X[:, j] * p[j] for j in range(1, config.dim)), X[:, 0] * p[0]))
+    return float(out[0]) if np.ndim(score) == 0 else out
+
+
+def platt_apply(params, score):
+    """sigmoid(a logit(score) + b) for params (a, b)."""
+    return _apply("platt", params, score)
+
+
+def beta_apply(params, score):
+    """sigmoid(a log(score) + b log(1-score) + c) for params (a, b, c); b = -a
+    recovers Platt. The score is checked and clipped by clip_score."""
+    return _apply("beta", params, score)
 
 
 def _renorm_to_ball(theta: np.ndarray, radius: float | None) -> np.ndarray:
@@ -188,24 +181,35 @@ def newton_logistic(
     return w, converged, it
 
 
-def _fit_batch(family: str, scores, ys):
+def _checked(scores, ys):
+    """(scores, ys) as float arrays; outcomes must lie in [0, 1] and match
+    the scores in length."""
+    ys = check_unit(ys, "outcomes")
+    scores = np.asarray(scores, dtype=float)
+    if scores.shape != ys.shape:
+        raise ValueError("scores and outcomes must have equal length")
+    return scores, ys
+
+
+def _fit_batch(family: str, scores, ys) -> np.ndarray:
     """Exact logistic regression over the family's features within the
-    PARAM_RADIUS ball, started from ``initial_theta``."""
-    row = _FAMILIES[family]
+    PARAM_RADIUS ball, started from ``initial_theta``; returns the weights,
+    the bias last."""
+    features, config = _family(family)
+    scores, ys = _checked(scores, ys)
     if len(scores) == 0:
         raise ValueError("empty data")
-    w, _, _ = newton_logistic(row.features(scores), ys, init=initial_theta(row.config.dim),
-                              radius=PARAM_RADIUS)
-    return row.params(*map(float, w))
+    return newton_logistic(features(scores), ys, init=initial_theta(config.dim), radius=PARAM_RADIUS)[0]
 
 
-def fit_platt_batch(scores, ys) -> PlattParams:
-    """Exact logistic regression over (logit score, 1) within the 100-ball."""
+def fit_platt_batch(scores, ys) -> np.ndarray:
+    """Exact logistic regression over (logit score, 1) within the 100-ball:
+    the array (a, b)."""
     return _fit_batch("platt", scores, ys)
 
 
-def fit_beta_batch(scores, ys) -> BetaParams:
-    """Three-parameter analogue of fit_platt_batch."""
+def fit_beta_batch(scores, ys) -> np.ndarray:
+    """Three-parameter analogue of fit_platt_batch: the array (a, b, c)."""
     return _fit_batch("beta", scores, ys)
 
 
@@ -228,10 +232,11 @@ def fit_histogram_binning(scores, ys, m: int = 10) -> HistogramBinningModel:
     """Equal-frequency bins at empirical score quantiles.
 
     Bin prediction = mean outcome of members; an empty bin predicts its own
-    score midpoint. Requires at least m points.
+    score midpoint. Requires m >= 1 and at least m points.
     """
-    scores = np.asarray(scores, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    scores, ys = _checked(scores, ys)
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if len(scores) < m:
         raise ValueError(f"need at least {m} points to fit {m} bins")
     inner = np.quantile(scores, np.arange(1, m) / m)
@@ -267,13 +272,15 @@ class WindowedLearner:
             raise ValueError("family must be platt, beta, or hb")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if self.t_cal < 0:
+            raise ValueError("t_cal must be >= 0")
         if self.hb_bins < 1:
             raise ValueError("hb_bins must be >= 1")
 
 
 # windowed families: refit(scores, ys, hb_bins), only hb reading hb_bins, and apply(params, score)
-_WINDOWED = {name: (lambda s, y, _, name=name: _fit_batch(name, s, y), row.apply)
-             for name, row in _FAMILIES.items()}
+_WINDOWED = {name: (lambda s, y, _, name=name: _fit_batch(name, s, y), partial(_apply, name))
+             for name in _FAMILIES}
 _WINDOWED["hb"] = (fit_histogram_binning, HistogramBinningModel.predict)
 
 
@@ -310,13 +317,16 @@ def windowed_run(fit, apply, params, t_cal: int, window: int, scores, ys) -> np.
 
 
 def windowed_step(learner: WindowedLearner, t: int, hist_scores, hist_ys, score_t):
-    """Forecast at time t (1-based); history holds all (score, y) with s <= t-1.
+    """Forecast at time t (1-based); history holds all (score, y) with s <= t-1
+    (longer histories are cut to that prefix).
 
     At ``refit_times`` steps the learner refits on the whole history before
     forecasting.
     """
     if t <= learner.t_cal:
         raise ValueError("windowed learners only forecast after the calibration prefix")
+    if min(len(hist_scores), len(hist_ys)) < t - 1:
+        raise ValueError(f"history must hold the t - 1 = {t - 1} points before t")
     fit, apply = _WINDOWED[learner.family]
     if t in refit_times(learner.t_cal, learner.window, t):
         learner.params = fit(np.asarray(hist_scores, dtype=float)[: t - 1],
@@ -327,19 +337,6 @@ def windowed_step(learner: WindowedLearner, t: int, hist_scores, hist_ys, score_
     return apply(learner.params, score_t)
 
 
-def _online_family(family: str, config: OnsConfig | None):
-    """(feature function, config) of an online family; ``config`` defaults
-    to the family's own."""
-    row = _FAMILIES.get(family)
-    if row is None:
-        raise ValueError("family must be platt or beta")
-    return row.features, row.config if config is None else config
-
-
-def family_features(family: str, scores) -> np.ndarray:
-    return _online_family(family, None)[0](scores)
-
-
 def online_scaler_step(state: OnsState, score, y, family: str, config: OnsConfig | None = None):
     """Forecast with the pre-update parameters, then take one Newton step.
 
@@ -347,8 +344,8 @@ def online_scaler_step(state: OnsState, score, y, family: str, config: OnsConfig
     computed before the update, sharing the kernel's arithmetic so that a
     step-by-step run replays a whole-stream kernel pass.
     """
-    features, config = _online_family(family, config)
-    return ons_advance(state, features([score])[0], y, config)
+    row = _family(family)
+    return ons_advance(state, row.features([score])[0], y, row.config if config is None else config)
 
 
 def online_scaler_run(scores, ys, family: str, config: OnsConfig | None = None):
@@ -357,9 +354,8 @@ def online_scaler_run(scores, ys, family: str, config: OnsConfig | None = None):
     Returns (forecasts, theta_trace); theta_trace[t] is the parameter vector
     in force at 0-based step t.
     """
-    features, config = _online_family(family, config)
-    ys = check_unit(ys, "outcomes")
-    if np.shape(scores) != ys.shape:
-        raise ValueError("scores and outcomes must have equal length")
-    return kernels.ons_pass(features(scores), ys, config.gamma, config.rho, config.radius,
+    row = _family(family)
+    config = row.config if config is None else config
+    scores, ys = _checked(scores, ys)
+    return kernels.ons_pass(row.features(scores), ys, config.gamma, config.rho, config.radius,
                             initial_theta(config.dim))

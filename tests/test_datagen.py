@@ -376,6 +376,16 @@ class TestIngestCsv:
             s2 = build_scored_stream(spec)
             assert np.array_equal(s.y, s2.y)
 
+    def test_spec_is_the_only_description(self, tmp_path):
+        # the stream's spec names the seed and sort column it was built with:
+        # sort keys 5 apart keep the file's row order under the +-1 noise
+        path = self._make(tmp_path)
+        spec = self._spec(path, seed=5, sortby_column="age")
+        s = ingest_csv(spec)
+        labels = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(2,))
+        assert s.spec == replace(spec, T_test=len(labels) - spec.T_train)
+        assert np.array_equal(s.y, labels)
+
     def test_shuffle_reproducible(self):
         import tempfile, pathlib
 
@@ -434,17 +444,17 @@ class TestIngestCsv:
         rng = np.random.default_rng(2)
         raw = np.concatenate([[0.0, 1.0, 0.005, 0.995], rng.random(46)])
         labels = rng.integers(0, 2, size=len(raw))
-        spec = StreamSpec(kind="csv", seed=0, csv_path="scored.csv", label_column="label",
-                          score_column="score", T_train=5, T_cal=5, W=5)
         path = tmp_path / "scored.csv"
+        spec = StreamSpec(kind="csv", seed=0, csv_path=str(path), label_column="label",
+                          score_column="score", T_train=5, T_cal=5, W=5)
         write_csv(path, ["score", "label"], [[s, int(y)] for s, y in zip(raw, labels)])
-        s = ingest_csv(path, "label", score_column="score", spec=spec)
+        s = ingest_csv(spec)
         assert np.array_equal(np.sort(s.scores), np.sort(np.clip(raw, CLIP_LO, CLIP_HI)))
         for bad in (1.5, -0.2):
             write_csv(path, ["score", "label"],
                       [[bad if i == 7 else s, int(y)] for i, (s, y) in enumerate(zip(raw, labels))])
             with pytest.raises(ValueError, match=r"scores must lie in \[0, 1\]"):
-                ingest_csv(path, "label", score_column="score", spec=spec)
+                ingest_csv(spec)
 
     def test_error_paths(self):
         import tempfile, pathlib
@@ -452,13 +462,15 @@ class TestIngestCsv:
         with tempfile.TemporaryDirectory() as d:
             path = self._make(pathlib.Path(d), n=12)
             with pytest.raises(ValueError, match="not in CSV header"):
-                ingest_csv(path, "nope")
+                ingest_csv(self._spec(path, label_column="nope"))
+            with pytest.raises(ValueError, match="reads csv streams"):
+                ingest_csv(default_spec("cov1d"))
             with pytest.raises(ValueError, match="need at least"):
                 build_scored_stream(self._spec(path, T_train=50, T_cal=50, W=50))
             bad = pathlib.Path(d) / "bad.csv"
             write_csv(bad, ["a", "label"], [[1.0, 2] for _ in range(40)])
             with pytest.raises(ValueError, match="binary"):
-                ingest_csv(bad, "label", spec=None, seed=0)
+                ingest_csv(self._spec(bad))
 
 
 class TestAdversary:

@@ -211,7 +211,7 @@ class TestRegret:
         y = (rng.random(5000) < scores).astype(float)
         probs, _ = online_scaler_run(scores, y, "platt")
         params = fit_platt_batch(scores, y)
-        B = max(1.0, float(np.linalg.norm(params.as_array())))
+        B = max(1.0, float(np.linalg.norm(params)))
         assert regret(probs, y, platt_apply(params, scores)) <= ons_regret_bound(5000, B)
 
     def test_empty_trace_rejected(self):

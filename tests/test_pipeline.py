@@ -342,6 +342,15 @@ class TestTruthWindows:
             run_truth_windows("cov1d", seeds=[0], windows_global=((1, 10),),
                               methods=("TOPS",))
 
+    @pytest.mark.parametrize("window", [(5900, 6500), (0, 10), (20, 10), (6001, 6001)])
+    def test_rejects_window_outside_the_stream(self, monkeypatch, window):
+        # labelmulti has T_total = 6000; the check comes before any stream is built
+        built = []
+        monkeypatch.setattr(pipeline, "build_scored_stream", lambda spec: built.append(spec))
+        with pytest.raises(ValueError, match="1 <= lo <= hi <= T_total = 6000"):
+            run_truth_windows("labelmulti", seeds=[0], windows_global=((1, 6000), window))
+        assert built == []
+
 
 class TestTheoremSuite:
     def test_quick_suite_passes_and_writes_csv(self, tmp_path):

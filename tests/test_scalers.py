@@ -10,8 +10,6 @@ from opscal import scalers
 from opscal.core import clip_score, log_loss, logit, sigmoid
 from opscal.ons import OnsConfig, OnsState, initial_theta, ons_step
 from opscal.scalers import (
-    BetaParams,
-    PlattParams,
     WindowedLearner,
     _renorm_to_ball,
     beta_apply,
@@ -53,9 +51,6 @@ class TestPlattApply:
         assert np.all(np.diff(up) > 0)
         assert np.all(np.diff(down) < 0)
         assert np.allclose(np.diff(flat), 0.0)
-
-    def test_accepts_dataclass(self):
-        assert platt_apply(PlattParams(1.0, 0.0), 0.3) == pytest.approx(0.3, abs=1e-12)
 
 
 class TestBetaApply:
@@ -111,7 +106,7 @@ class TestFitPlattBatch:
         scores = np.array([0.3, 0.3, 0.7, 0.7])
         y = np.array([0.0, 1.0, 0.0, 1.0])
         fit = fit_platt_batch(scores, y)
-        assert abs(fit.a) <= 1e-6 and abs(fit.b) <= 1e-6
+        assert abs(fit[0]) <= 1e-6 and abs(fit[1]) <= 1e-6
 
     def test_beats_grid_oracle(self):
         rng = np.random.default_rng(21)
@@ -122,7 +117,7 @@ class TestFitPlattBatch:
             truth_ab = rng.normal(size=2)
             y = (rng.random(n) < platt_apply(truth_ab, scores)).astype(float)
             fit = fit_platt_batch(scores, y)
-            fit_loss = platt_loss(fit.a, fit.b, scores, y)
+            fit_loss = platt_loss(fit[0], fit[1], scores, y)
             grid_min = min(platt_loss(a, b, scores, y) for a in grid for b in grid)
             assert fit_loss <= grid_min + 1e-9
             assert fit_loss <= platt_loss(1.0, 0.0, scores, y) + 1e-12
@@ -132,14 +127,14 @@ class TestFitPlattBatch:
         scores = rng.uniform(0.01, 0.99, size=50_000)
         y = (rng.random(50_000) < platt_apply((2.0, -1.0), scores)).astype(float)
         fit = fit_platt_batch(scores, y)
-        assert fit.a == pytest.approx(2.0, abs=0.1)
-        assert fit.b == pytest.approx(-1.0, abs=0.1)
+        assert fit[0] == pytest.approx(2.0, abs=0.1)
+        assert fit[1] == pytest.approx(-1.0, abs=0.1)
 
     def test_separable_data_pins_to_ball_boundary(self):
         scores = np.array([0.2] * 10 + [0.8] * 10)
         y = np.array([0.0] * 10 + [1.0] * 10)
         fit = fit_platt_batch(scores, y)
-        assert np.linalg.norm(fit.as_array()) == pytest.approx(100.0, abs=1e-9)
+        assert np.linalg.norm(fit) == pytest.approx(100.0, abs=1e-9)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
@@ -147,7 +142,7 @@ class TestFitPlattBatch:
 
     def test_single_label_boundary_solution(self):
         fit = fit_platt_batch(np.array([0.4, 0.6]), np.array([1.0, 1.0]))
-        assert np.linalg.norm(fit.as_array()) <= 100.0 + 1e-9
+        assert np.linalg.norm(fit) <= 100.0 + 1e-9
         # predictions saturate toward 1
         assert platt_apply(fit, 0.5) > 0.99
 
@@ -165,9 +160,9 @@ class TestFitBetaBatch:
         scores = rng.uniform(0.01, 0.99, size=50_000)
         y = (rng.random(50_000) < beta_apply((1.5, -0.5, 0.2), scores)).astype(float)
         fit = fit_beta_batch(scores, y)
-        assert fit.a == pytest.approx(1.5, abs=0.15)
-        assert fit.b == pytest.approx(-0.5, abs=0.15)
-        assert fit.c == pytest.approx(0.2, abs=0.15)
+        assert fit[0] == pytest.approx(1.5, abs=0.15)
+        assert fit[1] == pytest.approx(-0.5, abs=0.15)
+        assert fit[2] == pytest.approx(0.2, abs=0.15)
 
     def test_single_score_reduces_to_intercept(self):
         rng = np.random.default_rng(24)
@@ -275,10 +270,25 @@ class TestWindowedLearner:
         with pytest.raises(ValueError):
             windowed_step(learner, 3, np.zeros(3), np.zeros(3), 0.5)
 
+    def test_rejects_short_history(self):
+        # a refit step needs the t - 1 points before t, and so does every other step
+        rng = np.random.default_rng(36)
+        scores, y = self._stream(rng, 20)
+        learner = WindowedLearner(family="platt", window=5, t_cal=10, params=np.array([1.0, 0.0]))
+        for t, n in ((15, 3), (15, 13), (12, 10)):
+            with pytest.raises(ValueError, match=f"history must hold the t - 1 = {t - 1} points"):
+                windowed_step(learner, t, scores[:n], y[:n], 0.4)
+            with pytest.raises(ValueError, match="history must hold"):
+                windowed_step(learner, t, scores, y[:n], 0.4)
+        assert learner.refit_steps == [] and learner.params.tolist() == [1.0, 0.0]
+        assert windowed_step(learner, 15, scores[:14], y[:14], 0.4) == platt_apply(
+            fit_platt_batch(scores[:14], y[:14]), 0.4)
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"window": 0}, "window must be >= 1"),
         ({"hb_bins": 0}, "hb_bins must be >= 1"),
         ({"hb_bins": -3}, "hb_bins must be >= 1"),
+        ({"t_cal": -1}, "t_cal must be >= 0"),
     ])
     def test_rejects_nonpositive_window_or_bins(self, kwargs, message):
         # checked at construction, not at the first refit
@@ -407,6 +417,40 @@ class TestOnlineScalerOutcomes:
 
     def test_boundary_outcomes_accepted(self):
         probs, _ = online_scaler_run(np.full(4, 0.4), np.array([0.0, 1.0, 0.25, 1.0]), "beta")
+        assert np.all((probs >= 0.0) & (probs <= 1.0))
+
+
+class TestBatchFitOutcomes:
+    """The batch fits check their data as the online scaler does: outcomes
+    in [0, 1] (NaN rejected), scores and outcomes of equal length, and at
+    least one histogram bin."""
+
+    YS = np.tile([0.0, 1.0, 0.25, 1.0], 3)
+
+    @pytest.mark.parametrize("family", sorted(FIT_APPLY))
+    @pytest.mark.parametrize("y", TestOnlineScalerOutcomes.BAD)
+    def test_rejects_outcome(self, family, y):
+        ys = self.YS.copy()
+        ys[5] = y
+        with pytest.raises(ValueError, match=r"outcomes must lie in \[0, 1\]"):
+            FIT_APPLY[family][0](np.linspace(0.2, 0.8, 12), ys)
+
+    @pytest.mark.parametrize("family", sorted(FIT_APPLY))
+    @pytest.mark.parametrize("n_scores", [11, 13])
+    def test_rejects_length_mismatch(self, family, n_scores):
+        with pytest.raises(ValueError, match="equal length"):
+            FIT_APPLY[family][0](np.linspace(0.2, 0.8, n_scores), self.YS)
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_histogram_rejects_no_bins(self, m):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            fit_histogram_binning(np.linspace(0.2, 0.8, 12), self.YS, m=m)
+
+    @pytest.mark.parametrize("family", sorted(FIT_APPLY))
+    def test_boundary_outcomes_accepted(self, family):
+        scores = np.linspace(0.2, 0.8, 12)
+        fit, apply = FIT_APPLY[family]
+        probs = apply(fit(scores, self.YS), scores)
         assert np.all((probs >= 0.0) & (probs <= 1.0))
 
 
