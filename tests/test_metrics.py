@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opscal.core import BinningScheme
 from opscal.metrics import (
@@ -165,3 +167,74 @@ class TestReportInvariants:
         rep = metric_report(p, y, BinningScheme(0.1), truth=truth)
         assert rep.true_ce == pytest.approx(0.05)
         assert rep.true_accuracy == pytest.approx(0.75)
+
+
+def reference_tallies(p, y, scheme):
+    # The per-bin aggregates of BinStats.from_arrays and its means, written
+    # out: counts, outcome means (0 on empty bins) and forecast means (the
+    # bin midpoint on empty bins).
+    p, y = np.asarray(p, dtype=float), np.asarray(y, dtype=float)
+    m = scheme.m
+    b = np.minimum(np.floor(p / scheme.epsilon).astype(int) + 1, m) - 1
+    counts = np.bincount(b, minlength=m).astype(float)
+    outcome_sums = np.bincount(b, weights=y, minlength=m)
+    forecast_sums = np.bincount(b, weights=p, minlength=m)
+    nz = counts > 0
+    ybars = np.zeros(m)
+    ybars[nz] = outcome_sums[nz] / counts[nz]
+    pbars = (np.arange(m) + 0.5) * scheme.epsilon
+    pbars[nz] = forecast_sums[nz] / counts[nz]
+    return counts, ybars, pbars
+
+
+def reference_ce(p, y, scheme):
+    counts, ybars, pbars = reference_tallies(p, y, scheme)
+    return float(np.sum(counts * np.abs(pbars - ybars)) / len(p))
+
+
+def reference_shp(p, y, scheme):
+    counts, ybars, _ = reference_tallies(p, y, scheme)
+    return float(np.sum(counts * ybars**2) / len(p))
+
+
+@st.composite
+def prefix_cases(draw):
+    """(p, y, scheme, prefixes): forecasts mix uniform draws, bin edges and
+    1.0; outcomes are binary or fractional; prefixes hold 1 and len(p)."""
+    eps = draw(st.sampled_from([0.05, 0.1, 0.2, 1 / 3, 0.15, 0.01]))
+    scheme = BinningScheme(eps)
+    T = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.random(T)
+    kind = rng.integers(0, 3, T)
+    p[kind == 1] = np.minimum(rng.integers(0, scheme.m + 1, T) * eps, 1.0)[kind == 1]
+    p[kind == 2] = 1.0
+    y = rng.random(T) if draw(st.booleans()) else (rng.random(T) < rng.random()).astype(float)
+    inner = draw(st.sets(st.integers(1, T), max_size=20))
+    prefixes = np.array(sorted(inner | {1, T}), dtype=int)
+    return p, y, scheme, prefixes
+
+
+class TestPrefixSeries:
+    """calibration_error and sharpness over prefixes equal the per-prefix
+    reference bit for bit, and so do the scalar forms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=prefix_cases())
+    def test_series_equal_the_reference_per_prefix(self, case):
+        p, y, scheme, prefixes = case
+        ces = calibration_error(p, y, scheme, prefixes=prefixes)
+        shps = sharpness(p, y, scheme, prefixes=prefixes)
+        assert ces.shape == shps.shape == prefixes.shape
+        for i, k in enumerate(prefixes):
+            assert ces[i].tobytes() == np.float64(reference_ce(p[:k], y[:k], scheme)).tobytes()
+            assert shps[i].tobytes() == np.float64(reference_shp(p[:k], y[:k], scheme)).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=prefix_cases())
+    def test_scalar_forms_equal_the_reference(self, case):
+        p, y, scheme, _ = case
+        ce, shp = calibration_error(p, y, scheme), sharpness(p, y, scheme)
+        assert type(ce) is float and type(shp) is float
+        assert np.float64(ce).tobytes() == np.float64(reference_ce(p, y, scheme)).tobytes()
+        assert np.float64(shp).tobytes() == np.float64(reference_shp(p, y, scheme)).tobytes()
