@@ -6,6 +6,12 @@ aggregates, so they are invariant to permutations of the time index.
 With ybar the overall outcome mean, every report satisfies
 ybar^2 <= SHP <= ybar, refinement = ybar - SHP, and
 refinement <= Brier + eps + eps^2/4: identities the test suite fuzzes.
+
+Every binned metric has one body, ``_tallies``: it routes the forecasts to
+their bins once, tallies each bin over every requested prefix of the
+stream, and evaluates the CE, SHP and refinement formulas over those
+(prefix, bin) tallies. A scalar metric is its one-prefix case, and
+``prefixes`` gives the series over ``p[:k]`` that the pipeline plots.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinningScheme, BinStats
+from .core import BinningScheme, bin_index
 
 
 def _check_lengths(p, y):
@@ -25,38 +31,72 @@ def _check_lengths(p, y):
     return p, y
 
 
-def _ce(stats: BinStats, T: int) -> float:
-    return float(np.sum(stats.counts * np.abs(stats.forecast_means() - stats.outcome_means())) / T)
+def _check_prefixes(prefixes, T: int) -> np.ndarray:
+    ks = np.asarray(prefixes)
+    if ks.ndim != 1 or len(ks) == 0:
+        raise ValueError("prefixes must be a nonempty 1-D sequence of lengths")
+    if ks.dtype.kind not in "iu":
+        raise ValueError(f"prefixes must be integers, got dtype {ks.dtype}")
+    ks = ks.astype(np.int64)
+    if (np.diff(ks) <= 0).any():
+        raise ValueError("prefixes must be strictly increasing")
+    if ks[0] < 1 or ks[-1] > T:
+        raise ValueError(f"prefixes must lie in [1, len(p)] = [1, {T}]")
+    return ks
 
 
-def _shp(stats: BinStats, T: int) -> float:
-    return float(np.sum(stats.counts * stats.outcome_means() ** 2) / T)
+def _tallies(p, y, scheme: BinningScheme, prefixes):
+    """(CE, SHP, refinement), each an array over the prefix lengths (the
+    whole stream when ``prefixes`` is None).
 
-
-def _refinement(stats: BinStats, T: int) -> float:
-    ybars = stats.outcome_means()
-    return float(np.sum(stats.counts * ybars * (1.0 - ybars)) / T)
-
-
-def calibration_error(p, y, scheme: BinningScheme) -> float:
-    """(1/T) sum_b N_b |pbar_b - ybar_b| over the epsilon-bins.
-
-    Empty bins contribute zero (their N_b factor vanishes).
+    Counts come from one bincount over (segment, bin) ids, summed down the
+    prefixes, so they are exact. Each prefix's outcome and forecast sums are
+    one bincount of its routed bins, so every (prefix, bin) entry equals the
+    per-bin aggregate of that prefix alone bit for bit. Empty bins take
+    ybar_b = 0 and pbar_b = the bin midpoint; their N_b factor is zero.
     """
     p, y = _check_lengths(p, y)
-    return _ce(BinStats.from_arrays(p, y, scheme), len(p))
+    ks = np.array([len(p)]) if prefixes is None else _check_prefixes(prefixes, len(p))
+    m = scheme.m
+    b = bin_index(p, scheme) - 1
+    segment = np.repeat(np.arange(len(ks)), np.diff(ks, prepend=0))
+    counts = np.bincount(segment * m + b[: ks[-1]], minlength=len(ks) * m)
+    counts = counts.reshape(len(ks), m).cumsum(axis=0).astype(float)
+    outcome_sums = np.stack([np.bincount(b[:k], weights=y[:k], minlength=m) for k in ks])
+    forecast_sums = np.stack([np.bincount(b[:k], weights=p[:k], minlength=m) for k in ks])
+    nz = counts > 0
+    safe = np.where(nz, counts, 1.0)
+    ybars = np.where(nz, outcome_sums / safe, 0.0)
+    pbars = np.where(nz, forecast_sums / safe, scheme.midpoints())
+    ce = np.sum(counts * np.abs(pbars - ybars), axis=1) / ks
+    shp = np.sum(counts * ybars**2, axis=1) / ks
+    ref = np.sum(counts * ybars * (1.0 - ybars), axis=1) / ks
+    return ce, shp, ref
 
 
-def sharpness(p, y, scheme: BinningScheme) -> float:
-    """(1/T) sum_b N_b ybar_b^2; ybar_b = 0 on empty bins."""
-    p, y = _check_lengths(p, y)
-    return _shp(BinStats.from_arrays(p, y, scheme), len(p))
+def _scalar_or_series(values: np.ndarray, prefixes):
+    return float(values[0]) if prefixes is None else values
+
+
+def calibration_error(p, y, scheme: BinningScheme, prefixes=None):
+    """(1/T) sum_b N_b |pbar_b - ybar_b| over the epsilon-bins.
+
+    Empty bins contribute zero (their N_b factor vanishes). Given strictly
+    increasing integer ``prefixes`` in [1, len(p)], returns the array of
+    the metric over each ``p[:k]``; otherwise a float.
+    """
+    return _scalar_or_series(_tallies(p, y, scheme, prefixes)[0], prefixes)
+
+
+def sharpness(p, y, scheme: BinningScheme, prefixes=None):
+    """(1/T) sum_b N_b ybar_b^2; ybar_b = 0 on empty bins. ``prefixes`` as
+    in ``calibration_error``."""
+    return _scalar_or_series(_tallies(p, y, scheme, prefixes)[1], prefixes)
 
 
 def refinement(p, y, scheme: BinningScheme) -> float:
     """(1/T) sum_b N_b ybar_b (1 - ybar_b)."""
-    p, y = _check_lengths(p, y)
-    return _refinement(BinStats.from_arrays(p, y, scheme), len(p))
+    return float(_tallies(p, y, scheme, None)[2][0])
 
 
 def brier(p, y) -> float:
@@ -98,12 +138,12 @@ class MetricReport:
 
 def metric_report(p, y, scheme: BinningScheme, truth=None) -> MetricReport:
     """All metrics of one forecast column in a single pass."""
+    ce, shp, ref = (float(v[0]) for v in _tallies(p, y, scheme, None))
     p, y = _check_lengths(p, y)
-    stats = BinStats.from_arrays(p, y, scheme)
     return MetricReport(
-        ce=_ce(stats, len(p)),
-        shp=_shp(stats, len(p)),
-        refinement=_refinement(stats, len(p)),
+        ce=ce,
+        shp=shp,
+        refinement=ref,
         brier=brier(p, y),
         ybar=float(np.mean(y)),
         true_ce=None if truth is None else true_ce(p, truth),

@@ -241,13 +241,9 @@ def _tracked(name, expert, ys, scheme):
 
 
 def _metric_series(col, ys, timestamps, t_cal, scheme):
-    ces = np.zeros(len(timestamps))
-    shps = np.zeros(len(timestamps))
-    for i, tau in enumerate(timestamps):
-        k = tau - t_cal
-        ces[i] = calibration_error(col[:k], ys[:k], scheme)
-        shps[i] = sharpness(col[:k], ys[:k], scheme)
-    return ces, shps
+    """CE and SHP of the column at every snapshot, one call each."""
+    ks = timestamps - t_cal
+    return calibration_error(col, ys, scheme, prefixes=ks), sharpness(col, ys, scheme, prefixes=ks)
 
 
 def _pipeline_worker(args):
