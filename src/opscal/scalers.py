@@ -221,7 +221,7 @@ class HistogramBinningModel:
     predictions: np.ndarray  # length n_bins, values in [0, 1]
 
     def predict(self, score):
-        s = np.asarray(score, dtype=float)
+        s = check_unit(score, "scores")
         idx = np.searchsorted(self.boundaries, s, side="right") - 1
         idx = np.clip(idx, 0, len(self.predictions) - 1)
         out = self.predictions[idx]
@@ -305,6 +305,8 @@ def windowed_run(fit, apply, params, t_cal: int, window: int, scores, ys) -> np.
     scores = np.asarray(scores, dtype=float)
     ys = np.asarray(ys, dtype=float)
     T = len(scores)
+    if not 0 <= t_cal <= T:
+        raise ValueError(f"t_cal must lie in [0, len(scores)] = [0, {T}], got {t_cal}")
     out = np.empty(T - t_cal)
     start = t_cal + 1
     for t in [*refit_times(t_cal, window, T), T + 1]:

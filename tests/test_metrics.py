@@ -238,3 +238,19 @@ class TestPrefixSeries:
         assert type(ce) is float and type(shp) is float
         assert np.float64(ce).tobytes() == np.float64(reference_ce(p, y, scheme)).tobytes()
         assert np.float64(shp).tobytes() == np.float64(reference_shp(p, y, scheme)).tobytes()
+
+
+@pytest.mark.parametrize("metric", [calibration_error, sharpness])
+@pytest.mark.parametrize("prefixes, message", [
+    ([], "nonempty"),
+    ([3, 2, 5], "increasing"),
+    ([2, 2, 5], "increasing"),
+    ([1.0, 2.5], "integers"),
+    ([0, 3], r"\[1, len\(p\)\]"),
+    ([1, 6], r"\[1, len\(p\)\]"),
+], ids=["empty", "decreasing", "repeated", "non-integer", "zero", "longer-than-p"])
+def test_rejects_bad_prefixes(metric, prefixes, message):
+    p = np.array([0.1, 0.4, 0.5, 0.8, 1.0])
+    with pytest.raises(ValueError, match="prefixes") as info:
+        metric(p, (p > 0.45).astype(float), BinningScheme(0.1), prefixes=prefixes)
+    assert info.match(message)

@@ -8,8 +8,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def test_python_blocks_run_in_order():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
-    assert len(blocks) >= 4
+    assert len(blocks) >= 5
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
-    assert {"forecasts", "tracked", "hedged", "f99", "comparator"} <= namespace.keys()
+    assert {"forecasts", "ce_series", "shp_series", "tracked", "hedged", "f99", "comparator"} <= namespace.keys()

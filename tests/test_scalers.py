@@ -209,6 +209,14 @@ class TestHistogramBinning:
         with pytest.raises(ValueError):
             fit_histogram_binning(np.array([0.5]), np.array([1.0]), m=2)
 
+    @pytest.mark.parametrize("score", [np.nan, -3.0, 1.5, np.array([0.5, np.inf])],
+                             ids=["nan", "negative", "above-one", "array-with-inf"])
+    def test_predict_rejects_scores_outside_unit(self, score):
+        scores = np.linspace(0.1, 0.9, 20)
+        model = fit_histogram_binning(scores, (scores > 0.5).astype(float), m=4)
+        with pytest.raises(ValueError, match="must lie in"):
+            model.predict(score)
+
 
 class TestWindowedLearner:
     def _stream(self, rng, T):
@@ -351,6 +359,12 @@ class TestWindowedRun:
         scores = np.full(20, 0.5)
         with pytest.raises(ValueError, match="window"):
             windowed_run(fit_platt_batch, platt_apply, (1.0, 0.0), 10, 0, scores, scores)
+
+    @pytest.mark.parametrize("t_cal", [21, -3], ids=["past-the-stream", "negative"])
+    def test_rejects_t_cal_outside_the_stream(self, t_cal):
+        scores = np.full(20, 0.5)
+        with pytest.raises(ValueError, match=r"t_cal must lie in \[0, len\(scores\)\]"):
+            windowed_run(fit_platt_batch, platt_apply, (1.0, 0.0), t_cal, 5, scores, scores)
 
 
 class TestOnlineScalerStep:
