@@ -50,20 +50,28 @@ def _tallies(p, y, scheme: BinningScheme, prefixes):
     whole stream when ``prefixes`` is None).
 
     Counts come from one bincount over (segment, bin) ids, summed down the
-    prefixes, so they are exact. Each prefix's outcome and forecast sums are
-    one bincount of its routed bins, so every (prefix, bin) entry equals the
-    per-bin aggregate of that prefix alone bit for bit. Empty bins take
-    ybar_b = 0 and pbar_b = the bin midpoint; their N_b factor is zero.
+    prefixes, so they are exact. The outcome and forecast sums run through
+    the stream once: each segment between two prefixes is added onto the
+    running per-bin sums by an unbuffered ``np.add.at``, element by element
+    in time order from 0.0. That is the order in which ``np.bincount`` sums
+    a prefix, so every (prefix, bin) entry equals the per-bin aggregate of
+    that prefix alone bit for bit. Empty bins take ybar_b = 0 and pbar_b =
+    the bin midpoint; their N_b factor is zero.
     """
     p, y = _check_lengths(p, y)
     ks = np.array([len(p)]) if prefixes is None else _check_prefixes(prefixes, len(p))
     m = scheme.m
     b = bin_index(p, scheme) - 1
-    segment = np.repeat(np.arange(len(ks)), np.diff(ks, prepend=0))
+    starts = np.concatenate(([0], ks[:-1]))
+    segment = np.repeat(np.arange(len(ks)), ks - starts)
     counts = np.bincount(segment * m + b[: ks[-1]], minlength=len(ks) * m)
     counts = counts.reshape(len(ks), m).cumsum(axis=0).astype(float)
-    outcome_sums = np.stack([np.bincount(b[:k], weights=y[:k], minlength=m) for k in ks])
-    forecast_sums = np.stack([np.bincount(b[:k], weights=p[:k], minlength=m) for k in ks])
+    outcome_sums, forecast_sums = np.empty((2, len(ks), m))
+    running_y, running_p = np.zeros(m), np.zeros(m)
+    for s, (lo, hi) in enumerate(zip(starts, ks)):
+        np.add.at(running_y, b[lo:hi], y[lo:hi])
+        np.add.at(running_p, b[lo:hi], p[lo:hi])
+        outcome_sums[s], forecast_sums[s] = running_y, running_p
     nz = counts > 0
     safe = np.where(nz, counts, 1.0)
     ybars = np.where(nz, outcome_sums / safe, 0.0)
