@@ -11,14 +11,13 @@ from .core import (
     CLIP_HI,
     CLIP_LO,
     BinningScheme,
-    BinStats,
     bin_index,
     clip_score,
     log_loss,
     logit,
     sigmoid,
 )
-from .ons import OnsConfig, OnsState, logloss_gradient, ons_regret_bound, ons_step, project_ellipsoid, regret
+from .ons import OnsConfig, OnsState, ons_regret_bound, ons_step, project_ellipsoid, regret
 from .scalers import (
     HistogramBinningModel,
     WindowedLearner,
@@ -59,7 +58,6 @@ from .datagen import (
     BaseModelWeights,
     ScoredStream,
     StreamSpec,
-    adversarial_outcomes,
     build_scored_stream,
     default_spec,
     ingest_csv,

@@ -150,9 +150,6 @@ class HedgeDistribution:
         if any(p < 0.0 for p in self.probs) or abs(sum(self.probs) - 1.0) > 1e-12:
             raise ValueError("probs must be nonnegative and sum to 1")
 
-    def mean(self) -> float:
-        return float(sum(p * s for p, s in zip(self.probs, self.support)))
-
     def sample(self, u: float) -> float:
         """Resolve the draw with a uniform variate u in [0, 1)."""
         if len(self.support) == 1 or u < self.probs[0]:

@@ -119,44 +119,3 @@ def bin_index(p, scheme: BinningScheme):
     p_arr = check_unit(p, "probabilities")
     idx = np.minimum(np.floor(p_arr / scheme.epsilon).astype(int) + 1, scheme.m)
     return int(idx) if idx.ndim == 0 else idx
-
-
-@dataclass(eq=False)
-class BinStats:
-    """Per-bin aggregates: counts, outcome sums, forecast sums.
-
-    ybar_b = outcome_sum/N_b and pbar_b = forecast_sum/N_b when N_b > 0;
-    empty bins fall back to ybar_b = 0 and pbar_b = bin midpoint.
-    """
-
-    scheme: BinningScheme
-    counts: np.ndarray
-    outcome_sums: np.ndarray
-    forecast_sums: np.ndarray
-
-    @classmethod
-    def from_arrays(cls, p: np.ndarray, y: np.ndarray, scheme: BinningScheme) -> "BinStats":
-        p = np.asarray(p, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if p.shape != y.shape:
-            raise ValueError("forecasts and outcomes must have equal length")
-        b = bin_index(p, scheme) - 1
-        m = scheme.m
-        counts = np.bincount(b, minlength=m).astype(float)
-        outcome_sums = np.bincount(b, weights=y, minlength=m)
-        forecast_sums = np.bincount(b, weights=p, minlength=m)
-        return cls(scheme, counts, outcome_sums, forecast_sums)
-
-    def outcome_means(self) -> np.ndarray:
-        """ybar_b; zero on empty bins."""
-        out = np.zeros(self.scheme.m)
-        nz = self.counts > 0
-        out[nz] = self.outcome_sums[nz] / self.counts[nz]
-        return out
-
-    def forecast_means(self) -> np.ndarray:
-        """pbar_b; bin midpoint on empty bins."""
-        out = self.scheme.midpoints().copy()
-        nz = self.counts > 0
-        out[nz] = self.forecast_sums[nz] / self.counts[nz]
-        return out

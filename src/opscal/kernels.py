@@ -48,6 +48,7 @@ Step bodies, which the passes and the step APIs all call:
     midpoint (b + 0.5) * eps
   - ``status_of`` builds the status buffer of flat state by classifying
     every bin, once per pass and once per ``HopsState`` construction
+  - ``adversary`` is the outcome adversary of both adversarial passes
 """
 
 from __future__ import annotations
@@ -357,8 +358,14 @@ def _hops_pass(expert, ys, us, eps, m):
     return out
 
 
+def _adversary(x):
+    # The outcome adversary's response to an announced forecast x (a point
+    # forecast or a hedge distribution's mean): y = 1{x <= 1/2}, ties to 1.
+    return 1.0 if x <= 0.5 else 0.0
+
+
 def _ops_adversarial_pass(feats, gamma, rho, radius, theta0):
-    # Deterministic forecaster versus the outcome adversary y = 1{p <= 0.5}.
+    # Deterministic forecaster versus the outcome adversary.
     # The adversary sees the forecast before the outcome, so the online-Newton
     # step runs as its two halves.
     theta, A, Ainv = ons_init(theta0, rho)
@@ -368,7 +375,7 @@ def _ops_adversarial_pass(feats, gamma, rho, radius, theta0):
     ys = np.zeros(T)
     for t in range(T):
         p = ons_forecast(theta, feats, t * d)
-        y = 1.0 if p <= 0.5 else 0.0
+        y = adversary(p)
         ons_update(theta, A, Ainv, feats, t * d, p - y, gamma, radius)
         probs[t] = p
         ys[t] = y
@@ -377,8 +384,8 @@ def _ops_adversarial_pass(feats, gamma, rho, radius, theta0):
 
 def _hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
     # Joint pass: online scaler + hedging, against an adversary that sees
-    # the announced hedge distribution (not the draw) and sets
-    # y = 1{mean(distribution) <= 0.5}. The draw happens after y is fixed.
+    # the announced hedge distribution (not the draw) and responds to its
+    # mean. The draw happens after y is fixed.
     theta, A, Ainv = ons_init(theta0, rho)
     d = len(theta)
     T = len(us)
@@ -393,7 +400,7 @@ def _hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
         base = bin_of(p, eps, m) * m
         lo, hi, plo = hedge_select(status, counts, sums, base, eps, m)
         mean = plo * ((lo + 0.5) * eps) + (1.0 - plo) * ((hi + 0.5) * eps)
-        y = 1.0 if mean <= 0.5 else 0.0
+        y = adversary(mean)
         c = lo if us[t] < plo else hi
         hedge_fold(counts, sums, status, base, c, y, eps)
         ons_update(theta, A, Ainv, feats, t * d, p - y, gamma, radius)
@@ -430,6 +437,7 @@ status_of = maybe_jit(_status_of)
 hedge_select = maybe_jit(_hedge_select)
 hedge_fold = maybe_jit(_hedge_fold)
 hops_advance = maybe_jit(_hops_advance)
+adversary = maybe_jit(_adversary)
 
 # public whole-stream passes
 ons_pass = _entry(_ons_pass)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import log_loss, sigmoid
+from .core import log_loss
 
 
 @dataclass(frozen=True)
@@ -77,19 +77,6 @@ class OnsState:
             A_inv=np.eye(d) / config.rho,
             t=0,
         )
-
-
-def logloss_gradient(theta, feature, y) -> np.ndarray:
-    """Gradient in theta of log_loss(sigmoid(theta . feature), y).
-
-    Equals (sigmoid(theta . feature) - y) * feature.
-    """
-    theta = np.asarray(theta, dtype=float)
-    feature = np.asarray(feature, dtype=float)
-    if theta.shape != feature.shape:
-        raise ValueError("theta and feature dimensions differ")
-    p = sigmoid(float(theta @ feature))
-    return (p - float(y)) * feature
 
 
 def ons_advance(state: OnsState, feature, y, config: OnsConfig):

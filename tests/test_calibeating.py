@@ -46,12 +46,10 @@ def f99_state(scheme, counts, sums):
 class TestHedgeDistribution:
     def test_point_mass(self):
         d = HedgeDistribution(support=(0.35,), probs=(1.0,))
-        assert d.mean() == 0.35
         assert d.sample(0.9999) == 0.35
 
     def test_two_point(self):
         d = HedgeDistribution(support=(0.25, 0.35), probs=(0.5, 0.5))
-        assert d.mean() == pytest.approx(0.3)
         assert d.sample(0.49) == 0.25
         assert d.sample(0.51) == 0.35
 

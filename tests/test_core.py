@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 from opscal import kernels
 from opscal.core import (
     BinningScheme,
-    BinStats,
     bin_index,
     clip_score,
     log_loss,
@@ -245,23 +244,3 @@ class TestLogLoss:
         p = rng.random(1000)
         y = (rng.random(1000) < 0.5).astype(float)
         assert np.all(log_loss(p, y) >= 0.0)
-
-
-class TestBinStats:
-    def test_conventions(self):
-        scheme = BinningScheme(0.5)
-        p = np.array([0.25, 0.25, 0.75])
-        y = np.array([0.0, 1.0, 1.0])
-        stats = BinStats.from_arrays(p, y, scheme)
-        assert stats.counts.tolist() == [2.0, 1.0]
-        assert stats.outcome_means() == pytest.approx([0.5, 1.0])
-        assert stats.forecast_means() == pytest.approx([0.25, 0.75])
-
-    def test_empty_bin_conventions(self):
-        scheme = BinningScheme(0.5)
-        p = np.array([0.25])
-        y = np.array([0.0])
-        stats = BinStats.from_arrays(p, y, scheme)
-        # empty upper bin: ybar 0, pbar midpoint
-        assert stats.outcome_means()[1] == 0.0
-        assert stats.forecast_means()[1] == pytest.approx(0.75)

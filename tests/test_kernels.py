@@ -354,6 +354,14 @@ def same_outcome(call, reference):
     assert call() == want
 
 
+class TestAdversary:
+    def test_ties_go_to_one(self):
+        # y = 1{x <= 1/2}; both adversarial passes respond through this helper
+        assert kernels.adversary(0.5) == 1.0
+        assert kernels.adversary(np.nextafter(0.5, 1.0)) == 0.0
+        assert kernels.adversary(0.0) == 1.0
+
+
 class TestHedgingOracle:
     """The status-scanning hedging kernels against the two-loop reference
     that classified every bin on every call."""

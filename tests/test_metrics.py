@@ -170,9 +170,10 @@ class TestReportInvariants:
 
 
 def reference_tallies(p, y, scheme):
-    # The per-bin aggregates of BinStats.from_arrays and its means, written
-    # out: counts, outcome means (0 on empty bins) and forecast means (the
-    # bin midpoint on empty bins).
+    # The per-bin aggregates, written out: route each forecast to its
+    # 0-based bin, count and sum outcomes and forecasts per bin with
+    # np.bincount, and divide; an empty bin has outcome mean 0 and forecast
+    # mean its midpoint.
     p, y = np.asarray(p, dtype=float), np.asarray(y, dtype=float)
     m = scheme.m
     b = np.minimum(np.floor(p / scheme.epsilon).astype(int) + 1, m) - 1

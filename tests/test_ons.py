@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from opscal.core import log_loss, sigmoid
+from opscal.core import sigmoid
 from opscal.ons import (
     OnsConfig,
     OnsState,
     initial_theta,
-    logloss_gradient,
     ons_regret_bound,
     ons_step,
     project_ellipsoid,
@@ -20,59 +19,6 @@ from opscal.scalers import fit_platt_batch, online_scaler_run, platt_apply
 def random_spd(rng, d):
     M = rng.normal(size=(d, d))
     return M @ M.T + d * np.eye(d)
-
-
-class TestLoglossGradient:
-    def test_hand_case_half_residual(self):
-        g = logloss_gradient((1.0, 0.0), (0.0, 1.0), 1)
-        assert g == pytest.approx([0.0, -0.5], abs=1e-15)
-
-    def test_hand_case_zero_theta(self):
-        g = logloss_gradient((0.0, 0.0), (2.0, 1.0), 0)
-        assert g == pytest.approx([1.0, 0.5], abs=1e-15)
-
-    def test_zero_residual_zeroes_gradient(self):
-        theta = np.array([0.7, -0.3])
-        x = np.array([1.2, 1.0])
-        y = sigmoid(float(theta @ x))
-        assert np.allclose(logloss_gradient(theta, x, y), 0.0, atol=1e-15)
-
-    def test_norm_bound_under_clipped_scores(self):
-        # feature (logit s, 1) with s in [0.01, 0.99] has norm <= 5, and the
-        # residual has |p - y| <= 1
-        rng = np.random.default_rng(0)
-        from opscal.core import logit
-
-        for _ in range(200):
-            s = rng.uniform(0.01, 0.99)
-            x = np.array([logit(s), 1.0])
-            theta = rng.normal(size=2) * 3
-            y = float(rng.integers(0, 2))
-            assert np.linalg.norm(logloss_gradient(theta, x, y)) <= 5.0
-
-    def test_matches_finite_differences(self):
-        # central differences of the composed loss, 100 random cases
-        rng = np.random.default_rng(42)
-        h = 1e-6
-        for _ in range(100):
-            d = int(rng.integers(2, 4))
-            theta = rng.normal(size=d)
-            x = np.concatenate([rng.normal(size=d - 1), [1.0]])
-            y = float(rng.integers(0, 2))
-            g = logloss_gradient(theta, x, y)
-            for i in range(d):
-                e = np.zeros(d)
-                e[i] = h
-                num = (
-                    log_loss(sigmoid(float((theta + e) @ x)), y)
-                    - log_loss(sigmoid(float((theta - e) @ x)), y)
-                ) / (2 * h)
-                denom = max(abs(num), 1e-3)
-                assert abs(g[i] - num) / denom <= 1e-5
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            logloss_gradient((1.0, 0.0), (1.0, 0.0, 1.0), 1)
 
 
 class TestOnsConfig:

@@ -8,7 +8,7 @@ import pytest
 
 from opscal import pipeline
 from opscal.calibeating import CalibeatingInvariantError
-from opscal.core import BinningScheme, BinStats
+from opscal.core import BinningScheme
 from opscal.datagen import (
     BaseModelWeights,
     LabeledStream,
@@ -153,6 +153,12 @@ class TestRunReplication:
         spec = small_spec(seed=14)
         cols, _, _, _ = run_replication(spec, ("TOPS",), 0.1)
         assert set(cols) == {"TOPS"}
+
+    @pytest.mark.parametrize("methods", [("WPS",), ("BM", "OPS")])
+    def test_calibration_prefix_longer_than_test_stream_rejected(self, methods):
+        # before the stream is built, whichever methods would read the prefix
+        with pytest.raises(ValueError, match=r"T_cal \(1201\) must not exceed T_test \(1200\)"):
+            run_replication(small_spec(T_cal=1201), methods, 0.1)
 
     def test_adversarial_replication(self):
         spec = replace(default_spec("adversarial", seed=1), T_test=2000)
@@ -431,14 +437,13 @@ class TestDumpStream:
 
 
 @pytest.mark.parametrize("make", [
-    lambda: BinStats.from_arrays(np.array([0.2]), np.array([1.0]), BinningScheme(0.1)),
     lambda: ClimatologyReport(np.zeros(2), np.zeros(2), [0.5]),
     lambda: RunReport(quick_config(), np.arange(2), {}, {}, {}, {}),
     lambda: HistogramBinningModel(np.linspace(0.0, 1.0, 3), np.array([0.2, 0.8])),
     lambda: BaseModelWeights(np.zeros(2), True, 1),
     lambda: LabeledStream(np.zeros(2), np.zeros((2, 1)), np.zeros(2), None),
     lambda: ScoredStream(small_spec(), np.full(2, 0.5), np.zeros(2), None, None),
-], ids=["BinStats", "ClimatologyReport", "RunReport",
+], ids=["ClimatologyReport", "RunReport",
         "HistogramBinningModel", "BaseModelWeights", "LabeledStream", "ScoredStream"])
 def test_result_records_compare_by_identity(make):
     # the records hold numpy arrays, so a field-wise == would ask an array
