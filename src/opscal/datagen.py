@@ -83,6 +83,10 @@ class StreamSpec:
             raise ValueError("T_cal must be >= 0")
         if self.T_test < 1:
             raise ValueError("T_test must be >= 1")
+        if self.T_train < 1 and (self.kind in _SYNTH or (self.kind == "csv" and self.score_column is None)):
+            raise ValueError(f"T_train must be >= 1: the {self.kind} stream trains its base model on it")
+        if self.W < 1:
+            raise ValueError("W must be >= 1 (the refit period; snapshots start at T_cal + 2W)")
         if not math.isfinite(self.delta):
             raise ValueError("delta must be finite")
         if self.delta != 0.0 and (self.kind not in _SYNTH or _SYNTH[self.kind].delta is None):
@@ -397,16 +401,3 @@ def ingest_csv(spec: StreamSpec) -> ScoredStream:
         scores = base_scores(model, feats)
     return ScoredStream(spec=spec, scores=scores, y=y, truth=None, base=model,
                         n_dropped_rows=n_dropped)
-
-
-def adversarial_outcomes(forecast) -> float:
-    """The outcome adversary's response.
-
-    For a deterministic forecast p: y = 1{p <= 0.5}. For an announced
-    hedge distribution (seen before the draw): y = 1{mean <= 0.5}.
-    """
-    from .calibeating import HedgeDistribution
-
-    if isinstance(forecast, HedgeDistribution):
-        return 1.0 if forecast.mean() <= 0.5 else 0.0
-    return 1.0 if float(forecast) <= 0.5 else 0.0

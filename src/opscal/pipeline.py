@@ -115,8 +115,6 @@ class ExperimentConfig:
             raise ValueError("eval_stride must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.stream.W < 1:
-            raise ValueError("W must be >= 1 (the refit period; snapshots start at T_cal + 2W)")
         if self.stream.kind == "adversarial":
             extra = set(self.methods) - {"OPS", "HOPS"}
             if extra:
@@ -156,6 +154,8 @@ def run_replication(spec: StreamSpec, methods, epsilon: float):
         else:
             ops, ys = kernels.ops_adversarial_pass(feats, *ons)
         return {m: {"OPS": ops, "HOPS": hops}[m] for m in methods}, ys, None, {}
+    if spec.T_cal > spec.T_test and spec.kind != "csv":  # ingest_csv checks a csv prefix
+        raise ValueError(f"T_cal ({spec.T_cal}) must not exceed T_test ({spec.T_test})")
 
     stream = build_scored_stream(spec)
     ts, ty = stream.test_scores(), stream.test_y()

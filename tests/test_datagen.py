@@ -9,11 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opscal.calibeating import HedgeDistribution
 from opscal.core import CLIP_HI, CLIP_LO
 from opscal.datagen import (
     StreamSpec,
-    adversarial_outcomes,
     base_scores,
     build_scored_stream,
     cov1d_at,
@@ -270,6 +268,23 @@ class TestScoredStreams:
         with pytest.raises(ValueError, match=f"{field} must be"):
             replace(default_spec("labelmulti"), **{field: bad})
 
+    CSV = dict(kind="csv", csv_path="x.csv", label_column="y")
+
+    @pytest.mark.parametrize("fields, match", [
+        (dict(kind="labelmulti", W=0), "W must be >= 1"),
+        (dict(kind="label1d", T_train=0), "T_train must be >= 1: the label1d stream"),
+        (dict(CSV, T_train=0), "T_train must be >= 1: the csv stream"),
+    ], ids=["W", "synthetic-T_train", "csv-T_train"])
+    def test_inconsistent_sizes_rejected(self, fields, match):
+        # at construction, before any stream is generated or fitted
+        base = default_spec(fields["kind"]) if fields["kind"] != "csv" else StreamSpec(**self.CSV)
+        with pytest.raises(ValueError, match=match):
+            replace(base, **fields)
+
+    def test_no_training_block_where_no_base_model_trains(self):
+        assert StreamSpec(kind="adversarial", T_train=0).T_train == 0
+        assert StreamSpec(**self.CSV, T_train=0, score_column="s").T_train == 0
+
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
     def test_non_finite_delta_rejected(self, delta):
         with pytest.raises(ValueError, match="delta must be finite"):
@@ -471,16 +486,3 @@ class TestIngestCsv:
             write_csv(bad, ["a", "label"], [[1.0, 2] for _ in range(40)])
             with pytest.raises(ValueError, match="binary"):
                 ingest_csv(self._spec(bad))
-
-
-class TestAdversary:
-    def test_point_forecast_rule(self):
-        assert adversarial_outcomes(0.3) == 1.0
-        assert adversarial_outcomes(0.7) == 0.0
-        assert adversarial_outcomes(0.5) == 1.0  # ties go to 1
-
-    def test_distribution_rule(self):
-        d = HedgeDistribution(support=(0.45, 0.55), probs=(0.5, 0.5))
-        assert adversarial_outcomes(d) == 1.0  # mean exactly 0.5
-        d2 = HedgeDistribution(support=(0.55, 0.65), probs=(0.5, 0.5))
-        assert adversarial_outcomes(d2) == 0.0
