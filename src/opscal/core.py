@@ -110,12 +110,19 @@ class BinningScheme:
         return (b - 0.5) * self.epsilon
 
 
+def bins_of(p, eps: float, m: int):
+    """0-based int64 bins min(floor(p / eps), m - 1) of forecasts p: the
+    array form of ``kernels.bin_of``, so p = 1 falls in the last bin and a
+    forecast on a boundary in the upper bin. Raises ValueError unless every
+    forecast lies in [0, 1] (NaN does not), so no bin is out of range."""
+    return np.minimum(np.floor(check_unit(p, "probabilities") / eps).astype(np.int64), m - 1)
+
+
 def bin_index(p, scheme: BinningScheme):
     """1-based index of the bin containing p; p = 1 maps to m.
 
-    Left-closed convention: a forecast exactly on a boundary belongs to
-    the upper bin; the vectorised, 1-based form of ``kernels.bin_of``.
+    The 1-based form of ``bins_of``: a forecast exactly on a boundary
+    belongs to the upper bin.
     """
-    p_arr = check_unit(p, "probabilities")
-    idx = np.minimum(np.floor(p_arr / scheme.epsilon).astype(int) + 1, scheme.m)
+    idx = bins_of(p, scheme.epsilon, scheme.m) + 1
     return int(idx) if idx.ndim == 0 else idx

@@ -81,6 +81,8 @@ class StreamSpec:
             raise ValueError("T_train must be >= 0")
         if self.T_cal < 0:
             raise ValueError("T_cal must be >= 0")
+        if self.kind == "adversarial" and self.T_cal != 0:
+            raise ValueError("adversarial streams have no calibration prefix (T_cal must be 0)")
         if self.T_test < 1:
             raise ValueError("T_test must be >= 1")
         if self.T_train < 1 and (self.kind in _SYNTH or (self.kind == "csv" and self.score_column is None)):

@@ -1,15 +1,26 @@
 """Hot sequential kernels: online Newton passes, tracking, hedging.
 
-These per-step loops dominate experiment runtime. Each rule has one body,
-using per-element indexing and float arithmetic only, with state in flat
-buffers (a d x d matrix is d*d long, entry (i, j) at i*d + j). Under numba
+These passes dominate experiment runtime. Only work that depends on the
+previous step stays in a per-step loop: the online-Newton passes, hedging
+and the joint adversarial pass. Each rule has one body, using per-element
+indexing and float arithmetic only, with state in flat buffers (a d x d
+matrix is d*d long, entry (i, j) at i*d + j). Under numba
 (``opscal._accel``) the bodies are compiled and run on numpy arrays.
 Without it they run on Python floats: the public passes call
-``ndarray.tolist()`` on their inputs once per call and state buffers are
-``[0.0] * n``, as reading a float out of a list is several times cheaper
-than reading an ``np.float64`` out of an array. Python floats do IEEE
-double arithmetic like ``np.float64`` and ``math.exp`` serves both, so the
-two paths give bit-identical outputs, written into preallocated arrays.
+``ndarray.tolist()`` on their inputs once per call, and state and
+per-step outputs are ``_zeros`` buffers (``[0.0] * n``), as reading or
+writing a float in a list is several times cheaper than in an array. The
+public pass turns the output buffers into float64 arrays once per call.
+Python floats do IEEE double arithmetic like ``np.float64`` and
+``math.exp`` serves both, so the two paths give bit-identical outputs.
+
+Tracking feeds nothing back (its forecast is the mean of past outcomes in
+the expert's bin), so ``tracking_pass`` is a closed form in plain numpy
+on both paths: the column is routed once with ``core.bins_of`` and each
+bin's forecasts are an exclusive running sum of its outcomes over the
+running count. Hedging picks its forecaster row from the expert column
+alone, so ``hops_pass`` routes the column once and its loop takes integer
+rows. Both routings reject an expert forecast outside [0, 1].
 
 Conventions:
   - features are (T, d) float64 with a trailing bias column of ones; the
@@ -22,12 +33,13 @@ Conventions:
     and count ``m`` are passed explicitly and must come from the same
     BinningScheme the caller uses for metrics
 
-State buffers: tracking keeps m bin counts and outcome sums; hedging
-keeps one row of m bins per forecaster in flat m*m ``counts`` and
-``sums`` (row r at [r*m, (r + 1)*m)) and a ``status`` buffer of the same
-layout holding each bin's hedging status code: inside its bin (condition
-A), excess, deficit, or none of these. The codes are floats, so every
-buffer is a ``_zeros`` container.
+State buffers: hedging keeps one row of m bins per forecaster in flat
+m*m ``counts`` and ``sums`` (row r at [r*m, (r + 1)*m)) and a ``status``
+buffer of the same layout holding each bin's hedging status code: inside
+its bin (condition A), excess, deficit, or none of these. The codes are
+floats, so every buffer is a ``_zeros`` container. The online-Newton
+parameter trace is one flat (T + 1) * d buffer, which ``ons_pass``
+returns reshaped to (T + 1, d).
 
 Step bodies, which the passes and the step APIs all call:
   - ``ons_init``, ``ons_forecast`` and ``ons_update`` are the online-Newton
@@ -39,7 +51,7 @@ Step bodies, which the passes and the step APIs all call:
     the loop's; ``ons_init`` rejects any other width.
   - ``bin_of`` routes a forecast to bin min(floor(p / eps), m - 1)
   - ``bin_average`` is a bin's outcome mean, its midpoint while empty:
-    tracking's forecast, and the average hedging classifies
+    the tracking step API's forecast, and the average hedging classifies
   - ``cell_status`` classifies one bin; ``hedge_select`` picks the
     hedging distribution of a row by scanning its status codes;
     ``hedge_fold`` folds an outcome into the drawn bin and reclassifies
@@ -59,6 +71,7 @@ import math
 import numpy as np
 
 from ._accel import NUMBA_ENABLED, maybe_jit
+from .core import bins_of
 
 
 class CalibeatingInvariantError(RuntimeError):
@@ -70,7 +83,9 @@ _zeros = np.zeros if NUMBA_ENABLED else [0.0].__mul__
 
 
 def _flat(a):
-    a = np.ascontiguousarray(a, dtype=np.float64).ravel()
+    # integer arrays (routed bins) stay int64, everything else is float64
+    a = np.asarray(a)
+    a = np.ascontiguousarray(a, dtype=np.int64 if a.dtype.kind in "iu" else np.float64).ravel()
     return a if NUMBA_ENABLED else a.tolist()
 
 
@@ -234,18 +249,20 @@ def _ons_step_arrays(theta, A, Ainv, x, k, y, gamma, radius):
 
 def _ons_pass(feats, ys, gamma, rho, radius, theta0):
     # Full online-Newton pass. Returns per-step forecasts (made with the
-    # pre-update parameters) and the parameter trace: thetas[t] is the
-    # parameter vector IN FORCE at step t (0-based), thetas[T] the final.
+    # pre-update parameters) and the flat parameter trace: the d entries
+    # at [t*d, (t+1)*d) are the parameter vector IN FORCE at step t
+    # (0-based), the last d the final one.
     T = len(ys)
     theta, A, Ainv = ons_init(theta0, rho)
     d = len(theta)
-    probs = np.zeros(T)
-    thetas = np.zeros((T + 1, d))
-    thetas[0] = theta0
+    probs = _zeros(T)
+    thetas = _zeros((T + 1) * d)
+    for i in range(d):
+        thetas[i] = theta[i]
     for t in range(T):
         probs[t] = ons_step_arrays(theta, A, Ainv, feats, t * d, ys[t], gamma, radius)
         for i in range(d):
-            thetas[t + 1, i] = theta[i]
+            thetas[(t + 1) * d + i] = theta[i]
     return probs, thetas
 
 
@@ -258,24 +275,9 @@ def _bin_of(p, eps, m):
 
 def _bin_average(counts, sums, k, b, eps):
     # The running outcome mean in slot k of the state, which tallies bin b,
-    # or the bin's midpoint while the slot is empty: tracking's forecast,
-    # and the average hedging classifies.
+    # or the bin's midpoint while the slot is empty: the tracking step API's
+    # forecast, and the average hedging classifies.
     return sums[k] / counts[k] if counts[k] > 0.0 else (b + 0.5) * eps
-
-
-def _tracking_pass(expert, ys, eps, m):
-    # Per-bin past-outcome averages of the expert's bin. State sees
-    # strictly-past steps only.
-    T = len(expert)
-    counts = _zeros(m)
-    sums = _zeros(m)
-    out = np.zeros(T)
-    for t in range(T):
-        b = bin_of(expert[t], eps, m)
-        out[t] = bin_average(counts, sums, b, b, eps)
-        counts[b] += 1.0
-        sums[b] += ys[t]
-    return out
 
 
 def _cell_status(counts, sums, base, b, eps):
@@ -344,17 +346,17 @@ def _hops_advance(counts, sums, status, r, y, u, eps, m):
     return (c + 0.5) * eps
 
 
-def _hops_pass(expert, ys, us, eps, m):
+def _hops_pass(rows, ys, us, eps, m):
     # One independent hedging forecaster per expert bin; each sees only the
-    # outcome subsequence routed to it. us[t] resolves the (possible)
-    # randomization at step t.
-    T = len(expert)
+    # outcome subsequence routed to it. rows[t] is the expert's 0-based bin
+    # at step t, and us[t] resolves the (possible) randomization.
+    T = len(rows)
     counts = _zeros(m * m)
     sums = _zeros(m * m)
     status = status_of(counts, sums, eps, m)
-    out = np.zeros(T)
+    out = _zeros(T)
     for t in range(T):
-        out[t] = hops_advance(counts, sums, status, bin_of(expert[t], eps, m), ys[t], us[t], eps, m)
+        out[t] = hops_advance(counts, sums, status, rows[t], ys[t], us[t], eps, m)
     return out
 
 
@@ -371,8 +373,8 @@ def _ops_adversarial_pass(feats, gamma, rho, radius, theta0):
     theta, A, Ainv = ons_init(theta0, rho)
     d = len(theta)
     T = len(feats) // d
-    probs = np.zeros(T)
-    ys = np.zeros(T)
+    probs = _zeros(T)
+    ys = _zeros(T)
     for t in range(T):
         p = ons_forecast(theta, feats, t * d)
         y = adversary(p)
@@ -392,9 +394,9 @@ def _hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
     counts = _zeros(m * m)
     sums = _zeros(m * m)
     status = status_of(counts, sums, eps, m)
-    ops = np.zeros(T)
-    hops = np.zeros(T)
-    ys = np.zeros(T)
+    ops = _zeros(T)
+    hops = _zeros(T)
+    ys = _zeros(T)
     for t in range(T):
         p = ons_forecast(theta, feats, t * d)
         base = bin_of(p, eps, m) * m
@@ -412,14 +414,29 @@ def _hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
 
 def _entry(body, jit=True):
     """The public pass over ``body``: numpy arrays in and out. Array
-    arguments are flattened into the platform's container once per call."""
+    arguments are flattened into the platform's container, and the output
+    buffers turned into float64 arrays, once per call."""
     kernel = maybe_jit(body) if jit else body
 
     @functools.wraps(body)
     def run(*args):
-        return kernel(*[_flat(a) if np.ndim(a) else a for a in args])
+        out = kernel(*[_flat(a) if np.ndim(a) else a for a in args])
+        if isinstance(out, tuple):
+            return tuple(np.asarray(o, dtype=np.float64) for o in out)
+        return np.asarray(out, dtype=np.float64)
 
     return run
+
+
+def _traced(run):
+    """``ons_pass`` over ``run``: the flat parameter trace as (T + 1, d)."""
+
+    @functools.wraps(run)
+    def ons_pass(feats, ys, gamma, rho, radius, theta0):
+        probs, thetas = run(feats, ys, gamma, rho, radius, theta0)
+        return probs, thetas.reshape(len(probs) + 1, -1)
+
+    return ons_pass
 
 
 # jitted (or plain) step-level helpers; the bodies resolve these globals at
@@ -440,17 +457,42 @@ hops_advance = maybe_jit(_hops_advance)
 adversary = maybe_jit(_adversary)
 
 # public whole-stream passes
-ons_pass = _entry(_ons_pass)
-tracking_pass = _entry(_tracking_pass)
-hops_pass = _entry(_hops_pass)
+ons_pass = _traced(_entry(_ons_pass))
 ops_adversarial_pass = _entry(_ops_adversarial_pass)
 hops_adversarial_pass = _entry(_hops_adversarial_pass)
+_hops_rows_pass = _entry(_hops_pass)
+
+
+def hops_pass(expert, ys, us, eps, m):
+    """One hedging forecaster per expert bin over the whole stream. The
+    expert column, which must lie in [0, 1], is routed to its 0-based bins
+    once, so the per-step loop takes integer rows."""
+    return _hops_rows_pass(bins_of(expert, eps, m), ys, us, eps, m)
+
+
+def tracking_pass(expert, ys, eps, m):
+    """Tracking over the whole stream: at step t, the mean outcome of the
+    strictly-past steps whose expert forecast, which must lie in [0, 1],
+    fell in the same bin, or the bin's midpoint while there are none. Per
+    bin, an exclusive running sum of its outcomes from 0.0 in time order
+    (``np.cumsum`` adds sequentially, as the step loop did) over the
+    running count."""
+    bins = bins_of(np.ravel(expert), eps, m)
+    ys = np.asarray(ys, dtype=np.float64).ravel()
+    out = np.empty(len(bins))
+    for b in range(m):
+        idx = np.flatnonzero(bins == b)
+        if len(idx):
+            sums = np.cumsum(np.concatenate(([0.0], ys[idx[:-1]])))
+            out[idx[0]] = (b + 0.5) * eps
+            out[idx[1:]] = sums[1:] / np.arange(1, len(idx))
+    return out
+
 
 # un-jitted bodies over the same inputs (numba parity tests; under numba the
 # helpers they call are still the compiled ones)
 project_anorm_py = _project_anorm
-ons_pass_py = _entry(_ons_pass, jit=False)
-tracking_pass_py = _entry(_tracking_pass, jit=False)
-hops_pass_py = _entry(_hops_pass, jit=False)
+ons_pass_py = _traced(_entry(_ons_pass, jit=False))
+hops_pass_py = _entry(_hops_pass, jit=False)  # takes routed rows
 ops_adversarial_pass_py = _entry(_ops_adversarial_pass, jit=False)
 hops_adversarial_pass_py = _entry(_hops_adversarial_pass, jit=False)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinningScheme, bin_index
+from .core import BinningScheme, bins_of
 
 
 def _check_lengths(p, y):
@@ -61,7 +61,7 @@ def _tallies(p, y, scheme: BinningScheme, prefixes):
     p, y = _check_lengths(p, y)
     ks = np.array([len(p)]) if prefixes is None else _check_prefixes(prefixes, len(p))
     m = scheme.m
-    b = bin_index(p, scheme) - 1
+    b = bins_of(p, scheme.epsilon, scheme.m)
     starts = np.concatenate(([0], ks[:-1]))
     segment = np.repeat(np.arange(len(ks)), ks - starts)
     counts = np.bincount(segment * m + b[: ks[-1]], minlength=len(ks) * m)

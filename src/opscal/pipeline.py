@@ -122,8 +122,6 @@ class ExperimentConfig:
                     "adversarial streams support only OPS/HOPS (the adversary "
                     f"responds to a single announced forecast): {sorted(extra)}"
                 )
-            if self.stream.T_cal != 0:
-                raise ValueError("adversarial streams have no calibration prefix (T_cal must be 0)")
         elif self.stream.T_cal < 1 and (set(self.methods) & set(_NEEDS_CAL_FIT)):
             raise ValueError(f"{'/'.join(_NEEDS_CAL_FIT)} need a calibration prefix (T_cal >= 1)")
 

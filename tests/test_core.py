@@ -12,6 +12,7 @@ from opscal import kernels
 from opscal.core import (
     BinningScheme,
     bin_index,
+    bins_of,
     clip_score,
     log_loss,
     logit,
@@ -217,14 +218,18 @@ class TestBinIndex:
     @given(eps=st.sampled_from([0.01, 0.05, 0.1, 0.15, 0.2, 0.4, 1 / 3, 1 / 7]),
            drawn=hnp.arrays(np.float64, st.integers(0, 50), elements=st.floats(0.0, 1.0)))
     def test_matches_kernel_bin_of(self, eps, drawn):
-        # the vectorised routing and the kernels' scalar one agree on every
-        # forecast, the float bin edges k * eps, their neighbours, 0 and 1
+        # the array router, its 1-based wrapper and the kernels' scalar
+        # routing agree on every forecast, the float bin edges k * eps,
+        # their neighbours, 0 and 1
         scheme = BinningScheme(eps)
         edges = np.array([k * eps for k in range(scheme.m + 1) if k * eps <= 1.0])
         near = np.concatenate([np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
         p = np.concatenate([drawn, [0.0, 1.0], edges, near])
         want = [kernels.bin_of(float(x), scheme.epsilon, scheme.m) for x in p]
+        routed = bins_of(p, scheme.epsilon, scheme.m)
+        assert routed.dtype == np.int64 and routed.tolist() == want
         assert (bin_index(p, scheme) - 1).tolist() == want
+        assert [int(bins_of(x, scheme.epsilon, scheme.m)) for x in p] == want
 
 
 class TestLogLoss:

@@ -7,8 +7,9 @@ whole-stream passes (Python-list state on the pure path) with ``==``.
 The hedging kernels, which scan a status code per bin, are compared bit
 for bit with the two-loop reference that classified every bin on every
 call; the online-Newton forecast and update, written out per width, are
-compared byte for byte with the loop form they replaced. Both references
-are kept here. On the pure path every body also runs on the numpy
+compared byte for byte with the loop form they replaced, and so is the
+closed-form tracking pass with its per-step loop. The references are kept
+here. On the pure path every body also runs on the numpy
 arrays numba compiles for, against the Python-float run. With numba enabled the exports are compiled; the *_py names are the same
 bodies un-jitted, so outputs must agree exactly. A subprocess run with
 OPSCAL_NUMBA=0 checks the env-flag path end to end.
@@ -43,7 +44,7 @@ from opscal.calibeating import (
     tracking_run,
     tracking_update,
 )
-from opscal.core import BinningScheme
+from opscal.core import BinningScheme, bins_of
 from opscal.ons import OnsConfig, OnsState, initial_theta, ons_advance
 from opscal.scalers import beta_features, online_scaler_run, online_scaler_step, platt_features
 from test_calibeating import ACCEPTED_EPS, scheme_and_stream
@@ -274,6 +275,20 @@ def reference_hops_pass(expert, ys, us, eps, m):
     return out
 
 
+def reference_tracking_pass(expert, ys, eps, m):
+    # The per-step loop tracking ran before its closed form, kept as the
+    # bit-exact reference: each forecast is the expert bin's mean of
+    # strictly-past outcomes, its midpoint while the bin is empty.
+    counts, sums = [0.0] * m, [0.0] * m
+    out = np.zeros(len(expert))
+    for t, (p, y) in enumerate(zip(expert.tolist(), ys.tolist())):
+        b = kernels.bin_of(p, eps, m)
+        out[t] = kernels.bin_average(counts, sums, b, b, eps)
+        counts[b] += 1.0
+        sums[b] += y
+    return out
+
+
 def reference_hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
     theta, A, Ainv = reference_ons_state(theta0, rho)
     x = feats.ravel().tolist()
@@ -352,6 +367,33 @@ def same_outcome(call, reference):
             call()
         return
     assert call() == want
+
+
+class TestTrackingClosedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), eps=st.sampled_from(ACCEPTED_EPS), T=st.integers(1, 300))
+    def test_equals_loop(self, data, eps, T):
+        # every accepted bin width, experts at 0, 1 and every float bin edge
+        # k * eps, fractional outcomes and outcomes of -0.0, byte for byte
+        m = BinningScheme(eps).m
+        edges = [k * eps for k in range(m + 1) if k * eps <= 1.0]
+        point = st.one_of(st.sampled_from([0.0, -0.0, 1.0] + edges), st.floats(0.0, 1.0))
+        expert = np.array(data.draw(st.lists(point, min_size=T, max_size=T)))
+        y = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+        ys = np.array(data.draw(st.lists(y, min_size=T, max_size=T)))
+        got = kernels.tracking_pass(expert, ys, eps, m)
+        assert got.dtype == np.float64
+        assert got.tobytes() == reference_tracking_pass(expert, ys, eps, m).tobytes()
+
+    @pytest.mark.parametrize("bad", [-0.05, 1.5, float("nan")])
+    @pytest.mark.parametrize("run", [
+        lambda expert, ys: kernels.tracking_pass(expert, ys, 0.1, 10),
+        lambda expert, ys: kernels.hops_pass(expert, ys, np.full(len(ys), 0.5), 0.1, 10),
+    ], ids=["tracking_pass", "hops_pass"])
+    def test_passes_reject_experts_outside_unit_interval(self, run, bad):
+        # a negative bin would index the state from its end
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            run(np.array([bad, bad, 0.5]), np.array([1.0, 0.0, 1.0]))
 
 
 class TestAdversary:
@@ -588,9 +630,11 @@ class TestNumbaContainer:
 
     def test_containers_switch(self):
         assert isinstance(kernels.status_of([0.0] * 4, [0.0] * 4, 0.5, 2), list)
+        assert [type(r) for r in kernels._flat(np.arange(2))] == [int, int]
         with numba_container():
             assert isinstance(kernels.status_of(np.zeros(4), np.zeros(4), 0.5, 2), np.ndarray)
             assert isinstance(kernels._flat(np.zeros(3)), np.ndarray)
+            assert kernels._flat(np.arange(3)).dtype == np.int64  # routed rows
             assert isinstance(kernels.ons_init(np.zeros(2), 1.0)[1], np.ndarray)
 
     @pytest.mark.parametrize("family, rho, radius", [
@@ -681,15 +725,6 @@ class TestPathEquivalence:
         assert np.array_equal(jit[0], py[0])
         assert np.array_equal(jit[1], py[1])
 
-    def test_tracking_pass(self):
-        rng = np.random.default_rng(2)
-        expert = rng.random(1000)
-        ys = (rng.random(1000) < expert).astype(float)
-        assert np.array_equal(
-            kernels.tracking_pass(expert, ys, 0.1, 10),
-            kernels.tracking_pass_py(expert, ys, 0.1, 10),
-        )
-
     def test_hops_pass(self):
         rng = np.random.default_rng(3)
         expert = rng.random(1000)
@@ -697,7 +732,7 @@ class TestPathEquivalence:
         us = rng.random(1000)
         assert np.array_equal(
             kernels.hops_pass(expert, ys, us, 0.1, 10),
-            kernels.hops_pass_py(expert, ys, us, 0.1, 10),
+            kernels.hops_pass_py(bins_of(expert, 0.1, 10), ys, us, 0.1, 10),
         )
 
     def test_adversarial_passes(self):

@@ -324,8 +324,8 @@ class TestRunPipeline:
         assert rep_det.ce_mean["OPS"][-1] > 0.4
 
     def test_adversarial_tcal_rejected(self):
-        spec = replace(default_spec("adversarial", seed=4), T_cal=100)
         with pytest.raises(ValueError, match="T_cal"):
+            spec = replace(default_spec("adversarial", seed=4), T_cal=100)
             ExperimentConfig(stream=spec, methods=("OPS",), replications=1)
 
 
