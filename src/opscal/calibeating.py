@@ -43,8 +43,9 @@ suite pins step-by-step replays to the whole-stream runs:
     with ``kernels.hedge_select``, so no call classifies a bin again. A
     state is built from arrays, never edited in place.
 
-Every entry point rejects an expert forecast or an outcome outside
-[0, 1], NaN included; outcomes need not be 0 or 1.
+Every entry point checks its values with ``core`` and rejects one outside
+[0, 1], NaN included (outcomes need not be 0 or 1); a state rejects given
+tallies that no such outcomes produce.
 """
 
 from __future__ import annotations
@@ -54,39 +55,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import BinningScheme, check_unit
+from .core import BinningScheme, check_columns, unit_float
 from .kernels import CalibeatingInvariantError  # noqa: F401 (re-exported)
 
 
 def _route(p, scheme: BinningScheme) -> int:
     """The 0-based bin of one forecast, which must lie in [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probabilities must lie in [0, 1]")
-    return kernels.bin_of(float(p), scheme.epsilon, scheme.m)
-
-
-def _outcome(y) -> float:
-    """One outcome as a float; it must lie in [0, 1] (NaN does not)."""
-    y = float(y)
-    if not 0.0 <= y <= 1.0:
-        raise ValueError("outcomes must lie in [0, 1]")
-    return y
-
-
-def _columns(expert_ps, ys):
-    """The expert and outcome columns as float arrays of one length, both
-    in [0, 1]."""
-    expert_ps = check_unit(expert_ps, "probabilities")
-    ys = check_unit(ys, "outcomes")
-    if expert_ps.shape != ys.shape:
-        raise ValueError("expert forecasts and outcomes must have equal length")
-    return expert_ps, ys
+    return kernels.bin_of(unit_float(p, "probabilities"), scheme.epsilon, scheme.m)
 
 
 @dataclass(eq=False)
 class _Tallies:
-    """Per-bin counts and outcome sums, zero unless given; given ones must
-    be 1-D of the state's length."""
+    """Per-bin counts and outcome sums, zero unless given. Given ones must be
+    1-D of the state's length, finite, and 0 <= outcome_sums <= counts in
+    every bin, as outcomes in [0, 1] produce."""
 
     scheme: BinningScheme
     counts: np.ndarray = None
@@ -100,6 +82,9 @@ class _Tallies:
                 setattr(self, name, np.zeros(n))
             elif np.shape(a) != (n,):
                 raise ValueError(f"{name} must be 1-D of length {n}, not of shape {np.shape(a)}")
+        counts, sums = np.asarray(self.counts, dtype=float), np.asarray(self.outcome_sums, dtype=float)
+        if not (np.isfinite(counts).all() and ((0.0 <= sums) & (sums <= counts)).all()):
+            raise ValueError("tallies must be finite, with 0 <= outcome_sums <= counts in every bin")
 
     def _size(self) -> int:
         return self.scheme.m
@@ -122,9 +107,8 @@ def tracking_forecast(state: TrackingState, expert_p: float) -> float:
 
 
 def tracking_update(state: TrackingState, expert_p: float, y) -> TrackingState:
-    """Fold (expert_p, y) into the expert bin's statistics; y must lie in
-    [0, 1]."""
-    b, y = _route(expert_p, state.scheme), _outcome(y)
+    """Fold (expert_p, y), y in [0, 1], into the expert bin's statistics."""
+    b, y = _route(expert_p, state.scheme), unit_float(y, "outcomes")
     new = state._copy()
     new.counts[b] += 1.0
     new.outcome_sums[b] += y
@@ -134,7 +118,7 @@ def tracking_update(state: TrackingState, expert_p: float, y) -> TrackingState:
 def tracking_run(expert_ps, ys, scheme: BinningScheme) -> np.ndarray:
     """Whole-stream tracking via the batched kernel. Expert forecasts and
     outcomes must lie in [0, 1] and have one length."""
-    return kernels.tracking_pass(*_columns(expert_ps, ys), scheme.epsilon, scheme.m)
+    return kernels.tracking_pass(*check_columns(expert_ps, ys, "expert forecasts"), scheme.epsilon, scheme.m)
 
 
 @dataclass
@@ -216,13 +200,12 @@ def f99_forecast(state: HopsState, rng: np.random.Generator):
 
 
 def f99_update(state: HopsState, chosen: float, y) -> HopsState:
-    """Fold the outcome, which must lie in [0, 1], into row 0's statistics
-    of the forecast bin."""
+    """Fold the outcome y, in [0, 1], into row 0's tallies of the forecast bin."""
     scheme = state.scheme
     c = _route(chosen, scheme)
     if abs(scheme.midpoint(c + 1) - chosen) > 1e-9:
         raise ValueError("chosen forecast is not a bin midpoint of this scheme")
-    y = _outcome(y)
+    y = unit_float(y, "outcomes")
     new = state._copy()
     kernels.hedge_fold(new.counts, new.outcome_sums, new.status, 0, c, y, scheme.epsilon)
     return new
@@ -242,8 +225,7 @@ def hops_step(state: HopsState, expert_p: float, y, rng: np.random.Generator):
     one uniform per call.
     """
     scheme = state.scheme
-    r = _route(expert_p, scheme)
-    y = _outcome(y)
+    r, y = _route(expert_p, scheme), unit_float(y, "outcomes")
     new = state._copy()
     u = float(rng.random())
     return kernels.hops_advance(new.counts, new.outcome_sums, new.status, r, y, u, scheme.epsilon, scheme.m), new
@@ -253,5 +235,5 @@ def hops_run(expert_ps, ys, scheme: BinningScheme, rng: np.random.Generator) -> 
     """Whole-stream hedging over an expert column (batched kernel); draws
     one uniform per step from ``rng``. Expert forecasts and outcomes must
     lie in [0, 1] and have one length."""
-    expert_ps, ys = _columns(expert_ps, ys)
+    expert_ps, ys = check_columns(expert_ps, ys, "expert forecasts")
     return kernels.hops_pass(expert_ps, ys, rng.random(len(ys)), scheme.epsilon, scheme.m)

@@ -1,6 +1,9 @@
 """Shared probability primitives: link functions, epsilon-bins, log-loss.
 
 Everything here is pure and value-typed; safe to share across threads.
+It owns the [0, 1] input rule: every value entering the package passes
+``check_unit`` (an array), ``unit_float`` (one value) or ``check_columns``
+(a column and its outcomes), which raise "<noun> must lie in [0, 1]".
 Scores entering the library are clipped once, at ingestion, to
 ``[CLIP_LO, CLIP_HI] = [0.01, 0.99]`` — this bounds the online-Newton
 feature norm and keeps every logit finite. Individual operations do not
@@ -28,6 +31,24 @@ def check_unit(x, noun: str) -> np.ndarray:
     if not ((a >= 0.0) & (a <= 1.0)).all():
         raise ValueError(f"{noun} must lie in [0, 1]")
     return a
+
+
+def unit_float(x, noun: str) -> float:
+    """``x`` as a float; raises ValueError naming ``noun`` unless it lies in
+    [0, 1] (NaN and infinities do not)."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{noun} must lie in [0, 1]")
+    return x
+
+
+def check_columns(p, y, noun: str):
+    """``(p, y)`` as float arrays of one shape, both in [0, 1]: ``p`` is
+    named by ``noun`` and ``y`` by "outcomes" in the error."""
+    p, y = check_unit(p, noun), check_unit(y, "outcomes")
+    if p.shape != y.shape:
+        raise ValueError(f"{noun} and outcomes must have equal length")
+    return p, y
 
 
 def clip_score(score):

@@ -275,9 +275,7 @@ def train_base_logistic(features, labels, ridge: float = 1e-6) -> BaseModelWeigh
     y = np.asarray(labels, dtype=float)
     if len(X) == 0:
         raise ValueError("empty training block")
-    w, converged, n_iter = newton_logistic(
-        X, y, init=np.zeros(X.shape[1]), ridge=ridge, radius=None, tol=1e-8, max_iter=200
-    )
+    w, converged, n_iter = newton_logistic(X, y, init=np.zeros(X.shape[1]), ridge=ridge, radius=None)
     return BaseModelWeights(w=w, converged=converged, n_iter=n_iter)
 
 

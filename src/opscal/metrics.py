@@ -12,6 +12,7 @@ their bins once, tallies each bin over every requested prefix of the
 stream, and evaluates the CE, SHP and refinement formulas over those
 (prefix, bin) tallies. A scalar metric is its one-prefix case, and
 ``prefixes`` gives the series over ``p[:k]`` that the pipeline plots.
+Columns pass ``core.check_columns`` and must be 1-D and nonempty.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinningScheme, bins_of
+from .core import BinningScheme, bins_of, check_columns
 
 
 def _check_lengths(p, y):
-    p = np.asarray(p, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if p.shape != y.shape or p.ndim != 1 or len(p) == 0:
-        raise ValueError("forecasts and outcomes must be equal-length nonempty 1-D arrays")
+    p, y = check_columns(p, y, "forecasts")
+    if p.ndim != 1 or len(p) == 0:
+        raise ValueError("forecasts and outcomes must be nonempty 1-D arrays")
     return p, y
 
 

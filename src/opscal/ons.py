@@ -10,8 +10,8 @@ The forecast at step t always uses the PRE-update parameters; the pair
 OnsState is a value: steps return fresh states, so distinct streams can run
 in parallel with independent states. The heavy lifting is shared with the
 whole-stream kernel in ``opscal.kernels`` so step-by-step and batched
-execution replay identically. A step rejects an outcome outside [0, 1].
-``regret`` compares a forecast column with a fixed comparator's forecasts.
+execution replay identically. ``regret`` compares a forecast column with a
+fixed comparator's forecasts. Both reject a value outside [0, 1] (``core``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import log_loss
+from .core import check_columns, check_unit, log_loss, unit_float
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,7 @@ def ons_advance(state: OnsState, feature, y, config: OnsConfig):
     d = config.dim
     if feature.shape != (d,) or state.theta.shape != (d,):
         raise ValueError("feature/config dimension mismatch")
-    y = float(y)
-    if not 0.0 <= y <= 1.0:
-        raise ValueError("outcomes must lie in [0, 1]")
+    y = unit_float(y, "outcomes")
     theta = state.theta.copy()
     A = state.A.flatten()
     A_inv = state.A_inv.flatten()
@@ -129,8 +127,9 @@ def project_ellipsoid(A, theta_tilde, radius: float) -> np.ndarray:
 def regret(probs, ys, comparator) -> float:
     """Summed log-loss of the forecasts ``probs`` minus that of the
     comparator's forecasts, both on the outcomes ``ys``."""
-    probs, ys, comparator = (np.asarray(a, dtype=float) for a in (probs, ys, comparator))
-    if ys.size == 0 or not probs.shape == ys.shape == comparator.shape:
+    probs, ys = check_columns(probs, ys, "forecasts")
+    comparator = check_unit(comparator, "comparator forecasts")
+    if ys.size == 0 or comparator.shape != ys.shape:
         raise ValueError("forecasts, outcomes and comparator forecasts must have one nonzero length")
     return float(np.sum(log_loss(probs, ys)) - np.sum(log_loss(comparator, ys)))
 

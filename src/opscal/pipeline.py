@@ -37,7 +37,7 @@ import numpy as np
 
 from . import kernels
 from .calibeating import CalibeatingInvariantError, f99_run, hops_run, tracking_run
-from .core import BinningScheme
+from .core import BinningScheme, unit_float
 from .datagen import (
     P_HEDGE,
     P_HEDGE_BETA,
@@ -668,8 +668,7 @@ def run_climatology(
     Writes the first replication's forecast trace and a trace plot.
     """
     scheme = BinningScheme(epsilon)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    unit_float(p, "p")
     if T < 1:
         raise ValueError("T must be >= 1")
     if replications < 1:

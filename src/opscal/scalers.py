@@ -16,7 +16,8 @@ and online comparators live in one class). Windowed learners refit on the
 full prefix every W steps; since their parameters are constant between
 refits, ``windowed_run`` fits once per refit segment and applies that
 segment's parameters in one vectorised call. The online learner advances
-one Newton step per observation.
+one Newton step per observation. Runs and fits check scores and outcomes
+with ``core.check_columns``.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kernels
-from .core import check_unit, clip_score, log_loss, logit, sigmoid
+from .core import check_columns, check_unit, clip_score, log_loss, logit, sigmoid
 from .ons import OnsConfig, OnsState, initial_theta, ons_advance
 
 PARAM_RADIUS = 100.0
+NEWTON_TOL, NEWTON_MAX_ITER = 1e-8, 200  # newton_logistic's gradient-norm stop and step cap
 
 
 def platt_features(scores) -> np.ndarray:
@@ -108,8 +110,6 @@ def newton_logistic(
     init: np.ndarray,
     ridge: float = 0.0,
     radius: float | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 200,
 ):
     """Damped Newton minimization of total log-loss (+ ridge/2 ||w||^2).
 
@@ -143,10 +143,10 @@ def newton_logistic(
     cur, p = loss(w)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         grad = X.T @ (p - y) + ridge * w
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol:
+        if gnorm <= NEWTON_TOL:
             converged = True
             break
         hess = (X * (p * (1.0 - p))[:, None]).T @ X + ridge * np.eye(d)
@@ -181,22 +181,12 @@ def newton_logistic(
     return w, converged, it
 
 
-def _checked(scores, ys):
-    """(scores, ys) as float arrays; outcomes must lie in [0, 1] and match
-    the scores in length."""
-    ys = check_unit(ys, "outcomes")
-    scores = np.asarray(scores, dtype=float)
-    if scores.shape != ys.shape:
-        raise ValueError("scores and outcomes must have equal length")
-    return scores, ys
-
-
 def _fit_batch(family: str, scores, ys) -> np.ndarray:
     """Exact logistic regression over the family's features within the
     PARAM_RADIUS ball, started from ``initial_theta``; returns the weights,
     the bias last."""
     features, config = _family(family)
-    scores, ys = _checked(scores, ys)
+    scores, ys = check_columns(scores, ys, "scores")
     if len(scores) == 0:
         raise ValueError("empty data")
     return newton_logistic(features(scores), ys, init=initial_theta(config.dim), radius=PARAM_RADIUS)[0]
@@ -217,8 +207,16 @@ def fit_beta_batch(scores, ys) -> np.ndarray:
 class HistogramBinningModel:
     """Uniform-mass score bins; each prediction is a stored bin mean."""
 
-    boundaries: np.ndarray  # length n_bins + 1, spans [0, 1]
+    boundaries: np.ndarray  # length n_bins + 1, nondecreasing from 0 to 1
     predictions: np.ndarray  # length n_bins, values in [0, 1]
+
+    def __post_init__(self):
+        self.predictions = check_unit(self.predictions, "predictions")
+        edges = self.boundaries = np.asarray(self.boundaries, dtype=float)
+        if self.predictions.ndim != 1 or edges.shape != (len(self.predictions) + 1,):
+            raise ValueError("boundaries and predictions must be 1-D, with one more boundary than predictions")
+        if not (edges[0] == 0.0 and edges[-1] == 1.0 and (np.diff(edges) >= 0.0).all()):
+            raise ValueError("boundaries must run nondecreasing from 0 to 1")
 
     def predict(self, score):
         s = check_unit(score, "scores")
@@ -234,7 +232,7 @@ def fit_histogram_binning(scores, ys, m: int = 10) -> HistogramBinningModel:
     Bin prediction = mean outcome of members; an empty bin predicts its own
     score midpoint. Requires m >= 1 and at least m points.
     """
-    scores, ys = _checked(scores, ys)
+    scores, ys = check_columns(scores, ys, "scores")
     if m < 1:
         raise ValueError("m must be >= 1")
     if len(scores) < m:
@@ -358,6 +356,6 @@ def online_scaler_run(scores, ys, family: str, config: OnsConfig | None = None):
     """
     row = _family(family)
     config = row.config if config is None else config
-    scores, ys = _checked(scores, ys)
+    scores, ys = check_columns(scores, ys, "scores")
     return kernels.ons_pass(row.features(scores), ys, config.gamma, config.rho, config.radius,
                             initial_theta(config.dim))

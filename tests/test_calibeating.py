@@ -154,17 +154,19 @@ class TestF99:
             f99_update(HopsState(scheme10()), 0.12, 1.0)
 
     def test_invariant_violation_raises(self):
-        # corrupted state: every observed average above its right endpoint,
-        # so no condition-A bin and no deficit to pair for condition B
-        st = f99_state(scheme10(), 1.0, (np.arange(10) + 1.0) * 0.1 + 0.5)
-        with pytest.raises(CalibeatingInvariantError):
-            f99_distribution(st)
+        # corrupted tallies: every observed average above its right endpoint,
+        # so no condition-A bin and no deficit to pair for condition B; no
+        # stream of outcomes in [0, 1] produces them, so the state rejects them
+        with pytest.raises(ValueError, match="outcome_sums <= counts"):
+            f99_state(scheme10(), 1.0, (np.arange(10) + 1.0) * 0.1 + 0.5)
 
     def test_kernel_step_raises_the_same_invariant_error(self):
         # the whole-stream passes and the step APIs share one error type
-        st = f99_state(scheme10(), 1.0, (np.arange(10) + 1.0) * 0.1 + 0.5)
+        counts, sums = np.zeros(100), np.zeros(100)
+        counts[:10], sums[:10] = 1.0, (np.arange(10) + 1.0) * 0.1 + 0.5
+        status = kernels.status_of(counts, sums, 0.1, 10)
         with pytest.raises(CalibeatingInvariantError):
-            kernels.hops_advance(st.counts, st.outcome_sums, st.status, 0, 1.0, 0.5, 0.1, 10)
+            kernels.hops_advance(counts, sums, status, 0, 1.0, 0.5, 0.1, 10)
 
     def test_forecast_consumes_one_uniform(self):
         st = HopsState(scheme10())
@@ -446,6 +448,18 @@ def test_malformed_tallies_rejected(make, n, shapes):
         for args in ((np.ones(shape), np.zeros(n)), (np.zeros(n), np.ones(shape))):
             with pytest.raises(ValueError, match=f"must be 1-D of length {n},"):
                 make(scheme10(), *args)
+
+
+@pytest.mark.parametrize("make, n", [(TrackingState, 10), (HopsState, 100)], ids=["TrackingState", "HopsState"])
+@pytest.mark.parametrize("count, total", [(-1.0, 0.0), (1.0, 5.0), (1.0, NAN), (NAN, 0.0), (np.inf, 1.0)],
+                         ids=["negative-count", "sum-above-count", "nan-sum", "nan-count", "inf-count"])
+def test_impossible_tallies_rejected(make, n, count, total):
+    # tallies no stream of outcomes in [0, 1] produces: tracking would
+    # forecast a sum of 5 over one step as 5.0
+    counts, sums = np.ones(n), np.full(n, 0.5)
+    counts[3], sums[3] = count, total
+    with pytest.raises(ValueError, match="tallies must be finite"):
+        make(scheme10(), counts, sums)
 
 
 def _arrays(state):

@@ -255,3 +255,22 @@ def test_rejects_bad_prefixes(metric, prefixes, message):
     with pytest.raises(ValueError, match="prefixes") as info:
         metric(p, (p > 0.45).astype(float), BinningScheme(0.1), prefixes=prefixes)
     assert info.match(message)
+
+
+@pytest.mark.parametrize("metric", [
+    lambda p, y: calibration_error(p, y, BinningScheme(0.1)),
+    lambda p, y: sharpness(p, y, BinningScheme(0.1)),
+    lambda p, y: refinement(p, y, BinningScheme(0.1)),
+    brier,
+    lambda p, y: metric_report(p, y, BinningScheme(0.1)),
+    true_ce,
+    true_accuracy,
+], ids=["calibration_error", "sharpness", "refinement", "brier", "metric_report", "true_ce", "true_accuracy"])
+@pytest.mark.parametrize("column", ["forecasts", "outcomes"])
+@pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan], ids=["negative", "above-one", "nan"])
+def test_rejects_values_outside_unit_interval(metric, column, bad):
+    # a value outside [0, 1] breaks the identities: an outcome of 3 gives SHP 9 > ybar
+    p, y = np.array([0.5, 0.5, 0.2]), np.array([1.0, 0.0, 0.0])
+    (p if column == "forecasts" else y)[1] = bad
+    with pytest.raises(ValueError, match=rf"{column} must lie in \[0, 1\]"):
+        metric(p, y)

@@ -160,6 +160,22 @@ class TestRegret:
         B = max(1.0, float(np.linalg.norm(params)))
         assert regret(probs, y, platt_apply(params, scores)) <= ons_regret_bound(5000, B)
 
+    @pytest.mark.parametrize("probs, ys, comparator, message", [
+        ([0.5], [3.0], [0.4], r"outcomes must lie in \[0, 1\]"),
+        ([0.5, 0.5], [1.0, -0.1], [0.4, 0.4], r"outcomes must lie in \[0, 1\]"),
+        ([0.5, 0.5], [1.0, 1.1], [0.4, 0.4], r"outcomes must lie in \[0, 1\]"),
+        ([0.5, 0.5], [1.0, math.nan], [0.4, 0.4], r"outcomes must lie in \[0, 1\]"),
+        ([1.5], [1.0], [0.4], r"forecasts must lie in \[0, 1\]"),
+        ([0.5], [1.0], [-0.4], r"comparator forecasts must lie in \[0, 1\]"),
+        ([0.5, 0.5], [1.0], [0.4], "equal length"),
+        ([0.5], [1.0], [0.4, 0.4], "one nonzero length"),
+    ], ids=["outcome-3", "outcome-negative", "outcome-above-one", "outcome-nan", "forecast-above-one",
+            "comparator-negative", "forecasts-longer", "comparator-longer"])
+    def test_bad_columns_rejected(self, probs, ys, comparator, message):
+        # log-loss is meaningless off [0, 1]: an outcome of 3 gives a regret of -1.03
+        with pytest.raises(ValueError, match=message):
+            regret(np.array(probs), np.array(ys), np.array(comparator))
+
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             regret(np.zeros(0), np.zeros(0), platt_apply(np.array([1.0, 0.0]), np.zeros(0)))

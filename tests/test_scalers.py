@@ -10,6 +10,7 @@ from opscal import scalers
 from opscal.core import clip_score, log_loss, logit, sigmoid
 from opscal.ons import OnsConfig, OnsState, initial_theta, ons_step
 from opscal.scalers import (
+    HistogramBinningModel,
     WindowedLearner,
     _renorm_to_ball,
     beta_apply,
@@ -216,6 +217,21 @@ class TestHistogramBinning:
         model = fit_histogram_binning(scores, (scores > 0.5).astype(float), m=4)
         with pytest.raises(ValueError, match="must lie in"):
             model.predict(score)
+
+    @pytest.mark.parametrize("boundaries, predictions, message", [
+        ([0.0, 0.5, 1.0], [2.0, -1.0], r"predictions must lie in \[0, 1\]"),
+        ([0.0, 0.5, 1.0], [0.2, np.nan], r"predictions must lie in \[0, 1\]"),
+        ([0.0, 1.0], [0.2, 0.4], "one more boundary"),
+        ([0.0, 0.5, 0.7, 1.0], [0.2, 0.4], "one more boundary"),
+        ([0.1, 0.5, 1.0], [0.2, 0.4], "from 0 to 1"),
+        ([0.0, 0.5, 0.9], [0.2, 0.4], "from 0 to 1"),
+        ([0.0, 0.6, 0.4, 1.0], [0.2, 0.4, 0.6], "nondecreasing"),
+    ], ids=["predictions-outside", "nan-prediction", "too-few-boundaries", "too-many-boundaries",
+            "starts-above-0", "ends-below-1", "decreasing"])
+    def test_model_rejects_malformed_arrays(self, boundaries, predictions, message):
+        # predict returns a stored prediction as the forecast, so it must lie in [0, 1]
+        with pytest.raises(ValueError, match=message):
+            HistogramBinningModel(np.array(boundaries), np.array(predictions))
 
 
 class TestWindowedLearner:
@@ -424,6 +440,12 @@ class TestOnlineScalerOutcomes:
         with pytest.raises(ValueError, match=r"outcomes must lie in \[0, 1\]"):
             online_scaler_run(np.full(4, 0.4), ys, family)
 
+    @pytest.mark.parametrize("family", ["platt", "beta"])
+    def test_run_names_a_bad_score(self, family):
+        # both families name the score, not the logit's "probabilities"
+        with pytest.raises(ValueError, match=r"scores must lie in \[0, 1\]"):
+            online_scaler_run(np.array([0.4, 1.5, 0.4]), np.ones(3), family)
+
     @pytest.mark.parametrize("n_scores", [3, 5])
     def test_run_rejects_length_mismatch(self, n_scores):
         with pytest.raises(ValueError, match="equal length"):
@@ -448,6 +470,15 @@ class TestBatchFitOutcomes:
         ys[5] = y
         with pytest.raises(ValueError, match=r"outcomes must lie in \[0, 1\]"):
             FIT_APPLY[family][0](np.linspace(0.2, 0.8, 12), ys)
+
+    @pytest.mark.parametrize("family", sorted(FIT_APPLY))
+    @pytest.mark.parametrize("score", [1.5, -2.0, float("nan")])
+    def test_rejects_score(self, family, score):
+        # every fit names the score; histogram binning would otherwise place it in an edge bin
+        scores = np.linspace(0.2, 0.8, 12)
+        scores[5] = score
+        with pytest.raises(ValueError, match=r"scores must lie in \[0, 1\]"):
+            FIT_APPLY[family][0](scores, self.YS)
 
     @pytest.mark.parametrize("family", sorted(FIT_APPLY))
     @pytest.mark.parametrize("n_scores", [11, 13])
