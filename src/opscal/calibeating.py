@@ -214,7 +214,7 @@ def f99_update(state: HopsState, chosen: float, y) -> HopsState:
 def f99_run(ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:
     """Covariate-free hedging over an outcome sequence: ``hops_run`` over an
     expert that always sits in the first bin."""
-    return hops_run(np.zeros(len(ys)), ys, scheme, rng)
+    return hops_run(np.zeros(np.shape(ys)), ys, scheme, rng)
 
 
 def hops_step(state: HopsState, expert_p: float, y, rng: np.random.Generator):

@@ -1,9 +1,15 @@
 """Shared probability primitives: link functions, epsilon-bins, log-loss.
 
 Everything here is pure and value-typed; safe to share across threads.
-It owns the [0, 1] input rule: every value entering the package passes
-``check_unit`` (an array), ``unit_float`` (one value) or ``check_columns``
-(a column and its outcomes), which raise "<noun> must lie in [0, 1]".
+It owns the package's three input rules, each with one implementation:
+  - values: every forecast, score and outcome passes ``check_unit`` (an
+    array), ``unit_float`` (one value) or ``check_columns``, which raise
+    "<noun> must lie in [0, 1]";
+  - columns: ``check_columns`` takes a column and its outcomes, which must
+    be 1-D of equal length (one step per entry);
+  - counts: every count, size and seed entering a spec, a config or an
+    entry passes ``check_count``, which raises "<noun> must be >= <least>"
+    unless it is an integer (not a bool) of at least ``least``.
 Scores entering the library are clipped once, at ingestion, to
 ``[CLIP_LO, CLIP_HI] = [0.01, 0.99]`` — this bounds the online-Newton
 feature norm and keeps every logit finite. Individual operations do not
@@ -43,12 +49,21 @@ def unit_float(x, noun: str) -> float:
 
 
 def check_columns(p, y, noun: str):
-    """``(p, y)`` as float arrays of one shape, both in [0, 1]: ``p`` is
-    named by ``noun`` and ``y`` by "outcomes" in the error."""
+    """``(p, y)`` as 1-D float arrays of one length, both in [0, 1]: ``p``
+    is named by ``noun`` and ``y`` by "outcomes" in the error."""
     p, y = check_unit(p, noun), check_unit(y, "outcomes")
-    if p.shape != y.shape:
-        raise ValueError(f"{noun} and outcomes must have equal length")
+    if p.ndim != 1 or p.shape != y.shape:
+        raise ValueError(f"{noun} and outcomes must be 1-D columns of equal length, "
+                         f"got shapes {p.shape} and {y.shape}")
     return p, y
+
+
+def check_count(x, noun: str, least: int) -> int:
+    """``x`` as an int; raises ValueError naming ``noun`` unless it is an
+    integer (a Python or numpy one, not a bool) of at least ``least``."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < least:
+        raise ValueError(f"{noun} must be >= {least}, an integer, got {x!r}")
+    return int(x)
 
 
 def clip_score(score):

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import CLIP_HI, CLIP_LO, clip_score, sigmoid
+from .core import CLIP_HI, CLIP_LO, check_count, clip_score, sigmoid
 from .scalers import newton_logistic
 
 # substream purposes
@@ -65,7 +65,7 @@ class StreamSpec:
     T_train: int = 1000
     T_test: int = 5000
     T_cal: int = 0
-    W: int = 500
+    W: int = 500  # the refit period; snapshots start at T_cal + 2W
     delta: float = 0.0
     csv_path: str | None = None
     label_column: str | None = None
@@ -77,18 +77,12 @@ class StreamSpec:
             raise ValueError(f"unknown stream kind {self.kind!r}")
         if self.kind == "csv" and (self.csv_path is None or self.label_column is None):
             raise ValueError("csv streams need csv_path and label_column")
-        if self.T_train < 0:
-            raise ValueError("T_train must be >= 0")
-        if self.T_cal < 0:
-            raise ValueError("T_cal must be >= 0")
+        for noun, least in (("seed", 0), ("T_train", 0), ("T_cal", 0), ("T_test", 1), ("W", 1)):
+            object.__setattr__(self, noun, check_count(getattr(self, noun), noun, least))
         if self.kind == "adversarial" and self.T_cal != 0:
             raise ValueError("adversarial streams have no calibration prefix (T_cal must be 0)")
-        if self.T_test < 1:
-            raise ValueError("T_test must be >= 1")
         if self.T_train < 1 and (self.kind in _SYNTH or (self.kind == "csv" and self.score_column is None)):
             raise ValueError(f"T_train must be >= 1: the {self.kind} stream trains its base model on it")
-        if self.W < 1:
-            raise ValueError("W must be >= 1 (the refit period; snapshots start at T_cal + 2W)")
         if not math.isfinite(self.delta):
             raise ValueError("delta must be finite")
         if self.delta != 0.0 and (self.kind not in _SYNTH or _SYNTH[self.kind].delta is None):
@@ -257,16 +251,15 @@ class BaseModelWeights:
     n_iter: int
 
 
-# L2 strength used when training base models inside stream builders. This is
-# the common library default for logistic regression (penalty 1/2 ||w||^2
-# against the summed log-loss) and is what reproduces the reported
-# end-of-stream flip behavior of the 1-D drift experiments; the bare
-# train_base_logistic default stays at the nearly-unregularized 1e-6.
+# L2 strength of every base model. This is the common library default for
+# logistic regression (penalty 1/2 ||w||^2 against the summed log-loss) and
+# is what reproduces the reported end-of-stream flip behavior of the 1-D
+# drift experiments.
 BASE_MODEL_RIDGE = 1.0
 
 
-def train_base_logistic(features, labels, ridge: float = 1e-6) -> BaseModelWeights:
-    """Full-batch damped Newton on log-loss with a small ridge.
+def train_base_logistic(features, labels) -> BaseModelWeights:
+    """Full-batch damped Newton on log-loss with ridge BASE_MODEL_RIDGE.
 
     Non-convergence within 200 iterations returns the best iterate with
     converged=False rather than raising.
@@ -275,7 +268,7 @@ def train_base_logistic(features, labels, ridge: float = 1e-6) -> BaseModelWeigh
     y = np.asarray(labels, dtype=float)
     if len(X) == 0:
         raise ValueError("empty training block")
-    w, converged, n_iter = newton_logistic(X, y, init=np.zeros(X.shape[1]), ridge=ridge, radius=None)
+    w, converged, n_iter = newton_logistic(X, y, init=np.zeros(X.shape[1]), ridge=BASE_MODEL_RIDGE, radius=None)
     return BaseModelWeights(w=w, converged=converged, n_iter=n_iter)
 
 
@@ -323,8 +316,7 @@ def build_scored_stream(spec: StreamSpec) -> ScoredStream:
     if spec.kind == "csv":
         return ingest_csv(spec)
     stream = generate(spec)
-    model = train_base_logistic(stream.features[: spec.T_train], stream.y[: spec.T_train],
-                                ridge=BASE_MODEL_RIDGE)
+    model = train_base_logistic(stream.features[: spec.T_train], stream.y[: spec.T_train])
     scores = base_scores(model, stream.features)
     return ScoredStream(spec=spec, scores=scores, y=stream.y, truth=stream.truth, base=model)
 
@@ -396,8 +388,7 @@ def ingest_csv(spec: StreamSpec) -> ScoredStream:
         model = None
     else:
         feats = _with_intercept(data[:, feature_is])
-        model = train_base_logistic(feats[: spec.T_train], y[: spec.T_train],
-                                    ridge=BASE_MODEL_RIDGE)
+        model = train_base_logistic(feats[: spec.T_train], y[: spec.T_train])
         scores = base_scores(model, feats)
     return ScoredStream(spec=spec, scores=scores, y=y, truth=None, base=model,
                         n_dropped_rows=n_dropped)

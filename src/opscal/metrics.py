@@ -12,7 +12,7 @@ their bins once, tallies each bin over every requested prefix of the
 stream, and evaluates the CE, SHP and refinement formulas over those
 (prefix, bin) tallies. A scalar metric is its one-prefix case, and
 ``prefixes`` gives the series over ``p[:k]`` that the pipeline plots.
-Columns pass ``core.check_columns`` and must be 1-D and nonempty.
+Columns pass ``core.check_columns`` and must also be nonempty.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .core import BinningScheme, bins_of, check_columns
 
 def _check_lengths(p, y):
     p, y = check_columns(p, y, "forecasts")
-    if p.ndim != 1 or len(p) == 0:
-        raise ValueError("forecasts and outcomes must be nonempty 1-D arrays")
+    if len(p) == 0:
+        raise ValueError("forecasts and outcomes must be nonempty")
     return p, y
 
 
@@ -147,7 +147,6 @@ class MetricReport:
 def metric_report(p, y, scheme: BinningScheme, truth=None) -> MetricReport:
     """All metrics of one forecast column in a single pass."""
     ce, shp, ref = (float(v[0]) for v in _tallies(p, y, scheme, None))
-    p, y = _check_lengths(p, y)
     return MetricReport(
         ce=ce,
         shp=shp,

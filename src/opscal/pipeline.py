@@ -37,7 +37,7 @@ import numpy as np
 
 from . import kernels
 from .calibeating import CalibeatingInvariantError, f99_run, hops_run, tracking_run
-from .core import BinningScheme, unit_float
+from .core import BinningScheme, check_count, unit_float
 from .datagen import (
     P_HEDGE,
     P_HEDGE_BETA,
@@ -109,12 +109,8 @@ class ExperimentConfig:
         if bad:
             raise ValueError(f"unknown methods: {bad}")
         BinningScheme(self.epsilon)  # rejects a bad epsilon before any replication
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.eval_stride < 1:
-            raise ValueError("eval_stride must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for noun, least in (("replications", 1), ("master_seed", 0), ("eval_stride", 1), ("workers", 1)):
+            object.__setattr__(self, noun, check_count(getattr(self, noun), noun, least))
         if self.stream.kind == "adversarial":
             extra = set(self.methods) - {"OPS", "HOPS"}
             if extra:
@@ -669,10 +665,8 @@ def run_climatology(
     """
     scheme = BinningScheme(epsilon)
     unit_float(p, "p")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
+    T, replications = check_count(T, "T", 1), check_count(replications, "replications", 1)
+    master_seed = check_count(master_seed, "master_seed", 0)
     tails = []
     first = None
     for rep in range(replications):

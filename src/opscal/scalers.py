@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kernels
-from .core import check_columns, check_unit, clip_score, log_loss, logit, sigmoid
+from .core import check_columns, check_count, check_unit, clip_score, log_loss, logit, sigmoid
 from .ons import OnsConfig, OnsState, initial_theta, ons_advance
 
 PARAM_RADIUS = 100.0
@@ -65,10 +65,6 @@ def _family(name: str) -> _Family:
     if row is None:
         raise ValueError("family must be platt or beta")
     return row
-
-
-def family_features(family: str, scores) -> np.ndarray:
-    return _family(family).features(scores)
 
 
 def _apply(family: str, params, score):
@@ -233,8 +229,7 @@ def fit_histogram_binning(scores, ys, m: int = 10) -> HistogramBinningModel:
     score midpoint. Requires m >= 1 and at least m points.
     """
     scores, ys = check_columns(scores, ys, "scores")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = check_count(m, "m", 1)
     if len(scores) < m:
         raise ValueError(f"need at least {m} points to fit {m} bins")
     inner = np.quantile(scores, np.arange(1, m) / m)
@@ -268,12 +263,8 @@ class WindowedLearner:
     def __post_init__(self):
         if self.family not in _WINDOWED:
             raise ValueError("family must be platt, beta, or hb")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.t_cal < 0:
-            raise ValueError("t_cal must be >= 0")
-        if self.hb_bins < 1:
-            raise ValueError("hb_bins must be >= 1")
+        for noun, least in (("window", 1), ("t_cal", 0), ("hb_bins", 1)):
+            setattr(self, noun, check_count(getattr(self, noun), noun, least))
 
 
 # windowed families: refit(scores, ys, hb_bins), only hb reading hb_bins, and apply(params, score)
@@ -286,9 +277,7 @@ def refit_times(t_cal: int, window: int, T: int) -> range:
     """The windowed refit rule: the steps t_cal < t <= T with
     mod(t - t_cal, window) == 0. At each, the model is refit on the full
     prefix s <= t-1 before it forecasts t."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    return range(t_cal + window, T + 1, window)
+    return range(t_cal + check_count(window, "window", 1), T + 1, window)
 
 
 def windowed_run(fit, apply, params, t_cal: int, window: int, scores, ys) -> np.ndarray:
@@ -300,11 +289,11 @@ def windowed_run(fit, apply, params, t_cal: int, window: int, scores, ys) -> np.
     ``apply(params, scores)`` call. Equals a ``windowed_step`` replay
     element for element.
     """
-    scores = np.asarray(scores, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    scores, ys = check_columns(scores, ys, "scores")
     T = len(scores)
     if not 0 <= t_cal <= T:
         raise ValueError(f"t_cal must lie in [0, len(scores)] = [0, {T}], got {t_cal}")
+    t_cal = check_count(t_cal, "t_cal", 0)
     out = np.empty(T - t_cal)
     start = t_cal + 1
     for t in [*refit_times(t_cal, window, T), T + 1]:
@@ -323,8 +312,7 @@ def windowed_step(learner: WindowedLearner, t: int, hist_scores, hist_ys, score_
     At ``refit_times`` steps the learner refits on the whole history before
     forecasting.
     """
-    if t <= learner.t_cal:
-        raise ValueError("windowed learners only forecast after the calibration prefix")
+    t = check_count(t, "t", learner.t_cal + 1)  # forecasts start after the calibration prefix
     if min(len(hist_scores), len(hist_ys)) < t - 1:
         raise ValueError(f"history must hold the t - 1 = {t - 1} points before t")
     fit, apply = _WINDOWED[learner.family]

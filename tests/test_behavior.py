@@ -6,11 +6,9 @@ not just at the final window."""
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from opscal.datagen import default_spec
 from opscal.pipeline import ExperimentConfig, run_pipeline, run_replication, run_truth_windows
-from opscal.scalers import family_features
 
 
 class TestBetaFamilyWiring:
@@ -100,10 +98,6 @@ class TestDriftPatternAcrossWindows:
 
 
 class TestSmallEdges:
-    def test_family_features_rejects_unknown(self):
-        with pytest.raises(ValueError, match="platt or beta"):
-            family_features("hb", [0.5])
-
     def test_periodic_rule_negative_covariates(self):
         from opscal.datagen import _periodic_rule
 

@@ -156,6 +156,7 @@ class TestOtherCommands:
     (["run", "--config", "missing.ini"], "No such file"),
     (["run", "--csv", "data.csv", "--label", "label", "--ttest", "100"],
      "--ttest applies to synthetic kinds"),
+    (["dump-stream", "--stream", "cov1d", "--seed", "-1"], "seed must be >= 0"),
 ])
 def test_rejected_arguments_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

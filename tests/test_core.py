@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from opscal import kernels
+from opscal.calibeating import f99_run, hops_run, tracking_run
 from opscal.core import (
     BinningScheme,
     bin_index,
@@ -17,6 +19,21 @@ from opscal.core import (
     log_loss,
     logit,
     sigmoid,
+)
+from opscal.datagen import default_spec
+from opscal.metrics import brier, calibration_error, metric_report, refinement, sharpness, true_accuracy, true_ce
+from opscal.ons import regret
+from opscal.pipeline import ExperimentConfig, run_climatology
+from opscal.scalers import (
+    WindowedLearner,
+    fit_beta_batch,
+    fit_histogram_binning,
+    fit_platt_batch,
+    online_scaler_run,
+    platt_apply,
+    refit_times,
+    windowed_run,
+    windowed_step,
 )
 
 
@@ -248,3 +265,106 @@ class TestLogLoss:
         p = rng.random(1000)
         y = (rng.random(1000) < 0.5).astype(float)
         assert np.all(log_loss(p, y) >= 0.0)
+
+
+SPEC = default_spec("adversarial")  # no base model, so T_train may be 0
+HALVES = np.full(20, 0.5)
+
+
+def _windowed_step_at(t):
+    learner = WindowedLearner(family="platt", window=10, t_cal=5, params=np.array([1.0, 0.0]))
+    return windowed_step(learner, t, HALVES, np.zeros(20), 0.5)
+
+
+# every count entering a spec, a config or an entry: the noun its error
+# names, the least value it accepts, and the call with the count set to v
+COUNT_SITES = {
+    **{f"StreamSpec.{f}": (f, least, lambda v, f=f: replace(SPEC, **{f: v}))
+       for f, least in (("seed", 0), ("T_train", 0), ("T_cal", 0), ("T_test", 1), ("W", 1))},
+    **{f"ExperimentConfig.{f}": (f, least, lambda v, f=f: ExperimentConfig(stream=SPEC, **{f: v}))
+       for f, least in (("replications", 1), ("master_seed", 0), ("eval_stride", 1), ("workers", 1))},
+    **{f"run_climatology.{f}": (f, least, lambda v, f=f: run_climatology(**{"T": 50, "replications": 1, f: v}))
+       for f, least in (("T", 1), ("replications", 1), ("master_seed", 0))},
+    **{f"WindowedLearner.{f}": (f, least, lambda v, f=f: WindowedLearner("hb", **{"window": 10, "t_cal": 20, f: v}))
+       for f, least in (("window", 1), ("t_cal", 0), ("hb_bins", 1))},
+    "refit_times.window": ("window", 1, lambda v: refit_times(0, v, 10)),
+    "fit_histogram_binning.m": ("m", 1, lambda v: fit_histogram_binning(np.linspace(0.1, 0.9, 12), np.zeros(12), m=v)),
+    "windowed_run.t_cal": ("t_cal", 0, lambda v: windowed_run(fit_platt_batch, platt_apply, (1.0, 0.0), v, 5,
+                                                              HALVES, HALVES)),
+    "windowed_step.t": ("t", 6, _windowed_step_at),
+}
+
+
+class TestCountRule:
+    """Every count, size and seed is an integer (a Python or numpy one, not
+    a bool) of at least its least value, checked where it enters."""
+
+    @pytest.mark.parametrize("site", sorted(COUNT_SITES))
+    @pytest.mark.parametrize("bad", ["fraction", "bool", "below"])
+    def test_rejected(self, site, bad):
+        noun, least, call = COUNT_SITES[site]
+        value = {"fraction": least + 1.5, "bool": True, "below": least - 1}[bad]
+        # windowed_run names a t_cal outside the stream by its range
+        with pytest.raises(ValueError, match=rf"^{noun} must (be >= {least}|lie in)"):
+            call(value)
+
+    @pytest.mark.parametrize("site", sorted(COUNT_SITES))
+    def test_least_accepted_as_numpy_integer(self, site):
+        _, least, call = COUNT_SITES[site]
+        call(np.int64(least))
+
+    def test_numpy_integer_stored_as_int(self):
+        # so a spec or config holding one still writes to JSON
+        spec = replace(SPEC, seed=np.int64(3), W=np.int64(100))
+        config = ExperimentConfig(stream=spec, master_seed=np.uint32(5))
+        assert [type(v) for v in (spec.seed, spec.W, config.master_seed)] == [int] * 3
+        assert (spec.seed, spec.W, config.master_seed) == (3, 100, 5)
+
+
+# every entry that takes a column and its outcomes
+COLUMN_ENTRIES = {
+    "tracking_run": lambda p, y: tracking_run(p, y, BinningScheme(0.1)),
+    "hops_run": lambda p, y: hops_run(p, y, BinningScheme(0.1), np.random.default_rng(0)),
+    "online_scaler_run": lambda p, y: online_scaler_run(p, y, "platt"),
+    "fit_platt_batch": fit_platt_batch,
+    "fit_beta_batch": fit_beta_batch,
+    "fit_histogram_binning": lambda p, y: fit_histogram_binning(p, y, m=1),
+    "windowed_run": lambda p, y: windowed_run(fit_platt_batch, platt_apply, (1.0, 0.0), 0, 5, p, y),
+    "regret": lambda p, y: regret(p, y, p),
+    "calibration_error": lambda p, y: calibration_error(p, y, BinningScheme(0.1)),
+    "sharpness": lambda p, y: sharpness(p, y, BinningScheme(0.1)),
+    "refinement": lambda p, y: refinement(p, y, BinningScheme(0.1)),
+    "brier": brier,
+    "metric_report": lambda p, y: metric_report(p, y, BinningScheme(0.1)),
+    "true_ce": true_ce,
+    "true_accuracy": true_accuracy,
+}
+
+
+class TestColumnRule:
+    """A column and its outcomes are 1-D of equal length: one forecast and
+    one outcome per step."""
+
+    @pytest.mark.parametrize("entry", sorted(COLUMN_ENTRIES))
+    @pytest.mark.parametrize("shape", [(2, 3), ()], ids=["2x3", "0-d"])
+    def test_rejected(self, entry, shape):
+        # a 2x3 column used to be flattened or fail inside a kernel loop
+        with pytest.raises(ValueError, match="must be 1-D columns of equal length"):
+            COLUMN_ENTRIES[entry](np.full(shape, 0.45), np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(2, 3), ()], ids=["2x3", "0-d"])
+    def test_outcome_column_rejected(self, shape):
+        # f99_run takes outcomes only; a 0-d one used to end in len()'s TypeError
+        with pytest.raises(ValueError, match="must be 1-D columns of equal length"):
+            f99_run(np.zeros(shape), BinningScheme(0.1), np.random.default_rng(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=st.tuples(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                            hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+           .filter(lambda ab: not (len(ab[0]) == 1 and ab[0] == ab[1])))
+    def test_any_other_shape_rejected(self, shapes):
+        # a ValueError from the entry, never a TypeError or IndexError from inside
+        p, y = np.full(shapes[0], 0.45), np.zeros(shapes[1])
+        for entry in COLUMN_ENTRIES.values():
+            with pytest.raises(ValueError, match="must be 1-D columns of equal length"):
+                entry(p, y)

@@ -15,7 +15,6 @@ from opscal.scalers import (
     _renorm_to_ball,
     beta_apply,
     beta_features,
-    family_features,
     fit_beta_batch,
     fit_histogram_binning,
     fit_platt_batch,
@@ -427,7 +426,7 @@ class TestOnlineScalerOutcomes:
         state = OnsState.init(config)
         with pytest.raises(ValueError, match=r"outcomes must lie in \[0, 1\]"):
             online_scaler_step(state, 0.4, y, family)
-        feature = family_features(family, [0.4])[0]
+        feature = scalers._FAMILIES[family].features([0.4])[0]
         with pytest.raises(ValueError, match=r"outcomes must lie in \[0, 1\]"):
             ons_step(state, feature, y, config)
         # the rejected step left the state as it was
@@ -635,8 +634,7 @@ class TestOnlineFamilies:
     def test_unknown_family_raises(self):
         state = OnsState.init(OnsConfig.platt())
         for call in (lambda: online_scaler_step(state, 0.5, 1.0, "hb"),
-                     lambda: online_scaler_run(np.full(3, 0.5), np.ones(3), "hb"),
-                     lambda: family_features("hb", [0.5])):
+                     lambda: online_scaler_run(np.full(3, 0.5), np.ones(3), "hb")):
             with pytest.raises(ValueError, match="family"):
                 call()
 
@@ -661,7 +659,6 @@ class TestOnlineFamilies:
         scores = np.array([0.3, bad, 0.6])
         for call in (lambda: apply(params, bad),
                      lambda: apply(params, scores),
-                     lambda: family_features(family, [bad]),
                      lambda: online_scaler_run(scores, np.ones(3), family),
                      lambda: online_scaler_step(OnsState.init(config), bad, 1.0, family)):
             with pytest.raises(ValueError, match="must lie in"):
