@@ -42,13 +42,14 @@ parameter trace is one flat (T + 1) * d buffer, which ``ons_pass``
 returns reshaped to (T + 1, d).
 
 Step bodies, which the passes and the step APIs all call:
-  - ``ons_init``, ``ons_forecast`` and ``ons_update`` are the online-Newton
-    start, forecast and update. The forecast and update are written out as
-    straight-line scalar arithmetic for the two widths there are, d = 2
-    (Platt) and d = 3 (beta), as on the pure path the interpreter's cost
-    of loops over i and j was about half of a step. Every sum keeps the
-    loop's start value and order, so the bits, signed zeros included, are
-    the loop's; ``ons_init`` rejects any other width.
+  - ``ons_init`` is the online-Newton start state and ``ons_run`` the one
+    online-Newton body, run by ``ons_pass``, both adversarial passes and
+    ``ons.ons_advance`` (one step). It keeps the state in local floats and
+    is written out for the two widths, d = 2 (Platt) and d = 3 (beta), as
+    on the pure path loops over i and j and list subscripts were most of a
+    step's cost. Every sum keeps the loop's start value and order, so the
+    bits, signed zeros included, are the loop's; ``ons_init`` rejects any
+    other width.
   - ``bin_of`` routes a forecast to bin min(floor(p / eps), m - 1)
   - ``bin_average`` is a bin's outcome mean, its midpoint while empty:
     the tracking step API's forecast, and the average hedging classifies
@@ -87,6 +88,12 @@ def _flat(a):
     a = np.asarray(a)
     a = np.ascontiguousarray(a, dtype=np.int64 if a.dtype.kind in "iu" else np.float64).ravel()
     return a if NUMBA_ENABLED else a.tolist()
+
+
+def _copy(a):
+    # a flat copy of the array a in the platform's container, which a body
+    # may write; cheaper than _flat for the small state arrays of one step
+    return a.flatten() if NUMBA_ENABLED else a.ravel().tolist()
 
 
 def _project_anorm(A, theta_tilde, radius):
@@ -145,8 +152,7 @@ def _project_anorm(A, theta_tilde, radius):
 
 
 def _ons_init(theta0, rho):
-    # Online-Newton start state: a copy of theta0, A = rho I and A^{-1}.
-    # The forecast and update are written out for d = 2 and d = 3 only.
+    # Online-Newton start state (theta0, rho I, I / rho), of a width ons_run has.
     d = len(theta0)
     if d != 2 and d != 3:
         raise ValueError("theta0 must have length 2 (Platt) or 3 (beta)")
@@ -160,110 +166,127 @@ def _ons_init(theta0, rho):
     return theta, A, Ainv
 
 
-def _ons_forecast(theta, x, k):
-    # sigmoid(theta . x[k:k+d]), evaluated on the side that cannot overflow.
-    # The dot product sums from 0.0 in index order, as a loop would.
-    if len(theta) == 2:
-        z = 0.0 + theta[0] * x[k] + theta[1] * x[k + 1]
-    else:
-        z = 0.0 + theta[0] * x[k] + theta[1] * x[k + 1] + theta[2] * x[k + 2]
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
+# The outcome rules of ``ons_run``: ys[t] as given; the adversary on the
+# forecast; the joint step, where the adversary answers the mean of the
+# hedge distribution announced for the forecast's bin (state counts, sums,
+# status), then the draw with us[t] emits hops[t]. The adversaries write y
+# to ys[t]; only the joint step reads the hedging arguments.
+GIVEN, ADVERSARY_POINT, ADVERSARY_HEDGE = 0, 1, 2
 
 
-def _ons_update(theta, A, Ainv, x, k, r, gamma, radius):
-    # The online-Newton update, in place, for the log-loss gradient
-    # g = r * x[k:k+d] with r = forecast - outcome: A += g g^T; v = Ainv g
-    # and denom = 1 + g . v; Ainv -= v v^T / denom (Sherman-Morrison, so the
-    # hot path never solves a linear system); theta -= (v / denom) / gamma,
-    # as (A + g g^T)^{-1} g == v / denom. Each sum starts from 0.0 (1.0 for
-    # denom) and adds its terms in index order, so signed zeros come out as
-    # from a loop over i and j.
-    if len(theta) == 2:
-        g0 = r * x[k]
-        g1 = r * x[k + 1]
-        A[0] += g0 * g0
-        A[1] += g0 * g1
-        A[2] += g1 * g0
-        A[3] += g1 * g1
-        v0 = 0.0 + Ainv[0] * g0 + Ainv[1] * g1
-        v1 = 0.0 + Ainv[2] * g0 + Ainv[3] * g1
-        denom = 1.0 + g0 * v0 + g1 * v1
-        Ainv[0] -= v0 * v0 / denom
-        Ainv[1] -= v0 * v1 / denom
-        Ainv[2] -= v1 * v0 / denom
-        Ainv[3] -= v1 * v1 / denom
-        t0 = theta[0] - (v0 / denom) / gamma
-        t1 = theta[1] - (v1 / denom) / gamma
-        theta[0] = t0
-        theta[1] = t1
-        tnorm2 = 0.0 + t0 * t0 + t1 * t1
-    else:
-        g0 = r * x[k]
-        g1 = r * x[k + 1]
-        g2 = r * x[k + 2]
-        A[0] += g0 * g0
-        A[1] += g0 * g1
-        A[2] += g0 * g2
-        A[3] += g1 * g0
-        A[4] += g1 * g1
-        A[5] += g1 * g2
-        A[6] += g2 * g0
-        A[7] += g2 * g1
-        A[8] += g2 * g2
-        v0 = 0.0 + Ainv[0] * g0 + Ainv[1] * g1 + Ainv[2] * g2
-        v1 = 0.0 + Ainv[3] * g0 + Ainv[4] * g1 + Ainv[5] * g2
-        v2 = 0.0 + Ainv[6] * g0 + Ainv[7] * g1 + Ainv[8] * g2
-        denom = 1.0 + g0 * v0 + g1 * v1 + g2 * v2
-        Ainv[0] -= v0 * v0 / denom
-        Ainv[1] -= v0 * v1 / denom
-        Ainv[2] -= v0 * v2 / denom
-        Ainv[3] -= v1 * v0 / denom
-        Ainv[4] -= v1 * v1 / denom
-        Ainv[5] -= v1 * v2 / denom
-        Ainv[6] -= v2 * v0 / denom
-        Ainv[7] -= v2 * v1 / denom
-        Ainv[8] -= v2 * v2 / denom
-        t0 = theta[0] - (v0 / denom) / gamma
-        t1 = theta[1] - (v1 / denom) / gamma
-        t2 = theta[2] - (v2 / denom) / gamma
-        theta[0] = t0
-        theta[1] = t1
-        theta[2] = t2
-        tnorm2 = 0.0 + t0 * t0 + t1 * t1 + t2 * t2
-    if tnorm2 > radius * radius:
-        tt = project_anorm(A, theta, radius)
-        for i in range(len(theta)):
-            theta[i] = tt[i]
-
-
-def _ons_step_arrays(theta, A, Ainv, x, k, y, gamma, radius):
-    # One online-Newton step on the features x[k:k+d] and outcome y, in
-    # place. Returns the forecast made with the PRE-update theta.
-    p = ons_forecast(theta, x, k)
-    ons_update(theta, A, Ainv, x, k, p - y, gamma, radius)
-    return p
-
-
-def _ons_pass(feats, ys, gamma, rho, radius, theta0):
-    # Full online-Newton pass. Returns per-step forecasts (made with the
-    # pre-update parameters) and the flat parameter trace: the d entries
-    # at [t*d, (t+1)*d) are the parameter vector IN FORCE at step t
-    # (0-based), the last d the final one.
-    T = len(ys)
-    theta, A, Ainv = ons_init(theta0, rho)
+def _ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, hops, counts, sums, status, eps, m):
+    # T = len(probs) steps from the state (theta, A, Ainv), left in those
+    # buffers at the end. Step t records the parameters in force at
+    # thetas[t*d:(t+1)*d] (the final ones at T*d), forecasts probs[t] = p =
+    # sigmoid(theta . x[t*d:(t+1)*d]), takes the outcome y of its rule and
+    # updates for the gradient g = (p - y) x: A += g g^T; v = Ainv g and
+    # denom = 1 + g . v; Ainv -= v v^T / denom (Sherman-Morrison); theta -=
+    # (v / denom) / gamma, as (A + g g^T)^{-1} g == v / denom; then the
+    # A-norm projection if theta left the radius ball. Every entry of the
+    # state is its own local (no symmetry assumed, so any state replays),
+    # and every sum starts from 0.0 (1.0 for denom) as in a loop.
     d = len(theta)
-    probs = _zeros(T)
-    thetas = _zeros((T + 1) * d)
-    for i in range(d):
-        thetas[i] = theta[i]
-    for t in range(T):
-        probs[t] = ons_step_arrays(theta, A, Ainv, feats, t * d, ys[t], gamma, radius)
-        for i in range(d):
-            thetas[(t + 1) * d + i] = theta[i]
-    return probs, thetas
+    t0, t1 = theta[0], theta[1]
+    a00, a01, a10, a11 = A[0], A[1], A[d], A[d + 1]
+    i00, i01, i10, i11 = Ainv[0], Ainv[1], Ainv[d], Ainv[d + 1]
+    t2 = a02 = a12 = a20 = a21 = a22 = i02 = i12 = i20 = i21 = i22 = 0.0
+    if d == 3:
+        t2 = theta[2]
+        a02, a12, a20, a21, a22 = A[2], A[5], A[6], A[7], A[8]
+        i02, i12, i20, i21, i22 = Ainv[2], Ainv[5], Ainv[6], Ainv[7], Ainv[8]
+    for t in range(len(probs)):
+        k = t * d
+        if d == 2:
+            thetas[k], thetas[k + 1] = t0, t1
+            z = 0.0 + t0 * x[k] + t1 * x[k + 1]
+        else:
+            thetas[k], thetas[k + 1], thetas[k + 2] = t0, t1, t2
+            z = 0.0 + t0 * x[k] + t1 * x[k + 1] + t2 * x[k + 2]
+        if z >= 0.0:  # the sigmoid on the side that cannot overflow
+            p = 1.0 / (1.0 + math.exp(-z))
+        else:
+            ez = math.exp(z)
+            p = ez / (1.0 + ez)
+        probs[t] = p
+        if outcome == GIVEN:
+            y = ys[t]
+        elif outcome == ADVERSARY_POINT:
+            y = adversary(p)
+            ys[t] = y
+        else:
+            base = bin_of(p, eps, m) * m
+            lo, hi, plo = hedge_select(status, counts, sums, base, eps, m)
+            y = adversary(plo * ((lo + 0.5) * eps) + (1.0 - plo) * ((hi + 0.5) * eps))
+            c = lo if us[t] < plo else hi
+            hedge_fold(counts, sums, status, base, c, y, eps)
+            hops[t] = (c + 0.5) * eps
+            ys[t] = y
+        r = p - y
+        if d == 2:
+            g0 = r * x[k]
+            g1 = r * x[k + 1]
+            a00 += g0 * g0
+            a01 += g0 * g1
+            a10 += g1 * g0
+            a11 += g1 * g1
+            v0 = 0.0 + i00 * g0 + i01 * g1
+            v1 = 0.0 + i10 * g0 + i11 * g1
+            denom = 1.0 + g0 * v0 + g1 * v1
+            i00 -= v0 * v0 / denom
+            i01 -= v0 * v1 / denom
+            i10 -= v1 * v0 / denom
+            i11 -= v1 * v1 / denom
+            t0 = t0 - (v0 / denom) / gamma
+            t1 = t1 - (v1 / denom) / gamma
+            tnorm2 = 0.0 + t0 * t0 + t1 * t1
+        else:
+            g0 = r * x[k]
+            g1 = r * x[k + 1]
+            g2 = r * x[k + 2]
+            a00 += g0 * g0
+            a01 += g0 * g1
+            a02 += g0 * g2
+            a10 += g1 * g0
+            a11 += g1 * g1
+            a12 += g1 * g2
+            a20 += g2 * g0
+            a21 += g2 * g1
+            a22 += g2 * g2
+            v0 = 0.0 + i00 * g0 + i01 * g1 + i02 * g2
+            v1 = 0.0 + i10 * g0 + i11 * g1 + i12 * g2
+            v2 = 0.0 + i20 * g0 + i21 * g1 + i22 * g2
+            denom = 1.0 + g0 * v0 + g1 * v1 + g2 * v2
+            i00 -= v0 * v0 / denom
+            i01 -= v0 * v1 / denom
+            i02 -= v0 * v2 / denom
+            i10 -= v1 * v0 / denom
+            i11 -= v1 * v1 / denom
+            i12 -= v1 * v2 / denom
+            i20 -= v2 * v0 / denom
+            i21 -= v2 * v1 / denom
+            i22 -= v2 * v2 / denom
+            t0 = t0 - (v0 / denom) / gamma
+            t1 = t1 - (v1 / denom) / gamma
+            t2 = t2 - (v2 / denom) / gamma
+            tnorm2 = 0.0 + t0 * t0 + t1 * t1 + t2 * t2
+        if tnorm2 > radius * radius:  # theta and A reach it through the state buffers
+            theta[0], theta[1] = t0, t1
+            A[0], A[1], A[d], A[d + 1] = a00, a01, a10, a11
+            if d == 3:
+                theta[2] = t2
+                A[2], A[5], A[6], A[7], A[8] = a02, a12, a20, a21, a22
+            tt = project_anorm(A, theta, radius)
+            t0, t1 = tt[0], tt[1]
+            if d == 3:
+                t2 = tt[2]
+    k = len(probs) * d
+    thetas[k], thetas[k + 1], theta[0], theta[1] = t0, t1, t0, t1
+    A[0], A[1], A[d], A[d + 1] = a00, a01, a10, a11
+    Ainv[0], Ainv[1], Ainv[d], Ainv[d + 1] = i00, i01, i10, i11
+    if d == 3:
+        thetas[k + 2], theta[2] = t2, t2
+        A[2], A[5], A[6], A[7], A[8] = a02, a12, a20, a21, a22
+        Ainv[2], Ainv[5], Ainv[6], Ainv[7], Ainv[8] = i02, i12, i20, i21, i22
 
 
 def _bin_of(p, eps, m):
@@ -366,77 +389,41 @@ def _adversary(x):
     return 1.0 if x <= 0.5 else 0.0
 
 
-def _ops_adversarial_pass(feats, gamma, rho, radius, theta0):
-    # Deterministic forecaster versus the outcome adversary.
-    # The adversary sees the forecast before the outcome, so the online-Newton
-    # step runs as its two halves.
-    theta, A, Ainv = ons_init(theta0, rho)
-    d = len(theta)
-    T = len(feats) // d
-    probs = _zeros(T)
-    ys = _zeros(T)
-    for t in range(T):
-        p = ons_forecast(theta, feats, t * d)
-        y = adversary(p)
-        ons_update(theta, A, Ainv, feats, t * d, p - y, gamma, radius)
-        probs[t] = p
-        ys[t] = y
-    return probs, ys
+_array = functools.partial(np.asarray, dtype=np.float64)
 
 
-def _hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
-    # Joint pass: online scaler + hedging, against an adversary that sees
-    # the announced hedge distribution (not the draw) and responds to its
-    # mean. The draw happens after y is fixed.
-    theta, A, Ainv = ons_init(theta0, rho)
-    d = len(theta)
-    T = len(us)
-    counts = _zeros(m * m)
-    sums = _zeros(m * m)
-    status = status_of(counts, sums, eps, m)
-    ops = _zeros(T)
-    hops = _zeros(T)
-    ys = _zeros(T)
-    for t in range(T):
-        p = ons_forecast(theta, feats, t * d)
-        base = bin_of(p, eps, m) * m
-        lo, hi, plo = hedge_select(status, counts, sums, base, eps, m)
-        mean = plo * ((lo + 0.5) * eps) + (1.0 - plo) * ((hi + 0.5) * eps)
-        y = adversary(mean)
-        c = lo if us[t] < plo else hi
-        hedge_fold(counts, sums, status, base, c, y, eps)
-        ons_update(theta, A, Ainv, feats, t * d, p - y, gamma, radius)
-        ops[t] = p
-        hops[t] = (c + 0.5) * eps
-        ys[t] = y
-    return ops, hops, ys
+def _ons_passes(run):
+    """The public online-Newton passes over ``run``, ``_ons_run`` jitted or not."""
 
-
-def _entry(body, jit=True):
-    """The public pass over ``body``: numpy arrays in and out. Array
-    arguments are flattened into the platform's container, and the output
-    buffers turned into float64 arrays, once per call."""
-    kernel = maybe_jit(body) if jit else body
-
-    @functools.wraps(body)
-    def run(*args):
-        out = kernel(*[_flat(a) if np.ndim(a) else a for a in args])
-        if isinstance(out, tuple):
-            return tuple(np.asarray(o, dtype=np.float64) for o in out)
-        return np.asarray(out, dtype=np.float64)
-
-    return run
-
-
-def _traced(run):
-    """``ons_pass`` over ``run``: the flat parameter trace as (T + 1, d)."""
-
-    @functools.wraps(run)
     def ons_pass(feats, ys, gamma, rho, radius, theta0):
-        probs, thetas = run(feats, ys, gamma, rho, radius, theta0)
-        return probs, thetas.reshape(len(probs) + 1, -1)
+        """The pass on given outcomes: (forecasts, (T + 1, d) trace, row t in force at step t)."""
+        theta, A, Ainv = ons_init(_flat(theta0), rho)
+        T, d = len(ys), len(theta)
+        probs, thetas = _zeros(T), _zeros((T + 1) * d)
+        run(_flat(feats), _flat(ys), GIVEN, gamma, radius, theta, A, Ainv, probs, thetas, *UNHEDGED)
+        return _array(probs), _array(thetas).reshape(T + 1, d)
 
-    return ons_pass
+    def ops_adversarial_pass(feats, gamma, rho, radius, theta0):
+        """The pass against the adversary on each forecast: (forecasts, outcomes)."""
+        theta, A, Ainv = ons_init(_flat(theta0), rho)
+        x = _flat(feats)
+        T = len(x) // len(theta)
+        probs, ys = _zeros(T), _zeros(T)
+        run(x, ys, ADVERSARY_POINT, gamma, radius, theta, A, Ainv, probs, _zeros((T + 1) * len(theta)), *UNHEDGED)
+        return _array(probs), _array(ys)
+
+    def hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
+        """The joint pass, hedging on the forecasts' bins against the
+        adversary on the hedge mean: (forecasts, hedged forecasts, outcomes)."""
+        theta, A, Ainv = ons_init(_flat(theta0), rho)
+        T = len(us)
+        ops, hops, ys = _zeros(T), _zeros(T), _zeros(T)
+        counts, sums = _zeros(m * m), _zeros(m * m)
+        run(_flat(feats), ys, ADVERSARY_HEDGE, gamma, radius, theta, A, Ainv, ops, _zeros((T + 1) * len(theta)),
+            _flat(us), hops, counts, sums, status_of(counts, sums, eps, m), eps, m)
+        return _array(ops), _array(hops), _array(ys)
+
+    return ons_pass, ops_adversarial_pass, hops_adversarial_pass
 
 
 # jitted (or plain) step-level helpers; the bodies resolve these globals at
@@ -444,9 +431,7 @@ def _traced(run):
 # the pure path a wrapper swapped in for one of them sees every call
 project_anorm = maybe_jit(_project_anorm)
 ons_init = maybe_jit(_ons_init)
-ons_forecast = maybe_jit(_ons_forecast)
-ons_update = maybe_jit(_ons_update)
-ons_step_arrays = maybe_jit(_ons_step_arrays)
+ons_run = maybe_jit(_ons_run)
 bin_of = maybe_jit(_bin_of)
 bin_average = maybe_jit(_bin_average)
 cell_status = maybe_jit(_cell_status)
@@ -456,18 +441,19 @@ hedge_fold = maybe_jit(_hedge_fold)
 hops_advance = maybe_jit(_hops_advance)
 adversary = maybe_jit(_adversary)
 
+# the hedging arguments of ``ons_run`` under the rules that read none
+UNHEDGED = (_zeros(0),) * 5 + (1.0, 0)
+
 # public whole-stream passes
-ons_pass = _traced(_entry(_ons_pass))
-ops_adversarial_pass = _entry(_ops_adversarial_pass)
-hops_adversarial_pass = _entry(_hops_adversarial_pass)
-_hops_rows_pass = _entry(_hops_pass)
+ons_pass, ops_adversarial_pass, hops_adversarial_pass = _ons_passes(ons_run)
+_hops_rows_pass = maybe_jit(_hops_pass)
 
 
 def hops_pass(expert, ys, us, eps, m):
     """One hedging forecaster per expert bin over the whole stream. The
     expert column, which must lie in [0, 1], is routed to its 0-based bins
     once, so the per-step loop takes integer rows."""
-    return _hops_rows_pass(bins_of(expert, eps, m), ys, us, eps, m)
+    return _array(_hops_rows_pass(_flat(bins_of(expert, eps, m)), _flat(ys), _flat(us), eps, m))
 
 
 def tracking_pass(expert, ys, eps, m):
@@ -492,7 +478,8 @@ def tracking_pass(expert, ys, eps, m):
 # un-jitted bodies over the same inputs (numba parity tests; under numba the
 # helpers they call are still the compiled ones)
 project_anorm_py = _project_anorm
-ons_pass_py = _traced(_entry(_ons_pass, jit=False))
-hops_pass_py = _entry(_hops_pass, jit=False)  # takes routed rows
-ops_adversarial_pass_py = _entry(_ops_adversarial_pass, jit=False)
-hops_adversarial_pass_py = _entry(_hops_adversarial_pass, jit=False)
+ons_pass_py, ops_adversarial_pass_py, hops_adversarial_pass_py = _ons_passes(_ons_run)
+
+
+def hops_pass_py(rows, ys, us, eps, m):  # takes routed rows
+    return _array(_hops_pass(_flat(rows), _flat(ys), _flat(us), eps, m))

@@ -8,10 +8,11 @@ The forecast at step t always uses the PRE-update parameters; the pair
 (feature_t, y_t) then produces theta_{t+1}.
 
 OnsState is a value: steps return fresh states, so distinct streams can run
-in parallel with independent states. The heavy lifting is shared with the
-whole-stream kernel in ``opscal.kernels`` so step-by-step and batched
-execution replay identically. ``regret`` compares a forecast column with a
-fixed comparator's forecasts. Both reject a value outside [0, 1] (``core``).
+in parallel with independent states. ``ons_advance`` runs one step of
+``kernels.ons_run``, the body every whole-stream pass runs, so step-by-step
+and batched execution replay identically; it rejects a malformed state and
+a non-finite feature. ``regret`` compares a forecast column with a fixed
+comparator's forecasts. Both reject a value outside [0, 1] (``core``).
 """
 
 from __future__ import annotations
@@ -83,19 +84,26 @@ def ons_advance(state: OnsState, feature, y, config: OnsConfig):
     """Forecast with ``state.theta``, then take one online Newton step.
 
     Returns (forecast, successor state) and leaves ``state`` untouched. The
-    arithmetic is the whole-stream kernel's own step body, run on copies of
-    the state, so a replay of these steps equals a kernel pass exactly.
+    step is the whole-stream kernels' body ``kernels.ons_run``, run on copies
+    of the state, so a replay of these steps equals a kernel pass exactly.
+    Raises ValueError unless the feature and theta have length dim, A and
+    A_inv are dim x dim, and the feature and state are finite.
     """
     feature = np.asarray(feature, dtype=float)
     d = config.dim
-    if feature.shape != (d,) or state.theta.shape != (d,):
-        raise ValueError("feature/config dimension mismatch")
+    if feature.shape != (d,) or state.theta.shape != (d,) or state.A.shape != (d, d) or state.A_inv.shape != (d, d):
+        raise ValueError(f"dimension mismatch: feature and theta must have length {d}, A and A_inv shape ({d}, {d})")
     y = unit_float(y, "outcomes")
-    theta = state.theta.copy()
-    A = state.A.flatten()
-    A_inv = state.A_inv.flatten()
-    forecast = kernels.ons_step_arrays(theta, A, A_inv, feature, 0, y, config.gamma, config.radius)
-    return float(forecast), OnsState(theta=theta, A=A.reshape(d, d), A_inv=A_inv.reshape(d, d), t=state.t + 1)
+    copy = kernels._copy
+    x, theta, A, A_inv = copy(feature), copy(state.theta), copy(state.A), copy(state.A_inv)
+    if not math.isfinite(sum(x) + sum(theta) + sum(A) + sum(A_inv)):
+        raise ValueError("feature and state theta, A and A_inv must be finite")
+    ys, probs = kernels._zeros(1), kernels._zeros(1)
+    ys[0] = y
+    kernels.ons_run(x, ys, kernels.GIVEN, config.gamma, config.radius, theta, A, A_inv,
+                    probs, kernels._zeros(2 * d), *kernels.UNHEDGED)
+    return float(probs[0]), OnsState(theta=np.array(theta), A=np.array(A).reshape(d, d),
+                                     A_inv=np.array(A_inv).reshape(d, d), t=state.t + 1)
 
 
 def ons_step(state: OnsState, feature, y, config: OnsConfig) -> OnsState:

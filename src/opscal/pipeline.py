@@ -124,6 +124,8 @@ class ExperimentConfig:
 
 def eval_timestamps(T: int, t_cal: int, window: int, stride: int) -> np.ndarray:
     """Snapshot times (test-stream local), from t_cal + 2*window to T."""
+    T, t_cal = check_count(T, "T", 0), check_count(t_cal, "t_cal", 0)
+    window, stride = check_count(window, "window", 1), check_count(stride, "stride", 1)
     start = t_cal + 2 * window
     if start > T:
         raise ValueError(f"stream too short: need at least T_cal + 2W = {start} points")

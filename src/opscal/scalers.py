@@ -277,7 +277,8 @@ def refit_times(t_cal: int, window: int, T: int) -> range:
     """The windowed refit rule: the steps t_cal < t <= T with
     mod(t - t_cal, window) == 0. At each, the model is refit on the full
     prefix s <= t-1 before it forecasts t."""
-    return range(t_cal + check_count(window, "window", 1), T + 1, window)
+    window = check_count(window, "window", 1)
+    return range(check_count(t_cal, "t_cal", 0) + window, check_count(T, "T", 0) + 1, window)
 
 
 def windowed_run(fit, apply, params, t_cal: int, window: int, scores, ys) -> np.ndarray:
@@ -291,7 +292,7 @@ def windowed_run(fit, apply, params, t_cal: int, window: int, scores, ys) -> np.
     """
     scores, ys = check_columns(scores, ys, "scores")
     T = len(scores)
-    if not 0 <= t_cal <= T:
+    if isinstance(t_cal, (int, np.integer)) and not 0 <= t_cal <= T:
         raise ValueError(f"t_cal must lie in [0, len(scores)] = [0, {T}], got {t_cal}")
     t_cal = check_count(t_cal, "t_cal", 0)
     out = np.empty(T - t_cal)

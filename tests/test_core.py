@@ -23,7 +23,7 @@ from opscal.core import (
 from opscal.datagen import default_spec
 from opscal.metrics import brier, calibration_error, metric_report, refinement, sharpness, true_accuracy, true_ce
 from opscal.ons import regret
-from opscal.pipeline import ExperimentConfig, run_climatology
+from opscal.pipeline import ExperimentConfig, eval_timestamps, run_climatology
 from opscal.scalers import (
     WindowedLearner,
     fit_beta_batch,
@@ -288,6 +288,11 @@ COUNT_SITES = {
     **{f"WindowedLearner.{f}": (f, least, lambda v, f=f: WindowedLearner("hb", **{"window": 10, "t_cal": 20, f: v}))
        for f, least in (("window", 1), ("t_cal", 0), ("hb_bins", 1))},
     "refit_times.window": ("window", 1, lambda v: refit_times(0, v, 10)),
+    "refit_times.t_cal": ("t_cal", 0, lambda v: refit_times(v, 2, 10)),
+    "refit_times.T": ("T", 0, lambda v: refit_times(0, 2, v)),
+    **{f"eval_timestamps.{f}": (f, least, lambda v, f=f: eval_timestamps(**{"T": 1000, "t_cal": 0, "window": 100,
+                                                                          "stride": 10, f: v}))
+       for f, least in (("t_cal", 0), ("window", 1), ("stride", 1))},
     "fit_histogram_binning.m": ("m", 1, lambda v: fit_histogram_binning(np.linspace(0.1, 0.9, 12), np.zeros(12), m=v)),
     "windowed_run.t_cal": ("t_cal", 0, lambda v: windowed_run(fit_platt_batch, platt_apply, (1.0, 0.0), v, 5,
                                                               HALVES, HALVES)),
@@ -300,10 +305,10 @@ class TestCountRule:
     a bool) of at least its least value, checked where it enters."""
 
     @pytest.mark.parametrize("site", sorted(COUNT_SITES))
-    @pytest.mark.parametrize("bad", ["fraction", "bool", "below"])
+    @pytest.mark.parametrize("bad", ["fraction", "bool", "below", "string"])
     def test_rejected(self, site, bad):
         noun, least, call = COUNT_SITES[site]
-        value = {"fraction": least + 1.5, "bool": True, "below": least - 1}[bad]
+        value = {"fraction": least + 1.5, "bool": True, "below": least - 1, "string": str(least + 1)}[bad]
         # windowed_run names a t_cal outside the stream by its range
         with pytest.raises(ValueError, match=rf"^{noun} must (be >= {least}|lie in)"):
             call(value)
@@ -312,6 +317,13 @@ class TestCountRule:
     def test_least_accepted_as_numpy_integer(self, site):
         _, least, call = COUNT_SITES[site]
         call(np.int64(least))
+
+    @pytest.mark.parametrize("T", [1000.5, True, -1, "1000"])
+    def test_eval_timestamps_stream_length(self, T):
+        # not in the table: the stream must also hold t_cal + 2W points, so
+        # no least T is accepted on its own
+        with pytest.raises(ValueError, match=r"^T must be >= 0, an integer"):
+            eval_timestamps(T, 0, 100, 10)
 
     def test_numpy_integer_stored_as_int(self):
         # so a spec or config holding one still writes to JSON

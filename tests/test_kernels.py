@@ -456,10 +456,19 @@ def same_bytes(got, want):
     return np.asarray(got, dtype=np.float64).tobytes() == np.asarray(want, dtype=np.float64).tobytes()
 
 
-# signed zeros, exact ones and arbitrary values, for features, residuals
-# and start parameters of the raw online-Newton step bodies
+# signed zeros, exact ones and arbitrary values, for features and start
+# parameters of the online-Newton step
 SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from([1.0, -1.0, 0.5, -0.5]),
                    st.floats(-5.0, 5.0, allow_subnormal=False))
+
+
+def run_ons(x, ys, theta, A, Ainv, gamma, radius):
+    """``kernels.ons_run`` on the given outcomes from the state (theta, A,
+    Ainv), which it advances in place; returns (forecasts, flat trace)."""
+    T, d = len(ys), len(theta)
+    probs, thetas = kernels._zeros(T), kernels._zeros((T + 1) * d)
+    kernels.ons_run(x, ys, kernels.GIVEN, gamma, radius, theta, A, Ainv, probs, thetas, *kernels.UNHEDGED)
+    return probs, thetas
 
 
 class TestOnsLoopReference:
@@ -470,38 +479,45 @@ class TestOnsLoopReference:
     @given(d=st.sampled_from([2, 3]), data=st.data(), rho=st.sampled_from([1.0, 25.0, 100.0]),
            radius=st.sampled_from([100.0, 1.5, 0.8, 0.3]))
     def test_step_bodies(self, d, data, rho, radius):
+        # the residual r = p - y of an outcome y in [0, 1], signed zeros in
+        # the features and the start parameters
         theta0 = data.draw(st.lists(SIGNED, min_size=d, max_size=d))
-        steps = data.draw(st.lists(st.tuples(st.lists(SIGNED, min_size=d, max_size=d), SIGNED),
+        y = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+        steps = data.draw(st.lists(st.tuples(st.lists(SIGNED, min_size=d, max_size=d), y),
                                    min_size=1, max_size=30))
-        state = kernels.ons_init(kernels._flat(np.array(theta0)), rho)
-        ref = reference_ons_state(theta0, rho)
-        for feature, r in steps:
-            x = kernels._flat(np.array(feature))
-            assert same_bytes(kernels.ons_forecast(state[0], x, 0), reference_ons_forecast(ref[0], feature, 0))
-            kernels.ons_update(*state, x, 0, r, 0.1, radius)
-            reference_ons_update(*ref, feature, 0, r, 0.1, radius)
-            assert all(same_bytes(a, b) for a, b in zip(state, ref))
+        config = OnsConfig(dim=d, gamma=0.1, rho=rho, radius=radius)
+        state, ref = OnsState.init(config, theta0), reference_ons_state(theta0, rho)
+        for feature, y in steps:
+            p, state = ons_advance(state, feature, y, config)
+            assert same_bytes(p, reference_ons_forecast(ref[0], feature, 0))
+            reference_ons_update(*ref, feature, 0, p - y, 0.1, radius)
+            assert all(same_bytes(a, b) for a, b in zip((state.theta, state.A.ravel(), state.A_inv.ravel()), ref))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_zero_gradient_keeps_a_negative_zero(self, d):
-        # a zero gradient gives v = +0.0 from sums that start at 0.0, so a
-        # -0.0 parameter stays -0.0; the same sums without their 0.0 start
-        # give v = -0.0 and turn it into +0.0
-        theta0 = [-0.0] * d
-        state, ref = kernels.ons_init(kernels._flat(np.array(theta0)), 1.0), reference_ons_state(theta0, 1.0)
-        kernels.ons_update(*state, kernels._flat(np.ones(d)), 0, -0.0, 0.1, 100.0)
-        reference_ons_update(*ref, [1.0] * d, 0, -0.0, 0.1, 100.0)
-        assert same_bytes(state[0], theta0) and same_bytes(ref[0], theta0)
-        assert all(same_bytes(a, b) for a, b in zip(state, ref))
+        # features of -1 at theta = -0.0 forecast 0.5, so the outcome 0.5
+        # gives r = +0.0 and the gradient -0.0; v = +0.0 from sums that start
+        # at 0.0, so a -0.0 parameter stays -0.0; the same sums without
+        # their 0.0 start give v = -0.0 and turn it into +0.0
+        theta0, feature = [-0.0] * d, [-1.0] * d
+        config = OnsConfig(dim=d, gamma=0.1, rho=1.0, radius=100.0)
+        ref = reference_ons_state(theta0, 1.0)
+        p, state = ons_advance(OnsState.init(config, theta0), feature, 0.5, config)
+        assert p == 0.5
+        reference_ons_update(*ref, feature, 0, p - 0.5, 0.1, 100.0)
+        assert same_bytes(state.theta, theta0) and same_bytes(ref[0], theta0)
+        assert all(same_bytes(a, b) for a, b in zip((state.theta, state.A.ravel(), state.A_inv.ravel()), ref))
 
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(["platt", "beta"]), T=st.integers(1, 300),
            rho=st.sampled_from([1.0, 25.0, 100.0]), radius=st.sampled_from([100.0, 1.5, 0.8]),
-           half=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
-    def test_passes_and_step_replay(self, family, T, rho, radius, half, seed):
+           half=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1), skew=st.booleans())
+    def test_passes_and_step_replay(self, family, T, rho, radius, half, seed, skew):
         # scores of exactly 0.5 put logit 0 in the Platt feature, so the
         # gradient has a signed-zero component; small radii fire the
-        # projection
+        # projection; with skew the step replay starts from an asymmetric
+        # A_inv, which a body that read one triangle of A_inv would not
+        # replay
         scores, ys, us = stream(seed, T)
         scores[np.random.default_rng([seed, 1]).random(T) < half] = 0.5
         feats = feats_of(family, scores)
@@ -516,7 +532,11 @@ class TestOnsLoopReference:
         ]:
             assert all(same_bytes(a, b) for a, b in zip(got, want))
         config = OnsConfig(dim=d, gamma=0.1, rho=rho, radius=radius)
-        state, (theta, A, Ainv) = OnsState.init(config), reference_ons_state(theta0, rho)
+        theta, A, Ainv = reference_ons_state(theta0, rho)
+        if skew:
+            Ainv[1] += 0.25 / rho
+            Ainv[d] -= 0.125 / rho
+        state = OnsState(theta=np.array(theta), A=np.reshape(A, (d, d)), A_inv=np.reshape(Ainv, (d, d)))
         x = feats.ravel().tolist()
         for t in range(T):
             p, state = ons_advance(state, feats[t], ys[t], config)
@@ -537,6 +557,29 @@ class TestOnsLoopReference:
             with pytest.raises(ValueError, match="length 2"):
                 run()
 
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["platt", "beta"]), T=st.integers(1, 300), data=st.data(),
+           rho=st.sampled_from([1.0, 25.0, 100.0]), radius=st.sampled_from([100.0, 1.5, 0.8]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_resumed_pass_equals_one_pass(self, family, T, data, rho, radius, seed):
+        # a pass resumed from the (theta, A, A_inv) another pass ended in
+        # continues it byte for byte; small radii fire the projection
+        cut = data.draw(st.integers(0, T))
+        scores, ys, _ = stream(seed, T)
+        feats = feats_of(family, scores)
+        d = feats.shape[1]
+        theta0 = initial_theta(d)
+        probs, thetas = kernels.ons_pass(feats, ys, 0.1, rho, radius, theta0)
+        whole = kernels.ons_init(kernels._flat(theta0), rho)
+        run_ons(kernels._flat(feats), kernels._flat(ys), *whole, 0.1, radius)
+        state = kernels.ons_init(kernels._flat(theta0), rho)
+        first = run_ons(kernels._flat(feats[:cut]), kernels._flat(ys[:cut]), *state, 0.1, radius)
+        assert same_bytes(state[0], thetas[cut])
+        second = run_ons(kernels._flat(feats[cut:]), kernels._flat(ys[cut:]), *state, 0.1, radius)
+        assert same_bytes(np.concatenate([first[0], second[0]]), probs)
+        assert same_bytes(np.concatenate([first[1][:cut * d], second[1]]), thetas.ravel())
+        assert all(same_bytes(a, b) for a, b in zip(state, whole))
+
 
 class TestOnsLongHorizon:
     """A million online-Newton steps on the default configurations: the
@@ -552,12 +595,11 @@ class TestOnsLongHorizon:
         config = OnsConfig.platt() if family == "platt" else OnsConfig.beta()
         d, rng = config.dim, np.random.default_rng(2024)
         theta, A, Ainv = kernels.ons_init(kernels._flat(initial_theta(d)), config.rho)
-        for _ in range(10):  # features made one chunk at a time, T = 1e6 in all
+        for _ in range(10):  # one pass per chunk, state in and out, T = 1e6 in all
             scores = rng.uniform(0.01, 0.99, self.CHUNK)
-            ys = (rng.random(self.CHUNK) < np.clip(scores + 0.15, 0, 1)).astype(float).tolist()
-            x = kernels._flat(feats_of(family, scores))
-            for t in range(self.CHUNK):
-                kernels.ons_step_arrays(theta, A, Ainv, x, t * d, ys[t], config.gamma, config.radius)
+            ys = (rng.random(self.CHUNK) < np.clip(scores + 0.15, 0, 1)).astype(float)
+            run_ons(kernels._flat(feats_of(family, scores)), kernels._flat(ys), theta, A, Ainv,
+                    config.gamma, config.radius)
             a, ainv = np.reshape(A, (d, d)), np.reshape(Ainv, (d, d))
             assert np.isfinite(theta).all() and np.isfinite(a).all() and np.isfinite(ainv).all()
             assert np.array_equal(a, a.T) and np.array_equal(ainv, ainv.T)
@@ -690,17 +732,23 @@ class TestNumbaContainer:
             assert steps() == floats
 
     def test_step_replay(self):
-        # the step APIs, with the status held in an array, replay the
-        # float-path pass
+        # the step APIs, with the status and the online-Newton state copies
+        # held in arrays, replay the float-path passes
         scheme = BinningScheme(0.1)
         scores, ys, _ = stream(109, 400)
         hedged = hops_run(scores, ys, scheme, np.random.default_rng(3))
+        probs, thetas = online_scaler_run(scores, ys, "beta")
         with numba_container():
-            draw, state = np.random.default_rng(3), HopsState(scheme)
-            assert isinstance(state.status, np.ndarray)
+            draw, state, ons = np.random.default_rng(3), HopsState(scheme), OnsState.init(OnsConfig.beta())
+            assert isinstance(state.status, np.ndarray) and isinstance(kernels._copy(ons.A), np.ndarray)
             for t in range(len(ys)):
                 chosen, state = hops_step(state, scores[t], ys[t], draw)
                 assert chosen == hedged[t]
+                A_inv = ons.A_inv.copy()
+                p, successor = online_scaler_step(ons, scores[t], ys[t], "beta")
+                assert p == probs[t] and np.array_equal(successor.theta, thetas[t + 1])
+                assert np.array_equal(ons.A_inv, A_inv)  # the step left its state untouched
+                ons = successor
 
 
 @needs_numba

@@ -79,6 +79,27 @@ class TestOnsStep:
         # the Sherman-Morrison cache stays an accurate inverse
         assert np.allclose(state.A_inv @ state.A, np.eye(2), atol=1e-8)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("A", np.eye(3), r"A and A_inv shape \(2, 2\)"),
+        ("A", np.ones((2, 1)), r"A and A_inv shape \(2, 2\)"),
+        ("A_inv", np.eye(3) / 100.0, r"A and A_inv shape \(2, 2\)"),
+        ("A", np.array([[100.0, 0.0], [0.0, math.nan]]), "must be finite"),
+        ("A_inv", np.array([[math.inf, 0.0], [0.0, 0.01]]), "must be finite"),
+        ("theta", np.array([math.nan, 0.0]), "must be finite"),
+        ("feature", np.array([math.nan, 1.0]), "must be finite"),
+        ("feature", np.array([-math.inf, 1.0]), "must be finite"),
+    ], ids=["A-3x3", "A-2x1", "A_inv-3x3", "A-nan", "A_inv-inf", "theta-nan", "feature-nan", "feature-inf"])
+    def test_rejects_malformed_input(self, field, value, message):
+        # a malformed A failed inside numpy's reshape or with an IndexError,
+        # and a NaN state or feature stepped to a NaN theta without a word
+        cfg = OnsConfig.platt()
+        state = OnsState.init(cfg)
+        feature = value if field == "feature" else np.array([0.4, 1.0])
+        if field != "feature":
+            setattr(state, field, value)
+        with pytest.raises(ValueError, match=message):
+            ons_step(state, feature, 1.0, cfg)
+
 
 class TestProjectEllipsoid:
     def test_interior_point_unchanged(self):
