@@ -6,7 +6,6 @@ guarantees, windowed baselines, calibration/sharpness metrics, synthetic
 drift generators, and a reproducible experiment CLI.
 """
 
-from ._accel import HAS_NUMBA, NUMBA_ENABLED
 from .core import (
     CLIP_HI,
     CLIP_LO,
@@ -75,3 +74,6 @@ from .pipeline import (
 )
 
 __version__ = "0.1.0"
+
+# the kernels have one plain-Python path; benchmark/ reads this provenance flag
+NUMBA_ENABLED = False

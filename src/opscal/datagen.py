@@ -89,6 +89,10 @@ class StreamSpec:
             drifting = ", ".join(k for k, row in _SYNTH.items() if row.delta is not None)
             raise ValueError(f"stream kind {self.kind!r} does not drift, so delta must be 0 "
                              f"(it applies to {drifting})")
+        if self.kind == "labelmulti" and not all(0.0 < 0.5 + self.delta * t < 1.0 for t in (1, self.T_total)):
+            # the prior is linear in t, so its ends bound it
+            raise ValueError(f"labelmulti prior 0.5 + delta*t must lie in (0, 1) for t in [1, {self.T_total}]; "
+                             "reduce delta or T_test")
 
     @property
     def T_total(self) -> int:

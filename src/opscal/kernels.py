@@ -4,23 +4,22 @@ These passes dominate experiment runtime. Only work that depends on the
 previous step stays in a per-step loop: the online-Newton passes, hedging
 and the joint adversarial pass. Each rule has one body, using per-element
 indexing and float arithmetic only, with state in flat buffers (a d x d
-matrix is d*d long, entry (i, j) at i*d + j). Under numba
-(``opscal._accel``) the bodies are compiled and run on numpy arrays.
-Without it they run on Python floats: the public passes call
-``ndarray.tolist()`` on their inputs once per call, and state and
-per-step outputs are ``_zeros`` buffers (``[0.0] * n``), as reading or
-writing a float in a list is several times cheaper than in an array. The
-public pass turns the output buffers into float64 arrays once per call.
-Python floats do IEEE double arithmetic like ``np.float64`` and
-``math.exp`` serves both, so the two paths give bit-identical outputs.
+matrix is d*d long, entry (i, j) at i*d + j). The bodies run on Python
+floats: the public passes call ``ndarray.tolist()`` on their inputs once
+per call (``_flat``), and state and per-step outputs are ``_zeros``
+buffers (``[0.0] * n``), as reading or writing a float in a list is
+several times cheaper than in an array. Each pass turns its output
+buffers into float64 arrays once per call. Python floats do the IEEE
+double arithmetic of ``np.float64``, so the outputs are those of the
+numpy-array kernels the bodies replaced.
 
 Tracking feeds nothing back (its forecast is the mean of past outcomes in
-the expert's bin), so ``tracking_pass`` is a closed form in plain numpy
-on both paths: the column is routed once with ``core.bins_of`` and each
-bin's forecasts are an exclusive running sum of its outcomes over the
-running count. Hedging picks its forecaster row from the expert column
-alone, so ``hops_pass`` routes the column once and its loop takes integer
-rows. Both routings reject an expert forecast outside [0, 1].
+the expert's bin), so ``tracking_pass`` is a closed form in plain numpy:
+the column is routed once with ``core.bins_of`` and each bin's forecasts
+are an exclusive running sum of its outcomes over the running count.
+Hedging picks its forecaster row from the expert column alone, so
+``hops_pass`` routes the column once and its loop takes integer rows.
+Both routings reject an expert forecast outside [0, 1].
 
 Conventions:
   - features are (T, d) float64 with a trailing bias column of ones; the
@@ -36,20 +35,19 @@ Conventions:
 State buffers: hedging keeps one row of m bins per forecaster in flat
 m*m ``counts`` and ``sums`` (row r at [r*m, (r + 1)*m)) and a ``status``
 buffer of the same layout holding each bin's hedging status code: inside
-its bin (condition A), excess, deficit, or none of these. The codes are
-floats, so every buffer is a ``_zeros`` container. The online-Newton
-parameter trace is one flat (T + 1) * d buffer, which ``ons_pass``
-returns reshaped to (T + 1, d).
+its bin (condition A), excess, deficit, or none of these, as floats. The
+passes keep every buffer in a ``_zeros`` list; the step APIs pass their
+numpy tallies and a status list. The online-Newton parameter trace is one
+flat (T + 1) * d buffer, which ``ons_pass`` returns reshaped to (T + 1, d).
 
 Step bodies, which the passes and the step APIs all call:
   - ``ons_init`` is the online-Newton start state and ``ons_run`` the one
     online-Newton body, run by ``ons_pass``, both adversarial passes and
     ``ons.ons_advance`` (one step). It keeps the state in local floats and
     is written out for the two widths, d = 2 (Platt) and d = 3 (beta), as
-    on the pure path loops over i and j and list subscripts were most of a
-    step's cost. Every sum keeps the loop's start value and order, so the
-    bits, signed zeros included, are the loop's; ``ons_init`` rejects any
-    other width.
+    loops over i and j and list subscripts were most of a step's cost.
+    Every sum keeps the loop's start value and order, so the bits, signed
+    zeros included, are the loop's; ``ons_init`` rejects any other width.
   - ``bin_of`` routes a forecast to bin min(floor(p / eps), m - 1)
   - ``bin_average`` is a bin's outcome mean, its midpoint while empty:
     the tracking step API's forecast, and the average hedging classifies
@@ -71,7 +69,6 @@ import math
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, maybe_jit
 from .core import bins_of
 
 
@@ -79,24 +76,24 @@ class CalibeatingInvariantError(RuntimeError):
     """A structural guarantee (condition A-or-B, a theorem bound) failed."""
 
 
-# a fresh buffer of n zeros in the platform's container
-_zeros = np.zeros if NUMBA_ENABLED else [0.0].__mul__
+# a fresh buffer of n zeros
+_zeros = [0.0].__mul__
 
 
 def _flat(a):
-    # integer arrays (routed bins) stay int64, everything else is float64
+    # the values of the array a as a flat list: ints for an integer array
+    # (routed bins), floats otherwise
     a = np.asarray(a)
-    a = np.ascontiguousarray(a, dtype=np.int64 if a.dtype.kind in "iu" else np.float64).ravel()
-    return a if NUMBA_ENABLED else a.tolist()
+    return a.astype(np.int64 if a.dtype.kind in "iu" else np.float64, copy=False).ravel().tolist()
 
 
 def _copy(a):
-    # a flat copy of the array a in the platform's container, which a body
-    # may write; cheaper than _flat for the small state arrays of one step
-    return a.flatten() if NUMBA_ENABLED else a.ravel().tolist()
+    # the values of the float array a as a flat list, which a body may
+    # write; cheaper than _flat for the small state arrays of one step
+    return a.ravel().tolist()
 
 
-def _project_anorm(A, theta_tilde, radius):
+def project_anorm(A, theta_tilde, radius):
     # argmin over the radius-ball of (theta_tilde - theta)^T A (theta_tilde - theta),
     # via eigendecomposition of A (flat or square) and bisection on the KKT multiplier.
     d = len(theta_tilde)
@@ -151,7 +148,7 @@ def _project_anorm(A, theta_tilde, radius):
     return out
 
 
-def _ons_init(theta0, rho):
+def ons_init(theta0, rho):
     # Online-Newton start state (theta0, rho I, I / rho), of a width ons_run has.
     d = len(theta0)
     if d != 2 and d != 3:
@@ -174,7 +171,7 @@ def _ons_init(theta0, rho):
 GIVEN, ADVERSARY_POINT, ADVERSARY_HEDGE = 0, 1, 2
 
 
-def _ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, hops, counts, sums, status, eps, m):
+def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, hops, counts, sums, status, eps, m):
     # T = len(probs) steps from the state (theta, A, Ainv), left in those
     # buffers at the end. Step t records the parameters in force at
     # thetas[t*d:(t+1)*d] (the final ones at T*d), forecasts probs[t] = p =
@@ -289,21 +286,21 @@ def _ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, h
         Ainv[2], Ainv[5], Ainv[6], Ainv[7], Ainv[8] = i02, i12, i20, i21, i22
 
 
-def _bin_of(p, eps, m):
+def bin_of(p, eps, m):
     # The 0-based bin of forecast p, floor(p / eps), with p = 1 clamped into
     # the last bin m - 1.
     b = int(math.floor(p / eps))
     return b if b < m else m - 1
 
 
-def _bin_average(counts, sums, k, b, eps):
+def bin_average(counts, sums, k, b, eps):
     # The running outcome mean in slot k of the state, which tallies bin b,
     # or the bin's midpoint while the slot is empty: the tracking step API's
     # forecast, and the average hedging classifies.
     return sums[k] / counts[k] if counts[k] > 0.0 else (b + 0.5) * eps
 
 
-def _cell_status(counts, sums, base, b, eps):
+def cell_status(counts, sums, base, b, eps):
     # The hedging status code of bin b in the row at base, from its average
     # p_b: 0.0 inside the bin (condition A), 1.0 excess (p_b above the right
     # edge), 2.0 deficit (p_b below the left edge), 3.0 none of these (a NaN
@@ -318,7 +315,7 @@ def _cell_status(counts, sums, base, b, eps):
     return 3.0
 
 
-def _status_of(counts, sums, eps, m):
+def status_of(counts, sums, eps, m):
     # A new status buffer for flat state of rows of m bins, every bin of
     # every row classified.
     status = _zeros(len(counts))
@@ -328,7 +325,7 @@ def _status_of(counts, sums, eps, m):
     return status
 
 
-def _hedge_select(status, counts, sums, base, eps, m):
+def hedge_select(status, counts, sums, base, eps, m):
     # Hedging distribution for the forecaster whose m bins sit at
     # [base, base + m). Returns (lo_bin, hi_bin, prob_lo), 0-based bins: a
     # point mass has hi_bin == lo_bin and prob_lo == 1. Condition A (some
@@ -349,7 +346,7 @@ def _hedge_select(status, counts, sums, base, eps, m):
     raise CalibeatingInvariantError("hedging invariant violated: neither condition holds")
 
 
-def _hedge_fold(counts, sums, status, base, c, y, eps):
+def hedge_fold(counts, sums, status, base, c, y, eps):
     # Fold outcome y into bin c of the row at base, the one bin whose
     # status can change, and reclassify it.
     counts[base + c] += 1.0
@@ -357,7 +354,7 @@ def _hedge_fold(counts, sums, status, base, c, y, eps):
     status[base + c] = cell_status(counts, sums, base, c, eps)
 
 
-def _hops_advance(counts, sums, status, r, y, u, eps, m):
+def hops_advance(counts, sums, status, r, y, u, eps, m):
     # One step of the hedging forecaster for expert bin r (row r of the flat
     # m*m state), in place: announce the row's distribution, resolve it
     # with the uniform u, fold y into the drawn bin. Returns the drawn
@@ -369,91 +366,63 @@ def _hops_advance(counts, sums, status, r, y, u, eps, m):
     return (c + 0.5) * eps
 
 
-def _hops_pass(rows, ys, us, eps, m):
-    # One independent hedging forecaster per expert bin; each sees only the
-    # outcome subsequence routed to it. rows[t] is the expert's 0-based bin
-    # at step t, and us[t] resolves the (possible) randomization.
-    T = len(rows)
-    counts = _zeros(m * m)
-    sums = _zeros(m * m)
-    status = status_of(counts, sums, eps, m)
-    out = _zeros(T)
-    for t in range(T):
-        out[t] = hops_advance(counts, sums, status, rows[t], ys[t], us[t], eps, m)
-    return out
-
-
-def _adversary(x):
+def adversary(x):
     # The outcome adversary's response to an announced forecast x (a point
     # forecast or a hedge distribution's mean): y = 1{x <= 1/2}, ties to 1.
     return 1.0 if x <= 0.5 else 0.0
 
 
+# the hedging arguments of ``ons_run`` under the rules that read none
+UNHEDGED = (None,) * 7
+
 _array = functools.partial(np.asarray, dtype=np.float64)
 
 
-def _ons_passes(run):
-    """The public online-Newton passes over ``run``, ``_ons_run`` jitted or not."""
+def ons_pass(feats, ys, gamma, rho, radius, theta0):
+    """The online-Newton pass on given outcomes: (forecasts, (T + 1, d)
+    parameter trace, row t in force at step t)."""
+    theta, A, Ainv = ons_init(_flat(theta0), rho)
+    T, d = len(ys), len(theta)
+    probs, thetas = _zeros(T), _zeros((T + 1) * d)
+    ons_run(_flat(feats), _flat(ys), GIVEN, gamma, radius, theta, A, Ainv, probs, thetas, *UNHEDGED)
+    return _array(probs), _array(thetas).reshape(T + 1, d)
 
-    def ons_pass(feats, ys, gamma, rho, radius, theta0):
-        """The pass on given outcomes: (forecasts, (T + 1, d) trace, row t in force at step t)."""
-        theta, A, Ainv = ons_init(_flat(theta0), rho)
-        T, d = len(ys), len(theta)
-        probs, thetas = _zeros(T), _zeros((T + 1) * d)
-        run(_flat(feats), _flat(ys), GIVEN, gamma, radius, theta, A, Ainv, probs, thetas, *UNHEDGED)
-        return _array(probs), _array(thetas).reshape(T + 1, d)
 
-    def ops_adversarial_pass(feats, gamma, rho, radius, theta0):
-        """The pass against the adversary on each forecast: (forecasts, outcomes)."""
-        theta, A, Ainv = ons_init(_flat(theta0), rho)
-        x = _flat(feats)
-        T = len(x) // len(theta)
-        probs, ys = _zeros(T), _zeros(T)
-        run(x, ys, ADVERSARY_POINT, gamma, radius, theta, A, Ainv, probs, _zeros((T + 1) * len(theta)), *UNHEDGED)
-        return _array(probs), _array(ys)
+def ops_adversarial_pass(feats, gamma, rho, radius, theta0):
+    """The pass against the adversary on each forecast: (forecasts, outcomes)."""
+    theta, A, Ainv = ons_init(_flat(theta0), rho)
+    x = _flat(feats)
+    T = len(x) // len(theta)
+    probs, ys = _zeros(T), _zeros(T)
+    ons_run(x, ys, ADVERSARY_POINT, gamma, radius, theta, A, Ainv, probs, _zeros((T + 1) * len(theta)), *UNHEDGED)
+    return _array(probs), _array(ys)
 
-    def hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
-        """The joint pass, hedging on the forecasts' bins against the
-        adversary on the hedge mean: (forecasts, hedged forecasts, outcomes)."""
-        theta, A, Ainv = ons_init(_flat(theta0), rho)
-        T = len(us)
-        ops, hops, ys = _zeros(T), _zeros(T), _zeros(T)
-        counts, sums = _zeros(m * m), _zeros(m * m)
-        run(_flat(feats), ys, ADVERSARY_HEDGE, gamma, radius, theta, A, Ainv, ops, _zeros((T + 1) * len(theta)),
+
+def hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
+    """The joint pass, hedging on the forecasts' bins against the adversary
+    on the hedge mean: (forecasts, hedged forecasts, outcomes)."""
+    theta, A, Ainv = ons_init(_flat(theta0), rho)
+    T = len(us)
+    ops, hops, ys = _zeros(T), _zeros(T), _zeros(T)
+    counts, sums = _zeros(m * m), _zeros(m * m)
+    ons_run(_flat(feats), ys, ADVERSARY_HEDGE, gamma, radius, theta, A, Ainv, ops, _zeros((T + 1) * len(theta)),
             _flat(us), hops, counts, sums, status_of(counts, sums, eps, m), eps, m)
-        return _array(ops), _array(hops), _array(ys)
-
-    return ons_pass, ops_adversarial_pass, hops_adversarial_pass
-
-
-# jitted (or plain) step-level helpers; the bodies resolve these globals at
-# call time, so under numba the whole call graph compiles together, and on
-# the pure path a wrapper swapped in for one of them sees every call
-project_anorm = maybe_jit(_project_anorm)
-ons_init = maybe_jit(_ons_init)
-ons_run = maybe_jit(_ons_run)
-bin_of = maybe_jit(_bin_of)
-bin_average = maybe_jit(_bin_average)
-cell_status = maybe_jit(_cell_status)
-status_of = maybe_jit(_status_of)
-hedge_select = maybe_jit(_hedge_select)
-hedge_fold = maybe_jit(_hedge_fold)
-hops_advance = maybe_jit(_hops_advance)
-adversary = maybe_jit(_adversary)
-
-# the hedging arguments of ``ons_run`` under the rules that read none
-UNHEDGED = (_zeros(0),) * 5 + (1.0, 0)
-
-# public whole-stream passes
-ons_pass, ops_adversarial_pass, hops_adversarial_pass = _ons_passes(ons_run)
-_hops_rows_pass = maybe_jit(_hops_pass)
+    return _array(ops), _array(hops), _array(ys)
 
 
 def hops_pass(expert, ys, us, eps, m):
-    """One hedging forecaster per expert bin over the whole stream. The
-    expert column, which must lie in [0, 1], is routed to its 0-based bins
-    once, so the per-step loop takes integer rows."""
-    return _array(_hops_rows_pass(_flat(bins_of(expert, eps, m)), _flat(ys), _flat(us), eps, m))
+    """One independent hedging forecaster per expert bin over the whole
+    stream; each sees only the outcome subsequence routed to it, and us[t]
+    resolves step t's (possible) randomization. The expert column, which
+    must lie in [0, 1], is routed to its 0-based bins once, so the per-step
+    loop takes integer rows."""
+    rows, ys, us = _flat(bins_of(expert, eps, m)), _flat(ys), _flat(us)
+    counts, sums = _zeros(m * m), _zeros(m * m)
+    status = status_of(counts, sums, eps, m)
+    out = _zeros(len(rows))
+    for t in range(len(rows)):
+        out[t] = hops_advance(counts, sums, status, rows[t], ys[t], us[t], eps, m)
+    return _array(out)
 
 
 def tracking_pass(expert, ys, eps, m):
@@ -473,13 +442,3 @@ def tracking_pass(expert, ys, eps, m):
             out[idx[0]] = (b + 0.5) * eps
             out[idx[1:]] = sums[1:] / np.arange(1, len(idx))
     return out
-
-
-# un-jitted bodies over the same inputs (numba parity tests; under numba the
-# helpers they call are still the compiled ones)
-project_anorm_py = _project_anorm
-ons_pass_py, ops_adversarial_pass_py, hops_adversarial_pass_py = _ons_passes(_ons_run)
-
-
-def hops_pass_py(rows, ys, us, eps, m):  # takes routed rows
-    return _array(_hops_pass(_flat(rows), _flat(ys), _flat(us), eps, m))

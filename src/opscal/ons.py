@@ -10,9 +10,9 @@ The forecast at step t always uses the PRE-update parameters; the pair
 OnsState is a value: steps return fresh states, so distinct streams can run
 in parallel with independent states. ``ons_advance`` runs one step of
 ``kernels.ons_run``, the body every whole-stream pass runs, so step-by-step
-and batched execution replay identically; it rejects a malformed state and
-a non-finite feature. ``regret`` compares a forecast column with a fixed
-comparator's forecasts. Both reject a value outside [0, 1] (``core``).
+and batched execution replay identically; it rejects a malformed state, a
+non-finite feature and a step whose successor overflows. ``regret``
+compares a forecast column with a fixed comparator's forecasts. Both reject a value outside [0, 1] (``core``).
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def ons_advance(state: OnsState, feature, y, config: OnsConfig):
     step is the whole-stream kernels' body ``kernels.ons_run``, run on copies
     of the state, so a replay of these steps equals a kernel pass exactly.
     Raises ValueError unless the feature and theta have length dim, A and
-    A_inv are dim x dim, and the feature and state are finite.
+    A_inv are dim x dim, and the feature, state and successor are finite.
     """
     feature = np.asarray(feature, dtype=float)
     d = config.dim
@@ -102,6 +102,8 @@ def ons_advance(state: OnsState, feature, y, config: OnsConfig):
     ys[0] = y
     kernels.ons_run(x, ys, kernels.GIVEN, config.gamma, config.radius, theta, A, A_inv,
                     probs, kernels._zeros(2 * d), *kernels.UNHEDGED)
+    if not math.isfinite(sum(theta) + sum(A) + sum(A_inv)):
+        raise ValueError("the step overflowed: the successor's theta, A and A_inv are not finite")
     return float(probs[0]), OnsState(theta=np.array(theta), A=np.array(A).reshape(d, d),
                                      A_inv=np.array(A_inv).reshape(d, d), t=state.t + 1)
 

@@ -183,7 +183,8 @@ CSV_BASE = ["--csv", "data.csv", "--label", "label"]
     ("stream", "t_cal", "200", ["--tcal", "200"], ["--stream", "labelmulti"]),
     ("stream", "window", "150", ["--window", "150"], ["--stream", "labelmulti"]),
     ("stream", "t_test", "1200", ["--ttest", "1200"], ["--stream", "labelmulti"]),
-    ("stream", "delta", "0.0001", ["--delta", "0.0001"], ["--stream", "labelmulti"]),
+    # T_test = 2000 keeps the prior 0.5 + delta*t inside (0, 1) up to t = 3000
+    ("stream", "delta", "0.0001", ["--delta", "0.0001"], ["--stream", "labelmulti", "--ttest", "2000"]),
     ("stream", "drift", "no", ["--no-drift"], ["--stream", "labelmulti"]),
     ("run", "methods", "BM,OPS", ["--methods", "BM,OPS"], ["--stream", "labelmulti"]),
     ("run", "eps", "0.2", ["--eps", "0.2"], ["--stream", "labelmulti"]),

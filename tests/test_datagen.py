@@ -290,6 +290,23 @@ class TestScoredStreams:
         with pytest.raises(ValueError, match="delta must be finite"):
             replace(default_spec("covmulti"), delta=delta)
 
+    @pytest.mark.parametrize("fields", [
+        dict(delta=1e-3),  # prior 6.5 at t = T_total
+        dict(delta=-1e-3),  # prior -5.5 at t = T_total
+        dict(delta=0.4 / 6000.0, T_test=6500),  # prior exactly 1 at t = T_total = 7500
+        dict(delta=-0.5),  # prior exactly 0 at t = 1
+    ], ids=["above-one", "below-zero", "reaches-one", "zero-at-first-step"])
+    def test_labelmulti_prior_leaving_unit_interval_rejected(self, fields):
+        # at construction, before any stream is drawn
+        with pytest.raises(ValueError, match=r"labelmulti prior 0.5 \+ delta\*t must lie in \(0, 1\)"):
+            StreamSpec(kind="labelmulti", **fields)
+
+    def test_labelmulti_prior_inside_unit_interval_accepted(self):
+        spec = default_spec("labelmulti")
+        assert 0.5 + spec.delta * spec.T_total == pytest.approx(0.9)
+        assert replace(spec, delta=-spec.delta).delta == -spec.delta  # prior 0.1 at the end
+        assert StreamSpec(kind="labelmulti", delta=0.4999 / 6000.0).T_total == 6000
+
     @pytest.mark.parametrize("kind", ["cov1d", "label1d", "reg1d", "adversarial", "csv"])
     def test_delta_rejected_where_nothing_drifts(self, kind):
         # the sampler would ignore it, yet report.json would record it

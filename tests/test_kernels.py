@@ -1,28 +1,20 @@
-"""Pin the kernels' outputs, on either execution path.
+"""Pin the kernels' outputs.
 
 Golden SHA-256 digests of each pass's output bytes on fixed seeds pin the
 kernels to the outputs of the numpy-array implementation they replaced. A
 property test replays the step-level APIs (numpy state) against the
-whole-stream passes (Python-list state on the pure path) with ``==``.
-The hedging kernels, which scan a status code per bin, are compared bit
-for bit with the two-loop reference that classified every bin on every
-call; the online-Newton forecast and update, written out per width, are
-compared byte for byte with the loop form they replaced, and so is the
-closed-form tracking pass with its per-step loop. The references are kept
-here. On the pure path every body also runs on the numpy
-arrays numba compiles for, against the Python-float run. With numba enabled the exports are compiled; the *_py names are the same
-bodies un-jitted, so outputs must agree exactly. A subprocess run with
-OPSCAL_NUMBA=0 checks the env-flag path end to end.
+whole-stream passes (Python-list state) with ``==``, and so does a replay
+of the score column's edge values. The hedging kernels, which scan a
+status code per bin, are compared bit for bit with the two-loop reference
+that classified every bin on every call; the online-Newton forecast and
+update, written out per width, are compared byte for byte with the loop
+form they replaced, and so is the closed-form tracking pass with its
+per-step loop. The references are kept here.
 """
 
-import contextlib
 import copy
 import hashlib
-import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -30,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opscal import kernels
-from opscal._accel import NUMBA_ENABLED
 from opscal.calibeating import (
     CalibeatingInvariantError,
     HopsState,
@@ -44,19 +35,10 @@ from opscal.calibeating import (
     tracking_run,
     tracking_update,
 )
-from opscal.core import BinningScheme, bins_of
+from opscal.core import CLIP_HI, CLIP_LO, BinningScheme
 from opscal.ons import OnsConfig, OnsState, initial_theta, ons_advance
 from opscal.scalers import beta_features, online_scaler_run, online_scaler_step, platt_features
 from test_calibeating import ACCEPTED_EPS, scheme_and_stream
-
-needs_numba = pytest.mark.skipif(not NUMBA_ENABLED, reason="numba disabled or absent")
-
-
-def platt_feats(rng, T):
-    scores = rng.uniform(0.01, 0.99, T)
-    feats = np.column_stack([np.log(scores / (1 - scores)), np.ones(T)])
-    ys = (rng.random(T) < scores).astype(float)
-    return np.ascontiguousarray(feats), ys
 
 
 def digest(*arrays):
@@ -97,7 +79,6 @@ class TestGoldenOutputs:
         out = kernels.ons_pass(feats_of(family, scores), ys, 0.1, rho, radius, initial_theta(theta_dim))
         assert digest(*out) == golden
 
-    @pytest.mark.skipif(NUMBA_ENABLED, reason="compiled kernels bind project_anorm at compile time")
     @pytest.mark.parametrize("family, dim, radius, calls", [("platt", 2, 1.2, 140), ("beta", 3, 1.5, 135)])
     def test_projection_fires_through_module_name(self, monkeypatch, family, dim, radius, calls):
         seen = []
@@ -170,6 +151,37 @@ class TestStepReplay:
             _, chosen = f99_forecast(f99, f99_draw)
             assert chosen == climate[t]
             f99 = f99_update(f99, chosen, ys[t])
+
+
+# scores at the feature maps' edges: 0 and 1, the clip bounds, and each
+# one's float neighbours on both sides that [0, 1] admits
+EDGE_SCORES = [v for edge in (0.0, 1.0, CLIP_LO, CLIP_HI)
+               for v in (np.nextafter(edge, -1.0), edge, np.nextafter(edge, 2.0)) if 0.0 <= v <= 1.0]
+
+
+class TestStepReplayAtScoreEdges:
+    """The one-row features of each step equal the rows of the whole
+    column at the edge scores too, so the step API replays the pass; each
+    step leaves the state it was given untouched."""
+
+    @pytest.mark.parametrize("radius", [100.0, 0.8])
+    @pytest.mark.parametrize("family", ["platt", "beta"])
+    def test_online_scaler_step_equals_run(self, family, radius):
+        base = OnsConfig.platt() if family == "platt" else OnsConfig.beta()
+        config = OnsConfig(dim=base.dim, gamma=base.gamma, rho=base.rho, radius=radius)
+        rng = np.random.default_rng(11)
+        scores = rng.permutation(np.repeat(EDGE_SCORES, 8))
+        ys = rng.choice([0.0, 1.0, 0.3], len(scores))
+        probs, thetas = online_scaler_run(scores, ys, family, config)
+        state = OnsState.init(config)
+        for t in range(len(scores)):
+            assert state.theta.tobytes() == thetas[t].tobytes()
+            before = [a.tobytes() for a in (state.theta, state.A, state.A_inv)]
+            p, successor = online_scaler_step(state, scores[t], ys[t], family, config)
+            assert np.float64(p).tobytes() == probs[t].tobytes()
+            assert [a.tobytes() for a in (state.theta, state.A, state.A_inv)] == before  # left untouched
+            state = successor
+        assert state.theta.tobytes() == thetas[-1].tobytes()
 
 
 def reference_ons_state(theta0, rho):
@@ -650,190 +662,3 @@ class TestHopsStateStatus:
         _, successor = hops_step(state, 0.55, 1.0, np.random.default_rng(0))
         assert list(state.status) == before
         assert list(successor.status) != before
-
-
-@contextlib.contextmanager
-def numba_container():
-    """Run the pure-path bodies on numpy arrays, as under numba: fresh
-    buffers from ``np.zeros`` and inputs never ``tolist()``-ed."""
-    saved = kernels._zeros, kernels.NUMBA_ENABLED
-    kernels._zeros, kernels.NUMBA_ENABLED = np.zeros, True  # _flat keeps arrays
-    try:
-        yield
-    finally:
-        kernels._zeros, kernels.NUMBA_ENABLED = saved
-
-
-@pytest.mark.skipif(NUMBA_ENABLED, reason="compiled kernels bind their containers at compile time")
-class TestNumbaContainer:
-    """Every kernel body run on the container numba compiles for, bit for
-    bit against the Python-float path. This checks the container semantics
-    the compiled code sees, not numba compilation."""
-
-    def test_containers_switch(self):
-        assert isinstance(kernels.status_of([0.0] * 4, [0.0] * 4, 0.5, 2), list)
-        assert [type(r) for r in kernels._flat(np.arange(2))] == [int, int]
-        with numba_container():
-            assert isinstance(kernels.status_of(np.zeros(4), np.zeros(4), 0.5, 2), np.ndarray)
-            assert isinstance(kernels._flat(np.zeros(3)), np.ndarray)
-            assert kernels._flat(np.arange(3)).dtype == np.int64  # routed rows
-            assert isinstance(kernels.ons_init(np.zeros(2), 1.0)[1], np.ndarray)
-
-    @pytest.mark.parametrize("family, rho, radius", [
-        ("platt", 100.0, 100.0), ("beta", 25.0, 100.0),
-        ("platt", 1.0, 1.2), ("beta", 1.0, 1.5),  # the A-norm projection fires
-    ])
-    def test_ons_passes(self, family, rho, radius):
-        scores, ys, _ = stream(107, 300)
-        feats, theta0 = feats_of(family, scores), initial_theta(3 if family == "beta" else 2)
-
-        def run():
-            return (*kernels.ons_pass(feats, ys, 0.1, rho, radius, theta0),
-                    *kernels.ops_adversarial_pass(feats, 0.1, rho, radius, theta0))
-
-        floats = run()
-        with numba_container():
-            assert all(np.array_equal(a, b) for a, b in zip(floats, run()))
-
-    @pytest.mark.parametrize("eps", [0.1, 0.05, 0.15, 1.0 / 3])
-    def test_tracking_and_hedging_passes(self, eps):
-        m = BinningScheme(eps).m
-        scores, ys, us = stream(108, 1500)
-        ys[::7] = 0.3  # fractional outcomes
-        feats = feats_of("platt", scores)
-
-        def run():
-            return (kernels.tracking_pass(scores, ys, eps, m), kernels.hops_pass(scores, ys, us, eps, m),
-                    *kernels.hops_adversarial_pass(feats, us, eps, m, 0.1, 100.0, 100.0, initial_theta(2)))
-
-        floats = run()
-        with numba_container():
-            assert all(np.array_equal(a, b) for a, b in zip(floats, run()))
-
-    @settings(max_examples=100, deadline=None)
-    @given(row=ROWS)
-    def test_hedging_steps(self, row):
-        # status_of classifies into a _zeros buffer
-        counts, sums, base, eps, m = row
-
-        def steps():
-            c, s = np.array(counts), np.array(sums)
-            status = kernels.status_of(c, s, eps, m)
-            try:
-                # bytes, so that NaN sums compare equal
-                return (kernels.hedge_select(status, c, s, base, eps, m),
-                        kernels.hops_advance(c, s, status, base // m, 0.5, 0.25, eps, m),
-                        c.tobytes(), s.tobytes(), list(status))
-            except CalibeatingInvariantError:
-                return "raised"
-
-        floats = steps()
-        with numba_container():
-            assert steps() == floats
-
-    def test_step_replay(self):
-        # the step APIs, with the status and the online-Newton state copies
-        # held in arrays, replay the float-path passes
-        scheme = BinningScheme(0.1)
-        scores, ys, _ = stream(109, 400)
-        hedged = hops_run(scores, ys, scheme, np.random.default_rng(3))
-        probs, thetas = online_scaler_run(scores, ys, "beta")
-        with numba_container():
-            draw, state, ons = np.random.default_rng(3), HopsState(scheme), OnsState.init(OnsConfig.beta())
-            assert isinstance(state.status, np.ndarray) and isinstance(kernels._copy(ons.A), np.ndarray)
-            for t in range(len(ys)):
-                chosen, state = hops_step(state, scores[t], ys[t], draw)
-                assert chosen == hedged[t]
-                A_inv = ons.A_inv.copy()
-                p, successor = online_scaler_step(ons, scores[t], ys[t], "beta")
-                assert p == probs[t] and np.array_equal(successor.theta, thetas[t + 1])
-                assert np.array_equal(ons.A_inv, A_inv)  # the step left its state untouched
-                ons = successor
-
-
-@needs_numba
-class TestPathEquivalence:
-    def test_project_anorm(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            d = int(rng.integers(2, 4))
-            M = rng.normal(size=(d, d))
-            A = M @ M.T + d * np.eye(d)
-            t = rng.normal(size=d) * 4
-            r = float(rng.uniform(0.5, 2.0))
-            a = kernels.project_anorm(A, t, r)
-            b = kernels.project_anorm_py(A, t, r)
-            assert np.array_equal(a, b)
-
-    def test_ons_pass(self):
-        rng = np.random.default_rng(1)
-        feats, ys = platt_feats(rng, 500)
-        jit = kernels.ons_pass(feats, ys, 0.1, 100.0, 100.0, initial_theta(2))
-        py = kernels.ons_pass_py(feats, ys, 0.1, 100.0, 100.0, initial_theta(2))
-        assert np.array_equal(jit[0], py[0])
-        assert np.array_equal(jit[1], py[1])
-
-    def test_hops_pass(self):
-        rng = np.random.default_rng(3)
-        expert = rng.random(1000)
-        ys = (rng.random(1000) < expert).astype(float)
-        us = rng.random(1000)
-        assert np.array_equal(
-            kernels.hops_pass(expert, ys, us, 0.1, 10),
-            kernels.hops_pass_py(bins_of(expert, 0.1, 10), ys, us, 0.1, 10),
-        )
-
-    def test_adversarial_passes(self):
-        rng = np.random.default_rng(4)
-        feats, _ = platt_feats(rng, 400)
-        us = rng.random(400)
-        a = kernels.ops_adversarial_pass(feats, 0.1, 100.0, 100.0, initial_theta(2))
-        b = kernels.ops_adversarial_pass_py(feats, 0.1, 100.0, 100.0, initial_theta(2))
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        a = kernels.hops_adversarial_pass(feats, us, 0.1, 10, 0.1, 100.0, 100.0, initial_theta(2))
-        b = kernels.hops_adversarial_pass_py(feats, us, 0.1, 10, 0.1, 100.0, 100.0, initial_theta(2))
-        for x, z in zip(a, b):
-            assert np.array_equal(x, z)
-
-
-SUBPROCESS_SNIPPET = """
-import json
-import numpy as np
-from opscal._accel import NUMBA_ENABLED
-from opscal import kernels
-from opscal.ons import initial_theta
-
-rng = np.random.default_rng(99)
-scores = rng.uniform(0.01, 0.99, 300)
-feats = np.column_stack([np.log(scores / (1 - scores)), np.ones(300)])
-ys = (rng.random(300) < scores).astype(float)
-probs, thetas = kernels.ons_pass(np.ascontiguousarray(feats), ys, 0.1, 100.0, 100.0, initial_theta(2))
-us = rng.random(300)
-h = kernels.hops_pass(probs.copy(), ys, us, 0.1, 10)
-print(json.dumps({
-    "numba": NUMBA_ENABLED,
-    "probs_sum": repr(float(np.sum(probs))),
-    "theta": [repr(float(v)) for v in thetas[-1]],
-    "hops_sum": repr(float(np.sum(h))),
-}))
-"""
-
-
-class TestEnvFlagFallback:
-    def test_disabled_numba_subprocess_matches(self):
-        env = dict(os.environ, OPSCAL_NUMBA="0")
-        out = subprocess.run(
-            [sys.executable, "-c", SUBPROCESS_SNIPPET],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        sub = json.loads(out.stdout.strip().splitlines()[-1])
-        assert sub["numba"] is False
-        here = subprocess.run(
-            [sys.executable, "-c", SUBPROCESS_SNIPPET],
-            capture_output=True, text=True, env=dict(os.environ, OPSCAL_NUMBA="1"),
-            check=True,
-        )
-        ref = json.loads(here.stdout.strip().splitlines()[-1])
-        assert sub["probs_sum"] == ref["probs_sum"]
-        assert sub["theta"] == ref["theta"]
-        assert sub["hops_sum"] == ref["hops_sum"]

@@ -8,6 +8,7 @@ from opscal.ons import (
     OnsConfig,
     OnsState,
     initial_theta,
+    ons_advance,
     ons_regret_bound,
     ons_step,
     project_ellipsoid,
@@ -99,6 +100,12 @@ class TestOnsStep:
             setattr(state, field, value)
         with pytest.raises(ValueError, match=message):
             ons_step(state, feature, 1.0, cfg)
+
+    def test_rejects_an_overflowing_step(self):
+        # a finite feature and state whose step overflows: the successor had
+        # A[0, 0] = inf and a NaN in A_inv, and only the next step noticed
+        with pytest.raises(ValueError, match="the step overflowed"):
+            ons_advance(OnsState.init(OnsConfig.platt()), [1e200, 1.0], 0.0, OnsConfig.platt())
 
 
 class TestProjectEllipsoid:

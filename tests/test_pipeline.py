@@ -259,6 +259,15 @@ class TestBenchmarkPatchPoints:
         assert set(calls) == set(self.PIPELINE_NAMES + self.KERNEL_NAMES)
 
 
+def test_benchmark_provenance_flag_is_false():
+    # benchmark/run.py and benchmark/workloads.py read opscal.NUMBA_ENABLED for
+    # the kernel path of every record; the name goes with the benchmark
+    # revision of ROADMAP item 1, which makes that read tolerate its absence
+    import opscal
+
+    assert opscal.NUMBA_ENABLED is False
+
+
 class TestRunPipeline:
     def test_report_shapes_and_order(self):
         cfg = quick_config()
