@@ -148,7 +148,7 @@ class HopsState(_Tallies):
     covariate-free forecaster of the ``f99_*`` step API.
 
     ``status`` holds every bin's hedging status code (``kernels.cell_status``)
-    in the kernels' container. It is derived from the tallies at
+    in a list, as the kernels keep it. It is derived from the tallies at
     construction, copied with the state and advanced by each step, so a
     step classifies only the bin it folds into. Build a new state rather
     than editing ``counts`` or ``outcome_sums`` in place."""
