@@ -35,10 +35,11 @@ suite pins step-by-step replays to the whole-stream runs:
     status buffer (each bin's hedging status code), which the state
     derives once at construction and each step advances by reclassifying
     the one bin it folds into. ``hops_step`` calls
-    ``kernels.hops_advance`` on it; the covariate-free step API
+    ``kernels.hops_advance``, one step of the hedging body
+    ``kernels.hedge_run``, on it; the covariate-free step API
     (``f99_distribution``, ``f99_forecast``, ``f99_update``) works on
-    row 0, the forecaster ``f99_run`` drives, and folds with
-    ``kernels.hedge_fold``;
+    row 0, the forecaster ``f99_run`` drives, and folds a chosen bin with
+    the body's fold, ``kernels.hedge_fold``;
   - ``HopsState.distribution`` reads the cached status of the routed row
     with ``kernels.hedge_select``, so no call classifies a bin again. A
     state is built from arrays, never edited in place.
@@ -150,8 +151,10 @@ class HopsState(_Tallies):
     ``status`` holds every bin's hedging status code (``kernels.cell_status``)
     in a list, as the kernels keep it. It is derived from the tallies at
     construction, copied with the state and advanced by each step, so a
-    step classifies only the bin it folds into. Build a new state rather
-    than editing ``counts`` or ``outcome_sums`` in place."""
+    step classifies only the bin it folds into. The hedging body's
+    condition-A index is not kept: a step finds its row's with one scan.
+    Build a new state rather than editing ``counts`` or ``outcome_sums``
+    in place."""
 
     def __post_init__(self):
         super().__post_init__()

@@ -33,12 +33,15 @@ Conventions:
     BinningScheme the caller uses for metrics
 
 State buffers: hedging keeps one row of m bins per forecaster in flat
-m*m ``counts`` and ``sums`` (row r at [r*m, (r + 1)*m)) and a ``status``
+m*m ``counts`` and ``sums`` (row r at [r*m, (r + 1)*m)), a ``status``
 buffer of the same layout holding each bin's hedging status code: inside
-its bin (condition A), excess, deficit, or none of these, as floats. The
-passes keep every buffer in a ``_zeros`` list; the step APIs pass their
-numpy tallies and a status list. The online-Newton parameter trace is one
-flat (T + 1) * d buffer, which ``ons_pass`` returns reshaped to (T + 1, d).
+its bin (condition A), excess, deficit, or none of these, as floats, and
+an index ``first`` holding each row's smallest inside bin, m if it has
+none. The passes keep every buffer in a ``_zeros`` list and start from
+empty state, where every bin is inside and every row's index is 0; the
+step APIs pass their numpy tallies and a status list. The online-Newton
+parameter trace is one flat (T + 1) * d buffer, which ``ons_pass``
+returns reshaped to (T + 1, d).
 
 Step bodies, which the passes and the step APIs all call:
   - ``ons_init`` is the online-Newton start state and ``ons_run`` the one
@@ -48,17 +51,20 @@ Step bodies, which the passes and the step APIs all call:
     loops over i and j and list subscripts were most of a step's cost.
     Every sum keeps the loop's start value and order, so the bits, signed
     zeros included, are the loop's; ``ons_init`` rejects any other width.
+  - ``hedge_run`` is the one hedging body, run by ``hops_pass``, by the
+    joint branch of ``ons_run`` (one step, rule ``ADVERSARY_HEDGE``) and
+    by ``hops_advance`` (one step, from the row's index found by one
+    scan); it scans a row only to rescan a stale index or, while the index
+    is m, for the pair. ``hedge_select`` reads the same choice off the
+    status alone: the condition-A scan ``hedge_inside``, then the pair
+    scan ``hedge_pair``. ``hedge_fold`` folds an outcome into one bin and
+    reclassifies it with ``cell_status``, the one classify rule.
   - ``bin_of`` routes a forecast to bin min(floor(p / eps), m - 1)
   - ``bin_average`` is a bin's outcome mean, its midpoint while empty:
-    the tracking step API's forecast, and the average hedging classifies
-  - ``cell_status`` classifies one bin; ``hedge_select`` picks the
-    hedging distribution of a row by scanning its status codes;
-    ``hedge_fold`` folds an outcome into the drawn bin and reclassifies
-    that bin, the only one a step changes; ``hops_advance`` is one hedging
-    step (select, draw with u, fold), which emits the drawn bin's
-    midpoint (b + 0.5) * eps
-  - ``status_of`` builds the status buffer of flat state by classifying
-    every bin, once per pass and once per ``HopsState`` construction
+    the tracking step API's forecast, and the average ``status_of``
+    classifies
+  - ``status_of`` builds the status buffer of given tallies by classifying
+    every bin, once per ``HopsState`` construction
   - ``adversary`` is the outcome adversary of both adversarial passes
 """
 
@@ -164,14 +170,16 @@ def ons_init(theta0, rho):
 
 
 # The outcome rules of ``ons_run``: ys[t] as given; the adversary on the
-# forecast; the joint step, where the adversary answers the mean of the
-# hedge distribution announced for the forecast's bin (state counts, sums,
-# status), then the draw with us[t] emits hops[t]. The adversaries write y
-# to ys[t]; only the joint step reads the hedging arguments.
+# forecast; the joint step, which writes the forecast's bin to rows[t] and
+# runs ``hedge_run`` for step t, the adversary answering the mean of the
+# hedge distribution announced for that bin, the draw with us[t] emitting
+# hops[t]. The adversaries write y to ys[t]; only the joint step reads the
+# hedging arguments. ``hedge_run`` takes GIVEN and ADVERSARY_HEDGE.
 GIVEN, ADVERSARY_POINT, ADVERSARY_HEDGE = 0, 1, 2
 
 
-def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, hops, counts, sums, status, eps, m):
+def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, hops, rows, counts, sums, status,
+            first, eps, m):
     # T = len(probs) steps from the state (theta, A, Ainv), left in those
     # buffers at the end. Step t records the parameters in force at
     # thetas[t*d:(t+1)*d] (the final ones at T*d), forecasts probs[t] = p =
@@ -211,13 +219,9 @@ def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, ho
             y = adversary(p)
             ys[t] = y
         else:
-            base = bin_of(p, eps, m) * m
-            lo, hi, plo = hedge_select(status, counts, sums, base, eps, m)
-            y = adversary(plo * ((lo + 0.5) * eps) + (1.0 - plo) * ((hi + 0.5) * eps))
-            c = lo if us[t] < plo else hi
-            hedge_fold(counts, sums, status, base, c, y, eps)
-            hops[t] = (c + 0.5) * eps
-            ys[t] = y
+            rows[t] = bin_of(p, eps, m)
+            hedge_run(rows, ys, ADVERSARY_HEDGE, us, hops, counts, sums, status, first, eps, m, t, t + 1)
+            y = ys[t]
         r = p - y
         if d == 2:
             g0 = r * x[k]
@@ -296,16 +300,14 @@ def bin_of(p, eps, m):
 def bin_average(counts, sums, k, b, eps):
     # The running outcome mean in slot k of the state, which tallies bin b,
     # or the bin's midpoint while the slot is empty: the tracking step API's
-    # forecast, and the average hedging classifies.
+    # forecast, and the average ``status_of`` classifies.
     return sums[k] / counts[k] if counts[k] > 0.0 else (b + 0.5) * eps
 
 
-def cell_status(counts, sums, base, b, eps):
-    # The hedging status code of bin b in the row at base, from its average
-    # p_b: 0.0 inside the bin (condition A), 1.0 excess (p_b above the right
-    # edge), 2.0 deficit (p_b below the left edge), 3.0 none of these (a NaN
-    # average). An empty bin averages its midpoint, so it is inside.
-    pb = bin_average(counts, sums, base + b, b, eps)
+def cell_status(pb, b, eps):
+    # The hedging status code of bin b from its average p_b: 0.0 inside the
+    # bin (condition A), 1.0 excess (p_b above the right edge), 2.0 deficit
+    # (p_b below the left edge), 3.0 none of these (a NaN average).
     if pb >= b * eps and pb <= (b + 1.0) * eps:
         return 0.0
     if pb - (b + 1.0) * eps > 0.0:
@@ -321,22 +323,24 @@ def status_of(counts, sums, eps, m):
     status = _zeros(len(counts))
     for base in range(0, len(counts), m):
         for b in range(m):
-            status[base + b] = cell_status(counts, sums, base, b, eps)
+            status[base + b] = cell_status(bin_average(counts, sums, base + b, b, eps), b, eps)
     return status
 
 
-def hedge_select(status, counts, sums, base, eps, m):
-    # Hedging distribution for the forecaster whose m bins sit at
-    # [base, base + m). Returns (lo_bin, hi_bin, prob_lo), 0-based bins: a
-    # point mass has hi_bin == lo_bin and prob_lo == 1. Condition A (some
-    # bin's average sits inside the bin) gives a deterministic forecast of
-    # that bin; otherwise some adjacent (excess, deficit) pair exists and we
-    # hedge between the two bins. Smallest index wins in both cases. Bins
-    # off condition A are not empty, so their averages are sums / counts.
-    for k in range(base, base + m):
+def hedge_inside(status, base, b, m):
+    # The condition-A scan: the smallest bin b' >= b of the row at base whose
+    # status is inside, or m if there is none.
+    for k in range(base + b, base + m):
         if status[k] == 0.0:
-            b = k - base
-            return b, b, 1.0
+            return k - base
+    return m
+
+
+def hedge_pair(status, counts, sums, base, eps, m):
+    # The condition-B scan of a row with no inside bin: the smallest
+    # adjacent (excess, deficit) pair (b, b + 1), hedged with prob_lo =
+    # d_{b+1} / (d_{b+1} + e_b) on b. Such bins are not empty, so their
+    # averages are sums / counts.
     for k in range(base, base + m - 1):
         if status[k] == 1.0 and status[k + 1] == 2.0:
             b = k - base
@@ -346,24 +350,66 @@ def hedge_select(status, counts, sums, base, eps, m):
     raise CalibeatingInvariantError("hedging invariant violated: neither condition holds")
 
 
+def hedge_select(status, counts, sums, base, eps, m):
+    # Hedging distribution for the forecaster whose m bins sit at
+    # [base, base + m). Returns (lo_bin, hi_bin, prob_lo), 0-based bins: a
+    # point mass on the smallest inside bin (condition A), with hi_bin ==
+    # lo_bin and prob_lo == 1, else the hedge of the smallest (excess,
+    # deficit) pair (condition B).
+    b = hedge_inside(status, base, 0, m)
+    if b < m:
+        return b, b, 1.0
+    return hedge_pair(status, counts, sums, base, eps, m)
+
+
 def hedge_fold(counts, sums, status, base, c, y, eps):
     # Fold outcome y into bin c of the row at base, the one bin whose
-    # status can change, and reclassify it.
-    counts[base + c] += 1.0
-    sums[base + c] += y
-    status[base + c] = cell_status(counts, sums, base, c, eps)
+    # status can change, and reclassify it from its average, which is
+    # sums / counts as the bin is no longer empty.
+    k = base + c
+    counts[k] += 1.0
+    sums[k] += y
+    status[k] = cell_status(sums[k] / counts[k], c, eps)
+
+
+def hedge_run(rows, ys, outcome, us, out, counts, sums, status, first, eps, m, t0, t1):
+    # Hedging steps [t0, t1) over the flat state, in place. first[r] is row
+    # r's smallest inside bin, m if none (then the row hedges its
+    # hedge_pair). Step t takes y by its rule (GIVEN: ys[t]; ADVERSARY_HEDGE:
+    # the adversary on the announced mean, written to ys[t]), draws bin c
+    # with us[t], folds y into c and emits c's midpoint. Only bin c changes,
+    # so first[r] moves to c if c is now inside below it, and is rescanned
+    # from c + 1 only if c was it and left.
+    for t in range(t0, t1):
+        r = rows[t]
+        base, a = r * m, first[r]
+        if a < m:
+            lo = hi = a
+            plo = 1.0
+        else:
+            lo, hi, plo = hedge_pair(status, counts, sums, base, eps, m)
+        if outcome == GIVEN:
+            y = ys[t]
+        else:
+            y = adversary(plo * ((lo + 0.5) * eps) + (1.0 - plo) * ((hi + 0.5) * eps))
+            ys[t] = y
+        c = lo if us[t] < plo else hi
+        hedge_fold(counts, sums, status, base, c, y, eps)
+        if status[base + c] == 0.0:
+            if c < a:
+                first[r] = c
+        elif c == a:
+            first[r] = hedge_inside(status, base, c + 1, m)
+        out[t] = (c + 0.5) * eps
 
 
 def hops_advance(counts, sums, status, r, y, u, eps, m):
-    # One step of the hedging forecaster for expert bin r (row r of the flat
-    # m*m state), in place: announce the row's distribution, resolve it
-    # with the uniform u, fold y into the drawn bin. Returns the drawn
-    # bin's midpoint.
-    base = r * m
-    lo, hi, plo = hedge_select(status, counts, sums, base, eps, m)
-    c = lo if u < plo else hi
-    hedge_fold(counts, sums, status, base, c, y, eps)
-    return (c + 0.5) * eps
+    # One hedging step for expert bin r (row r of the flat m*m state), in
+    # place: ``hedge_run`` for one step, from the row's condition-A bin
+    # found by one scan. Returns the drawn bin's midpoint.
+    out = [0.0]
+    hedge_run((r,), (y,), GIVEN, (u,), out, counts, sums, status, {r: hedge_inside(status, r * m, 0, m)}, eps, m, 0, 1)
+    return out[0]
 
 
 def adversary(x):
@@ -373,9 +419,16 @@ def adversary(x):
 
 
 # the hedging arguments of ``ons_run`` under the rules that read none
-UNHEDGED = (None,) * 7
+UNHEDGED = (None,) * 9
 
 _array = functools.partial(np.asarray, dtype=np.float64)
+
+
+def _hedge_start(m):
+    # The empty hedging state of m rows of m bins: counts, sums, status and
+    # the condition-A index. An empty bin averages its midpoint, which lies
+    # inside the bin, so every status is 0.0 and every row's index is 0.
+    return _zeros(m * m), _zeros(m * m), _zeros(m * m), [0] * m
 
 
 def ons_pass(feats, ys, gamma, rho, radius, theta0):
@@ -404,9 +457,8 @@ def hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
     theta, A, Ainv = ons_init(_flat(theta0), rho)
     T = len(us)
     ops, hops, ys = _zeros(T), _zeros(T), _zeros(T)
-    counts, sums = _zeros(m * m), _zeros(m * m)
     ons_run(_flat(feats), ys, ADVERSARY_HEDGE, gamma, radius, theta, A, Ainv, ops, _zeros((T + 1) * len(theta)),
-            _flat(us), hops, counts, sums, status_of(counts, sums, eps, m), eps, m)
+            _flat(us), hops, [0] * T, *_hedge_start(m), eps, m)
     return _array(ops), _array(hops), _array(ys)
 
 
@@ -416,12 +468,9 @@ def hops_pass(expert, ys, us, eps, m):
     resolves step t's (possible) randomization. The expert column, which
     must lie in [0, 1], is routed to its 0-based bins once, so the per-step
     loop takes integer rows."""
-    rows, ys, us = _flat(bins_of(expert, eps, m)), _flat(ys), _flat(us)
-    counts, sums = _zeros(m * m), _zeros(m * m)
-    status = status_of(counts, sums, eps, m)
+    rows = _flat(bins_of(expert, eps, m))
     out = _zeros(len(rows))
-    for t in range(len(rows)):
-        out[t] = hops_advance(counts, sums, status, rows[t], ys[t], us[t], eps, m)
+    hedge_run(rows, _flat(ys), GIVEN, _flat(us), out, *_hedge_start(m), eps, m, 0, len(rows))
     return _array(out)
 
 

@@ -6,10 +6,11 @@ property test replays the step-level APIs (numpy state) against the
 whole-stream passes (Python-list state) with ``==``, and so does a replay
 of the score column's edge values. The hedging kernels, which scan a
 status code per bin, are compared bit for bit with the two-loop reference
-that classified every bin on every call; the online-Newton forecast and
-update, written out per width, are compared byte for byte with the loop
-form they replaced, and so is the closed-form tracking pass with its
-per-step loop. The references are kept here.
+that classified every bin on every call, and the hedging body's cached
+condition-A bin per row with a fresh scan wherever a run stops; the
+online-Newton forecast and update, written out per width, are compared
+byte for byte with the loop form they replaced, and so is the closed-form
+tracking pass with its per-step loop. The references are kept here.
 """
 
 import copy
@@ -461,6 +462,53 @@ class TestHedgingOracle:
         args = (feats_of("platt", scores), us, eps, m, 0.1, 100.0, 100.0, initial_theta(2))
         for got, want in zip(kernels.hops_adversarial_pass(*args), reference_hops_adversarial_pass(*args)):
             assert np.array_equal(got, want)
+
+
+def condition_a_bins(status, m):
+    """Each row's smallest inside bin (status 0.0), m if it has none, by a
+    fresh scan of the status codes."""
+    return [next((b for b in range(m) if status[r * m + b] == 0.0), m) for r in range(len(status) // m)]
+
+
+class TestHedgeRun:
+    """The one hedging body keeps a per-row condition-A index as derived
+    state: it must match a fresh scan whenever a run stops, and a run
+    resumed over the same buffers must equal one run."""
+
+    @pytest.mark.parametrize("eps", ACCEPTED_EPS)
+    def test_empty_state_is_inside(self, eps):
+        # the passes start from all-inside status and index 0 without
+        # classifying: an empty bin averages its midpoint, inside its bin
+        m = BinningScheme(eps).m
+        counts, sums, status, first = kernels._hedge_start(m)
+        assert kernels.status_of(counts, sums, eps, m) == status == [0.0] * (m * m)
+        assert HopsState(BinningScheme(eps)).status == status
+        assert first == condition_a_bins(status, m) == [0] * m
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), eps=st.sampled_from(ACCEPTED_EPS),
+           rule=st.sampled_from([kernels.GIVEN, kernels.ADVERSARY_HEDGE]), T=st.integers(1, 400),
+           seed=st.integers(0, 2**32 - 1))
+    def test_resumed_run_equals_one_run(self, data, eps, rule, T, seed):
+        m = BinningScheme(eps).m
+        rng = np.random.default_rng(seed)
+        # few expert bins, so rows fill up and leave condition A
+        rows = rng.choice(rng.integers(0, m, 3), T).tolist()
+        ys = data.draw(st.lists(outcome(eps, m), min_size=T, max_size=T))
+        us = rng.random(T).tolist()
+        cuts = sorted(data.draw(st.lists(st.integers(0, T), max_size=3)))
+
+        def run(bounds):
+            out, ys_run = kernels._zeros(T), list(ys)
+            counts, sums, status, first = kernels._hedge_start(m)
+            for t0, t1 in zip(bounds, bounds[1:]):
+                kernels.hedge_run(rows, ys_run, rule, us, out, counts, sums, status, first, eps, m, t0, t1)
+                assert first == condition_a_bins(status, m)
+                assert status == kernels.status_of(counts, sums, eps, m)
+            return out, ys_run, counts, sums, status
+
+        for got, want in zip(run([0, *cuts, T]), run([0, T])):
+            assert same_bytes(got, want)
 
 
 def same_bytes(got, want):
