@@ -69,7 +69,9 @@ def _route(p, scheme: BinningScheme) -> int:
 class _Tallies:
     """Per-bin counts and outcome sums, zero unless given. Given ones must be
     1-D of the state's length, finite, and 0 <= outcome_sums <= counts in
-    every bin, as outcomes in [0, 1] produce."""
+    every bin, as outcomes in [0, 1] produce. The state keeps float copies,
+    so an integer tally takes fractional outcomes and the caller's arrays
+    are never written."""
 
     scheme: BinningScheme
     counts: np.ndarray = None
@@ -79,11 +81,10 @@ class _Tallies:
         n = self._size()
         for name in ("counts", "outcome_sums"):
             a = getattr(self, name)
-            if a is None:
-                setattr(self, name, np.zeros(n))
-            elif np.shape(a) != (n,):
+            if a is not None and np.shape(a) != (n,):
                 raise ValueError(f"{name} must be 1-D of length {n}, not of shape {np.shape(a)}")
-        counts, sums = np.asarray(self.counts, dtype=float), np.asarray(self.outcome_sums, dtype=float)
+            setattr(self, name, np.zeros(n) if a is None else np.array(a, dtype=float))
+        counts, sums = self.counts, self.outcome_sums
         if not (np.isfinite(counts).all() and ((0.0 <= sums) & (sums <= counts)).all()):
             raise ValueError("tallies must be finite, with 0 <= outcome_sums <= counts in every bin")
 

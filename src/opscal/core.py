@@ -75,18 +75,23 @@ def clip_score(score):
     return float(out) if np.isscalar(score) or out.ndim == 0 else out
 
 
-def sigmoid(z):
+def sigmoid(z, out=None):
     """Numerically stable logistic function, scalar or array.
 
     One pass: with e = exp(-|z|), which lies in [0, 1] and so cannot
-    overflow, it is 1/(1+e) where z >= 0 and e/(1+e) elsewhere. As -|z| is
-    -z on the first side and z on the other, every element takes the same
-    exp and the same division as the two-branch form 1/(1+exp(-z)),
-    exp(z)/(1+exp(z)), so the results agree bit for bit.
+    overflow, it is 1/(1+e) where z >= 0 and e/(1+e) elsewhere, one
+    division of a selected numerator. As -|z| is -z on the first side and z
+    on the other, every element takes the same exp and the same division as
+    the two-branch form 1/(1+exp(-z)), exp(z)/(1+exp(z)), so the results
+    agree bit for bit. ``out``, a float array of z's shape (z itself may
+    be passed), receives the result and serves as the pass's scratch.
     """
     z_arr = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z_arr))
-    out = np.where(z_arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    pos = z_arr >= 0
+    e = np.abs(z_arr, out=np.empty_like(z_arr) if out is None else out)
+    np.exp(np.negative(e, out=e), out=e)
+    num = np.where(pos, 1.0, e)
+    out = np.divide(num, np.add(1.0, e, out=e), out=e)
     return float(out) if np.isscalar(z) or out.ndim == 0 else out
 
 

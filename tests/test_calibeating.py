@@ -462,6 +462,34 @@ def test_impossible_tallies_rejected(make, n, count, total):
         make(scheme10(), counts, sums)
 
 
+class TestGivenTallies:
+    """A state keeps float copies of given tallies: an integer tally takes
+    a fractional outcome, and the caller's arrays are not aliased."""
+
+    def test_integer_tracking_tallies_take_a_fractional_outcome(self):
+        state = TrackingState(scheme10(), np.zeros(10, int), np.zeros(10, int))
+        state = tracking_update(state, 0.55, 0.5)
+        assert state.outcome_sums[5] == 0.5
+        assert tracking_forecast(state, 0.55) == 0.5
+
+    def test_integer_hedging_tallies_take_a_fractional_outcome(self):
+        got = hops_step(HopsState(scheme10(), np.zeros(100, int), np.zeros(100, int)), 0.55, 0.7,
+                        np.random.default_rng(0))
+        want = hops_step(HopsState(scheme10()), 0.55, 0.7, np.random.default_rng(0))
+        assert got[0] == want[0] and got[1].outcome_sums.sum() == 0.7
+        for a, b in zip(_arrays(got[1]), _arrays(want[1])):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("make, n", [(TrackingState, 10), (HopsState, 100)],
+                             ids=["TrackingState", "HopsState"])
+    def test_given_arrays_not_aliased(self, make, n):
+        counts, sums = np.zeros(n), np.zeros(n)
+        state = make(scheme10(), counts, sums)
+        counts[5], sums[5] = 4.0, 1.0
+        assert not np.shares_memory(state.counts, counts) and not np.shares_memory(state.outcome_sums, sums)
+        assert state.counts[5] == 0.0 and state.outcome_sums[5] == 0.0
+
+
 def _arrays(state):
     if isinstance(state, OnsState):
         return [state.theta, state.A, state.A_inv]

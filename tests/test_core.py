@@ -115,6 +115,21 @@ class TestSigmoidOnePass:
         assert same_bits(got, masked_two_branch_sigmoid(z))
 
 
+class TestSigmoidOut:
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=6), elements=sigmoid_floats))
+    @settings(max_examples=200, deadline=None)
+    def test_out_and_in_place_equal_the_allocating_form(self, z):
+        # the loss pass of newton_logistic writes the forecasts over X w
+        expected = sigmoid(z)
+        buf = np.empty_like(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(z, out=buf)
+            aliased = z.copy()
+            sigmoid(aliased, out=aliased)
+        assert got is buf and same_bits(got, expected) and same_bits(aliased, expected)
+
+
 class TestLogit:
     def test_symmetry(self):
         assert logit(0.5) == 0.0
