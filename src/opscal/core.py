@@ -106,12 +106,52 @@ def logit(p):
     return float(out) if np.isscalar(p) or out.ndim == 0 else out
 
 
+def _clip_loss(p, out=None):
+    """p clipped into [LOGLOSS_EPS, 1 - LOGLOSS_EPS], into ``out`` if given;
+    the same bits as ``np.clip``, NaN included."""
+    return np.minimum(np.maximum(p, LOGLOSS_EPS, out=out), 1.0 - LOGLOSS_EPS, out=out)
+
+
+def _log_likelihood(pc, y, y0, out=None, scratch=None):
+    """y log pc + y0 log(1 - pc) per point, with y0 = 1 - y, into ``out``
+    (pc itself may be passed) with ``scratch`` for the second log."""
+    q = np.multiply(y0, np.log(np.subtract(1.0, pc, out=scratch), out=scratch), out=scratch)
+    return np.add(np.multiply(y, np.log(pc, out=out), out=out), q, out=out)
+
+
 def log_loss(p, y):
     """-y log p - (1-y) log(1-p), with p floored to [1e-12, 1 - 1e-12]."""
-    p_arr = np.clip(np.asarray(p, dtype=float), LOGLOSS_EPS, 1.0 - LOGLOSS_EPS)
     y_arr = np.asarray(y, dtype=float)
-    out = -(y_arr * np.log(p_arr) + (1.0 - y_arr) * np.log(1.0 - p_arr))
+    out = np.negative(_log_likelihood(_clip_loss(np.asarray(p, dtype=float)), y_arr, 1.0 - y_arr))
     return float(out) if out.ndim == 0 else out
+
+
+def log_loss_constants(y):
+    """``(1 - y, 2y - 1)`` for ``log_loss_sum``, computed once per set of
+    outcomes; the second is None unless every outcome is 0 or 1."""
+    y = np.asarray(y, dtype=float)
+    binary = bool(((y == 0.0) | (y == 1.0)).all())
+    return 1.0 - y, (2.0 * y - 1.0 if binary else None)
+
+
+def log_loss_sum(p, y, y0, sign=None, out=None, scratch=None) -> float:
+    """``float(np.sum(log_loss(p, y)))`` bit for bit, for 1-D p and y of one
+    length, with ``(y0, sign) = log_loss_constants(y)``. The per-point work
+    goes into the float buffers ``out`` (p itself may be passed) and, for
+    the two-log form, ``scratch``, each of p's length; None allocates.
+
+    With 0/1 outcomes (sign set) each point takes one log,
+    log(y0 + sign * pc) for the clipped forecast pc, where ``log_loss``
+    takes y log pc + (1 - y) log(1 - pc). This is exact: y0 + sign * pc is
+    pc or 1 - pc rounded as ``log_loss`` rounds it, the other term is
+    0 * (a negative log) = -0.0, and x + -0.0 = x. Pairwise summation is
+    symmetric in sign, so negating the sum of the logs equals summing the
+    negated terms. Other outcomes take the two-log form of ``log_loss``.
+    """
+    pc = _clip_loss(p, out=out)
+    if sign is not None:
+        return -float(np.sum(np.log(np.add(y0, np.multiply(sign, pc, out=pc), out=pc), out=pc)))
+    return -float(np.sum(_log_likelihood(pc, y, y0, out=pc, scratch=scratch)))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kernels
-from .core import LOGLOSS_EPS, check_columns, check_count, check_unit, clip_score, logit, sigmoid
+from .core import (
+    check_columns,
+    check_count,
+    check_unit,
+    clip_score,
+    log_loss_constants,
+    log_loss_sum,
+    logit,
+    sigmoid,
+)
 from .ons import OnsConfig, OnsState, initial_theta, ons_advance
 
 PARAM_RADIUS = 100.0
@@ -108,21 +117,15 @@ class _LossPass(NamedTuple):
     y0: np.ndarray  # 1 - y
     sign: np.ndarray | None  # 2y - 1 when every outcome is 0 or 1, else None
     ridge: float
-    clipped: np.ndarray  # the forecasts clipped into [LOGLOSS_EPS, 1 - LOGLOSS_EPS]
-    other: np.ndarray | None  # the two-log form's second log, None when sign is set
+    clipped: np.ndarray  # log_loss_sum's buffer for the clipped forecasts
+    other: np.ndarray  # its buffer for the two-log form's second log
 
 
 def _fit_loss(fit: _LossPass, w: np.ndarray, p: np.ndarray) -> float:
-    """Summed log-loss (``core.log_loss``) of p = sigmoid(X w), plus
+    """Summed log-loss (``core.log_loss_sum``) of p = sigmoid(X w), plus
     ridge/2 ||w||^2; p is written in place."""
     sigmoid(np.matmul(fit.X, w, out=p), out=p)
-    pc = np.minimum(np.maximum(p, LOGLOSS_EPS, out=fit.clipped), 1.0 - LOGLOSS_EPS, out=fit.clipped)
-    if fit.sign is not None:
-        total = np.sum(np.log(np.add(fit.y0, np.multiply(fit.sign, pc, out=pc), out=pc), out=pc))
-    else:
-        q = np.multiply(fit.y0, np.log(np.subtract(1.0, pc, out=fit.other), out=fit.other), out=fit.other)
-        total = np.sum(np.add(np.multiply(fit.y, np.log(pc, out=pc), out=pc), q, out=pc))
-    return -float(total) + 0.5 * fit.ridge * float(w @ w)
+    return log_loss_sum(p, fit.y, fit.y0, fit.sign, fit.clipped, fit.other) + 0.5 * fit.ridge * float(w @ w)
 
 
 def newton_logistic(
@@ -146,18 +149,18 @@ def newton_logistic(
     would, with fewer loss evaluations.
 
     Every loss evaluation is one ``_fit_loss`` pass over buffers made once
-    per fit, with ``1 - y`` (and, when every outcome is 0 or 1, ``2y - 1``)
-    computed once per fit. With 0/1 outcomes each point takes one log,
-    log((1 - y) + (2y - 1) pc) for the clipped forecast pc, where
-    ``core.log_loss`` takes y log pc + (1 - y) log(1 - pc). This is exact:
-    (1 - y) + (2y - 1) pc is pc or 1 - pc rounded as ``log_loss`` rounds
-    it, the other term is 0 * (a negative log) = -0.0, and x + -0.0 = x.
-    Pairwise summation is symmetric in sign, so negating the sum of the
-    logs equals summing the negated terms. Other outcomes keep the
-    two-log form. The Hessian's rows of X, each scaled by p(1 - p), are
-    written into a per-fit buffer through its transposed view, so their
-    product with X is the same BLAS call on the same layout as the
-    allocated form. The fit equals the allocating form bit for bit.
+    per fit: sigmoid(X w) in place, then ``core.log_loss_sum`` with
+    ``1 - y`` (and, when every outcome is 0 or 1, ``2y - 1``) computed once
+    per fit by ``core.log_loss_constants``. With 0/1 outcomes each point
+    takes one log, log((1 - y) + (2y - 1) pc) for the clipped forecast pc,
+    in place of y log pc + (1 - y) log(1 - pc). This is exact: the dropped
+    term is 0 * (a negative log) = -0.0, x + -0.0 = x, and pairwise
+    summation is symmetric in sign (``log_loss_sum`` gives the argument in
+    full). Other outcomes keep the two-log form. The Hessian's rows of X,
+    each scaled by p(1 - p), are written into a per-fit buffer through its
+    transposed view, so their product with X is the same BLAS call on the
+    same layout as the allocated form. The fit equals the allocating form
+    bit for bit.
 
     When a radius is set and the final iterate separates the data (every
     point classified with strictly positive margin, so the unregularized
@@ -170,9 +173,8 @@ def newton_logistic(
     y = np.asarray(y, dtype=float)
     n, d = X.shape
     w = _renorm_to_ball(np.asarray(init, dtype=float).copy(), radius)
-    binary = bool(((y == 0.0) | (y == 1.0)).all())
-    fit = _LossPass(X, y, 1.0 - y, 2.0 * y - 1.0 if binary else None, ridge,
-                    np.empty(n), None if binary else np.empty(n))
+    y0, sign = log_loss_constants(y)
+    fit = _LossPass(X, y, y0, sign, ridge, np.empty(n), np.empty(n))
     scratch = fit.clipped  # free between loss passes
     p, spare = np.empty(n), np.empty(n)  # the accepted forecasts and a candidate's
     Xw = np.empty_like(X)  # Hessian rows, each scaled by its weight

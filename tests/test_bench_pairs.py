@@ -88,3 +88,33 @@ def test_summarize_covers_every_declared_metric():
     assert out["failed"] == {"parent": [0, 0], "change": [0, 2]}
     assert out["correct"] == {"parent": [True, True], "change": [True, False]}
     assert out["metrics"]["rep_ms_p50"]["parent"] == [2.0, 2.2]
+
+
+def test_no_gain_when_the_change_fails_more_operations():
+    runs = {"parent": [bench_pairs.result_line(canned_output(1.0 + 0.01 * i, failed=1)) for i in range(10)],
+            "change": [bench_pairs.result_line(canned_output(0.5, failed=f)) for f in [2] + [0] * 9]}
+    fewer = bench_pairs.summarize(range(10), ["parent", "change"] * 5, runs, DECLARED)
+    assert fewer["metrics"]["rep_ms_p50"]["gain_shown"]  # 2 failures against 10
+    runs["change"][1] = bench_pairs.result_line(canned_output(0.5, failed=9))
+    more = bench_pairs.summarize(range(10), ["parent", "change"] * 5, runs, DECLARED)
+    assert more["failed"]["change"][:2] == [2, 9]
+    assert not any(m["gain_shown"] for m in more["metrics"].values())
+    assert more["metrics"]["rep_ms_p50"]["change_better_pairs"] == 10
+
+
+def test_unresolved_when_the_runs_spread_past_the_bound():
+    wide = [20.0, 40.0, 25.0, 35.0, 30.0, 22.0, 38.0, 28.0, 32.0, 30.0]  # quartiles 25.75, 34.25; median 30
+    out = bench_pairs.compare_metric(wide, [w + 1.0 for w in wide], "lower", 0.25)
+    assert out["spread"]["parent"] == pytest.approx(8.5 / 30.0) and not out["resolved"]
+    assert out["within_bound"] is None and not out["gain_shown"]
+    out = bench_pairs.compare_metric(PARENT, [w - 10.0 for w in wide], "lower", 0.25)  # change side wide
+    assert out["spread"]["change"] == pytest.approx(8.5 / 20.0) and out["change_better_pairs"] == 10
+    assert not out["resolved"] and not out["gain_shown"] and out["within_bound"] is None
+
+
+def test_resolved_past_the_spread_when_every_change_run_beats_every_parent_run():
+    wide = [20.0, 40.0, 25.0, 35.0, 30.0, 22.0, 38.0, 28.0, 32.0, 30.0]
+    out = bench_pairs.compare_metric(wide, [w / 4.0 for w in wide], "lower", 0.25)  # max 10 < min 20
+    assert out["resolved"] and out["gain_shown"] and out["within_bound"]
+    out = bench_pairs.compare_metric(wide, [w / 2.0 for w in wide], "lower", 0.25)  # 20 is not below 20
+    assert not out["resolved"]

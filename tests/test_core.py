@@ -17,6 +17,8 @@ from opscal.core import (
     bins_of,
     clip_score,
     log_loss,
+    log_loss_constants,
+    log_loss_sum,
     logit,
     sigmoid,
 )
@@ -280,6 +282,51 @@ class TestLogLoss:
         p = rng.random(1000)
         y = (rng.random(1000) < 0.5).astype(float)
         assert np.all(log_loss(p, y) >= 0.0)
+
+    def test_bits_of_the_clipped_two_log_formula(self):
+        rng = np.random.default_rng(4)
+        p = np.concatenate([rng.random(500), [0.0, 1.0, 1e-13, 1.0 - 1e-13, np.nan]])
+        for y in (rng.random(505), (rng.random(505) < 0.5).astype(float), 1.0):
+            pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+            want = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
+            assert log_loss(p, y).tobytes() == want.tobytes()
+        assert log_loss(0.3, 0.4) == -(0.4 * math.log(0.3) + 0.6 * math.log(0.7))
+
+
+def _outcome_sets(n, rng):
+    binary = (rng.random(n) < 0.4).astype(float)
+    mixed = binary.copy()
+    mixed[n // 2] = 0.7
+    return {"binary": binary, "fractional": rng.random(n), "mixed": mixed, "all ones": np.ones(n)}
+
+
+class TestLogLossSum:
+    @pytest.mark.parametrize("n", [1, 7, 128, 5000])
+    def test_bits_of_the_summed_log_loss(self, n):
+        rng = np.random.default_rng(n)
+        p = np.concatenate([rng.random(n - 1), [1.0]])
+        for name, y in _outcome_sets(n, rng).items():
+            y0, sign = log_loss_constants(y)
+            assert (sign is None) == (name in ("fractional", "mixed"))
+            want = float(np.sum(log_loss(p, y)))
+            assert log_loss_sum(p, y, y0, sign) == want, name
+            out, scratch, work = np.empty(n), np.empty(n), p.copy()
+            assert log_loss_sum(p, y, y0, sign, out, scratch) == want, name
+            assert log_loss_sum(work, y, y0, sign, work, scratch) == want, name
+            assert log_loss_sum(p, y, 1.0 - y) == want, name  # the two-log form on any outcomes
+
+    def test_leaves_p_alone_unless_it_is_the_buffer(self):
+        rng = np.random.default_rng(5)
+        p, y = rng.random(64), (rng.random(64) < 0.5).astype(float)
+        kept = p.copy()
+        log_loss_sum(p, y, *log_loss_constants(y), out=np.empty(64))
+        assert p.tobytes() == kept.tobytes()
+
+    def test_constants(self):
+        y0, sign = log_loss_constants([0.0, 1.0, 1.0])
+        assert y0.tolist() == [1.0, 0.0, 0.0] and sign.tolist() == [-1.0, 1.0, 1.0]
+        y0, sign = log_loss_constants([0.0, 0.25])
+        assert y0.tolist() == [1.0, 0.75] and sign is None
 
 
 SPEC = default_spec("adversarial")  # no base model, so T_train may be 0

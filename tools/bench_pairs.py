@@ -2,8 +2,8 @@
 
 Runs the declared benchmark command (``BENCHMARK.json``'s ``command``, at
 present ``python3 benchmark/run.py``) with ``--workload W --seed N
---seconds S --trace 0`` in a parent checkout and in a change checkout, one
-seed per pair, alternating which side runs first, and merges per-pair
+--seconds S --trace 0``, S being the declared ``run_seconds``, in a parent
+checkout and in a change checkout, one seed per pair, alternating which side runs first, and merges per-pair
 deltas, each side's median and quartiles and the change's win count for
 every declared end-to-end metric into a ``BENCH_<topic>.json``::
 
@@ -18,11 +18,16 @@ checkout alone produces shows. Each call replaces the entry of its kind
 ("change" or "control") and workload in an existing output file and keeps
 the rest.
 
-The gain rule is the benchmark's: the change wins at least nine tenths of
-the pairs (ties count for neither side), and the medians differ, in the
-better direction, by more than the distance between the parent's
-quartiles. A metric is within its bound when the change's median is worse
-than the parent's by no more than the bound ``BENCHMARK.json`` declares.
+The rules are the benchmark's. A metric is resolved unless the runs of
+either side spread wider than its bound (IQR / median), and an unresolved
+metric is resolved after all when every change run beats every parent
+run. A resolved metric is within its bound when the change's median is
+worse than the parent's by no more than the bound ``BENCHMARK.json``
+declares; ``within_bound`` is null for an unresolved one. A gain is shown
+when the metric is resolved, the change wins at least nine tenths of the
+pairs (ties count for neither side), the medians differ, in the better
+direction, by more than the distance between the parent's quartiles, and
+the change fails no more operations in all than the parent.
 """
 
 from __future__ import annotations
@@ -75,6 +80,9 @@ def compare_metric(parent, change, better: str, bound: float) -> dict:
     pq, cq = quartiles(parent), quartiles(change)
     gain = sign * (cq[1] - pq[1])
     wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+    spread = {"parent": (pq[2] - pq[0]) / pq[1], "change": (cq[2] - cq[0]) / cq[1]}
+    separated = all(sign * (c - p) > 0.0 for p in parent for c in change)
+    resolved = max(spread.values()) <= bound or separated
     return {
         "better": better, "bound": bound, "parent": list(parent), "change": list(change),
         "delta_pct": [round(100.0 * (c - p) / p, 2) for p, c in zip(parent, change)],
@@ -82,22 +90,26 @@ def compare_metric(parent, change, better: str, bound: float) -> dict:
         "parent_quartiles": [pq[0], pq[2]], "change_quartiles": [cq[0], cq[2]],
         "median_delta_pct": round(100.0 * (cq[1] - pq[1]) / pq[1], 2),
         "change_better_pairs": wins, "pairs": len(parent),
-        "gain_shown": wins >= 0.9 * len(parent) and gain > pq[2] - pq[0],
-        "within_bound": -gain <= bound * pq[1],
+        "spread": spread, "resolved": resolved,
+        "gain_shown": resolved and wins >= 0.9 * len(parent) and gain > pq[2] - pq[0],
+        "within_bound": -gain <= bound * pq[1] if resolved else None,
     }
 
 
 def summarize(seeds, first_sides, runs, declared: dict) -> dict:
     """One workload's comparison from its runs, ``runs[side][i]`` being the
-    result line of pair i on that side."""
+    result line of pair i on that side. No metric shows a gain when the
+    change fails more operations in all than the parent."""
     out = {"seeds": list(seeds), "first_side": list(first_sides)}
     for key in ("attempted", "failed", "correct"):
         out[key] = {side: [r[key] for r in runs[side]] for side in ("parent", "change")}
-    out["metrics"] = {
-        d["name"]: {"unit": d["unit"], **compare_metric(
-            [r["metrics"][d["name"]]["value"] for r in runs["parent"]],
-            [r["metrics"][d["name"]]["value"] for r in runs["change"]], d["better"], d["bound"])}
-        for d in declared["end_to_end"]}
+    more_failures = sum(out["failed"]["change"]) > sum(out["failed"]["parent"])
+    out["metrics"] = {}
+    for d in declared["end_to_end"]:
+        metric = compare_metric([r["metrics"][d["name"]]["value"] for r in runs["parent"]],
+                                [r["metrics"][d["name"]]["value"] for r in runs["change"]], d["better"], d["bound"])
+        metric["gain_shown"] = metric["gain_shown"] and not more_failures
+        out["metrics"][d["name"]] = {"unit": d["unit"], **metric}
     return out
 
 
@@ -112,7 +124,7 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int, secon
     return {**result_line(proc.stdout), "provenance": {k: provenance[k] for k in kept}}
 
 
-def compare(parent: Path, change: Path, workload: str, seeds, seconds: float) -> dict:
+def compare(parent: Path, change: Path, workload: str, seeds) -> dict:
     declared = json.loads((parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     sides = {"parent": parent, "change": change}
     runs, first_sides = {"parent": [], "change": []}, []
@@ -120,7 +132,7 @@ def compare(parent: Path, change: Path, workload: str, seeds, seconds: float) ->
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         first_sides.append(order[0])
         for side in order:
-            runs[side].append(run_once(sides[side], declared["command"], workload, seed, seconds))
+            runs[side].append(run_once(sides[side], declared["command"], workload, seed, declared["run_seconds"]))
             print(f"# {workload} seed {seed} {side}: "
                   + " ".join(f"{k}={v['value']:.6g}" for k, v in runs[side][-1]["metrics"].items()), flush=True)
     out = summarize(seeds, first_sides, runs, declared)
@@ -138,12 +150,11 @@ def main(argv=None) -> int:
     side.add_argument("--control", action="store_true", help="compare the parent with a copy of itself")
     ap.add_argument("--workload", action="append", required=True, help="a declared workload; repeatable")
     ap.add_argument("--seeds", type=seed_list, required=True, help='one seed per pair: "201-210" or "3,5"')
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--out", type=Path, required=True, help="BENCH_<topic>.json to create or update")
     args = ap.parse_args(argv)
     parent = args.parent.resolve()
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
-    doc["command"] = ("benchmark command --workload W --seed N --seconds S --trace 0, pairs alternating "
+    doc["command"] = ("benchmark command --workload W --seed N --seconds run_seconds --trace 0, pairs alternating "
                       "which side runs first; every run made is listed, one value per pair in seed order")
     kind = "control" if args.control else "change"
     with tempfile.TemporaryDirectory() as tmp:
@@ -153,7 +164,7 @@ def main(argv=None) -> int:
         else:
             change = args.change.resolve()
         for workload in args.workload:
-            result = compare(parent, change, workload, args.seeds, args.seconds)
+            result = compare(parent, change, workload, args.seeds)
             doc.setdefault(kind, {})[workload] = result
             args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
