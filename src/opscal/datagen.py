@@ -36,8 +36,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import scalers
 from .core import CLIP_HI, CLIP_LO, check_count, clip_score, sigmoid
-from .scalers import newton_logistic
 
 # substream purposes
 P_STREAM = 0
@@ -272,7 +272,7 @@ def train_base_logistic(features, labels) -> BaseModelWeights:
     y = np.asarray(labels, dtype=float)
     if len(X) == 0:
         raise ValueError("empty training block")
-    w, converged, n_iter = newton_logistic(X, y, init=np.zeros(X.shape[1]), ridge=BASE_MODEL_RIDGE, radius=None)
+    w, converged, n_iter = scalers.newton_logistic(X, y, init=np.zeros(X.shape[1]), ridge=BASE_MODEL_RIDGE, radius=None)
     return BaseModelWeights(w=w, converged=converged, n_iter=n_iter)
 
 

@@ -10,9 +10,11 @@ refinement <= Brier + eps + eps^2/4: identities the test suite fuzzes.
 Every binned metric has one body, ``_tallies``: it routes the forecasts to
 their bins once, tallies each bin over every requested prefix of the
 stream, and evaluates the CE, SHP and refinement formulas over those
-(prefix, bin) tallies. A scalar metric is its one-prefix case, and
-``prefixes`` gives the series over ``p[:k]`` that the pipeline plots.
-Columns pass ``core.check_columns`` and must also be nonempty.
+(prefix, bin) tallies. A scalar metric is its one-prefix case. Given
+``prefixes``, ``metric_report`` returns CE, SHP and refinement over every
+``p[:k]`` from that one pass (the curves the pipeline plots), together
+with the whole-column Brier and truth metrics. Columns pass
+``core.check_columns`` and must also be nonempty.
 """
 
 from __future__ import annotations
@@ -82,24 +84,17 @@ def _tallies(p, y, scheme: BinningScheme, prefixes):
     return ce, shp, ref
 
 
-def _scalar_or_series(values: np.ndarray, prefixes):
-    return float(values[0]) if prefixes is None else values
-
-
-def calibration_error(p, y, scheme: BinningScheme, prefixes=None):
+def calibration_error(p, y, scheme: BinningScheme) -> float:
     """(1/T) sum_b N_b |pbar_b - ybar_b| over the epsilon-bins.
 
-    Empty bins contribute zero (their N_b factor vanishes). Given strictly
-    increasing integer ``prefixes`` in [1, len(p)], returns the array of
-    the metric over each ``p[:k]``; otherwise a float.
+    Empty bins contribute zero (their N_b factor vanishes).
     """
-    return _scalar_or_series(_tallies(p, y, scheme, prefixes)[0], prefixes)
+    return float(_tallies(p, y, scheme, None)[0][0])
 
 
-def sharpness(p, y, scheme: BinningScheme, prefixes=None):
-    """(1/T) sum_b N_b ybar_b^2; ybar_b = 0 on empty bins. ``prefixes`` as
-    in ``calibration_error``."""
-    return _scalar_or_series(_tallies(p, y, scheme, prefixes)[1], prefixes)
+def sharpness(p, y, scheme: BinningScheme) -> float:
+    """(1/T) sum_b N_b ybar_b^2; ybar_b = 0 on empty bins."""
+    return float(_tallies(p, y, scheme, None)[1][0])
 
 
 def refinement(p, y, scheme: BinningScheme) -> float:
@@ -135,18 +130,26 @@ def true_accuracy(p, truth) -> float:
 
 @dataclass
 class MetricReport:
-    ce: float
-    shp: float
-    refinement: float
+    ce: float | np.ndarray  # arrays over the prefixes when metric_report is given them
+    shp: float | np.ndarray
+    refinement: float | np.ndarray
     brier: float
     ybar: float
     true_ce: float | None = None
     true_accuracy: float | None = None
 
 
-def metric_report(p, y, scheme: BinningScheme, truth=None) -> MetricReport:
-    """All metrics of one forecast column in a single pass."""
-    ce, shp, ref = (float(v[0]) for v in _tallies(p, y, scheme, None))
+def metric_report(p, y, scheme: BinningScheme, truth=None, prefixes=None) -> MetricReport:
+    """All metrics of one forecast column in a single pass.
+
+    Given strictly increasing integer ``prefixes`` in [1, len(p)], CE, SHP
+    and refinement are arrays of their values over each ``p[:k]``, and the
+    entry at ``k = len(p)`` equals the scalar form bit for bit; Brier, ybar
+    and the truth metrics always cover the whole column.
+    """
+    ce, shp, ref = _tallies(p, y, scheme, prefixes)
+    if prefixes is None:
+        ce, shp, ref = float(ce[0]), float(shp[0]), float(ref[0])
     return MetricReport(
         ce=ce,
         shp=shp,

@@ -15,7 +15,9 @@ in the theorem checks, goes through ``calibeating.tracking_run``,
 applied once per refit segment, one vectorised call each, since their
 parameters are constant between refits. Metrics are cumulative over the
 emitted region and snapshotted at evaluation timestamps from T_cal + 2W to
-the end of the stream. The regret, tracking-sharpness and adversarial
+the end of the stream: one ``metric_report`` pass per column gives its CE
+and SHP curves, and the curves' last entries (the snapshot at T) are its
+final CE and SHP. The regret, tracking-sharpness and adversarial
 checks take their columns from ``run_replication`` on canonical specs with
 T_cal = 0, so they check what ``opscal run`` emits; regret is ``ons.regret``.
 
@@ -236,24 +238,14 @@ def _tracked(name, expert, ys, scheme):
     return out
 
 
-def _metric_series(col, ys, timestamps, t_cal, scheme):
-    """CE and SHP of the column at every snapshot, one call each."""
-    ks = timestamps - t_cal
-    return calibration_error(col, ys, scheme, prefixes=ks), sharpness(col, ys, scheme, prefixes=ks)
-
-
 def _pipeline_worker(args):
     spec, methods, epsilon, timestamps, rep, master_seed = args
     rep_spec = replace(spec, seed=replication_seed(master_seed, rep))
     cols, ys, truth, diag = run_replication(rep_spec, methods, epsilon)
     scheme = BinningScheme(epsilon)
-    out = {}
-    for name, col in cols.items():
-        out[name] = _metric_series(col, ys, timestamps, rep_spec.T_cal, scheme)
-    final = {}
-    for name, col in cols.items():
-        final[name] = metric_report(col, ys, scheme, truth=truth)
-    return rep, out, final, diag
+    ks = timestamps - rep_spec.T_cal  # the last snapshot is T, so ks[-1] == len(col)
+    reports = {name: metric_report(col, ys, scheme, truth=truth, prefixes=ks) for name, col in cols.items()}
+    return rep, reports, diag
 
 
 @dataclass(eq=False)
@@ -288,15 +280,9 @@ def run_pipeline(config: ExperimentConfig) -> RunReport:
 
     names = [m for m in config.methods if m in results[0][1]]
     n_rep = len(results)
-    ce = {m: np.zeros((n_rep, len(timestamps))) for m in names}
-    shp = {m: np.zeros((n_rep, len(timestamps))) for m in names}
-    finals = {m: [] for m in names}
-    diags = []
-    for rep, series, final, diag in results:
-        for m in names:
-            ce[m][rep], shp[m][rep] = series[m]
-            finals[m].append(final[m])
-        diags.append(diag)
+    reports = {m: [r[1][m] for r in results] for m in names}
+    ce = {m: np.array([r.ce for r in reports[m]]) for m in names}
+    shp = {m: np.array([r.shp for r in reports[m]]) for m in names}
 
     def _std(a):
         return np.std(a, axis=0, ddof=1) if n_rep > 1 else np.zeros(a.shape[1])
@@ -308,9 +294,10 @@ def run_pipeline(config: ExperimentConfig) -> RunReport:
         ce_std={m: _std(ce[m]) for m in names},
         shp_mean={m: np.mean(shp[m], axis=0) for m in names},
         shp_std={m: _std(shp[m]) for m in names},
-        final={m: {k: None if getattr(finals[m][0], k) is None else float(np.mean([getattr(f, k) for f in finals[m]]))
-                   for k in ("ce", "shp", "brier", "true_ce", "true_accuracy")} for m in names},
-        diagnostics=_aggregate_diagnostics(diags),
+        final={m: {"ce": float(np.mean(ce[m][:, -1])), "shp": float(np.mean(shp[m][:, -1])),
+                   **{k: None if getattr(reports[m][0], k) is None else float(np.mean([getattr(r, k) for r in reports[m]]))
+                      for k in ("brier", "true_ce", "true_accuracy")}} for m in names},
+        diagnostics=_aggregate_diagnostics([r[2] for r in results]),
     )
     if config.output_dir:
         _write_outputs(report, config.output_dir)

@@ -227,6 +227,18 @@ class TestTrainBaseLogistic:
         mae = float(np.mean(np.abs(sigmoid(X @ model.w) - p)))
         assert mae <= 0.02
 
+    @pytest.mark.parametrize("kind", ["cov1d", "label1d", "reg1d", "covmulti", "labelmulti"])
+    def test_stream_build_fits_through_the_scalers_module(self, monkeypatch, kind):
+        # a wrapper on opscal.scalers.newton_logistic (as the benchmark's
+        # iteration counter is) sees the base-model fit of every stream build
+        import opscal.scalers
+
+        calls = []
+        fit = opscal.scalers.newton_logistic
+        monkeypatch.setattr(opscal.scalers, "newton_logistic", lambda *a, **kw: calls.append(1) or fit(*a, **kw))
+        build_scored_stream(replace(default_spec(kind, seed=2), T_train=300, T_test=300, T_cal=0))
+        assert len(calls) == 1
+
     def test_cov1d_train_block_accuracy(self):
         spec = default_spec("cov1d", seed=0)
         stream = build_scored_stream(spec)

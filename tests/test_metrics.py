@@ -217,19 +217,25 @@ def prefix_cases(draw):
 
 
 class TestPrefixSeries:
-    """calibration_error and sharpness over prefixes equal the per-prefix
+    """metric_report's CE and SHP over prefixes equal the per-prefix
     reference bit for bit, and so do the scalar forms."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=prefix_cases())
     def test_series_equal_the_reference_per_prefix(self, case):
         p, y, scheme, prefixes = case
-        ces = calibration_error(p, y, scheme, prefixes=prefixes)
-        shps = sharpness(p, y, scheme, prefixes=prefixes)
-        assert ces.shape == shps.shape == prefixes.shape
+        series = metric_report(p, y, scheme, prefixes=prefixes)
+        ces, shps = series.ce, series.shp
+        assert ces.shape == shps.shape == series.refinement.shape == prefixes.shape
         for i, k in enumerate(prefixes):
             assert ces[i].tobytes() == np.float64(reference_ce(p[:k], y[:k], scheme)).tobytes()
             assert shps[i].tobytes() == np.float64(reference_shp(p[:k], y[:k], scheme)).tobytes()
+        # the last prefix is len(p): its entries are the whole-column report,
+        # which is why the pipeline takes its final CE and SHP from the curves
+        whole = metric_report(p, y, scheme)
+        for name in ("ce", "shp", "refinement"):
+            assert getattr(series, name)[-1].tobytes() == np.float64(getattr(whole, name)).tobytes()
+        assert (series.brier, series.ybar) == (whole.brier, whole.ybar)
 
     @settings(max_examples=150, deadline=None)
     @given(case=prefix_cases())
@@ -241,7 +247,10 @@ class TestPrefixSeries:
         assert np.float64(shp).tobytes() == np.float64(reference_shp(p, y, scheme)).tobytes()
 
 
-@pytest.mark.parametrize("metric", [calibration_error, sharpness])
+@pytest.mark.parametrize("metric", [
+    lambda *args, **kwargs: metric_report(*args, **kwargs).ce,
+    lambda *args, **kwargs: metric_report(*args, **kwargs).shp,
+], ids=["calibration_error", "sharpness"])
 @pytest.mark.parametrize("prefixes, message", [
     ([], "nonempty"),
     ([3, 2, 5], "increasing"),

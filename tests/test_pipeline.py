@@ -223,8 +223,8 @@ class TestBenchmarkPatchPoints:
     run time; the pipeline must resolve each of them at call time."""
 
     PIPELINE_NAMES = ("run_replication", "build_scored_stream", "platt_apply", "beta_apply",
-                      "fit_platt_batch", "fit_beta_batch", "calibration_error", "sharpness",
-                      "metric_report", "line_plot_svg")
+                      "fit_platt_batch", "fit_beta_batch", "sharpness", "metric_report",
+                      "line_plot_svg")
     KERNEL_NAMES = ("ons_pass", "tracking_pass", "hops_pass",
                     "hops_adversarial_pass", "ops_adversarial_pass")
 
@@ -257,6 +257,18 @@ class TestBenchmarkPatchPoints:
                                           eval_stride=500, output_dir=str(tmp_path / "b")))
         assert calls["hops_adversarial_pass"] == 1 and calls["ops_adversarial_pass"] == 1
         assert set(calls) == set(self.PIPELINE_NAMES + self.KERNEL_NAMES)
+
+
+def test_each_column_is_tallied_once(monkeypatch):
+    # one metric_report pass per column gives its curves and final report;
+    # each tracked column's margin check (TOPS, TOBS) adds two sharpness calls
+    from opscal import metrics
+
+    calls = []
+    tallies = metrics._tallies
+    monkeypatch.setattr(metrics, "_tallies", lambda *a: calls.append(1) or tallies(*a))
+    run_pipeline(quick_config(methods=ALL_METHODS, replications=1))
+    assert len(calls) == len(ALL_METHODS) + 2 * 2
 
 
 def test_benchmark_provenance_flag_is_false():
