@@ -31,15 +31,17 @@ suite pins step-by-step replays to the whole-stream runs:
 
   - tracking calls ``kernels.bin_of`` and ``bin_average`` on a
     ``TrackingState``'s bin counts and outcome sums;
-  - hedging has one state type, ``HopsState``: counts, outcome sums and a
-    status buffer (each bin's hedging status code), which the state
-    derives once at construction and each step advances by reclassifying
-    the one bin it folds into. ``hops_step`` calls
-    ``kernels.hops_advance``, one step of the hedging body
-    ``kernels.hedge_run``, on it; the covariate-free step API
-    (``f99_distribution``, ``f99_forecast``, ``f99_update``) works on
-    row 0, the forecaster ``f99_run`` drives, and folds a chosen bin with
-    the body's fold, ``kernels.hedge_fold``;
+  - hedging has one state type, ``HopsState``: counts, outcome sums, a
+    status buffer (each bin's hedging status code) and the hedging body's
+    per-row condition-A index and pair bound, which the state derives once
+    at construction and each step advances by reclassifying the one bin
+    it folds into. ``hops_step`` calls ``kernels.hops_advance``, one step
+    of the hedging body ``kernels.hedge_run``, on it with the kept index
+    and bound, so a step scans no row for its condition-A bin; the
+    covariate-free step API (``f99_distribution``, ``f99_forecast``,
+    ``f99_update``) works on row 0, the forecaster ``f99_run`` drives,
+    folds a chosen bin with the body's fold, ``kernels.hedge_fold``, and
+    rederives row 0's index with one scan and its bound as 0;
   - ``HopsState.distribution`` reads the cached status of the routed row
     with ``kernels.hedge_select``, so no call classifies a bin again. A
     state is built from arrays, never edited in place.
@@ -150,23 +152,27 @@ class HopsState(_Tallies):
     covariate-free forecaster of the ``f99_*`` step API.
 
     ``status`` holds every bin's hedging status code (``kernels.cell_status``)
-    in a list, as the kernels keep it. It is derived from the tallies at
-    construction, copied with the state and advanced by each step, so a
-    step classifies only the bin it folds into. The hedging body's
-    condition-A index is not kept: a step finds its row's with one scan.
-    Build a new state rather than editing ``counts`` or ``outcome_sums``
-    in place."""
+    in a list, as the kernels keep it; ``first`` each row's smallest
+    inside bin (condition A), m if none, and ``low`` a bound below which no
+    (excess, deficit) pair of the row starts, the hedging body's derived
+    state. All three are derived from the tallies at construction (the
+    index with one scan per row, the bound as 0), copied with the state
+    and advanced by each step, so a step classifies only the bin it folds
+    into and scans no row for its condition-A bin. Build a new state
+    rather than editing ``counts`` or ``outcome_sums`` in place."""
 
     def __post_init__(self):
         super().__post_init__()
-        self.status = kernels.status_of(self.counts, self.outcome_sums, self.scheme.epsilon, self.scheme.m)
+        m = self.scheme.m
+        self.status = kernels.status_of(self.counts, self.outcome_sums, self.scheme.epsilon, m)
+        self.first, self.low = [kernels.hedge_inside(self.status, r * m, 0, m) for r in range(m)], [0] * m
 
     def _size(self) -> int:
         return self.scheme.m * self.scheme.m
 
     def _copy(self):
         new = super()._copy()
-        new.status = self.status.copy()
+        new.status, new.first, new.low = self.status.copy(), self.first.copy(), self.low.copy()
         return new
 
     def distribution(self, expert_p: float) -> HedgeDistribution:
@@ -212,6 +218,7 @@ def f99_update(state: HopsState, chosen: float, y) -> HopsState:
     y = unit_float(y, "outcomes")
     new = state._copy()
     kernels.hedge_fold(new.counts, new.outcome_sums, new.status, 0, c, y, scheme.epsilon)
+    new.first[0], new.low[0] = kernels.hedge_inside(new.status, 0, 0, scheme.m), 0
     return new
 
 
@@ -232,7 +239,8 @@ def hops_step(state: HopsState, expert_p: float, y, rng: np.random.Generator):
     r, y = _route(expert_p, scheme), unit_float(y, "outcomes")
     new = state._copy()
     u = float(rng.random())
-    return kernels.hops_advance(new.counts, new.outcome_sums, new.status, r, y, u, scheme.epsilon, scheme.m), new
+    return kernels.hops_advance(new.counts, new.outcome_sums, new.status, r, y, u, scheme.epsilon, scheme.m,
+                                new.first, new.low), new
 
 
 def hops_run(expert_ps, ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:

@@ -35,13 +35,15 @@ Conventions:
 State buffers: hedging keeps one row of m bins per forecaster in flat
 m*m ``counts`` and ``sums`` (row r at [r*m, (r + 1)*m)), a ``status``
 buffer of the same layout holding each bin's hedging status code: inside
-its bin (condition A), excess, deficit, or none of these, as floats, and
-an index ``first`` holding each row's smallest inside bin, m if it has
-none. The passes keep every buffer in a ``_zeros`` list and start from
-empty state, where every bin is inside and every row's index is 0; the
-step APIs pass their numpy tallies and a status list. The online-Newton
-parameter trace is one flat (T + 1) * d buffer, which ``ons_pass``
-returns reshaped to (T + 1, d).
+its bin (condition A), excess, deficit, or none of these, as floats, an
+index ``first`` holding each row's smallest inside bin, m if it has none,
+and a bound ``low`` below which no (excess, deficit) pair of the row
+starts, where its pair scan begins. The passes keep every buffer in a
+``_zeros`` list and start from empty state, where every bin is inside,
+every row's index is 0 and no row has a pair (bound 0); the step APIs
+pass their numpy tallies, a status list and, from a ``HopsState``, its
+kept index and bound. The online-Newton parameter trace is one flat
+(T + 1) * d buffer, which ``ons_pass`` returns reshaped to (T + 1, d).
 
 Step bodies, which the passes and the step APIs all call:
   - ``ons_init`` is the online-Newton start state and ``ons_run`` the one
@@ -51,14 +53,18 @@ Step bodies, which the passes and the step APIs all call:
     loops over i and j and list subscripts were most of a step's cost.
     Every sum keeps the loop's start value and order, so the bits, signed
     zeros included, are the loop's; ``ons_init`` rejects any other width.
-  - ``hedge_run`` is the one hedging body, run by ``hops_pass``, by the
-    joint branch of ``ons_run`` (one step, rule ``ADVERSARY_HEDGE``) and
-    by ``hops_advance`` (one step, from the row's index found by one
-    scan); it scans a row only to rescan a stale index or, while the index
-    is m, for the pair. ``hedge_select`` reads the same choice off the
-    status alone: the condition-A scan ``hedge_inside``, then the pair
-    scan ``hedge_pair``. ``hedge_fold`` folds an outcome into one bin and
-    reclassifies it with ``cell_status``, the one classify rule.
+  - ``hedge_run`` is the one hedging body, a generator. Under ``GIVEN``
+    it never yields: ``hops_pass`` and ``hops_advance`` (one step, from
+    the state's index and bound, or from the row's index found by one scan
+    and bound 0) run it with one ``next(..., None)``. Under
+    ``ADVERSARY_HEDGE`` it yields once per step, as soon as the step's
+    outcome is in ``ys[t]``: the joint branch of ``ons_run`` makes it once
+    per run and resumes it once per step. It scans a row only to rescan a
+    stale index or, while the index is m, for the pair, from the row's
+    bound. ``hedge_select`` reads the same choice off the status alone:
+    the condition-A scan ``hedge_inside``, then the pair scan
+    ``hedge_pair`` from bin 0. ``hedge_fold`` folds an outcome into one
+    bin and reclassifies it with ``cell_status``, the one classify rule.
   - ``bin_of`` routes a forecast to bin min(floor(p / eps), m - 1)
   - ``bin_average`` is a bin's outcome mean, its midpoint while empty:
     the tracking step API's forecast, and the average ``status_of``
@@ -72,6 +78,7 @@ from __future__ import annotations
 
 import functools
 import math
+from math import exp
 
 import numpy as np
 
@@ -171,7 +178,7 @@ def ons_init(theta0, rho):
 
 # The outcome rules of ``ons_run``: ys[t] as given; the adversary on the
 # forecast; the joint step, which writes the forecast's bin to rows[t] and
-# runs ``hedge_run`` for step t, the adversary answering the mean of the
+# resumes ``hedge_run`` for step t, the adversary answering the mean of the
 # hedge distribution announced for that bin, the draw with us[t] emitting
 # hops[t]. The adversaries write y to ys[t]; only the joint step reads the
 # hedging arguments. ``hedge_run`` takes GIVEN and ADVERSARY_HEDGE.
@@ -179,7 +186,7 @@ GIVEN, ADVERSARY_POINT, ADVERSARY_HEDGE = 0, 1, 2
 
 
 def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, hops, rows, counts, sums, status,
-            first, eps, m):
+            first, low, eps, m):
     # T = len(probs) steps from the state (theta, A, Ainv), left in those
     # buffers at the end. Step t records the parameters in force at
     # thetas[t*d:(t+1)*d] (the final ones at T*d), forecasts probs[t] = p =
@@ -189,28 +196,35 @@ def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, ho
     # (v / denom) / gamma, as (A + g g^T)^{-1} g == v / denom; then the
     # A-norm projection if theta left the radius ball. Every entry of the
     # state is its own local (no symmetry assumed, so any state replays),
-    # and every sum starts from 0.0 (1.0 for denom) as in a loop.
+    # and every sum starts from 0.0 (1.0 for denom) as in a loop. The joint
+    # step's hedging body is made once for [0, T) and resumed once per step;
+    # it finishes the last step's draw after the loop.
     d = len(theta)
     t0, t1 = theta[0], theta[1]
     a00, a01, a10, a11 = A[0], A[1], A[d], A[d + 1]
     i00, i01, i10, i11 = Ainv[0], Ainv[1], Ainv[d], Ainv[d + 1]
-    t2 = a02 = a12 = a20 = a21 = a22 = i02 = i12 = i20 = i21 = i22 = 0.0
+    t2 = x2 = a02 = a12 = a20 = a21 = a22 = i02 = i12 = i20 = i21 = i22 = 0.0
     if d == 3:
         t2 = theta[2]
         a02, a12, a20, a21, a22 = A[2], A[5], A[6], A[7], A[8]
         i02, i12, i20, i21, i22 = Ainv[2], Ainv[5], Ainv[6], Ainv[7], Ainv[8]
-    for t in range(len(probs)):
+    T, rr = len(probs), radius * radius
+    if outcome == ADVERSARY_HEDGE:
+        hedger = hedge_run(rows, ys, ADVERSARY_HEDGE, us, hops, counts, sums, status, first, low, eps, m, 0, T)
+    for t in range(T):
         k = t * d
+        x0, x1 = x[k], x[k + 1]
         if d == 2:
             thetas[k], thetas[k + 1] = t0, t1
-            z = 0.0 + t0 * x[k] + t1 * x[k + 1]
+            z = 0.0 + t0 * x0 + t1 * x1
         else:
+            x2 = x[k + 2]
             thetas[k], thetas[k + 1], thetas[k + 2] = t0, t1, t2
-            z = 0.0 + t0 * x[k] + t1 * x[k + 1] + t2 * x[k + 2]
+            z = 0.0 + t0 * x0 + t1 * x1 + t2 * x2
         if z >= 0.0:  # the sigmoid on the side that cannot overflow
-            p = 1.0 / (1.0 + math.exp(-z))
+            p = 1.0 / (1.0 + exp(-z))
         else:
-            ez = math.exp(z)
+            ez = exp(z)
             p = ez / (1.0 + ez)
         probs[t] = p
         if outcome == GIVEN:
@@ -220,12 +234,12 @@ def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, ho
             ys[t] = y
         else:
             rows[t] = bin_of(p, eps, m)
-            hedge_run(rows, ys, ADVERSARY_HEDGE, us, hops, counts, sums, status, first, eps, m, t, t + 1)
+            next(hedger)
             y = ys[t]
         r = p - y
         if d == 2:
-            g0 = r * x[k]
-            g1 = r * x[k + 1]
+            g0 = r * x0
+            g1 = r * x1
             a00 += g0 * g0
             a01 += g0 * g1
             a10 += g1 * g0
@@ -241,9 +255,9 @@ def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, ho
             t1 = t1 - (v1 / denom) / gamma
             tnorm2 = 0.0 + t0 * t0 + t1 * t1
         else:
-            g0 = r * x[k]
-            g1 = r * x[k + 1]
-            g2 = r * x[k + 2]
+            g0 = r * x0
+            g1 = r * x1
+            g2 = r * x2
             a00 += g0 * g0
             a01 += g0 * g1
             a02 += g0 * g2
@@ -270,7 +284,7 @@ def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, ho
             t1 = t1 - (v1 / denom) / gamma
             t2 = t2 - (v2 / denom) / gamma
             tnorm2 = 0.0 + t0 * t0 + t1 * t1 + t2 * t2
-        if tnorm2 > radius * radius:  # theta and A reach it through the state buffers
+        if tnorm2 > rr:  # theta and A reach it through the state buffers
             theta[0], theta[1] = t0, t1
             A[0], A[1], A[d], A[d + 1] = a00, a01, a10, a11
             if d == 3:
@@ -280,7 +294,9 @@ def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, ho
             t0, t1 = tt[0], tt[1]
             if d == 3:
                 t2 = tt[2]
-    k = len(probs) * d
+    if outcome == ADVERSARY_HEDGE:  # the last step's draw and fold
+        next(hedger, None)
+    k = T * d
     thetas[k], thetas[k + 1], theta[0], theta[1] = t0, t1, t0, t1
     A[0], A[1], A[d], A[d + 1] = a00, a01, a10, a11
     Ainv[0], Ainv[1], Ainv[d], Ainv[d + 1] = i00, i01, i10, i11
@@ -336,12 +352,12 @@ def hedge_inside(status, base, b, m):
     return m
 
 
-def hedge_pair(status, counts, sums, base, eps, m):
-    # The condition-B scan of a row with no inside bin: the smallest
-    # adjacent (excess, deficit) pair (b, b + 1), hedged with prob_lo =
-    # d_{b+1} / (d_{b+1} + e_b) on b. Such bins are not empty, so their
-    # averages are sums / counts.
-    for k in range(base, base + m - 1):
+def hedge_pair(status, counts, sums, base, b0, eps, m):
+    # The condition-B scan of a row with no inside bin, from bin b0: the
+    # smallest adjacent (excess, deficit) pair (b, b + 1) with b >= b0,
+    # hedged with prob_lo = d_{b+1} / (d_{b+1} + e_b) on b. Such bins are
+    # not empty, so their averages are sums / counts.
+    for k in range(base + b0, base + m - 1):
         if status[k] == 1.0 and status[k + 1] == 2.0:
             b = k - base
             eb = sums[k] / counts[k] - (b + 1.0) * eps
@@ -359,7 +375,7 @@ def hedge_select(status, counts, sums, base, eps, m):
     b = hedge_inside(status, base, 0, m)
     if b < m:
         return b, b, 1.0
-    return hedge_pair(status, counts, sums, base, eps, m)
+    return hedge_pair(status, counts, sums, base, 0, eps, m)
 
 
 def hedge_fold(counts, sums, status, base, c, y, eps):
@@ -372,14 +388,23 @@ def hedge_fold(counts, sums, status, base, c, y, eps):
     status[k] = cell_status(sums[k] / counts[k], c, eps)
 
 
-def hedge_run(rows, ys, outcome, us, out, counts, sums, status, first, eps, m, t0, t1):
-    # Hedging steps [t0, t1) over the flat state, in place. first[r] is row
+def hedge_run(rows, ys, outcome, us, out, counts, sums, status, first, low, eps, m, t0, t1):
+    # Hedging steps [t0, t1) over the flat state, in place, as a generator:
+    # under GIVEN it never yields, so one next(..., None) runs every step;
+    # under ADVERSARY_HEDGE it yields once per step, as soon as it has
+    # written ys[t], and finishes that step when resumed. first[r] is row
     # r's smallest inside bin, m if none (then the row hedges its
-    # hedge_pair). Step t takes y by its rule (GIVEN: ys[t]; ADVERSARY_HEDGE:
-    # the adversary on the announced mean, written to ys[t]), draws bin c
-    # with us[t], folds y into c and emits c's midpoint. Only bin c changes,
-    # so first[r] moves to c if c is now inside below it, and is rescanned
-    # from c + 1 only if c was it and left.
+    # hedge_pair), and low[r] a bound below which no (excess, deficit) pair
+    # of row r starts, where its pair scan begins. Step t takes y by its
+    # rule (GIVEN: ys[t]; ADVERSARY_HEDGE: the adversary on the announced
+    # mean, written to ys[t]), draws bin c with us[t], folds y into c and
+    # emits c's midpoint. Only bin c changes, so first[r] moves to c if c is
+    # now inside below it, and is rescanned from c + 1 only if c was it and
+    # left. No bin below low[r] is inside (the bound is raised only by a
+    # scan of a row with none, and drops only to c - 1), so c >= low[r]:
+    # the one pair that can appear below the bound is (c - 1, c), when c is
+    # the bound and now deficit, and then the bound drops to c - 1 (c > 0,
+    # as an average of outcomes in [0, 1] is never deficit in bin 0).
     for t in range(t0, t1):
         r = rows[t]
         base, a = r * m, first[r]
@@ -387,28 +412,38 @@ def hedge_run(rows, ys, outcome, us, out, counts, sums, status, first, eps, m, t
             lo = hi = a
             plo = 1.0
         else:
-            lo, hi, plo = hedge_pair(status, counts, sums, base, eps, m)
+            lo, hi, plo = hedge_pair(status, counts, sums, base, low[r], eps, m)
+            low[r] = lo
         if outcome == GIVEN:
             y = ys[t]
         else:
             y = adversary(plo * ((lo + 0.5) * eps) + (1.0 - plo) * ((hi + 0.5) * eps))
             ys[t] = y
+            yield
         c = lo if us[t] < plo else hi
         hedge_fold(counts, sums, status, base, c, y, eps)
-        if status[base + c] == 0.0:
+        s = status[base + c]
+        if s == 0.0:
             if c < a:
                 first[r] = c
-        elif c == a:
-            first[r] = hedge_inside(status, base, c + 1, m)
+        else:
+            if c == a:
+                first[r] = hedge_inside(status, base, c + 1, m)
+            if s == 2.0 and c == low[r]:
+                low[r] = c - 1
         out[t] = (c + 0.5) * eps
 
 
-def hops_advance(counts, sums, status, r, y, u, eps, m):
+def hops_advance(counts, sums, status, r, y, u, eps, m, first=None, low=None):
     # One hedging step for expert bin r (row r of the flat m*m state), in
-    # place: ``hedge_run`` for one step, from the row's condition-A bin
-    # found by one scan. Returns the drawn bin's midpoint.
+    # place: ``hedge_run`` for one step. first and low are the state's
+    # per-row condition-A index and pair bound, which the step advances;
+    # without them the step finds row r's condition-A bin with one scan and
+    # its pair from bound 0. Returns the drawn bin's midpoint.
+    if first is None:
+        first, low = {r: hedge_inside(status, r * m, 0, m)}, {r: 0}
     out = [0.0]
-    hedge_run((r,), (y,), GIVEN, (u,), out, counts, sums, status, {r: hedge_inside(status, r * m, 0, m)}, eps, m, 0, 1)
+    next(hedge_run((r,), (y,), GIVEN, (u,), out, counts, sums, status, first, low, eps, m, 0, 1), None)
     return out[0]
 
 
@@ -419,16 +454,17 @@ def adversary(x):
 
 
 # the hedging arguments of ``ons_run`` under the rules that read none
-UNHEDGED = (None,) * 9
+UNHEDGED = (None,) * 10
 
 _array = functools.partial(np.asarray, dtype=np.float64)
 
 
 def _hedge_start(m):
-    # The empty hedging state of m rows of m bins: counts, sums, status and
-    # the condition-A index. An empty bin averages its midpoint, which lies
-    # inside the bin, so every status is 0.0 and every row's index is 0.
-    return _zeros(m * m), _zeros(m * m), _zeros(m * m), [0] * m
+    # The empty hedging state of m rows of m bins: counts, sums, status, the
+    # condition-A index and the pair bound. An empty bin averages its
+    # midpoint, which lies inside the bin, so every status is 0.0, every
+    # row's index is 0 and no row has a pair (bound 0).
+    return _zeros(m * m), _zeros(m * m), _zeros(m * m), [0] * m, [0] * m
 
 
 def ons_pass(feats, ys, gamma, rho, radius, theta0):
@@ -470,7 +506,7 @@ def hops_pass(expert, ys, us, eps, m):
     loop takes integer rows."""
     rows = _flat(bins_of(expert, eps, m))
     out = _zeros(len(rows))
-    hedge_run(rows, _flat(ys), GIVEN, _flat(us), out, *_hedge_start(m), eps, m, 0, len(rows))
+    next(hedge_run(rows, _flat(ys), GIVEN, _flat(us), out, *_hedge_start(m), eps, m, 0, len(rows)), None)
     return _array(out)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import check_columns, check_unit, log_loss, unit_float
+from .core import check_columns, check_count, check_unit, log_loss, unit_float
 
 
 @dataclass(frozen=True)
@@ -146,5 +146,10 @@ def regret(probs, ys, comparator) -> float:
 
 def ons_regret_bound(T: int, B: float) -> float:
     """Worst-case regret guarantee 2 (e^B + 10 B) log T + 1 for the online
-    Newton scaler against the radius-B comparator ball (B >= 1, T >= 10)."""
-    return 2.0 * (np.exp(B) + 10.0 * B) * np.log(T) + 1.0
+    Newton scaler against the radius-B comparator ball, over T >= 1 steps
+    with a finite B >= 1; raises ValueError otherwise."""
+    T = check_count(T, "T", 1)
+    B = float(B)
+    if not (math.isfinite(B) and B >= 1.0):
+        raise ValueError(f"B must be finite and >= 1, got {B!r}")
+    return float(2.0 * (np.exp(B) + 10.0 * B) * np.log(T) + 1.0)

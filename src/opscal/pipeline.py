@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -216,7 +215,7 @@ def _regret_diag(probs, scores, ys, family):
     fit, apply = _batch_fns(family)
     theta = fit(scores, ys)
     bound = ons_regret_bound(len(ys), max(1.0, float(np.linalg.norm(theta))))
-    return regret(probs, ys, apply(theta, scores)), float(bound)
+    return regret(probs, ys, apply(theta, scores)), bound
 
 
 def _tracking_margin(tracked, expert, ys, scheme):
@@ -272,7 +271,9 @@ def run_pipeline(config: ExperimentConfig) -> RunReport:
         (spec, tuple(config.methods), config.epsilon, timestamps, rep, config.master_seed)
         for rep in range(config.replications)
     ]
-    if config.workers > 1:
+    if config.workers > 1:  # imported here, so that importing the package loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = sorted(pool.map(_pipeline_worker, jobs), key=lambda r: r[0])
     else:

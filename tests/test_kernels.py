@@ -7,7 +7,8 @@ whole-stream passes (Python-list state) with ``==``, and so does a replay
 of the score column's edge values. The hedging kernels, which scan a
 status code per bin, are compared bit for bit with the two-loop reference
 that classified every bin on every call, and the hedging body's cached
-condition-A bin per row with a fresh scan wherever a run stops; the
+condition-A bin and pair-scan bound per row with a fresh scan wherever a
+run stops, and a counted status buffer bounds the pair scan's reads; the
 online-Newton forecast and update, written out per width, are compared
 byte for byte with the loop form they replaced, and so is the closed-form
 tracking pass with its per-step loop. The references are kept here.
@@ -470,20 +471,30 @@ def condition_a_bins(status, m):
     return [next((b for b in range(m) if status[r * m + b] == 0.0), m) for r in range(len(status) // m)]
 
 
+def pair_bins(status, m):
+    """Each row's smallest bin b starting an (excess, deficit) pair (status
+    1.0 at b, 2.0 at b + 1), m if it has none, by a fresh scan."""
+    return [next((b for b in range(m - 1) if status[r * m + b] == 1.0 and status[r * m + b + 1] == 2.0), m)
+            for r in range(len(status) // m)]
+
+
 class TestHedgeRun:
-    """The one hedging body keeps a per-row condition-A index as derived
-    state: it must match a fresh scan whenever a run stops, and a run
-    resumed over the same buffers must equal one run."""
+    """The one hedging body keeps a per-row condition-A index and pair-scan
+    bound as derived state: the index must match a fresh scan whenever a
+    run stops, no pair may start below the bound, and a run resumed over
+    the same buffers must equal one run."""
 
     @pytest.mark.parametrize("eps", ACCEPTED_EPS)
     def test_empty_state_is_inside(self, eps):
-        # the passes start from all-inside status and index 0 without
-        # classifying: an empty bin averages its midpoint, inside its bin
+        # the passes start from all-inside status, index 0 and bound 0
+        # without classifying: an empty bin averages its midpoint, inside
+        # its bin, and no row has a pair
         m = BinningScheme(eps).m
-        counts, sums, status, first = kernels._hedge_start(m)
+        counts, sums, status, first, low = kernels._hedge_start(m)
         assert kernels.status_of(counts, sums, eps, m) == status == [0.0] * (m * m)
         assert HopsState(BinningScheme(eps)).status == status
         assert first == condition_a_bins(status, m) == [0] * m
+        assert low == [0] * m and pair_bins(status, m) == [m] * m
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), eps=st.sampled_from(ACCEPTED_EPS),
@@ -500,15 +511,57 @@ class TestHedgeRun:
 
         def run(bounds):
             out, ys_run = kernels._zeros(T), list(ys)
-            counts, sums, status, first = kernels._hedge_start(m)
+            counts, sums, status, first, low = kernels._hedge_start(m)
             for t0, t1 in zip(bounds, bounds[1:]):
-                kernels.hedge_run(rows, ys_run, rule, us, out, counts, sums, status, first, eps, m, t0, t1)
+                steps = kernels.hedge_run(rows, ys_run, rule, us, out, counts, sums, status, first, low, eps, m,
+                                          t0, t1)
+                if rule == kernels.ADVERSARY_HEDGE:
+                    for _ in steps:
+                        pass
+                else:
+                    next(steps, None)
                 assert first == condition_a_bins(status, m)
                 assert status == kernels.status_of(counts, sums, eps, m)
+                assert all(b >= bound for b, bound in zip(pair_bins(status, m), low))
+                assert all(b >= bound for b, bound in zip(first, low))
             return out, ys_run, counts, sums, status
 
         for got, want in zip(run([0, *cuts, T]), run([0, T])):
             assert same_bytes(got, want)
+
+    def test_pair_scan_starts_at_the_bound(self, monkeypatch):
+        # on the adversarial stream condition B holds on almost every step;
+        # scanning each row from its bound reads one or two status codes per
+        # pair scan, where a scan from bin 0 reads about six
+        reads, scans, scan_reads = [0], [0], [0]
+        start, pair = kernels._hedge_start, kernels.hedge_pair
+
+        class CountedStatus(list):
+            def __getitem__(self, k):
+                reads[0] += 1
+                return list.__getitem__(self, k)
+
+        def counted_start(m):
+            counts, sums, status, first, low = start(m)
+            return counts, sums, CountedStatus(status), first, low
+
+        def counted_pair(*args):
+            before = reads[0]
+            try:
+                return pair(*args)
+            finally:
+                scans[0] += 1
+                scan_reads[0] += reads[0] - before
+
+        monkeypatch.setattr(kernels, "_hedge_start", counted_start)
+        monkeypatch.setattr(kernels, "hedge_pair", counted_pair)
+        T = 2000
+        scores, _, us = stream(12345, T)
+        args = (feats_of("platt", scores), us, 0.1, 10, 0.1, 100.0, 100.0, initial_theta(2))
+        got = kernels.hops_adversarial_pass(*args)
+        assert all(np.array_equal(a, b) for a, b in zip(got, reference_hops_adversarial_pass(*args)))
+        assert scans[0] > T // 2
+        assert scan_reads[0] <= 3 * scans[0]
 
 
 def same_bytes(got, want):
@@ -704,9 +757,36 @@ class TestHopsStateStatus:
             assert a == b
             assert list(rebuilt.status) == list(state.status)
 
+    @settings(max_examples=50, deadline=None)
+    @given(case=scheme_and_stream(max_T=300))
+    def test_state_indexes_follow_the_status(self, case):
+        # the per-row condition-A index and pair bound a state keeps for the
+        # hedging body match a fresh scan after every step, whether the step
+        # runs the body (hops_step) or folds a chosen bin (f99_update), and a
+        # state rebuilt from the tallies derives the same index
+        scheme, expert, ys, seed = case
+        m, draw = scheme.m, np.random.default_rng(seed)
+        state = covfree = HopsState(scheme)
+        for p, y in zip(expert, ys):
+            _, state = hops_step(state, p, y, draw)
+            _, chosen = f99_forecast(covfree, draw)
+            covfree = f99_update(covfree, chosen, y)
+            for s in (state, covfree):
+                assert s.first == condition_a_bins(s.status, m)
+                assert all(b >= bound for b, bound in zip(pair_bins(s.status, m), s.low))
+        assert HopsState(scheme, state.counts, state.outcome_sums).first == state.first
+
     def test_status_is_copied_not_shared(self):
         state = HopsState(BinningScheme(0.1))
         before = list(state.status)
         _, successor = hops_step(state, 0.55, 1.0, np.random.default_rng(0))
         assert list(state.status) == before
         assert list(successor.status) != before
+
+    def test_indexes_are_copied_not_shared(self):
+        # the step folds 1.0 into bin 0 of row 5, which leaves "inside"
+        state = HopsState(BinningScheme(0.1))
+        _, successor = hops_step(state, 0.55, 1.0, np.random.default_rng(0))
+        assert state.first == [0] * 10 and successor.first[5] == 1
+        successor.low[5] = 3
+        assert state.low == [0] * 10

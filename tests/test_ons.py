@@ -188,6 +188,26 @@ class TestRegret:
         B = max(1.0, float(np.linalg.norm(params)))
         assert regret(probs, y, platt_apply(params, scores)) <= ons_regret_bound(5000, B)
 
+    def test_regret_bound_is_a_float(self):
+        assert type(ons_regret_bound(5000, 2.0)) is float
+        assert ons_regret_bound(1, 1.0) == 1.0  # log 1 = 0
+        assert ons_regret_bound(np.int64(10), np.float64(1.5)) == ons_regret_bound(10, 1.5)
+
+    @pytest.mark.parametrize("T, B, message", [
+        (0, 1.0, "T must be >= 1"),
+        (-3, 1.0, "T must be >= 1"),
+        (2.5, 1.0, "T must be >= 1"),
+        (10.0, 1.0, "T must be >= 1"),
+        (True, 1.0, "T must be >= 1"),
+        (10, 0.5, "B must be finite and >= 1"),
+        (10, math.nan, "B must be finite and >= 1"),
+        (10, math.inf, "B must be finite and >= 1"),
+    ], ids=["T-zero", "T-negative", "T-fractional", "T-float", "T-bool", "B-below-one", "B-nan", "B-inf"])
+    def test_regret_bound_rejects_values_off_its_domain(self, T, B, message):
+        # T = 0 gave -inf with a divide-by-zero warning
+        with pytest.raises(ValueError, match=message):
+            ons_regret_bound(T, B)
+
     @pytest.mark.parametrize("probs, ys, comparator, message", [
         ([0.5], [3.0], [0.4], r"outcomes must lie in \[0, 1\]"),
         ([0.5, 0.5], [1.0, -0.1], [0.4, 0.4], r"outcomes must lie in \[0, 1\]"),

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -311,6 +313,14 @@ class TestRunPipeline:
         for m in a.ce_mean:
             assert np.array_equal(a.ce_mean[m], b.ce_mean[m])
             assert np.array_equal(a.shp_mean[m], b.shp_mean[m])
+
+    def test_import_loads_no_process_pool(self):
+        # the worker pool is imported only by a run with workers > 1
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        code = "import sys, opscal; print('multiprocessing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_expected_files_written(self, tmp_path):
         cfg = quick_config(methods=("BM", "OPS"), output_dir=str(tmp_path / "out"))
