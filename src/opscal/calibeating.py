@@ -42,9 +42,11 @@ suite pins step-by-step replays to the whole-stream runs:
     ``f99_update``) works on row 0, the forecaster ``f99_run`` drives,
     folds a chosen bin with the body's fold, ``kernels.hedge_fold``, and
     rederives row 0's index with one scan and its bound as 0;
-  - ``HopsState.distribution`` reads the cached status of the routed row
-    with ``kernels.hedge_select``, so no call classifies a bin again. A
-    state is built from arrays, never edited in place.
+  - ``HopsState.distribution`` reads the routed row's kept index, and
+    while it is m (no inside bin) scans the row's pair with
+    ``kernels.hedge_pair`` from the kept bound, so no call classifies a bin
+    again or scans the row from bin 0. A state is built from arrays, never
+    edited in place.
 
 Every entry point checks its values with ``core`` and rejects one outside
 [0, 1], NaN included (outcomes need not be 0 or 1); a state rejects given
@@ -178,12 +180,12 @@ class HopsState(_Tallies):
     def distribution(self, expert_p: float) -> HedgeDistribution:
         """The announced distribution of the instance routed by expert_p."""
         scheme = self.scheme
-        base = _route(expert_p, scheme) * scheme.m
-        lo, hi, plo = kernels.hedge_select(self.status, self.counts, self.outcome_sums, base,
-                                           scheme.epsilon, scheme.m)
+        r = _route(expert_p, scheme)
         mid = scheme.midpoint  # 1-based bins
-        if hi == lo:
-            return HedgeDistribution(support=(mid(lo + 1),), probs=(1.0,))
+        if self.first[r] < scheme.m:
+            return HedgeDistribution(support=(mid(self.first[r] + 1),), probs=(1.0,))
+        lo, hi, plo = kernels.hedge_pair(self.status, self.counts, self.outcome_sums, r * scheme.m, self.low[r],
+                                         scheme.epsilon, scheme.m)
         return HedgeDistribution(support=(mid(lo + 1), mid(hi + 1)), probs=(plo, 1.0 - plo))
 
 

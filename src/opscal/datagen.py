@@ -25,6 +25,15 @@ Synthetic kinds carry the exact conditional probability Pr(Y=1 | X=x_t)
 ("truth") for the truth-referenced metrics. The base model is a logistic
 regression trained on the first T_train points; its scores are clipped to
 [0.01, 0.99] at ingestion.
+
+covmulti draws its noise whole, then builds x and the logit over the 55
+pairwise terms in blocks of COVMULTI_BLOCK = 1,024 rows, so no T x 55
+design is held. The block size stays a multiple of 4 and a last single
+row joins the block before it: then each block's matrix-vector product
+groups rows as the whole product does, and the stream keeps the bits of
+the whole-design build. ``TestCovMulti.test_row_blocks_equal_the_whole_design``
+compares the two byte for byte, and ``TestGoldenStreams`` and
+``TestGoldenReplication`` pin the streams and a replication's outputs.
 """
 
 from __future__ import annotations
@@ -182,11 +191,18 @@ def reg1d_at(t, rng: np.random.Generator):
     return x, y, truth
 
 
+# Rows per block of the covmulti build: a multiple of 4, as row blocks of
+# 1, 3 or 7 do not keep the whole product's bits (see the module docstring)
+COVMULTI_BLOCK = 1024
+
+
 def covmulti_at(t, delta: float, rng: np.random.Generator):
     """Sample the rotating-covariance process at time indices t.
 
     Draws the orthonormal pair (v1, v2) and the sign vector w once per
     call; X_t = z + sqrt(10) g u_t realizes N(0, I + 10 u_t u_t^T) exactly.
+    The noise z and g is drawn whole, then x and the logit are filled
+    COVMULTI_BLOCK rows at a time, so no T x 55 design is held.
     """
     t = np.asarray(t, dtype=float)
     n = len(t)
@@ -196,11 +212,18 @@ def covmulti_at(t, delta: float, rng: np.random.Generator):
     g2 -= (g2 @ v1) * v1
     v2 = g2 / np.linalg.norm(g2)
     w = rng.choice(np.array([-1.0, 1.0]), size=55)
-    u = np.outer(np.cos(delta * t), v1) + np.outer(np.sin(delta * t), v2)
     z = rng.normal(size=(n, 10))
     g = rng.normal(size=n)
-    x = z + math.sqrt(10.0) * g[:, None] * u
-    truth = sigmoid(pairwise_expand(x) @ w)
+    x, logit = np.empty((n, 10)), np.empty(n)
+    # numpy takes a one-row product down its dot path, not the matrix-vector
+    # product, so a last single row joins the block before it
+    stops = [*range(COVMULTI_BLOCK, n - 1, COVMULTI_BLOCK), n]
+    for start, stop in zip([0, *stops], stops):
+        b = slice(start, stop)
+        u = np.outer(np.cos(delta * t[b]), v1) + np.outer(np.sin(delta * t[b]), v2)
+        np.add(z[b], math.sqrt(10.0) * g[b, None] * u, out=x[b])
+        logit[b] = pairwise_expand(x[b]) @ w
+    truth = sigmoid(logit, out=logit)
     y = (rng.random(n) < truth).astype(float)
     return x, y, truth
 

@@ -61,10 +61,10 @@ Step bodies, which the passes and the step APIs all call:
     outcome is in ``ys[t]``: the joint branch of ``ons_run`` makes it once
     per run and resumes it once per step. It scans a row only to rescan a
     stale index or, while the index is m, for the pair, from the row's
-    bound. ``hedge_select`` reads the same choice off the status alone:
-    the condition-A scan ``hedge_inside``, then the pair scan
-    ``hedge_pair`` from bin 0. ``hedge_fold`` folds an outcome into one
-    bin and reclassifies it with ``cell_status``, the one classify rule.
+    bound, with the condition-A scan ``hedge_inside`` and the pair scan
+    ``hedge_pair``, which ``HopsState.distribution`` also runs from a
+    state's kept bound. ``hedge_fold`` folds an outcome into one bin and
+    reclassifies it with ``cell_status``, the one classify rule.
   - ``bin_of`` routes a forecast to bin min(floor(p / eps), m - 1)
   - ``bin_average`` is a bin's outcome mean, its midpoint while empty:
     the tracking step API's forecast, and the average ``status_of``
@@ -364,18 +364,6 @@ def hedge_pair(status, counts, sums, base, b0, eps, m):
             db1 = (b + 1.0) * eps - sums[k + 1] / counts[k + 1]
             return b, b + 1, db1 / (db1 + eb)
     raise CalibeatingInvariantError("hedging invariant violated: neither condition holds")
-
-
-def hedge_select(status, counts, sums, base, eps, m):
-    # Hedging distribution for the forecaster whose m bins sit at
-    # [base, base + m). Returns (lo_bin, hi_bin, prob_lo), 0-based bins: a
-    # point mass on the smallest inside bin (condition A), with hi_bin ==
-    # lo_bin and prob_lo == 1, else the hedge of the smallest (excess,
-    # deficit) pair (condition B).
-    b = hedge_inside(status, base, 0, m)
-    if b < m:
-        return b, b, 1.0
-    return hedge_pair(status, counts, sums, base, 0, eps, m)
 
 
 def hedge_fold(counts, sums, status, base, c, y, eps):

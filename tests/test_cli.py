@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -136,6 +137,16 @@ class TestOtherCommands:
         assert exc.value.code == 2
         assert "last bin midpoint" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_theorems_quick(self, tmp_path, capsys):
+        assert main(["theorems", "--quick", "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = (tmp_path / "theorems.csv").read_text().splitlines()[1:]
+        # one PASS line per row of the CSV, in its order, then the file written
+        assert [line.split()[:2] for line in lines[:-1]] == [["PASS", row.split(",")[0]] for row in rows]
+        assert lines[-1] == f"wrote {tmp_path}/theorems.csv"
+        digest = hashlib.sha256((tmp_path / "theorems.csv").read_bytes()).hexdigest()
+        assert digest == "8da546b4b56bf3c4a3c71fb4c1c5ca8d2819a2a8328e26bd6c49919b9afb9c21"
 
     def test_module_entrypoint(self):
         proc = subprocess.run(

@@ -4,13 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from opscal.core import CLIP_HI, CLIP_LO
+from opscal.core import CLIP_HI, CLIP_LO, sigmoid
 from opscal.datagen import (
+    COVMULTI_BLOCK,
     StreamSpec,
     base_scores,
     build_scored_stream,
@@ -179,6 +181,48 @@ class TestCovMulti:
         rng = substream(11, 0)
         _, y, truth = covmulti_at(np.full(100_000, 500.0), 0.0, rng)
         assert abs(float(np.mean(y)) - float(np.mean(truth))) <= 0.01
+
+    @pytest.mark.parametrize("delta", [0.0, math.pi / 6000.0])
+    @pytest.mark.parametrize("n", [1, 3, 1023, 1024, 1025, 2051, 6000])
+    def test_row_blocks_equal_the_whole_design(self, n, delta):
+        # the blocks span one, two and three COVMULTI_BLOCKs with short last
+        # blocks of every remainder mod 4; x, y and truth keep their bits and
+        # the generator is left where the whole build leaves it
+        def whole_design(t, delta, rng):
+            t = np.asarray(t, dtype=float)
+            n = len(t)
+            g1 = rng.normal(size=10)
+            v1 = g1 / np.linalg.norm(g1)
+            g2 = rng.normal(size=10)
+            g2 -= (g2 @ v1) * v1
+            v2 = g2 / np.linalg.norm(g2)
+            w = rng.choice(np.array([-1.0, 1.0]), size=55)
+            u = np.outer(np.cos(delta * t), v1) + np.outer(np.sin(delta * t), v2)
+            z = rng.normal(size=(n, 10))
+            g = rng.normal(size=n)
+            x = z + math.sqrt(10.0) * g[:, None] * u
+            truth = sigmoid(pairwise_expand(x) @ w)
+            y = (rng.random(n) < truth).astype(float)
+            return x, y, truth
+
+        assert COVMULTI_BLOCK % 4 == 0
+        t = np.arange(1, n + 1)
+        got_rng, want_rng = substream(12, n), substream(12, n)
+        for got, want in zip(covmulti_at(t, delta, got_rng), whole_design(t, delta, want_rng)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got_rng.random() == want_rng.random()
+
+    def test_build_peak_memory(self):
+        # a T x 55 design and its 45 cross-term columns took 107.5 MB at this
+        # size; the row-block build holds the noise, x and the features
+        spec = replace(default_spec("covmulti", seed=0), T_test=100_000)
+        tracemalloc.start()
+        try:
+            build_scored_stream(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestLabelMulti:
