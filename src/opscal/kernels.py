@@ -42,17 +42,19 @@ starts, where its pair scan begins. The passes keep every buffer in a
 ``_zeros`` list and start from empty state, where every bin is inside,
 every row's index is 0 and no row has a pair (bound 0); the step APIs
 pass their numpy tallies, a status list and, from a ``HopsState``, its
-kept index and bound. The online-Newton parameter trace is one flat
-(T + 1) * d buffer, which ``ons_pass`` returns reshaped to (T + 1, d).
+kept index and bound. The online-Newton state is theta and the flat d*d
+A and A^{-1}, symmetric bit for bit; no pass keeps a parameter trace, and
+``ons_pass`` returns the state after its last step.
 
 Step bodies, which the passes and the step APIs all call:
   - ``ons_init`` is the online-Newton start state and ``ons_run`` the one
     online-Newton body, run by ``ons_pass``, both adversarial passes and
-    ``ons.ons_advance`` (one step). It keeps the state in local floats and
-    is written out for the two widths, d = 2 (Platt) and d = 3 (beta), as
-    loops over i and j and list subscripts were most of a step's cost.
-    Every sum keeps the loop's start value and order, so the bits, signed
-    zeros included, are the loop's; ``ons_init`` rejects any other width.
+    ``ons.ons_advance`` (one step). It keeps theta and the upper triangles
+    of A and A^{-1} in local floats, written out for d = 2 (Platt) and
+    d = 3 (beta), as loops over i and j and list subscripts were most of a
+    step's cost. Every sum keeps the loop's start value and order, so the
+    bits, signed zeros included, are the loop's; ``ons_init`` rejects any
+    other width.
   - ``hedge_run`` is the one hedging body, a generator. Under ``GIVEN``
     it never yields: ``hops_pass`` and ``hops_advance`` (one step, from
     the state's index and bound, or from the row's index found by one scan
@@ -185,29 +187,30 @@ def ons_init(theta0, rho):
 GIVEN, ADVERSARY_POINT, ADVERSARY_HEDGE = 0, 1, 2
 
 
-def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, hops, rows, counts, sums, status,
-            first, low, eps, m):
+def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, us, hops, rows, counts, sums, status, first, low,
+            eps, m):
     # T = len(probs) steps from the state (theta, A, Ainv), left in those
-    # buffers at the end. Step t records the parameters in force at
-    # thetas[t*d:(t+1)*d] (the final ones at T*d), forecasts probs[t] = p =
-    # sigmoid(theta . x[t*d:(t+1)*d]), takes the outcome y of its rule and
-    # updates for the gradient g = (p - y) x: A += g g^T; v = Ainv g and
-    # denom = 1 + g . v; Ainv -= v v^T / denom (Sherman-Morrison); theta -=
-    # (v / denom) / gamma, as (A + g g^T)^{-1} g == v / denom; then the
-    # A-norm projection if theta left the radius ball. Every entry of the
-    # state is its own local (no symmetry assumed, so any state replays),
-    # and every sum starts from 0.0 (1.0 for denom) as in a loop. The joint
-    # step's hedging body is made once for [0, T) and resumed once per step;
-    # it finishes the last step's draw after the loop.
+    # buffers at the end. Step t forecasts probs[t] = p = sigmoid(theta .
+    # x[t*d:(t+1)*d]), takes the outcome y of its rule and updates for the
+    # gradient g = (p - y) x: A += g g^T; v = Ainv g and denom = 1 + g . v;
+    # Ainv -= v v^T / denom (Sherman-Morrison); theta -= (v / denom) / gamma,
+    # as (A + g g^T)^{-1} g == v / denom; then the A-norm projection if theta
+    # left the radius ball. A and Ainv stay symmetric bit for bit (g_i g_j ==
+    # g_j g_i, v_i v_j == v_j v_i), so their upper triangles are the locals,
+    # written back to both triangles before the projection (``eigh`` reads
+    # the lower one) and at the end. Every sum starts from 0.0 (1.0 for
+    # denom) as in a loop. The joint step's hedging body is made once for
+    # [0, T) and resumed once per step; it finishes the last step's draw
+    # after the loop.
     d = len(theta)
     t0, t1 = theta[0], theta[1]
-    a00, a01, a10, a11 = A[0], A[1], A[d], A[d + 1]
-    i00, i01, i10, i11 = Ainv[0], Ainv[1], Ainv[d], Ainv[d + 1]
-    t2 = x2 = a02 = a12 = a20 = a21 = a22 = i02 = i12 = i20 = i21 = i22 = 0.0
+    a00, a01, a11 = A[0], A[1], A[d + 1]
+    i00, i01, i11 = Ainv[0], Ainv[1], Ainv[d + 1]
+    t2 = x2 = a02 = a12 = a22 = i02 = i12 = i22 = 0.0
     if d == 3:
         t2 = theta[2]
-        a02, a12, a20, a21, a22 = A[2], A[5], A[6], A[7], A[8]
-        i02, i12, i20, i21, i22 = Ainv[2], Ainv[5], Ainv[6], Ainv[7], Ainv[8]
+        a02, a12, a22 = A[2], A[5], A[8]
+        i02, i12, i22 = Ainv[2], Ainv[5], Ainv[8]
     T, rr = len(probs), radius * radius
     if outcome == ADVERSARY_HEDGE:
         hedger = hedge_run(rows, ys, ADVERSARY_HEDGE, us, hops, counts, sums, status, first, low, eps, m, 0, T)
@@ -215,11 +218,9 @@ def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, ho
         k = t * d
         x0, x1 = x[k], x[k + 1]
         if d == 2:
-            thetas[k], thetas[k + 1] = t0, t1
             z = 0.0 + t0 * x0 + t1 * x1
         else:
             x2 = x[k + 2]
-            thetas[k], thetas[k + 1], thetas[k + 2] = t0, t1, t2
             z = 0.0 + t0 * x0 + t1 * x1 + t2 * x2
         if z >= 0.0:  # the sigmoid on the side that cannot overflow
             p = 1.0 / (1.0 + exp(-z))
@@ -242,14 +243,12 @@ def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, ho
             g1 = r * x1
             a00 += g0 * g0
             a01 += g0 * g1
-            a10 += g1 * g0
             a11 += g1 * g1
             v0 = 0.0 + i00 * g0 + i01 * g1
-            v1 = 0.0 + i10 * g0 + i11 * g1
+            v1 = 0.0 + i01 * g0 + i11 * g1
             denom = 1.0 + g0 * v0 + g1 * v1
             i00 -= v0 * v0 / denom
             i01 -= v0 * v1 / denom
-            i10 -= v1 * v0 / denom
             i11 -= v1 * v1 / denom
             t0 = t0 - (v0 / denom) / gamma
             t1 = t1 - (v1 / denom) / gamma
@@ -261,24 +260,18 @@ def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, ho
             a00 += g0 * g0
             a01 += g0 * g1
             a02 += g0 * g2
-            a10 += g1 * g0
             a11 += g1 * g1
             a12 += g1 * g2
-            a20 += g2 * g0
-            a21 += g2 * g1
             a22 += g2 * g2
             v0 = 0.0 + i00 * g0 + i01 * g1 + i02 * g2
-            v1 = 0.0 + i10 * g0 + i11 * g1 + i12 * g2
-            v2 = 0.0 + i20 * g0 + i21 * g1 + i22 * g2
+            v1 = 0.0 + i01 * g0 + i11 * g1 + i12 * g2
+            v2 = 0.0 + i02 * g0 + i12 * g1 + i22 * g2
             denom = 1.0 + g0 * v0 + g1 * v1 + g2 * v2
             i00 -= v0 * v0 / denom
             i01 -= v0 * v1 / denom
             i02 -= v0 * v2 / denom
-            i10 -= v1 * v0 / denom
             i11 -= v1 * v1 / denom
             i12 -= v1 * v2 / denom
-            i20 -= v2 * v0 / denom
-            i21 -= v2 * v1 / denom
             i22 -= v2 * v2 / denom
             t0 = t0 - (v0 / denom) / gamma
             t1 = t1 - (v1 / denom) / gamma
@@ -286,24 +279,23 @@ def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, thetas, us, ho
             tnorm2 = 0.0 + t0 * t0 + t1 * t1 + t2 * t2
         if tnorm2 > rr:  # theta and A reach it through the state buffers
             theta[0], theta[1] = t0, t1
-            A[0], A[1], A[d], A[d + 1] = a00, a01, a10, a11
+            A[0], A[1], A[d], A[d + 1] = a00, a01, a01, a11
             if d == 3:
                 theta[2] = t2
-                A[2], A[5], A[6], A[7], A[8] = a02, a12, a20, a21, a22
+                A[2], A[5], A[6], A[7], A[8] = a02, a12, a02, a12, a22
             tt = project_anorm(A, theta, radius)
             t0, t1 = tt[0], tt[1]
             if d == 3:
                 t2 = tt[2]
     if outcome == ADVERSARY_HEDGE:  # the last step's draw and fold
         next(hedger, None)
-    k = T * d
-    thetas[k], thetas[k + 1], theta[0], theta[1] = t0, t1, t0, t1
-    A[0], A[1], A[d], A[d + 1] = a00, a01, a10, a11
-    Ainv[0], Ainv[1], Ainv[d], Ainv[d + 1] = i00, i01, i10, i11
+    theta[0], theta[1] = t0, t1
+    A[0], A[1], A[d], A[d + 1] = a00, a01, a01, a11
+    Ainv[0], Ainv[1], Ainv[d], Ainv[d + 1] = i00, i01, i01, i11
     if d == 3:
-        thetas[k + 2], theta[2] = t2, t2
-        A[2], A[5], A[6], A[7], A[8] = a02, a12, a20, a21, a22
-        Ainv[2], Ainv[5], Ainv[6], Ainv[7], Ainv[8] = i02, i12, i20, i21, i22
+        theta[2] = t2
+        A[2], A[5], A[6], A[7], A[8] = a02, a12, a02, a12, a22
+        Ainv[2], Ainv[5], Ainv[6], Ainv[7], Ainv[8] = i02, i12, i02, i12, i22
 
 
 def bin_of(p, eps, m):
@@ -456,13 +448,13 @@ def _hedge_start(m):
 
 
 def ons_pass(feats, ys, gamma, rho, radius, theta0):
-    """The online-Newton pass on given outcomes: (forecasts, (T + 1, d)
-    parameter trace, row t in force at step t)."""
+    """The online-Newton pass on given outcomes: (forecasts, theta, A,
+    A_inv), the last three the state after the final step."""
     theta, A, Ainv = ons_init(_flat(theta0), rho)
-    T, d = len(ys), len(theta)
-    probs, thetas = _zeros(T), _zeros((T + 1) * d)
-    ons_run(_flat(feats), _flat(ys), GIVEN, gamma, radius, theta, A, Ainv, probs, thetas, *UNHEDGED)
-    return _array(probs), _array(thetas).reshape(T + 1, d)
+    d = len(theta)
+    probs = _zeros(len(ys))
+    ons_run(_flat(feats), _flat(ys), GIVEN, gamma, radius, theta, A, Ainv, probs, *UNHEDGED)
+    return _array(probs), _array(theta), _array(A).reshape(d, d), _array(Ainv).reshape(d, d)
 
 
 def ops_adversarial_pass(feats, gamma, rho, radius, theta0):
@@ -471,7 +463,7 @@ def ops_adversarial_pass(feats, gamma, rho, radius, theta0):
     x = _flat(feats)
     T = len(x) // len(theta)
     probs, ys = _zeros(T), _zeros(T)
-    ons_run(x, ys, ADVERSARY_POINT, gamma, radius, theta, A, Ainv, probs, _zeros((T + 1) * len(theta)), *UNHEDGED)
+    ons_run(x, ys, ADVERSARY_POINT, gamma, radius, theta, A, Ainv, probs, *UNHEDGED)
     return _array(probs), _array(ys)
 
 
@@ -481,8 +473,8 @@ def hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
     theta, A, Ainv = ons_init(_flat(theta0), rho)
     T = len(us)
     ops, hops, ys = _zeros(T), _zeros(T), _zeros(T)
-    ons_run(_flat(feats), ys, ADVERSARY_HEDGE, gamma, radius, theta, A, Ainv, ops, _zeros((T + 1) * len(theta)),
-            _flat(us), hops, [0] * T, *_hedge_start(m), eps, m)
+    ons_run(_flat(feats), ys, ADVERSARY_HEDGE, gamma, radius, theta, A, Ainv, ops, _flat(us), hops, [0] * T,
+            *_hedge_start(m), eps, m)
     return _array(ops), _array(hops), _array(ys)
 
 

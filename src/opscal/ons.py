@@ -58,8 +58,8 @@ def initial_theta(dim: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class OnsState:
-    """Parameters theta, curvature A = rho I + sum grad grad^T, and its
-    inverse maintained by Sherman-Morrison (a cache, never authoritative)."""
+    """Parameters theta, curvature A = rho I + sum grad grad^T and its
+    Sherman-Morrison inverse (a cache), both symmetric bit for bit."""
 
     theta: np.ndarray
     A: np.ndarray
@@ -72,12 +72,12 @@ class OnsState:
         theta = initial_theta(d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
         if theta.shape != (d,):
             raise ValueError("theta0 has wrong dimension")
-        return cls(
-            theta=theta,
-            A=config.rho * np.eye(d),
-            A_inv=np.eye(d) / config.rho,
-            t=0,
-        )
+        theta, A, A_inv = kernels.ons_init(theta.tolist(), config.rho)
+        return cls(theta=np.array(theta), A=np.reshape(A, (d, d)), A_inv=np.reshape(A_inv, (d, d)))
+
+
+# the flat indices (i*d + j, j*d + i), i < j, of the mirrored entries of a d x d matrix
+_MIRRORS = {2: ((1, 2),), 3: ((1, 3), (2, 6), (5, 7))}
 
 
 def ons_advance(state: OnsState, feature, y, config: OnsConfig):
@@ -87,7 +87,8 @@ def ons_advance(state: OnsState, feature, y, config: OnsConfig):
     step is the whole-stream kernels' body ``kernels.ons_run``, run on copies
     of the state, so a replay of these steps equals a kernel pass exactly.
     Raises ValueError unless the feature and theta have length dim, A and
-    A_inv are dim x dim, and the feature, state and successor are finite.
+    A_inv are dim x dim and symmetric bit for bit, and the feature, state
+    and successor are finite.
     """
     feature = np.asarray(feature, dtype=float)
     d = config.dim
@@ -98,10 +99,12 @@ def ons_advance(state: OnsState, feature, y, config: OnsConfig):
     x, theta, A, A_inv = copy(feature), copy(state.theta), copy(state.A), copy(state.A_inv)
     if not math.isfinite(sum(x) + sum(theta) + sum(A) + sum(A_inv)):
         raise ValueError("feature and state theta, A and A_inv must be finite")
-    ys, probs = kernels._zeros(1), kernels._zeros(1)
-    ys[0] = y
-    kernels.ons_run(x, ys, kernels.GIVEN, config.gamma, config.radius, theta, A, A_inv,
-                    probs, kernels._zeros(2 * d), *kernels.UNHEDGED)
+    for M in (A, A_inv):  # symmetric bit for bit: == alone takes -0.0 for 0.0
+        for i, j in _MIRRORS[d]:
+            if M[i] != M[j] or (M[i] == 0.0 and math.copysign(1.0, M[i]) != math.copysign(1.0, M[j])):
+                raise ValueError("state A and A_inv must be symmetric bit for bit")
+    ys, probs = [y], kernels._zeros(1)
+    kernels.ons_run(x, ys, kernels.GIVEN, config.gamma, config.radius, theta, A, A_inv, probs, *kernels.UNHEDGED)
     if not math.isfinite(sum(theta) + sum(A) + sum(A_inv)):
         raise ValueError("the step overflowed: the successor's theta, A and A_inv are not finite")
     return float(probs[0]), OnsState(theta=np.array(theta), A=np.array(A).reshape(d, d),

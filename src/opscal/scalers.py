@@ -385,11 +385,12 @@ def online_scaler_step(state: OnsState, score, y, family: str, config: OnsConfig
 def online_scaler_run(scores, ys, family: str, config: OnsConfig | None = None):
     """Whole-stream online scaling via the batched kernel.
 
-    Returns (forecasts, theta_trace); theta_trace[t] is the parameter vector
-    in force at 0-based step t.
+    Returns (forecasts, the ``OnsState`` after the last of the T steps, with
+    t = T), from which ``online_scaler_step`` continues the stream exactly.
     """
     row = _family(family)
     config = row.config if config is None else config
     scores, ys = check_columns(scores, ys, "scores")
-    return kernels.ons_pass(row.features(scores), ys, config.gamma, config.rho, config.radius,
-                            initial_theta(config.dim))
+    probs, theta, A, A_inv = kernels.ons_pass(row.features(scores), ys, config.gamma, config.rho, config.radius,
+                                              initial_theta(config.dim))
+    return probs, OnsState(theta=theta, A=A, A_inv=A_inv, t=len(probs))

@@ -66,6 +66,18 @@ def feats_of(family, scores):
 class TestGoldenOutputs:
     """SHA-256 of the output bytes, recorded from the numpy-array kernels."""
 
+    # the ons_pass goldens below are digests of (forecasts, (T + 1, d)
+    # parameter trace) from the pass that kept the trace; the trace is now
+    # the loop reference's, whose last row must be the pass's final theta.
+    # The pass's own (forecasts, theta, A, A_inv) digests were recorded from
+    # that traced pass before it dropped the trace.
+    ONS_STATE_GOLDEN = {
+        (101, "platt"): "2a1df9919a05b03e8fcf7f3151d7aae438c30ab1316f4125c0fb35954a1af990",
+        (102, "beta"): "7efd4bae9392c06a6261d4cc24d2f4aa19925f0a7c5b88d53550183d2074f8ff",
+        (103, "platt"): "eb22c10dbcb2f39715e8661de4fd06748888407334cf3c2bc4d701a59ccbace5",
+        (103, "beta"): "0fce807772b60bbbb2b1271fb3e4200011a634a8247cc9f8f22c6ca2d1ef8759",
+    }
+
     @pytest.mark.parametrize("seed, T, family, rho, radius, theta_dim, golden", [
         (101, 600, "platt", 100.0, 100.0, 2,
          "413fa7f33fdc628870e52ccb800ebb04cac7ba0e962c1e5c98f2471399d9fa1c"),
@@ -79,8 +91,11 @@ class TestGoldenOutputs:
     ])
     def test_ons_pass(self, seed, T, family, rho, radius, theta_dim, golden):
         scores, ys, _ = stream(seed, T)
-        out = kernels.ons_pass(feats_of(family, scores), ys, 0.1, rho, radius, initial_theta(theta_dim))
-        assert digest(*out) == golden
+        ons = (feats_of(family, scores), ys, 0.1, rho, radius, initial_theta(theta_dim))
+        out = kernels.ons_pass(*ons)
+        assert digest(*out) == self.ONS_STATE_GOLDEN[seed, family]
+        thetas = reference_ons_pass(*ons)[1]
+        assert same_bytes(thetas[-1], out[1]) and digest(out[0], thetas) == golden
 
     @pytest.mark.parametrize("family, dim, radius, calls", [("platt", 2, 1.2, 140), ("beta", 3, 1.5, 135)])
     def test_projection_fires_through_module_name(self, monkeypatch, family, dim, radius, calls):
@@ -120,22 +135,29 @@ class TestStepReplay:
     """The step APIs feed numpy state into the same bodies the whole-stream
     passes run on their own containers; both must agree exactly."""
 
-    @settings(max_examples=40, deadline=None)
+    # no shrink phase in either test: shrinking the failing example of a
+    # broken body ran for up to a minute before the test failed
+    @settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
     @given(family=st.sampled_from(["platt", "beta"]), T=st.integers(1, 150),
            radius=st.sampled_from([100.0, 1.5, 0.8]), seed=st.integers(0, 2**32 - 1))
     def test_online_scaler_step_equals_run(self, family, T, radius, seed):
+        # the parameters in force at each step come from the loop reference's
+        # trace, and the run's final state is where the steps end
         base = OnsConfig.platt() if family == "platt" else OnsConfig.beta()
         config = OnsConfig(dim=base.dim, gamma=base.gamma, rho=base.rho, radius=radius)
         scores, ys, _ = stream(seed, T)
-        probs, thetas = online_scaler_run(scores, ys, family, config)
+        probs, final = online_scaler_run(scores, ys, family, config)
+        thetas = reference_ons_pass(feats_of(family, scores), ys, config.gamma, config.rho, radius,
+                                    initial_theta(config.dim))[1]
         state = OnsState.init(config)
         for t in range(T):
             assert np.array_equal(state.theta, thetas[t])
             p, state = online_scaler_step(state, scores[t], ys[t], family, config)
             assert p == probs[t]
         assert np.array_equal(state.theta, thetas[T])
+        assert same_state(state, final) and state.t == final.t == T
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
     @given(case=scheme_and_stream(max_T=300))
     def test_hops_step_equals_run(self, case):
         # every accepted bin width, with expert values at exact 0, 1 and the
@@ -154,6 +176,79 @@ class TestStepReplay:
             _, chosen = f99_forecast(f99, f99_draw)
             assert chosen == climate[t]
             f99 = f99_update(f99, chosen, ys[t])
+
+
+# configurations whose A-norm projection fires on stream(103, 300)
+PROJECTING = [("platt", 1.0, 1.2), ("beta", 1.0, 1.5)]
+
+
+class TestOnsFinalState:
+    """A pass returns the state after its last step, not a parameter trace:
+    a prefix pass continued by the step API is one pass, every state the
+    passes and the step API leave is symmetric bit for bit, and the step API
+    rejects a state that is not."""
+
+    @pytest.mark.parametrize("family, rho, radius", PROJECTING)
+    def test_prefix_run_continued_by_steps_equals_one_run(self, family, rho, radius):
+        base = OnsConfig.platt() if family == "platt" else OnsConfig.beta()
+        config = OnsConfig(dim=base.dim, gamma=base.gamma, rho=rho, radius=radius)
+        scores, ys, _ = stream(103, 300)
+        probs, final = online_scaler_run(scores, ys, family, config)
+        for cut in (1, 2, 150, 299, 300):
+            head, state = online_scaler_run(scores[:cut], ys[:cut], family, config)
+            assert state.t == cut
+            tail = []
+            for t in range(cut, len(ys)):
+                p, state = online_scaler_step(state, scores[t], ys[t], family, config)
+                tail.append(p)
+            assert same_bytes(np.concatenate([head, tail]), probs)
+            assert same_state(state, final) and state.t == final.t == len(ys)
+
+    @pytest.mark.parametrize("family, rho, radius", PROJECTING + [("platt", 100.0, 100.0), ("beta", 25.0, 100.0)])
+    def test_every_state_left_is_symmetric(self, monkeypatch, family, rho, radius):
+        # the passes' state buffers are caught from ons_init and read after
+        # the pass; the projection, which reads A through its buffer, fires
+        # in the first two cases
+        made, projections = [], []
+        init, project = kernels.ons_init, kernels.project_anorm
+        monkeypatch.setattr(kernels, "ons_init", lambda *a: made.append(init(*a)) or made[-1])
+        monkeypatch.setattr(kernels, "project_anorm", lambda *a: projections.append(1) or project(*a))
+        scores, ys, us = stream(103, 300)
+        feats = feats_of(family, scores)
+        d = feats.shape[1]
+        ons = (0.1, rho, radius, initial_theta(d))
+        _, _, A, A_inv = kernels.ons_pass(feats, ys, *ons)
+        kernels.ops_adversarial_pass(feats, *ons)
+        kernels.hops_adversarial_pass(feats, us, 0.1, 10, *ons)
+        assert len(made) == 3
+        left = [(A, A_inv)] + [(state[1], state[2]) for state in made]
+        config = OnsConfig(dim=d, gamma=0.1, rho=rho, radius=radius)
+        state = OnsState.init(config)
+        for t in range(len(ys)):
+            _, state = ons_advance(state, feats[t], ys[t], config)
+            left.append((state.A, state.A_inv))
+        assert all(bitwise_symmetric(M, d) for pair in left for M in pair)
+        assert bool(projections) == (radius < 2.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("which", ["A", "A_inv"])
+    def test_step_rejects_a_state_that_is_not_symmetric(self, d, which):
+        # each off-diagonal pair, differing by a value or only by the sign
+        # of a zero; the same state with the pair equal is accepted
+        config = OnsConfig(dim=d, gamma=0.1, rho=2.0, radius=100.0)
+        good = OnsState.init(config)
+        feature = np.append(np.full(d - 1, 0.5), 1.0)
+        for i in range(d):
+            for j in range(i + 1, d):
+                for upper, lower in ((0.0, -0.0), (-0.0, 0.0), (0.25, 0.125), (-0.0, -0.0)):
+                    M = getattr(good, which).copy()
+                    M[i, j], M[j, i] = upper, lower
+                    state = OnsState(**{**good.__dict__, which: M})
+                    if same_bytes(upper, lower):
+                        ons_advance(state, feature, 1.0, config)
+                        continue
+                    with pytest.raises(ValueError, match="symmetric bit for bit"):
+                        ons_advance(state, feature, 1.0, config)
 
 
 # scores at the feature maps' edges: 0 and 1, the clip bounds, and each
@@ -175,7 +270,9 @@ class TestStepReplayAtScoreEdges:
         rng = np.random.default_rng(11)
         scores = rng.permutation(np.repeat(EDGE_SCORES, 8))
         ys = rng.choice([0.0, 1.0, 0.3], len(scores))
-        probs, thetas = online_scaler_run(scores, ys, family, config)
+        probs, final = online_scaler_run(scores, ys, family, config)
+        thetas = reference_ons_pass(feats_of(family, scores), ys, config.gamma, config.rho, radius,
+                                    initial_theta(config.dim))[1]
         state = OnsState.init(config)
         for t in range(len(scores)):
             assert state.theta.tobytes() == thetas[t].tobytes()
@@ -185,6 +282,7 @@ class TestStepReplayAtScoreEdges:
             assert [a.tobytes() for a in (state.theta, state.A, state.A_inv)] == before  # left untouched
             state = successor
         assert state.theta.tobytes() == thetas[-1].tobytes()
+        assert same_state(state, final)
 
 
 def reference_ons_state(theta0, rho):
@@ -235,6 +333,8 @@ def reference_ons_update(theta, A, Ainv, x, k, r, gamma, radius):
 
 
 def reference_ons_pass(feats, ys, gamma, rho, radius, theta0):
+    # (forecasts, (T + 1, d) trace with row t in force at step t, final A,
+    # final A^{-1}); the last row of the trace is the final theta
     theta, A, Ainv = reference_ons_state(theta0, rho)
     x, d, T = feats.ravel().tolist(), len(theta), len(ys)
     probs, thetas = np.zeros(T), np.zeros((T + 1, d))
@@ -243,7 +343,7 @@ def reference_ons_pass(feats, ys, gamma, rho, radius, theta0):
         probs[t] = p = reference_ons_forecast(theta, x, t * d)
         reference_ons_update(theta, A, Ainv, x, t * d, p - y, gamma, radius)
         thetas[t + 1] = theta
-    return probs, thetas
+    return probs, thetas, A, Ainv
 
 
 def reference_ops_adversarial_pass(feats, gamma, rho, radius, theta0):
@@ -587,6 +687,17 @@ def same_bytes(got, want):
     return np.asarray(got, dtype=np.float64).tobytes() == np.asarray(want, dtype=np.float64).tobytes()
 
 
+def same_state(a, b):
+    """Two ``OnsState``s with the same theta, A and A_inv bytes."""
+    return all(same_bytes(x, y) for x, y in zip((a.theta, a.A, a.A_inv), (b.theta, b.A, b.A_inv)))
+
+
+def bitwise_symmetric(M, d):
+    """The flat or square d x d M equals its transpose byte for byte."""
+    M = np.asarray(M, dtype=np.float64).reshape(d, d)
+    return same_bytes(M, M.T.copy())
+
+
 # signed zeros, exact ones and arbitrary values, for features and start
 # parameters of the online-Newton step
 SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from([1.0, -1.0, 0.5, -0.5]),
@@ -595,11 +706,10 @@ SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from([1.0, -1.0, 0.5
 
 def run_ons(x, ys, theta, A, Ainv, gamma, radius):
     """``kernels.ons_run`` on the given outcomes from the state (theta, A,
-    Ainv), which it advances in place; returns (forecasts, flat trace)."""
-    T, d = len(ys), len(theta)
-    probs, thetas = kernels._zeros(T), kernels._zeros((T + 1) * d)
-    kernels.ons_run(x, ys, kernels.GIVEN, gamma, radius, theta, A, Ainv, probs, thetas, *kernels.UNHEDGED)
-    return probs, thetas
+    Ainv), which it advances in place; returns the forecasts."""
+    probs = kernels._zeros(len(ys))
+    kernels.ons_run(x, ys, kernels.GIVEN, gamma, radius, theta, A, Ainv, probs, *kernels.UNHEDGED)
+    return probs
 
 
 class TestOnsLoopReference:
@@ -639,34 +749,44 @@ class TestOnsLoopReference:
         assert same_bytes(state.theta, theta0) and same_bytes(ref[0], theta0)
         assert all(same_bytes(a, b) for a, b in zip((state.theta, state.A.ravel(), state.A_inv.ravel()), ref))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
     @given(family=st.sampled_from(["platt", "beta"]), T=st.integers(1, 300),
            rho=st.sampled_from([1.0, 25.0, 100.0]), radius=st.sampled_from([100.0, 1.5, 0.8]),
-           half=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1), skew=st.booleans())
+           half=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1),
+           skew=st.sampled_from([None, "value", "signed_zero"]))
     def test_passes_and_step_replay(self, family, T, rho, radius, half, seed, skew):
         # scores of exactly 0.5 put logit 0 in the Platt feature, so the
         # gradient has a signed-zero component; small radii fire the
-        # projection; with skew the step replay starts from an asymmetric
-        # A_inv, which a body that read one triangle of A_inv would not
-        # replay
+        # projection; with skew the step API is given an A_inv that is not
+        # symmetric bit for bit, by a value or by a 0.0 / -0.0 pair alone,
+        # which the body, reading one triangle, could not replay, so the
+        # step rejects it
         scores, ys, us = stream(seed, T)
         scores[np.random.default_rng([seed, 1]).random(T) < half] = 0.5
         feats = feats_of(family, scores)
         d = feats.shape[1]
         theta0 = initial_theta(d)
         ons = (0.1, rho, radius, theta0)
+        probs, thetas, A_end, Ainv_end = reference_ons_pass(feats, ys, *ons)
         for got, want in [
-            (kernels.ons_pass(feats, ys, *ons), reference_ons_pass(feats, ys, *ons)),
+            (kernels.ons_pass(feats, ys, *ons), (probs, thetas[-1], A_end, Ainv_end)),
             (kernels.ops_adversarial_pass(feats, *ons), reference_ops_adversarial_pass(feats, *ons)),
             (kernels.hops_adversarial_pass(feats, us, 0.1, 10, *ons),
              reference_hops_adversarial_pass(feats, us, 0.1, 10, *ons)),
         ]:
-            assert all(same_bytes(a, b) for a, b in zip(got, want))
+            assert len(got) == len(want) and all(same_bytes(a, b) for a, b in zip(got, want))
         config = OnsConfig(dim=d, gamma=0.1, rho=rho, radius=radius)
         theta, A, Ainv = reference_ons_state(theta0, rho)
         if skew:
-            Ainv[1] += 0.25 / rho
-            Ainv[d] -= 0.125 / rho
+            skewed = list(Ainv)
+            if skew == "value":
+                skewed[1] += 0.25 / rho
+                skewed[d] -= 0.125 / rho
+            else:
+                skewed[1] = -0.0
+            bad = OnsState(theta=np.array(theta), A=np.reshape(A, (d, d)), A_inv=np.reshape(skewed, (d, d)))
+            with pytest.raises(ValueError, match="symmetric bit for bit"):
+                ons_advance(bad, feats[0], ys[0], config)
         state = OnsState(theta=np.array(theta), A=np.reshape(A, (d, d)), A_inv=np.reshape(Ainv, (d, d)))
         x = feats.ravel().tolist()
         for t in range(T):
@@ -688,7 +808,7 @@ class TestOnsLoopReference:
             with pytest.raises(ValueError, match="length 2"):
                 run()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
     @given(family=st.sampled_from(["platt", "beta"]), T=st.integers(1, 300), data=st.data(),
            rho=st.sampled_from([1.0, 25.0, 100.0]), radius=st.sampled_from([100.0, 1.5, 0.8]),
            seed=st.integers(0, 2**32 - 1))
@@ -700,16 +820,17 @@ class TestOnsLoopReference:
         feats = feats_of(family, scores)
         d = feats.shape[1]
         theta0 = initial_theta(d)
-        probs, thetas = kernels.ons_pass(feats, ys, 0.1, rho, radius, theta0)
+        one_pass = kernels.ons_pass(feats, ys, 0.1, rho, radius, theta0)
+        thetas = reference_ons_pass(feats, ys, 0.1, rho, radius, theta0)[1]
         whole = kernels.ons_init(kernels._flat(theta0), rho)
         run_ons(kernels._flat(feats), kernels._flat(ys), *whole, 0.1, radius)
         state = kernels.ons_init(kernels._flat(theta0), rho)
         first = run_ons(kernels._flat(feats[:cut]), kernels._flat(ys[:cut]), *state, 0.1, radius)
         assert same_bytes(state[0], thetas[cut])
         second = run_ons(kernels._flat(feats[cut:]), kernels._flat(ys[cut:]), *state, 0.1, radius)
-        assert same_bytes(np.concatenate([first[0], second[0]]), probs)
-        assert same_bytes(np.concatenate([first[1][:cut * d], second[1]]), thetas.ravel())
+        assert same_bytes(first + second, one_pass[0])
         assert all(same_bytes(a, b) for a, b in zip(state, whole))
+        assert all(same_bytes(a, b) for a, b in zip(state, one_pass[1:]))
 
 
 class TestOnsLongHorizon:
@@ -735,6 +856,31 @@ class TestOnsLongHorizon:
             assert np.isfinite(theta).all() and np.isfinite(a).all() and np.isfinite(ainv).all()
             assert np.array_equal(a, a.T) and np.array_equal(ainv, ainv.T)
             assert np.abs(a @ ainv - np.eye(d)).max() < 1e-10
+
+
+class TestStatusCodeNone:
+    """Status code 3.0: a bin whose average is NaN is neither inside, excess
+    nor deficit, so it ends no pair."""
+
+    @pytest.mark.parametrize("b", [0, 4, 9])
+    def test_nan_average(self, b):
+        assert kernels.cell_status(float("nan"), b, 0.1) == 3.0
+
+    def test_nan_sum_leaves_a_row_with_no_hedge(self):
+        # row 1: bins 0-8 are excess, bin 9 would be inside but for its NaN
+        # sum; no bin is inside and no (excess, deficit) pair is left
+        eps, m = 0.1, 10
+        counts, sums = [0.0] * (m * m), [0.0] * (m * m)
+        for b in range(m):
+            counts[m + b], sums[m + b] = 1.0, 0.95
+        sums[m + m - 1] = float("nan")
+        status = kernels.status_of(counts, sums, eps, m)
+        assert status[m:2 * m] == [1.0] * (m - 1) + [3.0]
+        with pytest.raises(CalibeatingInvariantError):
+            kernels.hops_advance(counts, sums, status, 1, 0.5, 0.5, eps, m)
+        sums[m + m - 1] = 0.95  # a finite average in the last bin is inside
+        assert kernels.hops_advance(counts, sums, kernels.status_of(counts, sums, eps, m), 1, 0.5, 0.5, eps, m) \
+            == (m - 0.5) * eps
 
 
 def reference_distribution(state, p):

@@ -239,6 +239,6 @@ class TestOnlineScalerStationarity:
             rng = np.random.default_rng(seed)
             scores = rng.uniform(0.01, 0.99, size=10_000)
             y = (rng.random(10_000) < scores).astype(float)
-            _, thetas = online_scaler_run(scores, y, "platt")
-            finals.append(np.linalg.norm(thetas[-1] - initial_theta(2)))
+            _, state = online_scaler_run(scores, y, "platt")
+            finals.append(np.linalg.norm(state.theta - initial_theta(2)))
         assert max(finals) <= 0.2

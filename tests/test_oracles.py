@@ -118,10 +118,10 @@ class TestOnsOracle:
         feats = np.ascontiguousarray(feats)
         ys = (rng.random(T) < scores).astype(float)
         theta0 = initial_theta(family_dim)
-        got_p, got_thetas = kernels.ons_pass(feats, ys, 0.1, rho, 100.0, theta0)
+        got_p, got_theta, _, _ = kernels.ons_pass(feats, ys, 0.1, rho, 100.0, theta0)
         want_p, want_theta = oracle_ons_pass(feats, ys, 0.1, rho, 100.0, theta0)
         assert np.max(np.abs(got_p - want_p)) <= 1e-9
-        assert np.max(np.abs(got_thetas[-1] - want_theta)) <= 1e-9
+        assert np.max(np.abs(got_theta - want_theta)) <= 1e-9
 
     def test_projection_branch_agrees(self):
         # tiny radius forces the projection on nearly every step
@@ -133,8 +133,8 @@ class TestOnsOracle:
         )
         ys = (rng.random(T) < 0.5).astype(float)
         theta0 = np.array([0.3, 0.0])
-        got_p, got_thetas = kernels.ons_pass(feats, ys, 0.1, 0.05, 0.5, theta0)
+        got_p, got_theta, _, _ = kernels.ons_pass(feats, ys, 0.1, 0.05, 0.5, theta0)
         want_p, want_theta = oracle_ons_pass(feats, ys, 0.1, 0.05, 0.5, theta0)
         assert np.max(np.abs(got_p - want_p)) <= 1e-7
-        assert np.linalg.norm(got_thetas[-1]) <= 0.5 + 1e-9
-        assert np.max(np.abs(got_thetas[-1] - want_theta)) <= 1e-7
+        assert np.linalg.norm(got_theta) <= 0.5 + 1e-9
+        assert np.max(np.abs(got_theta - want_theta)) <= 1e-7

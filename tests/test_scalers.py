@@ -400,13 +400,13 @@ class TestOnlineScalerStep:
         scores = rng.uniform(0.01, 0.99, 300)
         y = (rng.random(300) < scores).astype(float)
         for family in ("platt", "beta"):
-            batch_probs, batch_thetas = online_scaler_run(scores, y, family)
+            batch_probs, batch_state = online_scaler_run(scores, y, family)
             state = OnsState.init(OnsConfig.platt() if family == "platt" else OnsConfig.beta())
             step_probs = np.zeros(300)
             for t in range(300):
                 step_probs[t], state = online_scaler_step(state, scores[t], y[t], family)
             assert np.max(np.abs(step_probs - batch_probs)) <= 1e-12
-            assert np.max(np.abs(state.theta - batch_thetas[-1])) <= 1e-12
+            assert np.max(np.abs(state.theta - batch_state.theta)) <= 1e-12
 
     def test_family_dimension_mismatch(self):
         state = OnsState.init(OnsConfig.platt())
@@ -658,9 +658,10 @@ class TestOnlineFamilies:
         rng = np.random.default_rng(3)
         scores = rng.uniform(0.01, 0.99, 50)
         y = (rng.random(50) < scores).astype(float)
-        default = online_scaler_run(scores, y, family)
-        explicit = online_scaler_run(scores, y, family, config)
-        assert all(np.array_equal(a, b) for a, b in zip(default, explicit))
+        (p_default, default), (p_explicit, explicit) = (online_scaler_run(scores, y, family),
+                                                        online_scaler_run(scores, y, family, config))
+        assert np.array_equal(p_default, p_explicit) and default.t == explicit.t == 50
+        assert all(np.array_equal(getattr(default, k), getattr(explicit, k)) for k in ("theta", "A", "A_inv"))
         p, state = online_scaler_step(OnsState.init(config), 0.3, 1.0, family)
         q, explicit_state = online_scaler_step(OnsState.init(config), 0.3, 1.0, family, config)
         assert p == q and np.array_equal(state.theta, explicit_state.theta)
