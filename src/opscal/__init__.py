@@ -35,8 +35,6 @@ from .calibeating import (
     HopsState,
     TrackingState,
     f99_distribution,
-    f99_forecast,
-    f99_update,
     hops_run,
     hops_step,
     tracking_forecast,

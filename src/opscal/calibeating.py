@@ -37,11 +37,10 @@ suite pins step-by-step replays to the whole-stream runs:
     at construction and each step advances by reclassifying the one bin
     it folds into. ``hops_step`` calls ``kernels.hops_advance``, one step
     of the hedging body ``kernels.hedge_run``, on it with the kept index
-    and bound, so a step scans no row for its condition-A bin; the
-    covariate-free step API (``f99_distribution``, ``f99_forecast``,
-    ``f99_update``) works on row 0, the forecaster ``f99_run`` drives,
-    folds a chosen bin with the body's fold, ``kernels.hedge_fold``, and
-    rederives row 0's index with one scan and its bound as 0;
+    and bound, so a step scans no row for its condition-A bin. The
+    covariate-free forecaster, the one ``f99_run`` drives, is row 0:
+    ``f99_distribution`` announces its distribution and
+    ``hops_step(state, 0.0, y, rng)`` draws and folds, in the body;
   - ``HopsState.distribution`` reads the routed row's kept index, and
     while it is m (no inside bin) scans the row's pair with
     ``kernels.hedge_pair`` from the kept bound, so no call classifies a bin
@@ -140,18 +139,13 @@ class HedgeDistribution:
         if any(p < 0.0 for p in self.probs) or abs(sum(self.probs) - 1.0) > 1e-12:
             raise ValueError("probs must be nonnegative and sum to 1")
 
-    def sample(self, u: float) -> float:
-        """Resolve the draw with a uniform variate u in [0, 1)."""
-        if len(self.support) == 1 or u < self.probs[0]:
-            return self.support[0]
-        return self.support[1]
-
 
 class HopsState(_Tallies):
     """m independent hedging forecasters, one per expert bin, in the
     kernels' layout: flat m*m counts and outcome sums, the forecaster of
     expert bin r at row r, [r*m, (r + 1)*m). Row 0 is also the
-    covariate-free forecaster of the ``f99_*`` step API.
+    covariate-free forecaster: ``f99_distribution`` and ``hops_step`` at
+    expert 0.0.
 
     ``status`` holds every bin's hedging status code (``kernels.cell_status``)
     in a list, as the kernels keep it; ``first`` each row's smallest
@@ -194,34 +188,11 @@ def f99_distribution(state: HopsState) -> HedgeDistribution:
     (row 0) for the next step.
 
     Exposed separately from the draw so outcome generators may condition on
-    it (they must commit y before the draw resolves).
+    it (they must commit y before the draw resolves). The step is
+    ``hops_step(state, 0.0, y, rng)``, which draws from this distribution
+    and folds y.
     """
     return state.distribution(0.0)
-
-
-def f99_forecast(state: HopsState, rng: np.random.Generator):
-    """Announce the distribution, then draw the forecast from it.
-
-    Consumes exactly one uniform from ``rng`` whether or not the
-    distribution randomizes, so seeded runs replay bit-for-bit against the
-    batched kernels.
-    """
-    dist = f99_distribution(state)
-    u = float(rng.random())
-    return dist, dist.sample(u)
-
-
-def f99_update(state: HopsState, chosen: float, y) -> HopsState:
-    """Fold the outcome y, in [0, 1], into row 0's tallies of the forecast bin."""
-    scheme = state.scheme
-    c = _route(chosen, scheme)
-    if abs(scheme.midpoint(c + 1) - chosen) > 1e-9:
-        raise ValueError("chosen forecast is not a bin midpoint of this scheme")
-    y = unit_float(y, "outcomes")
-    new = state._copy()
-    kernels.hedge_fold(new.counts, new.outcome_sums, new.status, 0, c, y, scheme.epsilon)
-    new.first[0], new.low[0] = kernels.hedge_inside(new.status, 0, 0, scheme.m), 0
-    return new
 
 
 def f99_run(ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:

@@ -57,8 +57,7 @@ Step bodies, which the passes and the step APIs all call:
     other width.
   - ``hedge_run`` is the one hedging body, a generator. Under ``GIVEN``
     it never yields: ``hops_pass`` and ``hops_advance`` (one step, from
-    the state's index and bound, or from the row's index found by one scan
-    and bound 0) run it with one ``next(..., None)``. Under
+    the state's index and bound) run it with one ``next(..., None)``. Under
     ``ADVERSARY_HEDGE`` it yields once per step, as soon as the step's
     outcome is in ``ys[t]``: the joint branch of ``ons_run`` makes it once
     per run and resumes it once per step. It scans a row only to rescan a
@@ -414,14 +413,11 @@ def hedge_run(rows, ys, outcome, us, out, counts, sums, status, first, low, eps,
         out[t] = (c + 0.5) * eps
 
 
-def hops_advance(counts, sums, status, r, y, u, eps, m, first=None, low=None):
+def hops_advance(counts, sums, status, r, y, u, eps, m, first, low):
     # One hedging step for expert bin r (row r of the flat m*m state), in
     # place: ``hedge_run`` for one step. first and low are the state's
-    # per-row condition-A index and pair bound, which the step advances;
-    # without them the step finds row r's condition-A bin with one scan and
-    # its pair from bound 0. Returns the drawn bin's midpoint.
-    if first is None:
-        first, low = {r: hedge_inside(status, r * m, 0, m)}, {r: 0}
+    # per-row condition-A index and pair bound, which the step advances.
+    # Returns the drawn bin's midpoint.
     out = [0.0]
     next(hedge_run((r,), (y,), GIVEN, (u,), out, counts, sums, status, first, low, eps, m, 0, 1), None)
     return out[0]

@@ -36,6 +36,7 @@ class OnsConfig:
     radius: float = 100.0
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", check_count(self.dim, "dim", 2))
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 (Platt) or 3 (beta)")
         if not all(math.isfinite(v) and v > 0 for v in (self.gamma, self.rho, self.radius)):

@@ -17,9 +17,10 @@ parameters are constant between refits. Metrics are cumulative over the
 emitted region and snapshotted at evaluation timestamps from T_cal + 2W to
 the end of the stream: one ``metric_report`` pass per column gives its CE
 and SHP curves, and the curves' last entries (the snapshot at T) are its
-final CE and SHP. The regret, tracking-sharpness and adversarial
-checks take their columns from ``run_replication`` on canonical specs with
-T_cal = 0, so they check what ``opscal run`` emits; regret is ``ons.regret``.
+final CE and SHP. The regret, tracking-sharpness, adversarial and
+hedging sharpness/Brier checks take their columns from ``run_replication``
+on canonical specs with T_cal = 0, so they check what ``opscal run`` emits;
+regret is ``ons.regret``.
 
 Replications use independent seed substreams keyed by replication index,
 so results are identical whether they run inline or in a worker pool, and
@@ -444,9 +445,9 @@ class TheoremCheck:
         return bool(self.measured <= self.bound if self.direction == "<=" else self.measured >= self.bound)
 
 
-def _whole_stream_replication(kind, seed, drift, methods):
+def _whole_stream_replication(kind, seed, drift, methods, epsilon):
     """``run_replication`` on the canonical spec with T_cal = 0: columns cover the whole test stream."""
-    return run_replication(replace(default_spec(kind, seed=seed, drift=drift), T_cal=0), methods, 0.1)
+    return run_replication(replace(default_spec(kind, seed=seed, drift=drift), T_cal=0), methods, epsilon)
 
 
 def check_regret_bound(seeds: int = 20) -> list:
@@ -455,7 +456,7 @@ def check_regret_bound(seeds: int = 20) -> list:
     rows = []
     for kind in ("covmulti", "labelmulti"):
         for drift in (False, True):
-            diags = [_whole_stream_replication(kind, seed, drift, ("OPS",))[3] for seed in range(seeds)]
+            diags = [_whole_stream_replication(kind, seed, drift, ("OPS",), 0.1)[3] for seed in range(seeds)]
             worst = max(diags, key=lambda d: d["OPS_regret"] - d["OPS_regret_bound"])  # the least slack
             rows.append(
                 TheoremCheck(
@@ -480,7 +481,7 @@ def check_tracking_sharpness(seeds: int = 3, epsilons=(0.05, 0.1, 0.2)) -> list:
     T = 0
     for kind in ("covmulti", "labelmulti"):
         for seed in range(seeds):
-            cols, ys, _, _ = _whole_stream_replication(kind, seed, True, ("OPS",))
+            cols, ys, _, _ = _whole_stream_replication(kind, seed, True, ("OPS",), 0.1)
             T = len(ys)
             for i, scheme in enumerate(schemes):
                 tracked = tracking_run(cols["OPS"], ys, scheme)
@@ -556,14 +557,11 @@ def check_hedging_sharpness_and_brier(seeds: int = 100, epsilon: float = 0.1) ->
             shp_gaps, bs_gaps = [], []
             T_used = 0
             for seed in range(seeds):
-                spec = default_spec(kind, seed=seed, drift=drift)
-                stream = build_scored_stream(spec)
-                ts, ty = stream.test_scores(), stream.test_y()
-                probs, _ = online_scaler_run(ts, ty, "platt")
-                hedged = hops_run(probs, ty, scheme, substream(spec.seed, P_HEDGE))
-                T_used = len(ty)
-                shp_gaps.append(sharpness(hedged, ty, scheme) - sharpness(probs, ty, scheme))
-                bs_gaps.append(brier(hedged, ty) - brier(probs, ty))
+                cols, ys, _, _ = _whole_stream_replication(kind, seed, drift, ("OPS", "HOPS"), epsilon)
+                probs, hedged = cols["OPS"], cols["HOPS"]
+                T_used = len(ys)
+                shp_gaps.append(sharpness(hedged, ys, scheme) - sharpness(probs, ys, scheme))
+                bs_gaps.append(brier(hedged, ys) - brier(probs, ys))
             label = f"{kind} {'drift' if drift else 'iid'}"
             rows.append(
                 TheoremCheck(

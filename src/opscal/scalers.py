@@ -387,9 +387,12 @@ def online_scaler_run(scores, ys, family: str, config: OnsConfig | None = None):
 
     Returns (forecasts, the ``OnsState`` after the last of the T steps, with
     t = T), from which ``online_scaler_step`` continues the stream exactly.
+    Raises ValueError unless ``config.dim`` is the family's feature width.
     """
     row = _family(family)
     config = row.config if config is None else config
+    if config.dim != row.config.dim:
+        raise ValueError(f"config.dim must be {row.config.dim} for the {family} family, got {config.dim}")
     scores, ys = check_columns(scores, ys, "scores")
     probs, theta, A, A_inv = kernels.ons_pass(row.features(scores), ys, config.gamma, config.rho, config.radius,
                                               initial_theta(config.dim))

@@ -10,8 +10,6 @@ from opscal.calibeating import (
     HopsState,
     TrackingState,
     f99_distribution,
-    f99_forecast,
-    f99_update,
     f99_run,
     hops_run,
     hops_step,
@@ -43,16 +41,22 @@ def f99_state(scheme, counts, sums):
     return HopsState(scheme, c, s)
 
 
+def f99_step(state, y, rng):
+    """The covariate-free step: hops_step on row 0, at expert 0.0."""
+    return hops_step(state, 0.0, y, rng)
+
+
+class FixedUniform:
+    """A generator stand-in whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
 class TestHedgeDistribution:
-    def test_point_mass(self):
-        d = HedgeDistribution(support=(0.35,), probs=(1.0,))
-        assert d.sample(0.9999) == 0.35
-
-    def test_two_point(self):
-        d = HedgeDistribution(support=(0.25, 0.35), probs=(0.5, 0.5))
-        assert d.sample(0.49) == 0.25
-        assert d.sample(0.51) == 0.35
-
     def test_validation(self):
         with pytest.raises(ValueError):
             HedgeDistribution(support=(0.1, 0.2), probs=(0.7, 0.7))
@@ -110,8 +114,8 @@ class TestF99:
 
     def test_untouched_bins_satisfy_condition_a(self):
         # any bin initialized at its midpoint is inside [l_b, r_b]
-        st = HopsState(scheme10())
-        st = f99_update(st, 0.05, 1.0)  # p_1 = 1 now; bin 2 untouched
+        chosen, st = f99_step(HopsState(scheme10()), 1.0, np.random.default_rng(0))
+        assert chosen == 0.05  # p_1 = 1 now; bin 2 untouched
         dist = f99_distribution(st)
         assert len(dist.support) == 1
         assert dist.support[0] == pytest.approx(0.15, abs=1e-12)
@@ -127,31 +131,39 @@ class TestF99:
         assert dist.probs[1] == pytest.approx(0.5)
 
     def test_update_examples(self):
-        st = HopsState(scheme10())
-        st = f99_update(st, 0.05, 1.0)
-        # p_1 = 1: deficit 0.0 - 1 < 0, excess 1 - 0.1 > 0
+        _, st = f99_step(HopsState(scheme10()), 1.0, np.random.default_rng(0))
+        # the fresh state forecasts bin 1, so p_1 = 1: deficit 0.0 - 1 < 0, excess 1 - 0.1 > 0
         assert st.counts[0] == 1.0 and st.outcome_sums[0] == 1.0
         assert st.status[0] == 1.0  # the excess code
 
     def test_update_running_mean(self):
+        # bins 1-3 average 1, above their bins, so bin 4 (mean 1/3) is the
+        # smallest inside bin and the step forecasts it
         counts, sums = np.zeros(10), np.zeros(10)
-        counts[3], sums[3] = 3.0, 1.0  # mean 1/3
-        st = f99_update(f99_state(scheme10(), counts, sums), 0.35, 1.0)
+        counts[:4], sums[:4] = 3.0, (3.0, 3.0, 3.0, 1.0)
+        chosen, st = f99_step(f99_state(scheme10(), counts, sums), 1.0, np.random.default_rng(0))
+        assert chosen == pytest.approx(0.35)
         assert st.outcome_sums[3] / st.counts[3] == pytest.approx(0.5)
 
     def test_update_isolation(self):
+        # a step changes the tallies of the drawn bin of row 0 alone
+        rng = np.random.default_rng(5)
         st = HopsState(scheme10())
-        st = f99_update(st, 0.45, 1.0)
-        before = st.counts.copy(), st.outcome_sums.copy()
-        st = f99_update(st, 0.45, 0.0)
-        after = st.counts, st.outcome_sums
-        assert after[0][4] != before[0][4]
-        mask = np.arange(100) != 4
-        assert all(np.array_equal(a[mask], b[mask]) for a, b in zip(after, before))
+        for y in (rng.random(200) < 0.6).astype(float):
+            before = st.counts.copy(), st.outcome_sums.copy()
+            chosen, st = f99_step(st, y, rng)
+            mask = np.arange(100) != bin_index(chosen, scheme10()) - 1
+            assert st.counts[~mask] == before[0][~mask] + 1.0
+            assert all(np.array_equal(a[mask], b[mask]) for a, b in zip((st.counts, st.outcome_sums), before))
 
-    def test_update_rejects_non_midpoint(self):
-        with pytest.raises(ValueError):
-            f99_update(HopsState(scheme10()), 0.12, 1.0)
+    @pytest.mark.parametrize("u, want", [(np.nextafter(0.5, 0.0), 0.125), (0.5, 0.375)], ids=["below", "at"])
+    def test_draw_is_the_lower_point_iff_u_is_below_its_probability(self, u, want):
+        # bins 1/2 are the smallest (excess, deficit) pair, e_1 = d_2 = 1/8,
+        # so the lower point has probability 1/2 exactly; u == 1/2 draws the
+        # upper one
+        st = f99_state(BinningScheme(0.25), 8.0, [3.0, 1.0, 8.0, 4.0])
+        assert f99_distribution(st) == HedgeDistribution(support=(0.125, 0.375), probs=(0.5, 0.5))
+        assert f99_step(st, 1.0, FixedUniform(u))[0] == want
 
     def test_invariant_violation_raises(self):
         # corrupted tallies: every observed average above its right endpoint,
@@ -165,14 +177,15 @@ class TestF99:
         counts, sums = np.zeros(100), np.zeros(100)
         counts[:10], sums[:10] = 1.0, (np.arange(10) + 1.0) * 0.1 + 0.5
         status = kernels.status_of(counts, sums, 0.1, 10)
+        first, low = [10] + [0] * 9, [0] * 10  # row 0 has no inside bin, the others are empty
         with pytest.raises(CalibeatingInvariantError):
-            kernels.hops_advance(counts, sums, status, 0, 1.0, 0.5, 0.1, 10)
+            kernels.hops_advance(counts, sums, status, 0, 1.0, 0.5, 0.1, 10, first, low)
 
     def test_forecast_consumes_one_uniform(self):
         st = HopsState(scheme10())
         rng1 = np.random.default_rng(7)
         rng2 = np.random.default_rng(7)
-        _, chosen = f99_forecast(st, rng1)
+        chosen, _ = f99_step(st, 1.0, rng1)
         assert chosen == 0.05
         rng2.random()
         # both generators advanced equally
@@ -182,10 +195,10 @@ class TestF99:
         rng = np.random.default_rng(11)
         st = HopsState(scheme10())
         for _ in range(500):
-            dist, chosen = f99_forecast(st, rng)
+            dist = f99_distribution(st)
             assert all(p >= 0.0 for p in dist.probs)
             assert sum(dist.probs) == pytest.approx(1.0, abs=1e-12)
-            st = f99_update(st, chosen, float(rng.integers(0, 2)))
+            _, st = f99_step(st, float(rng.integers(0, 2)), rng)
 
 
 class TestHops:
@@ -228,6 +241,9 @@ class TestHops:
     def test_distribution_resolves_to_the_step_draw(self):
         # the announced distribution of the routed forecaster, resolved with
         # the step's own uniform, is the forecast hops_step draws
+        def resolve(dist, u):  # the lower point with probability probs[0]
+            return dist.support[0] if len(dist.support) == 1 or u < dist.probs[0] else dist.support[1]
+
         rng = np.random.default_rng(13)
         expert = rng.random(300)
         ys = (rng.random(300) < expert).astype(float)
@@ -237,7 +253,7 @@ class TestHops:
         for t in range(300):
             dist = st.distribution(expert[t])
             chosen, st = hops_step(st, expert[t], ys[t], draw)
-            assert dist.sample(us[t]) == chosen
+            assert resolve(dist, us[t]) == chosen
 
     def test_seeded_replay_is_bit_identical(self):
         rng = np.random.default_rng(10)
@@ -381,8 +397,7 @@ class TestProbabilityRange:
         lambda: tracking_forecast(TrackingState(scheme10()), NAN),
         lambda: tracking_update(TrackingState(scheme10()), NAN, 1.0),
         lambda: hops_step(HopsState(scheme10()), NAN, 1.0, np.random.default_rng(0)),
-        lambda: f99_update(HopsState(scheme10()), NAN, 1.0),
-    ], ids=["bin_index", "calibration_error", "tracking_forecast", "tracking_update", "hops_step", "f99_update"])
+    ], ids=["bin_index", "calibration_error", "tracking_forecast", "tracking_update", "hops_step"])
     def test_nan_rejected(self, call):
         with pytest.raises(ValueError, match=OUT_OF_RANGE):
             call()
@@ -405,9 +420,9 @@ class TestOutcomeRange:
     @pytest.mark.parametrize("bad", [-0.5, 3.0, NAN])
     @pytest.mark.parametrize("call", [
         lambda y: tracking_update(TrackingState(scheme10()), 0.55, y),
-        lambda y: f99_update(HopsState(scheme10()), 0.05, y),
+        lambda y: f99_step(HopsState(scheme10()), y, np.random.default_rng(0)),
         lambda y: hops_step(HopsState(scheme10()), 0.55, y, np.random.default_rng(0)),
-    ], ids=["tracking_update", "f99_update", "hops_step"])
+    ], ids=["tracking_update", "f99_step", "hops_step"])
     def test_steps_reject(self, call, bad):
         with pytest.raises(ValueError, match=r"outcomes must lie in \[0, 1\]"):
             call(bad)
@@ -504,10 +519,9 @@ class TestStepsLeaveStateUntouched:
 
     @pytest.mark.parametrize("make, step", [
         (lambda: TrackingState(scheme10()), lambda st, p, y, rng: tracking_update(st, p, y)),
-        (lambda: HopsState(scheme10()), lambda st, p, y, rng: f99_update(st, f99_forecast(st, rng)[1], y)),
         (lambda: HopsState(scheme10()), lambda st, p, y, rng: hops_step(st, p, y, rng)[1]),
         (lambda: OnsState.init(OnsConfig.platt()), lambda st, p, y, rng: online_scaler_step(st, p, y, "platt")[1]),
-    ], ids=["tracking_update", "f99_update", "hops_step", "online_scaler_step"])
+    ], ids=["tracking_update", "hops_step", "online_scaler_step"])
     def test_input_state_unchanged(self, make, step):
         rng = np.random.default_rng(0)
         state = make()

@@ -24,7 +24,7 @@ from opscal.core import (
 )
 from opscal.datagen import default_spec
 from opscal.metrics import brier, calibration_error, metric_report, refinement, sharpness, true_accuracy, true_ce
-from opscal.ons import regret
+from opscal.ons import OnsConfig, regret
 from opscal.pipeline import ExperimentConfig, eval_timestamps, run_climatology
 from opscal.scalers import (
     WindowedLearner,
@@ -355,6 +355,7 @@ COUNT_SITES = {
     **{f"eval_timestamps.{f}": (f, least, lambda v, f=f: eval_timestamps(**{"T": 1000, "t_cal": 0, "window": 100,
                                                                           "stride": 10, f: v}))
        for f, least in (("t_cal", 0), ("window", 1), ("stride", 1))},
+    "OnsConfig.dim": ("dim", 2, lambda v: OnsConfig(dim=v)),
     "fit_histogram_binning.m": ("m", 1, lambda v: fit_histogram_binning(np.linspace(0.1, 0.9, 12), np.zeros(12), m=v)),
     "windowed_run.t_cal": ("t_cal", 0, lambda v: windowed_run(fit_platt_batch, platt_apply, (1.0, 0.0), v, 5,
                                                               HALVES, HALVES)),

@@ -29,9 +29,7 @@ from opscal.calibeating import (
     HedgeDistribution,
     HopsState,
     TrackingState,
-    f99_forecast,
     f99_run,
-    f99_update,
     hops_run,
     hops_step,
     tracking_forecast,
@@ -173,9 +171,8 @@ class TestStepReplay:
             track = tracking_update(track, expert[t], ys[t])
             chosen, hedge = hops_step(hedge, expert[t], ys[t], draw)
             assert chosen == hedged[t]
-            _, chosen = f99_forecast(f99, f99_draw)
+            chosen, f99 = hops_step(f99, 0.0, ys[t], f99_draw)  # the covariate-free step
             assert chosen == climate[t]
-            f99 = f99_update(f99, chosen, ys[t])
 
 
 # configurations whose A-norm projection fires on stream(103, 300)
@@ -551,7 +548,7 @@ class TestHedgingOracle:
         with pytest.raises(CalibeatingInvariantError):
             kernels.hedge_pair(status, counts, sums, base, 0, eps, m)
         with pytest.raises(CalibeatingInvariantError):
-            kernels.hops_advance(counts, sums, status, base // m, 0.5, 0.5, eps, m)
+            kernels.hops_advance(counts, sums, status, base // m, 0.5, 0.5, eps, m, *fresh_indexes(status, m))
         # the last bin's average lies above 1, which no outcomes in [0, 1]
         # give, so a state rejects the tallies before any scan
         full_counts, full_sums, _ = state_of_row(counts, sums, base, eps, m)
@@ -585,6 +582,12 @@ def condition_a_bins(status, m):
     """Each row's smallest inside bin (status 0.0), m if it has none, by a
     fresh scan of the status codes."""
     return [next((b for b in range(m) if status[r * m + b] == 0.0), m) for r in range(len(status) // m)]
+
+
+def fresh_indexes(status, m):
+    """The condition-A index and pair bound a state derives from its status
+    codes: one scan per row, and bound 0."""
+    return condition_a_bins(status, m), [0] * (len(status) // m)
 
 
 def pair_bins(status, m):
@@ -877,9 +880,10 @@ class TestStatusCodeNone:
         status = kernels.status_of(counts, sums, eps, m)
         assert status[m:2 * m] == [1.0] * (m - 1) + [3.0]
         with pytest.raises(CalibeatingInvariantError):
-            kernels.hops_advance(counts, sums, status, 1, 0.5, 0.5, eps, m)
+            kernels.hops_advance(counts, sums, status, 1, 0.5, 0.5, eps, m, *fresh_indexes(status, m))
         sums[m + m - 1] = 0.95  # a finite average in the last bin is inside
-        assert kernels.hops_advance(counts, sums, kernels.status_of(counts, sums, eps, m), 1, 0.5, 0.5, eps, m) \
+        status = kernels.status_of(counts, sums, eps, m)
+        assert kernels.hops_advance(counts, sums, status, 1, 0.5, 0.5, eps, m, *fresh_indexes(status, m)) \
             == (m - 0.5) * eps
 
 
@@ -925,19 +929,15 @@ class TestHopsStateStatus:
     @given(case=scheme_and_stream(max_T=300))
     def test_state_indexes_follow_the_status(self, case):
         # the per-row condition-A index and pair bound a state keeps for the
-        # hedging body match a fresh scan after every step, whether the step
-        # runs the body (hops_step) or folds a chosen bin (f99_update), and a
-        # state rebuilt from the tallies derives the same index
+        # hedging body match a fresh scan after every step, and a state
+        # rebuilt from the tallies derives the same index
         scheme, expert, ys, seed = case
         m, draw = scheme.m, np.random.default_rng(seed)
-        state = covfree = HopsState(scheme)
+        state = HopsState(scheme)
         for p, y in zip(expert, ys):
             _, state = hops_step(state, p, y, draw)
-            _, chosen = f99_forecast(covfree, draw)
-            covfree = f99_update(covfree, chosen, y)
-            for s in (state, covfree):
-                assert s.first == condition_a_bins(s.status, m)
-                assert all(b >= bound for b, bound in zip(pair_bins(s.status, m), s.low))
+            assert state.first == condition_a_bins(state.status, m)
+            assert all(b >= bound for b, bound in zip(pair_bins(state.status, m), state.low))
         assert HopsState(scheme, state.counts, state.outcome_sums).first == state.first
 
     def test_status_is_copied_not_shared(self):

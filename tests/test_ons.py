@@ -29,6 +29,12 @@ class TestOnsConfig:
         with pytest.raises(ValueError, match="finite and positive"):
             OnsConfig(**{"dim": 2, "gamma": 0.1, "rho": 100.0, "radius": 100.0, field: bad})
 
+    def test_dim_is_two_or_three(self):
+        # an integer dim past the count rule still names a family width
+        with pytest.raises(ValueError, match=r"dim must be 2 \(Platt\) or 3 \(beta\)"):
+            OnsConfig(dim=4)
+        assert type(OnsConfig(dim=np.int64(3)).dim) is int
+
     def test_initial_theta_is_unit_weights_and_zero_bias(self):
         assert initial_theta(2).tolist() == [1.0, 0.0]
         assert initial_theta(3).tolist() == [1.0, 1.0, 0.0]

@@ -666,6 +666,16 @@ class TestOnlineFamilies:
         q, explicit_state = online_scaler_step(OnsState.init(config), 0.3, 1.0, family, config)
         assert p == q and np.array_equal(state.theta, explicit_state.theta)
 
+    @pytest.mark.parametrize("family, dim, width", [("beta", 2, 3), ("platt", 3, 2)])
+    def test_config_of_another_width_rejected(self, family, dim, width):
+        # a beta stream under a 2-d config used to read its features with
+        # the wrong stride and return forecasts, with no error
+        config = OnsConfig(dim=dim)
+        with pytest.raises(ValueError, match=rf"^config.dim must be {width} for the {family} family, got {dim}$"):
+            online_scaler_run(np.full(50, 0.5), np.ones(50), family, config)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            online_scaler_step(OnsState.init(config), 0.5, 1.0, family, config)
+
     @pytest.mark.parametrize("family", ["platt", "beta"])
     @pytest.mark.parametrize("bad", [1.5, -0.2, math.nan])
     def test_bad_scores_rejected(self, family, bad):
