@@ -162,13 +162,11 @@ def main(argv=None) -> int:
                 **_given(args, methods="methods", epsilon="eps", replications="reps",
                          eval_stride="eval_stride", workers="workers", output_dir="out"),
             )
+        else:  # dump-stream
+            print(f"wrote {dump_stream(spec, args.out)}")
+            return 0
     except ValueError as exc:
         cmd_p.error(str(exc))
-
-    if args.command == "dump-stream":
-        path = dump_stream(spec, args.out)
-        print(f"wrote {path}")
-        return 0
 
     report = run_pipeline(config)
     print(f"stream={spec.kind} eps={config.epsilon} reps={config.replications} "

@@ -54,25 +54,34 @@ Step bodies, which the passes and the step APIs all call:
     d = 3 (beta), as loops over i and j and list subscripts were most of a
     step's cost. Every sum keeps the loop's start value and order, so the
     bits, signed zeros included, are the loop's; ``ons_init`` rejects any
-    other width.
+    other width. It reads each outcome from ``ys[t]``, which an optional
+    outcome source, resumed once per step after the forecast is written,
+    writes first; so it knows nothing of bins, hedging or adversaries.
+  - ``project_anorm`` is the A-norm projection, array code over one
+    eigendecomposition; only its bracket doubling and bisection loop.
   - ``hedge_run`` is the one hedging body, a generator. Under ``GIVEN``
     it never yields: ``hops_pass`` and ``hops_advance`` (one step, from
     the state's index and bound) run it with one ``next(..., None)``. Under
     ``ADVERSARY_HEDGE`` it yields once per step, as soon as the step's
-    outcome is in ``ys[t]``: the joint branch of ``ons_run`` makes it once
-    per run and resumes it once per step. It scans a row only to rescan a
-    stale index or, while the index is m, for the pair, from the row's
-    bound, with the condition-A scan ``hedge_inside`` and the pair scan
-    ``hedge_pair``, which ``HopsState.distribution`` also runs from a
-    state's kept bound. ``hedge_fold`` folds an outcome into one bin and
-    reclassifies it with ``cell_status``, the one classify rule.
+    outcome is in ``ys[t]``, and routes each step's forecast with
+    ``bin_of`` itself: ``hops_adversarial_pass`` makes it over the
+    forecast buffer of ``ons_run`` and hands it in as the outcome source,
+    so ``ons_run`` writes each forecast before the step that routes it.
+    It scans a row only to rescan a stale index or, while the index is m,
+    for the pair, from the row's bound, with the condition-A scan
+    ``hedge_inside`` and the pair scan ``hedge_pair``, which
+    ``HopsState.distribution`` also runs from a state's kept bound.
+    ``hedge_fold`` folds an outcome into one bin and reclassifies it with
+    ``cell_status``, the one classify rule.
   - ``bin_of`` routes a forecast to bin min(floor(p / eps), m - 1)
   - ``bin_average`` is a bin's outcome mean, its midpoint while empty:
     the tracking step API's forecast, and the average ``status_of``
     classifies
   - ``status_of`` builds the status buffer of given tallies by classifying
     every bin, once per ``HopsState`` construction
-  - ``adversary`` is the outcome adversary of both adversarial passes
+  - ``adversary`` is the outcome adversary of both adversarial passes;
+    ``point_responses``, the outcome source of ``ops_adversarial_pass``,
+    answers each point forecast with it
 """
 
 from __future__ import annotations
@@ -110,39 +119,28 @@ def _copy(a):
 def project_anorm(A, theta_tilde, radius):
     # argmin over the radius-ball of (theta_tilde - theta)^T A (theta_tilde - theta),
     # via eigendecomposition of A (flat or square) and bisection on the KKT multiplier.
+    # Every np.sum here adds its d terms in index order from 0.0, as a loop
+    # over them does.
+    theta_tilde = np.asarray(theta_tilde, dtype=np.float64)
     d = len(theta_tilde)
-    nrm2 = 0.0
-    for i in range(d):
-        nrm2 += theta_tilde[i] * theta_tilde[i]
-    if nrm2 <= radius * radius:
+    if np.sum(theta_tilde * theta_tilde) <= radius * radius:
         return theta_tilde.copy()
     w, Q = np.linalg.eigh(np.asarray(A).reshape((d, d)))
-    v = np.zeros(d)
-    for j in range(d):
-        s = 0.0
-        for i in range(d):
-            s += Q[i, j] * theta_tilde[i]
-        v[j] = s
+    v = np.sum(Q * theta_tilde[:, None], axis=0)  # Q^T theta_tilde
     # ||theta(lam)||^2 = sum_i (w_i v_i / (w_i + lam))^2 is strictly
     # decreasing in lam >= 0, from ||theta_tilde|| down to 0.
     lo = 0.0
     hi = 1.0
     while hi < 1e300:
-        s = 0.0
-        for i in range(d):
-            zi = w[i] * v[i] / (w[i] + hi)
-            s += zi * zi
-        if s < radius * radius:
+        z = w * v / (w + hi)
+        if np.sum(z * z) < radius * radius:
             break
         hi *= 2.0
     lam = hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        s = 0.0
-        for i in range(d):
-            zi = w[i] * v[i] / (w[i] + mid)
-            s += zi * zi
-        nrm = math.sqrt(s)
+        z = w * v / (w + mid)
+        nrm = math.sqrt(np.sum(z * z))
         lam = mid
         if abs(nrm - radius) <= 1e-10:
             break
@@ -150,16 +148,8 @@ def project_anorm(A, theta_tilde, radius):
             lo = mid
         else:
             hi = mid
-    z = np.zeros(d)
-    for i in range(d):
-        z[i] = w[i] * v[i] / (w[i] + lam)
-    out = np.zeros(d)
-    for i in range(d):
-        s = 0.0
-        for j in range(d):
-            s += Q[i, j] * z[j]
-        out[i] = s
-    return out
+    z = w * v / (w + lam)
+    return np.sum(Q * z, axis=1)  # Q z
 
 
 def ons_init(theta0, rho):
@@ -177,20 +167,10 @@ def ons_init(theta0, rho):
     return theta, A, Ainv
 
 
-# The outcome rules of ``ons_run``: ys[t] as given; the adversary on the
-# forecast; the joint step, which writes the forecast's bin to rows[t] and
-# resumes ``hedge_run`` for step t, the adversary answering the mean of the
-# hedge distribution announced for that bin, the draw with us[t] emitting
-# hops[t]. The adversaries write y to ys[t]; only the joint step reads the
-# hedging arguments. ``hedge_run`` takes GIVEN and ADVERSARY_HEDGE.
-GIVEN, ADVERSARY_POINT, ADVERSARY_HEDGE = 0, 1, 2
-
-
-def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, us, hops, rows, counts, sums, status, first, low,
-            eps, m):
+def ons_run(x, ys, gamma, radius, theta, A, Ainv, probs, respond=None):
     # T = len(probs) steps from the state (theta, A, Ainv), left in those
     # buffers at the end. Step t forecasts probs[t] = p = sigmoid(theta .
-    # x[t*d:(t+1)*d]), takes the outcome y of its rule and updates for the
+    # x[t*d:(t+1)*d]), takes the outcome y = ys[t] and updates for the
     # gradient g = (p - y) x: A += g g^T; v = Ainv g and denom = 1 + g . v;
     # Ainv -= v v^T / denom (Sherman-Morrison); theta -= (v / denom) / gamma,
     # as (A + g g^T)^{-1} g == v / denom; then the A-norm projection if theta
@@ -198,9 +178,10 @@ def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, us, hops, rows
     # g_j g_i, v_i v_j == v_j v_i), so their upper triangles are the locals,
     # written back to both triangles before the projection (``eigh`` reads
     # the lower one) and at the end. Every sum starts from 0.0 (1.0 for
-    # denom) as in a loop. The joint step's hedging body is made once for
-    # [0, T) and resumed once per step; it finishes the last step's draw
-    # after the loop.
+    # denom) as in a loop. An outcome source ``respond`` (a generator, such
+    # as ``point_responses`` or an adversarial ``hedge_run``) answers each
+    # forecast: it is resumed once per step, after probs[t] is written, and
+    # writes ys[t]; after the loop one more resumption finishes its last step.
     d = len(theta)
     t0, t1 = theta[0], theta[1]
     a00, a01, a11 = A[0], A[1], A[d + 1]
@@ -210,10 +191,8 @@ def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, us, hops, rows
         t2 = theta[2]
         a02, a12, a22 = A[2], A[5], A[8]
         i02, i12, i22 = Ainv[2], Ainv[5], Ainv[8]
-    T, rr = len(probs), radius * radius
-    if outcome == ADVERSARY_HEDGE:
-        hedger = hedge_run(rows, ys, ADVERSARY_HEDGE, us, hops, counts, sums, status, first, low, eps, m, 0, T)
-    for t in range(T):
+    rr = radius * radius
+    for t in range(len(probs)):
         k = t * d
         x0, x1 = x[k], x[k + 1]
         if d == 2:
@@ -227,16 +206,9 @@ def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, us, hops, rows
             ez = exp(z)
             p = ez / (1.0 + ez)
         probs[t] = p
-        if outcome == GIVEN:
-            y = ys[t]
-        elif outcome == ADVERSARY_POINT:
-            y = adversary(p)
-            ys[t] = y
-        else:
-            rows[t] = bin_of(p, eps, m)
-            next(hedger)
-            y = ys[t]
-        r = p - y
+        if respond is not None:
+            next(respond)
+        r = p - ys[t]
         if d == 2:
             g0 = r * x0
             g1 = r * x1
@@ -286,8 +258,8 @@ def ons_run(x, ys, outcome, gamma, radius, theta, A, Ainv, probs, us, hops, rows
             t0, t1 = tt[0], tt[1]
             if d == 3:
                 t2 = tt[2]
-    if outcome == ADVERSARY_HEDGE:  # the last step's draw and fold
-        next(hedger, None)
+    if respond is not None:
+        next(respond, None)
     theta[0], theta[1] = t0, t1
     A[0], A[1], A[d], A[d + 1] = a00, a01, a01, a11
     Ainv[0], Ainv[1], Ainv[d], Ainv[d + 1] = i00, i01, i01, i11
@@ -367,11 +339,19 @@ def hedge_fold(counts, sums, status, base, c, y, eps):
     status[k] = cell_status(sums[k] / counts[k], c, eps)
 
 
-def hedge_run(rows, ys, outcome, us, out, counts, sums, status, first, low, eps, m, t0, t1):
-    # Hedging steps [t0, t1) over the flat state, in place, as a generator:
-    # under GIVEN it never yields, so one next(..., None) runs every step;
-    # under ADVERSARY_HEDGE it yields once per step, as soon as it has
-    # written ys[t], and finishes that step when resumed. first[r] is row
+# The outcome rules of ``hedge_run``: ys[t] as given, or the adversary on
+# the mean of the hedge distribution announced for step t.
+GIVEN, ADVERSARY_HEDGE = 0, 1
+
+
+def hedge_run(rows, ys, outcome, us, out, counts, sums, status, first, low, eps, m):
+    # Hedging steps over the whole input and the flat state, in place, as a
+    # generator: under GIVEN it never yields, so one next(..., None) runs
+    # every step; under ADVERSARY_HEDGE it yields once per step, as soon as
+    # it has written ys[t], and finishes that step when resumed. Step t
+    # hedges on row r = rows[t], a pre-routed bin under GIVEN; under
+    # ADVERSARY_HEDGE rows[t] is a forecast, routed with ``bin_of`` as the
+    # step starts, so the caller may write it until then. first[r] is row
     # r's smallest inside bin, m if none (then the row hedges its
     # hedge_pair), and low[r] a bound below which no (excess, deficit) pair
     # of row r starts, where its pair scan begins. Step t takes y by its
@@ -384,8 +364,8 @@ def hedge_run(rows, ys, outcome, us, out, counts, sums, status, first, low, eps,
     # the one pair that can appear below the bound is (c - 1, c), when c is
     # the bound and now deficit, and then the bound drops to c - 1 (c > 0,
     # as an average of outcomes in [0, 1] is never deficit in bin 0).
-    for t in range(t0, t1):
-        r = rows[t]
+    for t in range(len(rows)):
+        r = rows[t] if outcome == GIVEN else bin_of(rows[t], eps, m)
         base, a = r * m, first[r]
         if a < m:
             lo = hi = a
@@ -419,7 +399,7 @@ def hops_advance(counts, sums, status, r, y, u, eps, m, first, low):
     # per-row condition-A index and pair bound, which the step advances.
     # Returns the drawn bin's midpoint.
     out = [0.0]
-    next(hedge_run((r,), (y,), GIVEN, (u,), out, counts, sums, status, first, low, eps, m, 0, 1), None)
+    next(hedge_run((r,), (y,), GIVEN, (u,), out, counts, sums, status, first, low, eps, m), None)
     return out[0]
 
 
@@ -429,8 +409,12 @@ def adversary(x):
     return 1.0 if x <= 0.5 else 0.0
 
 
-# the hedging arguments of ``ons_run`` under the rules that read none
-UNHEDGED = (None,) * 10
+def point_responses(probs, ys):
+    # The adversary on each point forecast, as an outcome source of ``ons_run``.
+    for t in range(len(ys)):
+        ys[t] = adversary(probs[t])
+        yield
+
 
 _array = functools.partial(np.asarray, dtype=np.float64)
 
@@ -449,7 +433,7 @@ def ons_pass(feats, ys, gamma, rho, radius, theta0):
     theta, A, Ainv = ons_init(_flat(theta0), rho)
     d = len(theta)
     probs = _zeros(len(ys))
-    ons_run(_flat(feats), _flat(ys), GIVEN, gamma, radius, theta, A, Ainv, probs, *UNHEDGED)
+    ons_run(_flat(feats), _flat(ys), gamma, radius, theta, A, Ainv, probs)
     return _array(probs), _array(theta), _array(A).reshape(d, d), _array(Ainv).reshape(d, d)
 
 
@@ -459,7 +443,7 @@ def ops_adversarial_pass(feats, gamma, rho, radius, theta0):
     x = _flat(feats)
     T = len(x) // len(theta)
     probs, ys = _zeros(T), _zeros(T)
-    ons_run(x, ys, ADVERSARY_POINT, gamma, radius, theta, A, Ainv, probs, *UNHEDGED)
+    ons_run(x, ys, gamma, radius, theta, A, Ainv, probs, point_responses(probs, ys))
     return _array(probs), _array(ys)
 
 
@@ -469,8 +453,8 @@ def hops_adversarial_pass(feats, us, eps, m, gamma, rho, radius, theta0):
     theta, A, Ainv = ons_init(_flat(theta0), rho)
     T = len(us)
     ops, hops, ys = _zeros(T), _zeros(T), _zeros(T)
-    ons_run(_flat(feats), ys, ADVERSARY_HEDGE, gamma, radius, theta, A, Ainv, ops, _flat(us), hops, [0] * T,
-            *_hedge_start(m), eps, m)
+    hedger = hedge_run(ops, ys, ADVERSARY_HEDGE, _flat(us), hops, *_hedge_start(m), eps, m)
+    ons_run(_flat(feats), ys, gamma, radius, theta, A, Ainv, ops, hedger)
     return _array(ops), _array(hops), _array(ys)
 
 
@@ -482,7 +466,7 @@ def hops_pass(expert, ys, us, eps, m):
     loop takes integer rows."""
     rows = _flat(bins_of(expert, eps, m))
     out = _zeros(len(rows))
-    next(hedge_run(rows, _flat(ys), GIVEN, _flat(us), out, *_hedge_start(m), eps, m, 0, len(rows)), None)
+    next(hedge_run(rows, _flat(ys), GIVEN, _flat(us), out, *_hedge_start(m), eps, m), None)
     return _array(out)
 
 

@@ -105,7 +105,7 @@ def ons_advance(state: OnsState, feature, y, config: OnsConfig):
             if M[i] != M[j] or (M[i] == 0.0 and math.copysign(1.0, M[i]) != math.copysign(1.0, M[j])):
                 raise ValueError("state A and A_inv must be symmetric bit for bit")
     ys, probs = [y], kernels._zeros(1)
-    kernels.ons_run(x, ys, kernels.GIVEN, config.gamma, config.radius, theta, A, A_inv, probs, *kernels.UNHEDGED)
+    kernels.ons_run(x, ys, config.gamma, config.radius, theta, A, A_inv, probs)
     if not math.isfinite(sum(theta) + sum(A) + sum(A_inv)):
         raise ValueError("the step overflowed: the successor's theta, A and A_inv are not finite")
     return float(probs[0]), OnsState(theta=np.array(theta), A=np.array(A).reshape(d, d),
@@ -135,7 +135,7 @@ def project_ellipsoid(A, theta_tilde, radius: float) -> np.ndarray:
         raise ValueError("A must be symmetric")
     if np.linalg.eigvalsh(A)[0] <= 0:
         raise ValueError("A must be positive definite")
-    return kernels.project_anorm(np.ascontiguousarray(A), np.ascontiguousarray(theta_tilde), float(radius))
+    return kernels.project_anorm(A, theta_tilde, float(radius))
 
 
 def regret(probs, ys, comparator) -> float:

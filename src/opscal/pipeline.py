@@ -110,9 +110,11 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ValueError(f"unknown methods: {bad}")
-        BinningScheme(self.epsilon)  # rejects a bad epsilon before any replication
+        m = BinningScheme(self.epsilon).m  # rejects a bad epsilon before any replication
         for noun, least in (("replications", 1), ("master_seed", 0), ("eval_stride", 1), ("workers", 1)):
             object.__setattr__(self, noun, check_count(getattr(self, noun), noun, least))
+        if self.stream.kind != "csv":  # a csv stream's length is known once ingested
+            eval_timestamps(self.stream.T_test, self.stream.T_cal, self.stream.W, self.eval_stride)
         if self.stream.kind == "adversarial":
             extra = set(self.methods) - {"OPS", "HOPS"}
             if extra:
@@ -122,6 +124,8 @@ class ExperimentConfig:
                 )
         elif self.stream.T_cal < 1 and (set(self.methods) & set(_NEEDS_CAL_FIT)):
             raise ValueError(f"{'/'.join(_NEEDS_CAL_FIT)} need a calibration prefix (T_cal >= 1)")
+        elif self.stream.T_cal < m and (set(self.methods) & {"WHB", "TWHB"}):
+            raise ValueError(f"WHB/TWHB fit {m} bins on the calibration prefix, so T_cal must be >= {m}")
 
 
 def eval_timestamps(T: int, t_cal: int, window: int, stride: int) -> np.ndarray:

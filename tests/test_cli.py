@@ -168,6 +168,9 @@ class TestOtherCommands:
     (["run", "--csv", "data.csv", "--label", "label", "--ttest", "100"],
      "--ttest applies to synthetic kinds"),
     (["dump-stream", "--stream", "cov1d", "--seed", "-1"], "seed must be >= 0"),
+    (["run", "--stream", "covmulti", "--ttest", "1500", "--tcal", "1000"],
+     "stream too short: need at least T_cal + 2W = 2000 points"),
+    (["dump-stream", "--stream", "adversarial"], "adversarial outcomes are generated at run time"),
 ])
 def test_rejected_arguments_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -193,7 +196,8 @@ CSV_BASE = ["--csv", "data.csv", "--label", "label"]
     ("stream", "t_train", "300", ["--ttrain", "300"], ["--stream", "labelmulti"]),
     ("stream", "t_cal", "200", ["--tcal", "200"], ["--stream", "labelmulti"]),
     ("stream", "window", "150", ["--window", "150"], ["--stream", "labelmulti"]),
-    ("stream", "t_test", "1200", ["--ttest", "1200"], ["--stream", "labelmulti"]),
+    # T_cal = 200 and W = 500 fit T_test = 1200 (the first snapshot is at T_cal + 2W)
+    ("stream", "t_test", "1200", ["--ttest", "1200"], ["--stream", "labelmulti", "--tcal", "200"]),
     # T_test = 2000 keeps the prior 0.5 + delta*t inside (0, 1) up to t = 3000
     ("stream", "delta", "0.0001", ["--delta", "0.0001"], ["--stream", "labelmulti", "--ttest", "2000"]),
     ("stream", "drift", "no", ["--no-drift"], ["--stream", "labelmulti"]),

@@ -9,9 +9,10 @@ status code per bin, are compared bit for bit with the two-loop reference
 that classified every bin on every call, and the hedging body's cached
 condition-A bin and pair-scan bound per row with a fresh scan wherever a
 run stops, and a counted status buffer bounds the pair scan's reads; the
-online-Newton forecast and update, written out per width, are compared
-byte for byte with the loop form they replaced, and so is the closed-form
-tracking pass with its per-step loop. The references are kept here.
+online-Newton forecast and update, written out per width, and the A-norm
+projection, in array form, are compared byte for byte with the loop forms
+they replaced, and so is the closed-form tracking pass with its per-step
+loop. The references are kept here.
 """
 
 import copy
@@ -304,6 +305,60 @@ def reference_ons_forecast(theta, x, k):
     return ez / (1.0 + ez)
 
 
+def reference_project_anorm(A, theta_tilde, radius):
+    # The loop form of the A-norm projection, which the kernels write as
+    # array code over the same eigendecomposition; kept as its bit-exact
+    # reference.
+    d = len(theta_tilde)
+    nrm2 = 0.0
+    for i in range(d):
+        nrm2 += theta_tilde[i] * theta_tilde[i]
+    if nrm2 <= radius * radius:
+        return theta_tilde.copy()
+    w, Q = np.linalg.eigh(np.asarray(A).reshape((d, d)))
+    v = np.zeros(d)
+    for j in range(d):
+        s = 0.0
+        for i in range(d):
+            s += Q[i, j] * theta_tilde[i]
+        v[j] = s
+    lo = 0.0
+    hi = 1.0
+    while hi < 1e300:
+        s = 0.0
+        for i in range(d):
+            zi = w[i] * v[i] / (w[i] + hi)
+            s += zi * zi
+        if s < radius * radius:
+            break
+        hi *= 2.0
+    lam = hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        s = 0.0
+        for i in range(d):
+            zi = w[i] * v[i] / (w[i] + mid)
+            s += zi * zi
+        nrm = math.sqrt(s)
+        lam = mid
+        if abs(nrm - radius) <= 1e-10:
+            break
+        if nrm > radius:
+            lo = mid
+        else:
+            hi = mid
+    z = np.zeros(d)
+    for i in range(d):
+        z[i] = w[i] * v[i] / (w[i] + lam)
+    out = np.zeros(d)
+    for i in range(d):
+        s = 0.0
+        for j in range(d):
+            s += Q[i, j] * z[j]
+        out[i] = s
+    return out
+
+
 def reference_ons_update(theta, A, Ainv, x, k, r, gamma, radius):
     # The loop form of the online-Newton update, in place, for any width.
     d = len(theta)
@@ -324,7 +379,7 @@ def reference_ons_update(theta, A, Ainv, x, k, r, gamma, radius):
         theta[i] = theta[i] - (v[i] / denom) / gamma
         tnorm2 += theta[i] * theta[i]
     if tnorm2 > radius * radius:
-        tt = kernels.project_anorm(A, theta, radius)
+        tt = reference_project_anorm(A, theta, radius)
         for i in range(d):
             theta[i] = tt[i]
 
@@ -626,21 +681,26 @@ class TestHedgeRun:
         rng = np.random.default_rng(seed)
         # few expert bins, so rows fill up and leave condition A
         rows = rng.choice(rng.integers(0, m, 3), T).tolist()
+        if rule == kernels.ADVERSARY_HEDGE:  # this rule routes forecasts: each row as its bin's midpoint
+            rows = [(r + 0.5) * eps for r in rows]
         ys = data.draw(st.lists(outcome(eps, m), min_size=T, max_size=T))
         us = rng.random(T).tolist()
         cuts = sorted(data.draw(st.lists(st.integers(0, T), max_size=3)))
 
         def run(bounds):
+            # each slice runs over the same state buffers, its outputs written back
             out, ys_run = kernels._zeros(T), list(ys)
             counts, sums, status, first, low = kernels._hedge_start(m)
             for t0, t1 in zip(bounds, bounds[1:]):
-                steps = kernels.hedge_run(rows, ys_run, rule, us, out, counts, sums, status, first, low, eps, m,
-                                          t0, t1)
+                out_cut, ys_cut = out[t0:t1], ys_run[t0:t1]
+                steps = kernels.hedge_run(rows[t0:t1], ys_cut, rule, us[t0:t1], out_cut, counts, sums, status,
+                                          first, low, eps, m)
                 if rule == kernels.ADVERSARY_HEDGE:
                     for _ in steps:
                         pass
                 else:
                     next(steps, None)
+                out[t0:t1], ys_run[t0:t1] = out_cut, ys_cut
                 assert first == condition_a_bins(status, m)
                 assert status == kernels.status_of(counts, sums, eps, m)
                 assert all(b >= bound for b, bound in zip(pair_bins(status, m), low))
@@ -711,7 +771,7 @@ def run_ons(x, ys, theta, A, Ainv, gamma, radius):
     """``kernels.ons_run`` on the given outcomes from the state (theta, A,
     Ainv), which it advances in place; returns the forecasts."""
     probs = kernels._zeros(len(ys))
-    kernels.ons_run(x, ys, kernels.GIVEN, gamma, radius, theta, A, Ainv, probs, *kernels.UNHEDGED)
+    kernels.ons_run(x, ys, gamma, radius, theta, A, Ainv, probs)
     return probs
 
 
@@ -834,6 +894,56 @@ class TestOnsLoopReference:
         assert same_bytes(first + second, one_pass[0])
         assert all(same_bytes(a, b) for a, b in zip(state, whole))
         assert all(same_bytes(a, b) for a, b in zip(state, one_pass[1:]))
+
+
+@st.composite
+def spd_matrix(draw, d):
+    # a flat d x d A = rho I + sum g g^T over a few vectors g of signed
+    # zeros, exact and arbitrary values, accumulated as the online-Newton
+    # state is: positive definite and symmetric bit for bit
+    A = [0.0] * (d * d)
+    rho = draw(st.sampled_from([0.5, 1.0, 25.0, 100.0]))
+    for i in range(d):
+        A[i * d + i] = rho
+    for g in draw(st.lists(st.lists(SIGNED, min_size=d, max_size=d), max_size=4)):
+        for i in range(d):
+            for j in range(d):
+                A[i * d + j] += g[i] * g[j]
+    return A
+
+
+class TestProjectionReference:
+    """The A-norm projection, array code, against the loop form it
+    replaced, byte for byte, with A flat or square and the point a list or
+    an array."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.sampled_from([2, 3]), data=st.data())
+    def test_point_outside_the_ball(self, d, data):
+        A = data.draw(spd_matrix(d))
+        theta = data.draw(st.lists(SIGNED, min_size=d, max_size=d).filter(any))
+        shrink = data.draw(st.one_of(st.sampled_from([0.5, 0.25]), st.floats(0.01, 0.99)))
+        radius = shrink * math.sqrt(sum(v * v for v in theta))
+        want = reference_project_anorm(A, theta, radius)
+        for A_given in (A, np.reshape(A, (d, d))):
+            for theta_given in (list(theta), np.array(theta)):
+                assert same_bytes(kernels.project_anorm(A_given, theta_given, radius), want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(d=st.sampled_from([2, 3]), data=st.data())
+    def test_point_inside_the_ball_is_an_equal_copy(self, d, data):
+        # SIGNED values lie in [-5, 5], so every point has norm below 9
+        A = data.draw(spd_matrix(d))
+        theta = np.array(data.draw(st.lists(SIGNED, min_size=d, max_size=d)))
+        got = kernels.project_anorm(A, theta, data.draw(st.sampled_from([9.0, 100.0])))
+        assert same_bytes(got, theta) and got is not theta and not np.shares_memory(got, theta)
+
+    @pytest.mark.parametrize("theta", [[-0.0, 1.0], [0.0, -0.0, -1.0]])
+    def test_point_on_the_sphere_is_kept(self, theta):
+        # the ball is closed: a norm of exactly the radius is inside
+        d = len(theta)
+        got = kernels.project_anorm(np.eye(d).ravel().tolist(), theta, 1.0)
+        assert same_bytes(got, theta) and same_bytes(reference_project_anorm(np.eye(d), theta, 1.0), theta)
 
 
 class TestOnsLongHorizon:

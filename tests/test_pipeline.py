@@ -7,10 +7,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from opscal import pipeline
 from opscal.calibeating import CalibeatingInvariantError
-from opscal.core import BinningScheme
+from opscal.core import BinningScheme, bins_of
 from opscal.datagen import (
     BaseModelWeights,
     LabeledStream,
@@ -19,6 +21,7 @@ from opscal.datagen import (
     default_spec,
 )
 from opscal.pipeline import (
+    METHODS,
     ClimatologyReport,
     ExperimentConfig,
     RunReport,
@@ -117,6 +120,18 @@ class TestConfigValidation:
     def test_stream_too_short(self):
         with pytest.raises(ValueError, match="too short"):
             eval_timestamps(T=100, t_cal=50, window=100, stride=10)
+
+    def test_config_rejects_a_stream_too_short_for_its_first_snapshot(self):
+        # T_cal + 2W = 300 + 2 * 150 > 500, found at construction, not in the run
+        with pytest.raises(ValueError, match=r"stream too short: need at least T_cal \+ 2W = 600 points"):
+            quick_config(stream=small_spec(T_test=500))
+        assert quick_config(stream=small_spec(T_test=600)).stream.T_test == 600
+
+    @pytest.mark.parametrize("method", ["WHB", "TWHB"])
+    def test_histogram_binning_needs_a_prefix_of_m_points(self, method):
+        with pytest.raises(ValueError, match="T_cal must be >= 20"):
+            quick_config(stream=small_spec(T_cal=19), methods=(method,), epsilon=0.05)
+        quick_config(stream=small_spec(T_cal=20), methods=(method,), epsilon=0.05)
 
     def test_timestamps_include_horizon(self):
         ts = eval_timestamps(T=1200, t_cal=300, window=150, stride=300)
@@ -482,3 +497,80 @@ def test_result_records_compare_by_identity(make):
     a, b = make(), make()
     assert a == a and a != b
     assert a in [b, a]
+
+
+# the expert column each tracked method tracks
+TRACKED = {"TOPS": "OPS", "TOBS": "OBS", "TWHB": "WHB"}
+HEDGED = ("HOPS", "HOBS")
+
+
+def tracked_reference(expert, ys, scheme):
+    """The mean of the past outcomes whose expert forecast fell in the same
+    bin, or that bin's midpoint while there are none, step by step."""
+    counts, sums, out = np.zeros(scheme.m), np.zeros(scheme.m), np.empty(len(ys))
+    for t, b in enumerate(bins_of(expert, scheme.epsilon, scheme.m)):
+        out[t] = sums[b] / counts[b] if counts[b] else (b + 0.5) * scheme.epsilon
+        counts[b] += 1.0
+        sums[b] += ys[t]
+    return out
+
+
+def assert_columns_sound(spec, methods, epsilon):
+    """Every column ``run_replication`` emits is finite and in [0, 1]; hedged
+    columns are bin midpoints and tracked columns past-outcome means."""
+    scheme = BinningScheme(epsilon)
+    cols, ys, _, _ = run_replication(spec, methods, epsilon)
+    assert set(cols) == set(methods)
+    for name, col in cols.items():
+        assert col.shape == ys.shape and np.all(np.isfinite(col)) and np.all((col >= 0.0) & (col <= 1.0)), name
+    midpoints = (np.arange(scheme.m) + 0.5) * scheme.epsilon
+    for name in set(HEDGED) & set(cols):
+        assert np.all(np.isin(cols[name], midpoints)), name
+    tracked = [name for name in TRACKED if name in cols]
+    if tracked:  # the experts, which the columns do not depend on, where not asked for
+        experts = run_replication(spec, tuple({TRACKED[name] for name in tracked}), epsilon)[0]
+        for name in tracked:
+            assert np.array_equal(cols[name], tracked_reference(experts[TRACKED[name]], ys, scheme)), name
+
+
+class TestEveryAcceptedConfiguration:
+    """A bad configuration fails at construction, and every accepted one
+    runs: its columns are finite forecasts in [0, 1]."""
+
+    # no shrink phase: a failing example is reported as drawn. Sizes are
+    # often drawn small, T_cal and delta often 0 and the methods often the
+    # adversarial stream's, so that many examples are accepted (T_cal + 2W
+    # <= T_test, delta 0 on the kinds that do not drift, only OPS/HOPS and
+    # no calibration prefix on the adversarial stream)
+    @settings(max_examples=400, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
+    @given(kind=st.sampled_from(["cov1d", "label1d", "reg1d", "covmulti", "labelmulti", "adversarial"]),
+           seed=st.integers(0, 2**16), T_train=st.one_of(st.integers(1, 60), st.integers(0, 60)),
+           T_test=st.one_of(st.integers(150, 300), st.integers(0, 300)),
+           T_cal=st.one_of(st.just(0), st.integers(0, 30), st.integers(0, 300)),
+           W=st.one_of(st.integers(1, 30), st.integers(0, 200)),
+           delta=st.one_of(st.just(0.0), st.sampled_from([0.0, 1e-5, -1e-4, 0.4 / 6000.0, 0.01])),
+           epsilon=st.sampled_from([1.0, 0.5, 0.35, 0.25, 0.2, 0.15, 0.1, 0.05]),
+           methods=st.one_of(st.lists(st.sampled_from(["OPS", "HOPS"]), min_size=1, max_size=2, unique=True),
+                             st.lists(st.sampled_from(METHODS), min_size=1, max_size=5, unique=True)),
+           eval_stride=st.integers(1, 300))
+    def test_construction_rejects_or_columns_are_forecasts(self, kind, seed, T_train, T_test, T_cal, W, delta,
+                                                            epsilon, methods, eval_stride):
+        try:
+            spec = StreamSpec(kind=kind, seed=seed, T_train=T_train, T_test=T_test, T_cal=T_cal, W=W, delta=delta)
+            config = ExperimentConfig(stream=spec, methods=tuple(methods), epsilon=epsilon, replications=1,
+                                      eval_stride=eval_stride)
+        except ValueError:
+            return
+        assert_columns_sound(config.stream, config.methods, config.epsilon)
+
+    def test_csv_stream(self, tmp_path):
+        rng = np.random.default_rng(7)
+        path = tmp_path / "data.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("age,feat,label\n")
+            for age, feat in zip(rng.random(120), rng.normal(size=120)):
+                fh.write(f"{age},{feat},{int(rng.random() < 1.0 / (1.0 + np.exp(-feat)))}\n")
+        spec = StreamSpec(kind="csv", seed=3, csv_path=str(path), label_column="label", sortby_column="age",
+                          T_train=20, T_cal=10, W=10)
+        config = ExperimentConfig(stream=spec, methods=("BM", "WPS", "TOPS", "HOBS", "TWHB"), epsilon=0.1)
+        assert_columns_sound(config.stream, config.methods, config.epsilon)
