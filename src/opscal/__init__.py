@@ -19,7 +19,6 @@ from .core import (
 from .ons import OnsConfig, OnsState, ons_regret_bound, ons_step, project_ellipsoid, regret
 from .scalers import (
     HistogramBinningModel,
-    WindowedLearner,
     beta_apply,
     fit_beta_batch,
     fit_histogram_binning,
@@ -27,7 +26,7 @@ from .scalers import (
     online_scaler_run,
     online_scaler_step,
     platt_apply,
-    windowed_step,
+    windowed_run,
 )
 from .calibeating import (
     CalibeatingInvariantError,

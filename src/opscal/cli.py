@@ -165,7 +165,7 @@ def main(argv=None) -> int:
         else:  # dump-stream
             print(f"wrote {dump_stream(spec, args.out)}")
             return 0
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # a missing or unreadable csv too
         cmd_p.error(str(exc))
 
     report = run_pipeline(config)

@@ -113,8 +113,9 @@ class ExperimentConfig:
         m = BinningScheme(self.epsilon).m  # rejects a bad epsilon before any replication
         for noun, least in (("replications", 1), ("master_seed", 0), ("eval_stride", 1), ("workers", 1)):
             object.__setattr__(self, noun, check_count(getattr(self, noun), noun, least))
-        if self.stream.kind != "csv":  # a csv stream's length is known once ingested
-            eval_timestamps(self.stream.T_test, self.stream.T_cal, self.stream.W, self.eval_stride)
+        if self.stream.kind == "csv":  # its test length is the file's, known once ingested
+            object.__setattr__(self, "stream", build_scored_stream(self.stream).spec)
+        eval_timestamps(self.stream.T_test, self.stream.T_cal, self.stream.W, self.eval_stride)
         if self.stream.kind == "adversarial":
             extra = set(self.methods) - {"OPS", "HOPS"}
             if extra:
@@ -267,8 +268,6 @@ class RunReport:
 
 def run_pipeline(config: ExperimentConfig) -> RunReport:
     """Run all replications, aggregate CE/SHP series, write outputs."""
-    if config.stream.kind == "csv":  # the test length is the file's, known once ingested
-        config = replace(config, stream=build_scored_stream(config.stream).spec)
     spec = config.stream
     T = spec.T_test
     timestamps = eval_timestamps(T, spec.T_cal, spec.W, config.eval_stride)

@@ -22,8 +22,7 @@ with ``core.check_columns``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -288,36 +287,6 @@ def fit_histogram_binning(scores, ys, m: int = 10) -> HistogramBinningModel:
     return HistogramBinningModel(boundaries=boundaries, predictions=preds)
 
 
-@dataclass
-class WindowedLearner:
-    """Periodically refit batch learner: Platt, beta, or histogram binning.
-
-    Parameters change only at the ``refit_times`` steps, at which point the
-    model is refit on the full prefix (all history so far, not a sliding
-    window). The first refit happens at t = t_cal + window; until then the
-    initial (calibration-set) fit governs.
-    """
-
-    family: str  # "platt" | "beta" | "hb"
-    window: int
-    t_cal: int
-    params: object = None
-    hb_bins: int = 10
-    refit_steps: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.family not in _WINDOWED:
-            raise ValueError("family must be platt, beta, or hb")
-        for noun, least in (("window", 1), ("t_cal", 0), ("hb_bins", 1)):
-            setattr(self, noun, check_count(getattr(self, noun), noun, least))
-
-
-# windowed families: refit(scores, ys, hb_bins), only hb reading hb_bins, and apply(params, score)
-_WINDOWED = {name: (lambda s, y, _, name=name: _fit_batch(name, s, y), partial(_apply, name))
-             for name in _FAMILIES}
-_WINDOWED["hb"] = (fit_histogram_binning, HistogramBinningModel.predict)
-
-
 def refit_times(t_cal: int, window: int, T: int) -> range:
     """The windowed refit rule: the steps t_cal < t <= T with
     mod(t - t_cal, window) == 0. At each, the model is refit on the full
@@ -327,13 +296,14 @@ def refit_times(t_cal: int, window: int, T: int) -> range:
 
 
 def windowed_run(fit, apply, params, t_cal: int, window: int, scores, ys) -> np.ndarray:
-    """Windowed forecasts for t = t_cal+1 .. T, where T = len(scores).
+    """Windowed forecasts for t = t_cal+1 .. T, where T = len(scores): the
+    package's one windowed learner, for any batch ``fit`` and its ``apply``
+    (``fit_platt_batch`` and ``platt_apply``, say).
 
     ``params`` governs until the first refit; ``fit(scores, ys)`` refits on
     the prefix at each ``refit_times`` step. Parameters are constant between
     refits, so each segment [t_k, t_{k+1}) is served by one vectorised
-    ``apply(params, scores)`` call. Equals a ``windowed_step`` replay
-    element for element.
+    ``apply(params, scores)`` call.
     """
     scores, ys = check_columns(scores, ys, "scores")
     T = len(scores)
@@ -349,26 +319,6 @@ def windowed_run(fit, apply, params, t_cal: int, window: int, scores, ys) -> np.
             params = fit(scores[: t - 1], ys[: t - 1])
         start = t
     return out
-
-
-def windowed_step(learner: WindowedLearner, t: int, hist_scores, hist_ys, score_t):
-    """Forecast at time t (1-based); history holds all (score, y) with s <= t-1
-    (longer histories are cut to that prefix).
-
-    At ``refit_times`` steps the learner refits on the whole history before
-    forecasting.
-    """
-    t = check_count(t, "t", learner.t_cal + 1)  # forecasts start after the calibration prefix
-    if min(len(hist_scores), len(hist_ys)) < t - 1:
-        raise ValueError(f"history must hold the t - 1 = {t - 1} points before t")
-    fit, apply = _WINDOWED[learner.family]
-    if t in refit_times(learner.t_cal, learner.window, t):
-        learner.params = fit(np.asarray(hist_scores, dtype=float)[: t - 1],
-                             np.asarray(hist_ys, dtype=float)[: t - 1], learner.hb_bins)
-        learner.refit_steps.append(t)
-    if learner.params is None:
-        raise ValueError("learner has no parameters yet (initialize from the calibration fit)")
-    return apply(learner.params, score_t)
 
 
 def online_scaler_step(state: OnsState, score, y, family: str, config: OnsConfig | None = None):

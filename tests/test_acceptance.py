@@ -267,24 +267,18 @@ class TestCriterion12OracleEquivalences:
         ok_proj = worst <= 1e-4
 
         # windowed learner at W=1 == follow-the-leader per-step refits
-        from opscal.scalers import (
-            WindowedLearner,
-            fit_platt_batch,
-            platt_apply,
-            windowed_step,
-        )
+        from opscal.scalers import fit_platt_batch, platt_apply, windowed_run
 
         rng = np.random.default_rng(321)
         scores = rng.uniform(0.01, 0.99, 200)
         ys = (rng.random(200) < platt_apply((1.2, -0.4), scores)).astype(float)
         t_cal = 20
-        learner = WindowedLearner(family="platt", window=1, t_cal=t_cal,
-                                  params=fit_platt_batch(scores[:t_cal], ys[:t_cal]))
+        col = windowed_run(fit_platt_batch, platt_apply, fit_platt_batch(scores[:t_cal], ys[:t_cal]),
+                           t_cal, 1, scores, ys)
         worst_ftl = 0.0
         for t in range(t_cal + 1, 201):
-            got = windowed_step(learner, t, scores, ys, scores[t - 1])
             ftl = platt_apply(fit_platt_batch(scores[: t - 1], ys[: t - 1]), scores[t - 1])
-            worst_ftl = max(worst_ftl, abs(got - ftl))
+            worst_ftl = max(worst_ftl, abs(col[t - t_cal - 1] - ftl))
         ok_ftl = worst_ftl <= 1e-6
 
         # batch Platt fit beats a 41x41 grid oracle on 20 random datasets

@@ -57,17 +57,16 @@ class TestWindowedScheduleConsistency:
         cols, _, _, _ = run_replication(spec, ("WPS",), 0.1)
 
         from opscal.datagen import build_scored_stream
-        from opscal.scalers import WindowedLearner, fit_platt_batch, windowed_step
+        from opscal.scalers import fit_platt_batch, platt_apply
+        from test_scalers import reference_windowed_column
 
         stream = build_scored_stream(spec)
         ts, ty = stream.test_scores(), stream.test_y()
-        learner = WindowedLearner(family="platt", window=spec.W, t_cal=spec.T_cal,
-                                  params=fit_platt_batch(ts[: spec.T_cal], ty[: spec.T_cal]))
-        stepwise = np.array([
-            windowed_step(learner, t, ts, ty, ts[t - 1])
-            for t in range(spec.T_cal + 1, spec.T_test + 1)
-        ])
-        assert np.max(np.abs(cols["WPS"] - stepwise)) <= 1e-12
+        stepwise, refits = reference_windowed_column(
+            fit_platt_batch, platt_apply, fit_platt_batch(ts[: spec.T_cal], ty[: spec.T_cal]),
+            spec.T_cal, spec.W, ts, ty)
+        assert refits == list(range(spec.T_cal + spec.W, spec.T_test + 1, spec.W))
+        assert cols["WPS"].tolist() == stepwise
 
 
 class TestDriftPatternAcrossWindows:

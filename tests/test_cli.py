@@ -157,6 +157,13 @@ class TestOtherCommands:
         assert proc.returncode == 0, proc.stderr
 
 
+def write_csv(path, n):
+    """An ``age,score,label`` file of n rows, the score in (0, 1)."""
+    rng = np.random.default_rng(0)
+    rows = [f"{rng.integers(18, 80)},{rng.uniform(0.05, 0.95):.6f},{int(rng.integers(0, 2))}" for _ in range(n)]
+    path.write_text("\n".join(["age,score,label"] + rows) + "\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["climatology", "--reps", "0"], "replications must be >= 1"),
     (["run", "--stream", "labelmulti", "--tcal", "-5"], "T_cal must be >= 0"),
@@ -171,8 +178,15 @@ class TestOtherCommands:
     (["run", "--stream", "covmulti", "--ttest", "1500", "--tcal", "1000"],
      "stream too short: need at least T_cal + 2W = 2000 points"),
     (["dump-stream", "--stream", "adversarial"], "adversarial outcomes are generated at run time"),
+    # a csv is read while the config is built, before any replication or output
+    (["run", "--csv", "short.csv", "--label", "label", "--ttrain", "50", "--tcal", "100", "--window", "100"],
+     "CSV has 300 usable rows; need at least 350"),
+    (["run", "--csv", "nope.csv", "--label", "label"], "No such file or directory: 'nope.csv'"),
+    (["dump-stream", "--csv", "nope.csv", "--label", "label"], "No such file or directory: 'nope.csv'"),
 ])
-def test_rejected_arguments_are_usage_errors(tmp_path, capsys, argv, message):
+def test_rejected_arguments_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    write_csv(tmp_path / "short.csv", 300)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
@@ -209,6 +223,9 @@ CSV_BASE = ["--csv", "data.csv", "--label", "label"]
     ("run", "out", "o", ["--out", "o"], ["--stream", "labelmulti"]),
 ])
 def test_config_key_matches_its_flag(tmp_path, monkeypatch, section, key, value, flag, base):
+    # a csv config reads its file: T_train + T_cal + 2W = 3000 rows by default
+    monkeypatch.chdir(tmp_path)
+    write_csv(tmp_path / "data.csv", 3000)
     configs = []
 
     def capture(config):

@@ -27,7 +27,6 @@ from opscal.metrics import brier, calibration_error, metric_report, refinement, 
 from opscal.ons import OnsConfig, regret
 from opscal.pipeline import ExperimentConfig, eval_timestamps, run_climatology
 from opscal.scalers import (
-    WindowedLearner,
     fit_beta_batch,
     fit_histogram_binning,
     fit_platt_batch,
@@ -35,7 +34,6 @@ from opscal.scalers import (
     platt_apply,
     refit_times,
     windowed_run,
-    windowed_step,
 )
 
 
@@ -333,11 +331,6 @@ SPEC = default_spec("adversarial")  # no base model, so T_train may be 0
 HALVES = np.full(20, 0.5)
 
 
-def _windowed_step_at(t):
-    learner = WindowedLearner(family="platt", window=10, t_cal=5, params=np.array([1.0, 0.0]))
-    return windowed_step(learner, t, HALVES, np.zeros(20), 0.5)
-
-
 # every count entering a spec, a config or an entry: the noun its error
 # names, the least value it accepts, and the call with the count set to v
 COUNT_SITES = {
@@ -347,8 +340,6 @@ COUNT_SITES = {
        for f, least in (("replications", 1), ("master_seed", 0), ("eval_stride", 1), ("workers", 1))},
     **{f"run_climatology.{f}": (f, least, lambda v, f=f: run_climatology(**{"T": 50, "replications": 1, f: v}))
        for f, least in (("T", 1), ("replications", 1), ("master_seed", 0))},
-    **{f"WindowedLearner.{f}": (f, least, lambda v, f=f: WindowedLearner("hb", **{"window": 10, "t_cal": 20, f: v}))
-       for f, least in (("window", 1), ("t_cal", 0), ("hb_bins", 1))},
     "refit_times.window": ("window", 1, lambda v: refit_times(0, v, 10)),
     "refit_times.t_cal": ("t_cal", 0, lambda v: refit_times(v, 2, 10)),
     "refit_times.T": ("T", 0, lambda v: refit_times(0, 2, v)),
@@ -359,7 +350,8 @@ COUNT_SITES = {
     "fit_histogram_binning.m": ("m", 1, lambda v: fit_histogram_binning(np.linspace(0.1, 0.9, 12), np.zeros(12), m=v)),
     "windowed_run.t_cal": ("t_cal", 0, lambda v: windowed_run(fit_platt_batch, platt_apply, (1.0, 0.0), v, 5,
                                                               HALVES, HALVES)),
-    "windowed_step.t": ("t", 6, _windowed_step_at),
+    "windowed_run.window": ("window", 1, lambda v: windowed_run(fit_platt_batch, platt_apply, (1.0, 0.0), 5, v,
+                                                                HALVES, HALVES)),
 }
 
 

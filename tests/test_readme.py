@@ -12,4 +12,4 @@ def test_python_blocks_run_in_order():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
-    assert {"forecasts", "ce_series", "shp_series", "tracked", "hedged", "f99", "comparator"} <= namespace.keys()
+    assert {"forecasts", "ce_series", "shp_series", "tracked", "hedged", "f99", "comparator", "wps"} <= namespace.keys()

@@ -12,7 +12,6 @@ from opscal.datagen import covmulti_at
 from opscal.ons import OnsConfig, OnsState, initial_theta, ons_step
 from opscal.scalers import (
     HistogramBinningModel,
-    WindowedLearner,
     _renorm_to_ball,
     beta_apply,
     beta_features,
@@ -25,7 +24,6 @@ from opscal.scalers import (
     platt_apply,
     platt_features,
     windowed_run,
-    windowed_step,
 )
 
 
@@ -234,6 +232,38 @@ class TestHistogramBinning:
             HistogramBinningModel(np.array(boundaries), np.array(predictions))
 
 
+def reference_windowed_column(fit, apply, params, t_cal, window, scores, ys):
+    """The windowed rule one step at a time, written without refit_times:
+    for t = t_cal+1 .. T, refit on the prefix s <= t-1 when
+    (t - t_cal) % window == 0, then forecast t with the parameters in force.
+    Returns (forecasts, refit steps)."""
+    forecasts, refits = [], []
+    for t in range(t_cal + 1, len(scores) + 1):
+        if (t - t_cal) % window == 0:
+            params = fit(scores[: t - 1], ys[: t - 1])
+            refits.append(t)
+        forecasts.append(apply(params, scores[t - 1]))
+    return forecasts, refits
+
+
+def recording(fit, apply):
+    """``fit`` and ``apply`` wrapped to log each refit step (the prefix
+    length plus one) with its parameters, and each apply call's parameters
+    and segment length."""
+    fits, applies = [], []
+
+    def recording_fit(s, ys):
+        params = fit(s, ys)
+        fits.append((len(s) + 1, params))
+        return params
+
+    def recording_apply(params, s):
+        applies.append((params, len(s)))
+        return apply(params, s)
+
+    return recording_fit, recording_apply, fits, applies
+
+
 class TestWindowedLearner:
     def _stream(self, rng, T):
         scores = rng.uniform(0.01, 0.99, size=T)
@@ -245,79 +275,60 @@ class TestWindowedLearner:
         scores, y = self._stream(rng, 240)
         t_cal = 40
         fps = fit_platt_batch(scores[:t_cal], y[:t_cal])
-        learner = WindowedLearner(family="platt", window=10**9, t_cal=t_cal, params=fps)
-        for t in range(t_cal + 1, 241):
-            got = windowed_step(learner, t, scores, y, scores[t - 1])
-            assert got == pytest.approx(platt_apply(fps, scores[t - 1]), abs=1e-12)
-        assert learner.refit_steps == []
+        fit, apply, fits, _ = recording(fit_platt_batch, platt_apply)
+        col = windowed_run(fit, apply, fps, t_cal, 10**9, scores, y)
+        assert col == pytest.approx(platt_apply(fps, scores[t_cal:]), abs=1e-12)
+        assert fits == []
 
     def test_window_one_is_follow_the_leader(self):
         rng = np.random.default_rng(32)
         scores, y = self._stream(rng, 200)
         t_cal = 20
-        learner = WindowedLearner(
-            family="platt", window=1, t_cal=t_cal, params=fit_platt_batch(scores[:t_cal], y[:t_cal])
-        )
+        col = windowed_run(fit_platt_batch, platt_apply, fit_platt_batch(scores[:t_cal], y[:t_cal]),
+                           t_cal, 1, scores, y)
         for t in range(t_cal + 1, 201):
-            got = windowed_step(learner, t, scores, y, scores[t - 1])
             ftl = platt_apply(fit_platt_batch(scores[: t - 1], y[: t - 1]), scores[t - 1])
-            assert got == pytest.approx(ftl, abs=1e-6)
+            assert col[t - t_cal - 1] == pytest.approx(ftl, abs=1e-6)
 
     def test_params_piecewise_constant(self):
+        # each segment between refits is forecast by the parameters of the
+        # fit that opened it, in one apply call
         rng = np.random.default_rng(33)
         scores, y = self._stream(rng, 300)
         t_cal, W = 50, 40
-        learner = WindowedLearner(
-            family="platt", window=W, t_cal=t_cal, params=fit_platt_batch(scores[:t_cal], y[:t_cal])
-        )
-        seen = {}
-        for t in range(t_cal + 1, 301):
-            windowed_step(learner, t, scores, y, scores[t - 1])
-            seen[t] = learner.params
-        assert learner.refit_steps == [t for t in range(t_cal + 1, 301) if (t - t_cal) % W == 0]
-        for t in range(t_cal + 1, 300):
-            if (t + 1 - t_cal) % W != 0:
-                assert seen[t + 1] is seen[t]
+        init = fit_platt_batch(scores[:t_cal], y[:t_cal])
+        fit, apply, fits, applies = recording(fit_platt_batch, platt_apply)
+        windowed_run(fit, apply, init, t_cal, W, scores, y)
+        steps = [t for t, _ in fits]
+        assert steps == [t for t in range(t_cal + 1, 301) if (t - t_cal) % W == 0]
+        in_force = [init, *(params for _, params in fits)]
+        assert len(applies) == len(in_force) and all(a is b for (a, _), b in zip(applies, in_force))
+        assert [n for _, n in applies] == [hi - lo for lo, hi in pairwise([t_cal + 1, *steps, 301])]
 
     def test_single_refit_at_horizon_reproduces_fixed_column(self):
+        # W = T - t_cal puts the one refit at the last step T
         rng = np.random.default_rng(34)
         T = 120
         scores, y = self._stream(rng, T)
         t_cal = 30
         fps = fit_platt_batch(scores[:t_cal], y[:t_cal])
-        learner = WindowedLearner(family="platt", window=T, t_cal=t_cal, params=fps)
-        outs = [windowed_step(learner, t, scores, y, scores[t - 1]) for t in range(t_cal + 1, T + 1)]
-        assert np.allclose(outs, platt_apply(fps, scores[t_cal:T]), atol=0)
-
-    def test_requires_post_calibration_time(self):
-        learner = WindowedLearner(family="platt", window=10, t_cal=5)
-        with pytest.raises(ValueError):
-            windowed_step(learner, 3, np.zeros(3), np.zeros(3), 0.5)
-
-    def test_rejects_short_history(self):
-        # a refit step needs the t - 1 points before t, and so does every other step
-        rng = np.random.default_rng(36)
-        scores, y = self._stream(rng, 20)
-        learner = WindowedLearner(family="platt", window=5, t_cal=10, params=np.array([1.0, 0.0]))
-        for t, n in ((15, 3), (15, 13), (12, 10)):
-            with pytest.raises(ValueError, match=f"history must hold the t - 1 = {t - 1} points"):
-                windowed_step(learner, t, scores[:n], y[:n], 0.4)
-            with pytest.raises(ValueError, match="history must hold"):
-                windowed_step(learner, t, scores, y[:n], 0.4)
-        assert learner.refit_steps == [] and learner.params.tolist() == [1.0, 0.0]
-        assert windowed_step(learner, 15, scores[:14], y[:14], 0.4) == platt_apply(
-            fit_platt_batch(scores[:14], y[:14]), 0.4)
+        fit, apply, fits, _ = recording(fit_platt_batch, platt_apply)
+        col = windowed_run(fit, apply, fps, t_cal, T - t_cal, scores, y)
+        assert [t for t, _ in fits] == [T]
+        assert col[:-1].tobytes() == platt_apply(fps, scores[t_cal : T - 1]).tobytes()
+        assert col[-1] == platt_apply(fit_platt_batch(scores[: T - 1], y[: T - 1]), scores[T - 1])
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"window": 0}, "window must be >= 1"),
-        ({"hb_bins": 0}, "hb_bins must be >= 1"),
-        ({"hb_bins": -3}, "hb_bins must be >= 1"),
-        ({"t_cal": -1}, "t_cal must be >= 0"),
+        pytest.param({"window": 0}, "window must be >= 1", id="kwargs0-window must be >= 1"),
+        pytest.param({"t_cal": -1}, r"t_cal must lie in \[0", id="kwargs3-t_cal must be >= 0"),
     ])
     def test_rejects_nonpositive_window_or_bins(self, kwargs, message):
-        # checked at construction, not at the first refit
+        # checked before any fit or forecast
+        fit, apply, fits, applies = recording(fit_platt_batch, platt_apply)
         with pytest.raises(ValueError, match=message):
-            WindowedLearner(**{"family": "hb", "window": 10, "t_cal": 20, **kwargs})
+            windowed_run(fit, apply, (1.0, 0.0), **{"t_cal": 20, "window": 10, **kwargs},
+                         scores=np.full(40, 0.5), ys=np.zeros(40))
+        assert fits == applies == []
 
 
 FIT_APPLY = {
@@ -353,23 +364,13 @@ class TestWindowedRun:
         y = (rng.random(T) < scores).astype(float)
         fit, apply = FIT_APPLY[family]
         init = fit(scores[:t_cal], y[:t_cal])
-        refits, segments = [], []
-
-        def recording_fit(s, ys):
-            refits.append(len(s) + 1)
-            return fit(s, ys)
-
-        def recording_apply(params, s):
-            segments.append(len(s))
-            return apply(params, s)
-
+        recording_fit, recording_apply, fits, applies = recording(fit, apply)
         col = windowed_run(recording_fit, recording_apply, init, t_cal, W, scores, y)
-        learner = WindowedLearner(family=family, window=W, t_cal=t_cal, params=init)
-        replay = [windowed_step(learner, t, scores, y, scores[t - 1]) for t in range(t_cal + 1, T + 1)]
+        replay, refits = reference_windowed_column(fit, apply, init, t_cal, W, scores, y)
         assert col.tolist() == replay
-        assert learner.refit_steps == refits
+        assert [t for t, _ in fits] == refits
         bounds = [t_cal + 1, *refits, T + 1]
-        assert segments == [hi - lo for lo, hi in pairwise(bounds) if hi > lo]
+        assert [n for _, n in applies] == [hi - lo for lo, hi in pairwise(bounds) if hi > lo]
 
     def test_rejects_nonpositive_window(self):
         scores = np.full(20, 0.5)
