@@ -10,13 +10,12 @@ from .core import (
     CLIP_HI,
     CLIP_LO,
     BinningScheme,
-    bin_index,
     clip_score,
     log_loss,
     logit,
     sigmoid,
 )
-from .ons import OnsConfig, OnsState, ons_regret_bound, ons_step, project_ellipsoid, regret
+from .ons import OnsConfig, OnsState, ons_regret_bound, project_ellipsoid, regret
 from .scalers import (
     HistogramBinningModel,
     beta_apply,

@@ -175,12 +175,12 @@ class HopsState(_Tallies):
         """The announced distribution of the instance routed by expert_p."""
         scheme = self.scheme
         r = _route(expert_p, scheme)
-        mid = scheme.midpoint  # 1-based bins
+        mid = scheme.midpoints().tolist()
         if self.first[r] < scheme.m:
-            return HedgeDistribution(support=(mid(self.first[r] + 1),), probs=(1.0,))
+            return HedgeDistribution(support=(mid[self.first[r]],), probs=(1.0,))
         lo, hi, plo = kernels.hedge_pair(self.status, self.counts, self.outcome_sums, r * scheme.m, self.low[r],
                                          scheme.epsilon, scheme.m)
-        return HedgeDistribution(support=(mid(lo + 1), mid(hi + 1)), probs=(plo, 1.0 - plo))
+        return HedgeDistribution(support=(mid[lo], mid[hi]), probs=(plo, 1.0 - plo))
 
 
 def f99_distribution(state: HopsState) -> HedgeDistribution:

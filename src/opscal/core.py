@@ -156,7 +156,8 @@ def log_loss_sum(p, y, y0, sign=None, out=None, scratch=None) -> float:
 
 @dataclass(frozen=True)
 class BinningScheme:
-    """Uniform-width probability bins B_1=[0,eps), ..., B_m=[(m-1)eps, 1].
+    """Uniform-width probability bins B_0=[0,eps), ..., B_{m-1}=[(m-1)eps, 1],
+    counted from 0 everywhere in the package.
 
     Bins are left-closed/right-open except the last, which is closed at 1.
     m = ceil(1/eps), where a near-integer 1/eps snaps down so that
@@ -181,14 +182,8 @@ class BinningScheme:
                              "tracking and hedging would forecast; 1/k for an integer k is safe")
 
     def midpoints(self) -> np.ndarray:
-        """Midpoint of bin b is (b - 0.5) * eps, b = 1..m."""
+        """The midpoint of bin b at entry b: (b + 0.5) * eps, b = 0..m-1."""
         return (np.arange(self.m) + 0.5) * self.epsilon
-
-    def midpoint(self, b: int) -> float:
-        """Midpoint of 1-based bin index b."""
-        if not 1 <= b <= self.m:
-            raise ValueError("bin index out of range")
-        return (b - 0.5) * self.epsilon
 
 
 def bins_of(p, eps: float, m: int):
@@ -198,12 +193,3 @@ def bins_of(p, eps: float, m: int):
     forecast lies in [0, 1] (NaN does not), so no bin is out of range."""
     return np.minimum(np.floor(check_unit(p, "probabilities") / eps).astype(np.int64), m - 1)
 
-
-def bin_index(p, scheme: BinningScheme):
-    """1-based index of the bin containing p; p = 1 maps to m.
-
-    The 1-based form of ``bins_of``: a forecast exactly on a boundary
-    belongs to the upper bin.
-    """
-    idx = bins_of(p, scheme.epsilon, scheme.m) + 1
-    return int(idx) if idx.ndim == 0 else idx

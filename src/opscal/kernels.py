@@ -28,9 +28,9 @@ Conventions:
   - ``us`` are pre-drawn Uniform[0,1) variates, one per time step; hedging
     consumes exactly one per step whether or not it randomizes, so seeded
     replays align across step-by-step and whole-stream execution
-  - bins are 0-based here (the public API is 1-based); bin width ``eps``
-    and count ``m`` are passed explicitly and must come from the same
-    BinningScheme the caller uses for metrics
+  - bins are 0-based; bin width ``eps`` and count ``m`` are passed
+    explicitly and must come from the same BinningScheme the caller uses
+    for metrics
 
 State buffers: hedging keeps one row of m bins per forecaster in flat
 m*m ``counts`` and ``sums`` (row r at [r*m, (r + 1)*m)), a ``status``

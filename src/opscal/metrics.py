@@ -128,7 +128,7 @@ def true_accuracy(p, truth) -> float:
     return float(np.mean(np.where(p >= 0.5, truth, 1.0 - truth)))
 
 
-@dataclass
+@dataclass(eq=False)
 class MetricReport:
     ce: float | np.ndarray  # arrays over the prefixes when metric_report is given them
     shp: float | np.ndarray

@@ -112,14 +112,6 @@ def ons_advance(state: OnsState, feature, y, config: OnsConfig):
                                      A_inv=np.array(A_inv).reshape(d, d), t=state.t + 1)
 
 
-def ons_step(state: OnsState, feature, y, config: OnsConfig) -> OnsState:
-    """One online Newton update; returns the successor state.
-
-    The caller makes its forecast from ``state.theta`` before invoking this.
-    """
-    return ons_advance(state, feature, y, config)[1]
-
-
 def project_ellipsoid(A, theta_tilde, radius: float) -> np.ndarray:
     """Project theta_tilde onto the Euclidean radius-ball under the A-norm.
 

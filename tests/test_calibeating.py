@@ -17,7 +17,7 @@ from opscal.calibeating import (
     tracking_run,
     tracking_update,
 )
-from opscal.core import BinningScheme, bin_index
+from opscal.core import BinningScheme, bins_of
 from opscal.metrics import calibration_error, sharpness
 from opscal.metrics import hedging_sharpness_slack, tracking_sharpness_slack
 from opscal.ons import OnsConfig, OnsState, initial_theta
@@ -152,7 +152,7 @@ class TestF99:
         for y in (rng.random(200) < 0.6).astype(float):
             before = st.counts.copy(), st.outcome_sums.copy()
             chosen, st = f99_step(st, y, rng)
-            mask = np.arange(100) != bin_index(chosen, scheme10()) - 1
+            mask = np.arange(100) != bins_of(chosen, 0.1, 10)
             assert st.counts[~mask] == before[0][~mask] + 1.0
             assert all(np.array_equal(a[mask], b[mask]) for a, b in zip((st.counts, st.outcome_sums), before))
 
@@ -392,7 +392,7 @@ class TestProbabilityRange:
     """One unit-interval check guards every entry that routes a forecast."""
 
     @pytest.mark.parametrize("call", [
-        lambda: bin_index(NAN, scheme10()),
+        lambda: bins_of(NAN, 0.1, 10),
         lambda: calibration_error(np.array([0.2, NAN]), np.array([0.0, 1.0]), scheme10()),
         lambda: tracking_forecast(TrackingState(scheme10()), NAN),
         lambda: tracking_update(TrackingState(scheme10()), NAN, 1.0),

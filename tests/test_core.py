@@ -13,7 +13,6 @@ from opscal import kernels
 from opscal.calibeating import f99_run, hops_run, tracking_run
 from opscal.core import (
     BinningScheme,
-    bin_index,
     bins_of,
     clip_score,
     log_loss,
@@ -183,7 +182,7 @@ class TestBinningScheme:
         for eps in (0.3, 0.07, 0.45):
             with pytest.raises(ValueError, match="last bin midpoint"):
                 BinningScheme(eps)
-        assert BinningScheme(0.4).m == 3 and BinningScheme(0.4).midpoint(3) == 1.0
+        assert BinningScheme(0.4).m == 3 and BinningScheme(0.4).midpoints()[2] == 1.0
         assert BinningScheme(0.15).m == 7
 
     @settings(max_examples=300, deadline=None)
@@ -198,10 +197,10 @@ class TestBinningScheme:
             assert BinningScheme(float(eps)).m == m
 
     def test_midpoints(self):
+        # entry b is bin b's midpoint (b + 0.5) * eps, bins counted from 0
         s = BinningScheme(0.1)
         assert np.allclose(s.midpoints(), np.arange(0.05, 1.0, 0.1))
-        assert s.midpoint(1) == pytest.approx(0.05)
-        assert s.midpoint(10) == pytest.approx(0.95)
+        assert s.midpoints().tolist() == [(b + 0.5) * 0.1 for b in range(10)]
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
@@ -211,48 +210,51 @@ class TestBinningScheme:
 
 
 class TestBinIndex:
+    """``bins_of``, the package's one bin router, counts bins from 0."""
+
     def test_interior_of_first_bin(self):
-        assert bin_index(0.05, BinningScheme(0.1)) == 1
+        assert bins_of(0.05, 0.1, 10) == 0
 
     def test_left_closed_boundary(self):
-        assert bin_index(0.1, BinningScheme(0.1)) == 2
+        assert bins_of(0.1, 0.1, 10) == 1
 
     def test_one_maps_to_last_bin(self):
-        assert bin_index(1.0, BinningScheme(0.1)) == 10
+        assert bins_of(1.0, 0.1, 10) == 9
 
     def test_zero_maps_to_first_bin(self):
-        assert bin_index(0.0, BinningScheme(0.1)) == 1
+        assert bins_of(0.0, 0.1, 10) == 0
 
     def test_monotone_and_total(self):
         rng = np.random.default_rng(7)
         for eps in (0.05, 0.1, 0.2, 0.5):
             scheme = BinningScheme(eps)
             ps = np.sort(rng.random(500))
-            idx = bin_index(ps, scheme)
+            idx = bins_of(ps, scheme.epsilon, scheme.m)
             assert np.all(np.diff(idx) >= 0)
-            assert np.all((idx >= 1) & (idx <= scheme.m))
+            assert np.all((idx >= 0) & (idx < scheme.m))
 
     def test_surjective(self):
         for eps in (0.05, 0.1, 0.2, 0.5):
             scheme = BinningScheme(eps)
             mids = scheme.midpoints()
-            assert sorted(set(bin_index(mids, scheme))) == list(range(1, scheme.m + 1))
+            assert bins_of(mids, scheme.epsilon, scheme.m).tolist() == list(range(scheme.m))
 
     def test_midpoint_within_half_eps(self):
         rng = np.random.default_rng(11)
         for eps in (0.05, 0.1, 0.2):
             scheme = BinningScheme(eps)
+            mids = scheme.midpoints()
             for p in rng.random(400):
-                b = bin_index(float(p), scheme)
-                assert abs(p - scheme.midpoint(b)) <= eps / 2 + 1e-12
+                b = int(bins_of(float(p), scheme.epsilon, scheme.m))
+                assert abs(p - mids[b]) <= eps / 2 + 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(eps=st.sampled_from([0.01, 0.05, 0.1, 0.15, 0.2, 0.4, 1 / 3, 1 / 7]),
            drawn=hnp.arrays(np.float64, st.integers(0, 50), elements=st.floats(0.0, 1.0)))
     def test_matches_kernel_bin_of(self, eps, drawn):
-        # the array router, its 1-based wrapper and the kernels' scalar
-        # routing agree on every forecast, the float bin edges k * eps,
-        # their neighbours, 0 and 1
+        # the array router, on arrays and on scalars, and the kernels'
+        # scalar routing agree on every forecast, the float bin edges
+        # k * eps, their neighbours, 0 and 1
         scheme = BinningScheme(eps)
         edges = np.array([k * eps for k in range(scheme.m + 1) if k * eps <= 1.0])
         near = np.concatenate([np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
@@ -260,7 +262,6 @@ class TestBinIndex:
         want = [kernels.bin_of(float(x), scheme.epsilon, scheme.m) for x in p]
         routed = bins_of(p, scheme.epsilon, scheme.m)
         assert routed.dtype == np.int64 and routed.tolist() == want
-        assert (bin_index(p, scheme) - 1).tolist() == want
         assert [int(bins_of(x, scheme.epsilon, scheme.m)) for x in p] == want
 
 

@@ -568,7 +568,7 @@ def state_of_row(counts, sums, base, eps, m):
     full_counts[:k], full_sums[:k] = counts[:k], sums[:k]
     r = base // m % m
     full_counts[r * m:(r + 1) * m], full_sums[r * m:(r + 1) * m] = counts[base:base + m], sums[base:base + m]
-    return full_counts, full_sums, BinningScheme(eps).midpoint(r + 1)
+    return full_counts, full_sums, BinningScheme(eps).midpoints()[r]
 
 
 class TestHedgingOracle:
@@ -589,11 +589,11 @@ class TestHedgingOracle:
             return
         got = HopsState(BinningScheme(eps), full_counts, full_sums).distribution(expert_p)
         lo, hi, plo = reference_f99_dist_row(counts, sums, base, eps, m)
-        mid = BinningScheme(eps).midpoint
+        mid = BinningScheme(eps).midpoints()
         if lo == hi:
-            assert got == HedgeDistribution(support=(mid(lo + 1),), probs=(1.0,))
+            assert got == HedgeDistribution(support=(mid[lo],), probs=(1.0,))
         else:
-            assert got == HedgeDistribution(support=(mid(lo + 1), mid(hi + 1)), probs=(plo, 1.0 - plo))
+            assert got == HedgeDistribution(support=(mid[lo], mid[hi]), probs=(plo, 1.0 - plo))
 
     @settings(max_examples=50, deadline=None)
     @given(row=hedging_row("all_excess"))
@@ -999,13 +999,14 @@ class TestStatusCodeNone:
 
 def reference_distribution(state, p):
     """The distribution the two-loop reference computes from a
-    HopsState's tallies alone, as (support, probs) on 1-based midpoints."""
+    HopsState's tallies alone, as (support, probs) on the bins' midpoints."""
     scheme = state.scheme
     base = kernels.bin_of(p, scheme.epsilon, scheme.m) * scheme.m
     lo, hi, plo = reference_f99_dist_row(state.counts, state.outcome_sums, base, scheme.epsilon, scheme.m)
+    mid = scheme.midpoints()
     if lo == hi:
-        return (scheme.midpoint(lo + 1),), (1.0,)
-    return (scheme.midpoint(lo + 1), scheme.midpoint(hi + 1)), (plo, 1.0 - plo)
+        return (mid[lo],), (1.0,)
+    return (mid[lo], mid[hi]), (plo, 1.0 - plo)
 
 
 class TestHopsStateStatus:

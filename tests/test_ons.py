@@ -10,7 +10,6 @@ from opscal.ons import (
     initial_theta,
     ons_advance,
     ons_regret_bound,
-    ons_step,
     project_ellipsoid,
     regret,
 )
@@ -44,7 +43,7 @@ class TestOnsStep:
     def test_hand_computed_newton_step(self):
         cfg = OnsConfig.platt()
         state = OnsState.init(cfg)
-        new = ons_step(state, (0.0, 1.0), 1, cfg)
+        new = ons_advance(state, (0.0, 1.0), 1, cfg)[1]
         # grad (0,-0.5); A' = diag(100, 100.25); step = -10 * A'^-1 grad
         assert np.allclose(new.A, np.diag([100.0, 100.25]), atol=1e-12)
         expected_theta = np.array([1.0, 10.0 * 0.5 / 100.25])
@@ -56,7 +55,7 @@ class TestOnsStep:
         state = OnsState.init(cfg)
         x = np.array([0.4, 1.0])
         y = sigmoid(float(state.theta @ x))  # residual exactly zero
-        new = ons_step(state, x, y, cfg)
+        new = ons_advance(state, x, y, cfg)[1]
         assert np.allclose(new.theta, state.theta, atol=1e-15)
         assert np.allclose(new.A, state.A, atol=1e-15)
 
@@ -66,7 +65,7 @@ class TestOnsStep:
         rng = np.random.default_rng(5)
         for _ in range(50):
             x = np.array([rng.normal() * 4, 1.0])
-            state = ons_step(state, x, float(rng.integers(0, 2)), cfg)
+            state = ons_advance(state, x, float(rng.integers(0, 2)), cfg)[1]
             assert np.linalg.norm(state.theta) <= cfg.radius + 1e-9
 
     def test_invariants_over_random_stream(self):
@@ -79,7 +78,7 @@ class TestOnsStep:
         for _ in range(300):
             s = rng.uniform(0.01, 0.99)
             x = np.array([logit(s), 1.0])
-            state = ons_step(state, x, float(rng.integers(0, 2)), cfg)
+            state = ons_advance(state, x, float(rng.integers(0, 2)), cfg)[1]
             assert np.linalg.norm(state.theta) <= cfg.radius + 1e-9
             assert np.allclose(state.A, state.A.T, atol=1e-9)
             assert np.linalg.eigvalsh(state.A)[0] >= cfg.rho - 1e-9
@@ -105,7 +104,7 @@ class TestOnsStep:
         if field != "feature":
             setattr(state, field, value)
         with pytest.raises(ValueError, match=message):
-            ons_step(state, feature, 1.0, cfg)
+            ons_advance(state, feature, 1.0, cfg)
 
     def test_rejects_an_overflowing_step(self):
         # a finite feature and state whose step overflows: the successor had

@@ -20,6 +20,7 @@ from opscal.datagen import (
     StreamSpec,
     default_spec,
 )
+from opscal.metrics import metric_report
 from opscal.pipeline import (
     METHODS,
     ClimatologyReport,
@@ -297,6 +298,27 @@ def test_benchmark_provenance_flag_is_false():
     assert opscal.NUMBA_ENABLED is False
 
 
+def test_public_names():
+    # the package's public non-module names; a change to the exports is a
+    # declared edit of this list
+    import types
+
+    import opscal
+
+    names = sorted(n for n, v in vars(opscal).items() if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    assert names == [
+        "BaseModelWeights", "BinningScheme", "CLIP_HI", "CLIP_LO", "CalibeatingInvariantError", "ExperimentConfig",
+        "HedgeDistribution", "HistogramBinningModel", "HopsState", "MetricReport", "NUMBA_ENABLED", "OnsConfig",
+        "OnsState", "RunReport", "ScoredStream", "StreamSpec", "TrackingState", "beta_apply", "brier",
+        "build_scored_stream", "calibration_error", "clip_score", "default_spec", "dump_stream", "f99_distribution",
+        "fit_beta_batch", "fit_histogram_binning", "fit_platt_batch", "hops_run", "hops_step", "ingest_csv",
+        "log_loss", "logit", "metric_report", "online_scaler_run", "online_scaler_step", "ons_regret_bound",
+        "platt_apply", "project_ellipsoid", "refinement", "regret", "run_climatology", "run_pipeline",
+        "run_replication", "run_theorem_suite", "run_truth_windows", "sharpness", "sigmoid", "tracking_forecast",
+        "tracking_run", "tracking_update", "train_base_logistic", "true_accuracy", "true_ce", "windowed_run",
+    ]
+
+
 class TestRunPipeline:
     def test_report_shapes_and_order(self):
         cfg = quick_config()
@@ -489,8 +511,9 @@ class TestDumpStream:
     lambda: BaseModelWeights(np.zeros(2), True, 1),
     lambda: LabeledStream(np.zeros(2), np.zeros((2, 1)), np.zeros(2), None),
     lambda: ScoredStream(small_spec(), np.full(2, 0.5), np.zeros(2), None, None),
+    lambda: metric_report(np.full(60, 0.5), np.arange(60) % 2.0, BinningScheme(0.1), prefixes=[10, 50]),
 ], ids=["ClimatologyReport", "RunReport",
-        "HistogramBinningModel", "BaseModelWeights", "LabeledStream", "ScoredStream"])
+        "HistogramBinningModel", "BaseModelWeights", "LabeledStream", "ScoredStream", "MetricReport"])
 def test_result_records_compare_by_identity(make):
     # the records hold numpy arrays, so a field-wise == would ask an array
     # for its truth value; they compare by identity instead

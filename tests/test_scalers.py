@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from opscal import scalers
 from opscal.core import clip_score, log_loss, logit, sigmoid
 from opscal.datagen import covmulti_at
-from opscal.ons import OnsConfig, OnsState, initial_theta, ons_step
+from opscal.ons import OnsConfig, OnsState, initial_theta, ons_advance
 from opscal.scalers import (
     HistogramBinningModel,
     _renorm_to_ball,
@@ -430,7 +430,7 @@ class TestOnlineScalerOutcomes:
             online_scaler_step(state, 0.4, y, family)
         feature = scalers._FAMILIES[family].features([0.4])[0]
         with pytest.raises(ValueError, match=r"outcomes must lie in \[0, 1\]"):
-            ons_step(state, feature, y, config)
+            ons_advance(state, feature, y, config)
         # the rejected step left the state as it was
         assert np.array_equal(state.theta, initial_theta(config.dim)) and state.t == 0
 
