@@ -32,7 +32,6 @@ from .calibeating import (
     HedgeDistribution,
     HopsState,
     TrackingState,
-    f99_distribution,
     hops_run,
     hops_step,
     tracking_forecast,

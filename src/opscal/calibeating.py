@@ -22,8 +22,8 @@ the realized draw happens after - adversaries get the distribution, never
 the draw. Step functions consume one uniform per call (used or not) so
 that step-by-step runs replay the batched kernels exactly.
 
-The whole-stream runs (``tracking_run``, ``hops_run`` and ``f99_run``,
-which is ``hops_run`` over a constant expert) are the one entry to the
+The whole-stream runs (``tracking_run`` and ``hops_run``; covariate-free
+hedging is ``hops_run`` over a constant expert) are the one entry to the
 tracking and hedging passes in ``opscal.kernels``; the pipeline and the
 theorem checks call them. The step-level functions are thin wrappers over
 the kernels' own step bodies, run on copies of the state, and the test
@@ -38,9 +38,9 @@ suite pins step-by-step replays to the whole-stream runs:
     it folds into. ``hops_step`` calls ``kernels.hops_advance``, one step
     of the hedging body ``kernels.hedge_run``, on it with the kept index
     and bound, so a step scans no row for its condition-A bin. The
-    covariate-free forecaster, the one ``f99_run`` drives, is row 0:
-    ``f99_distribution`` announces its distribution and
-    ``hops_step(state, 0.0, y, rng)`` draws and folds, in the body;
+    covariate-free forecaster is row 0: ``state.distribution(0.0)``
+    announces its distribution and ``hops_step(state, 0.0, y, rng)``
+    draws and folds, in the body;
   - ``HopsState.distribution`` reads the routed row's kept index, and
     while it is m (no inside bin) scans the row's pair with
     ``kernels.hedge_pair`` from the kept bound, so no call classifies a bin
@@ -144,7 +144,7 @@ class HopsState(_Tallies):
     """m independent hedging forecasters, one per expert bin, in the
     kernels' layout: flat m*m counts and outcome sums, the forecaster of
     expert bin r at row r, [r*m, (r + 1)*m). Row 0 is also the
-    covariate-free forecaster: ``f99_distribution`` and ``hops_step`` at
+    covariate-free forecaster: ``distribution`` and ``hops_step`` at
     expert 0.0.
 
     ``status`` holds every bin's hedging status code (``kernels.cell_status``)
@@ -172,7 +172,9 @@ class HopsState(_Tallies):
         return new
 
     def distribution(self, expert_p: float) -> HedgeDistribution:
-        """The announced distribution of the instance routed by expert_p."""
+        """The announced distribution of the instance routed by expert_p,
+        exposed apart from the draw so outcome generators may condition on
+        it (they must commit y before the draw resolves)."""
         scheme = self.scheme
         r = _route(expert_p, scheme)
         mid = scheme.midpoints().tolist()
@@ -181,24 +183,6 @@ class HopsState(_Tallies):
         lo, hi, plo = kernels.hedge_pair(self.status, self.counts, self.outcome_sums, r * scheme.m, self.low[r],
                                          scheme.epsilon, scheme.m)
         return HedgeDistribution(support=(mid[lo], mid[hi]), probs=(plo, 1.0 - plo))
-
-
-def f99_distribution(state: HopsState) -> HedgeDistribution:
-    """The announced forecast distribution of the covariate-free forecaster
-    (row 0) for the next step.
-
-    Exposed separately from the draw so outcome generators may condition on
-    it (they must commit y before the draw resolves). The step is
-    ``hops_step(state, 0.0, y, rng)``, which draws from this distribution
-    and folds y.
-    """
-    return state.distribution(0.0)
-
-
-def f99_run(ys, scheme: BinningScheme, rng: np.random.Generator) -> np.ndarray:
-    """Covariate-free hedging over an outcome sequence: ``hops_run`` over an
-    expert that always sits in the first bin."""
-    return hops_run(np.zeros(np.shape(ys)), ys, scheme, rng)
 
 
 def hops_step(state: HopsState, expert_p: float, y, rng: np.random.Generator):

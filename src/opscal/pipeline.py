@@ -10,17 +10,19 @@ track or hedge over the online scaler's forecasts on the emitted steps;
 WHB is the windowed histogram-binning baseline and TWHB its tracked
 variant. The Platt and beta families run the same recipe from one table
 (``_FAMILIES``), and every tracking, hedging and climatology run, here and
-in the theorem checks, goes through ``calibeating.tracking_run``,
-``hops_run`` or ``f99_run``. The windowed columns (WPS, WBS, WHB) are
-applied once per refit segment, one vectorised call each, since their
-parameters are constant between refits. Metrics are cumulative over the
-emitted region and snapshotted at evaluation timestamps from T_cal + 2W to
-the end of the stream: one ``metric_report`` pass per column gives its CE
-and SHP curves, and the curves' last entries (the snapshot at T) are its
-final CE and SHP. The regret, tracking-sharpness, adversarial and
-hedging sharpness/Brier checks take their columns from ``run_replication``
-on canonical specs with T_cal = 0, so they check what ``opscal run`` emits;
-regret is ``ons.regret``.
+in the theorem checks, goes through ``calibeating.tracking_run`` or
+``hops_run`` (climatology is ``hops_run`` over a constant expert). The
+windowed columns (WPS, WBS, WHB) are applied once per refit segment, one
+vectorised call each, since their parameters are constant between refits.
+Metrics are cumulative over the emitted region and snapshotted at
+evaluation timestamps from T_cal + 2W to the end of the stream: one
+``metric_report`` pass per column gives its CE and SHP curves, and the
+curves' last entries (the snapshot at T) are its final CE and SHP.
+``run_replication`` runs one seed of an ``ExperimentConfig``, the one owner
+of which runs are valid. The regret, tracking-sharpness, adversarial and
+hedging sharpness/Brier checks each build one config on a canonical spec
+(T_cal = 0 on the synthetic kinds) and run it over their seeds, so they
+check what ``opscal run`` emits; regret is ``ons.regret``.
 
 Replications use independent seed substreams keyed by replication index,
 so results are identical whether they run inline or in a worker pool, and
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .calibeating import CalibeatingInvariantError, f99_run, hops_run, tracking_run
+from .calibeating import CalibeatingInvariantError, hops_run, tracking_run
 from .core import BinningScheme, check_count, unit_float
 from .datagen import (
     P_HEDGE,
@@ -90,6 +92,9 @@ _NEEDS_CAL_FIT = tuple(m for _, (fixed, windowed, *_), _ in _FAMILIES
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One validated run description: a bad stream, method set, epsilon or
+    count fails here, before any replication starts."""
+
     stream: StreamSpec
     methods: tuple | None = None  # None: the stream's default, set below
     epsilon: float = 0.1
@@ -142,10 +147,13 @@ def eval_timestamps(T: int, t_cal: int, window: int, stride: int) -> np.ndarray:
     return np.asarray(ts, dtype=int)
 
 
-def run_replication(spec: StreamSpec, methods, epsilon: float):
-    """One pass of the joint protocol. Returns (columns, ys, truth, diag);
-    columns are emitted-region forecasts (t = T_cal+1 .. T)."""
-    scheme = BinningScheme(epsilon)
+def run_replication(config: ExperimentConfig, seed: int):
+    """One pass of the joint protocol over ``config``'s stream drawn with
+    ``seed``, emitting ``config.methods`` at bin width ``config.epsilon``.
+    Returns (columns, ys, truth, diag); columns are emitted-region forecasts
+    (t = T_cal+1 .. T)."""
+    spec, methods = replace(config.stream, seed=seed), config.methods
+    scheme = BinningScheme(config.epsilon)
     if spec.kind == "adversarial":  # the online Platt scaler against the outcome adversary
         feats = platt_features(build_scored_stream(spec).scores)
         pc = OnsConfig.platt()
@@ -157,8 +165,6 @@ def run_replication(spec: StreamSpec, methods, epsilon: float):
         else:
             ops, ys = kernels.ops_adversarial_pass(feats, *ons)
         return {m: {"OPS": ops, "HOPS": hops}[m] for m in methods}, ys, None, {}
-    if spec.T_cal > spec.T_test and spec.kind != "csv":  # ingest_csv checks a csv prefix
-        raise ValueError(f"T_cal ({spec.T_cal}) must not exceed T_test ({spec.T_test})")
 
     stream = build_scored_stream(spec)
     ts, ty = stream.test_scores(), stream.test_y()
@@ -244,11 +250,10 @@ def _tracked(name, expert, ys, scheme):
 
 
 def _pipeline_worker(args):
-    spec, methods, epsilon, timestamps, rep, master_seed = args
-    rep_spec = replace(spec, seed=replication_seed(master_seed, rep))
-    cols, ys, truth, diag = run_replication(rep_spec, methods, epsilon)
-    scheme = BinningScheme(epsilon)
-    ks = timestamps - rep_spec.T_cal  # the last snapshot is T, so ks[-1] == len(col)
+    config, timestamps, rep = args
+    cols, ys, truth, diag = run_replication(config, replication_seed(config.master_seed, rep))
+    scheme = BinningScheme(config.epsilon)
+    ks = timestamps - config.stream.T_cal  # the last snapshot is T, so ks[-1] == len(col)
     reports = {name: metric_report(col, ys, scheme, truth=truth, prefixes=ks) for name, col in cols.items()}
     return rep, reports, diag
 
@@ -269,12 +274,8 @@ class RunReport:
 def run_pipeline(config: ExperimentConfig) -> RunReport:
     """Run all replications, aggregate CE/SHP series, write outputs."""
     spec = config.stream
-    T = spec.T_test
-    timestamps = eval_timestamps(T, spec.T_cal, spec.W, config.eval_stride)
-    jobs = [
-        (spec, tuple(config.methods), config.epsilon, timestamps, rep, config.master_seed)
-        for rep in range(config.replications)
-    ]
+    timestamps = eval_timestamps(spec.T_test, spec.T_cal, spec.W, config.eval_stride)
+    jobs = [(config, timestamps, rep) for rep in range(config.replications)]
     if config.workers > 1:  # imported here, so that importing the package loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -382,8 +383,9 @@ def _write_outputs(report: RunReport, out_dir: str):
     report.files = files
 
 
-def run_truth_windows(kind: str, seeds, windows_global, methods=("BM", "OPS"), drift: bool = True):
-    """Windowed truth-referenced accuracy/CE tables for synthetic streams.
+def run_truth_windows(kind: str, seeds, windows_global, methods=("BM", "OPS")):
+    """Windowed truth-referenced accuracy/CE tables for the canonical
+    (drifting) synthetic streams.
 
     ``windows_global`` are inclusive (lo, hi) pairs on the full-sequence
     time axis (the train block is t = 1..T_train), each with
@@ -391,17 +393,19 @@ def run_truth_windows(kind: str, seeds, windows_global, methods=("BM", "OPS"), d
     the first test point: BM, OPS, OBS; a method is left out of a window
     that starts before it is defined.
     """
+    if kind == "adversarial":
+        raise ValueError("adversarial outcomes have no truth to score windows against")
     bad = set(methods) - {"BM", "OPS", "OBS"}
     if bad:
         raise ValueError(f"truth windows support BM/OPS/OBS only, got {sorted(bad)}")
-    T_total = default_spec(kind, drift=drift).T_total
+    T_total = default_spec(kind).T_total
     outside = [w for w in windows_global if not 1 <= w[0] <= w[1] <= T_total]
     if outside:
         raise ValueError(f"windows must satisfy 1 <= lo <= hi <= T_total = {T_total}, got {outside}")
     acc = {m: {w: [] for w in windows_global} for m in methods}
     ce = {m: {w: [] for w in windows_global} for m in methods}
     for seed in seeds:
-        spec = default_spec(kind, seed=seed, drift=drift)
+        spec = default_spec(kind, seed=seed)
         stream = build_scored_stream(spec)
         t_train = spec.T_train
         cols = {}
@@ -448,9 +452,9 @@ class TheoremCheck:
         return bool(self.measured <= self.bound if self.direction == "<=" else self.measured >= self.bound)
 
 
-def _whole_stream_replication(kind, seed, drift, methods, epsilon):
-    """``run_replication`` on the canonical spec with T_cal = 0: columns cover the whole test stream."""
-    return run_replication(replace(default_spec(kind, seed=seed, drift=drift), T_cal=0), methods, epsilon)
+def _whole_stream_config(kind, drift, methods) -> ExperimentConfig:
+    """The canonical spec with T_cal = 0, so the columns cover the whole test stream."""
+    return ExperimentConfig(stream=replace(default_spec(kind, drift=drift), T_cal=0), methods=methods)
 
 
 def check_regret_bound(seeds: int = 20) -> list:
@@ -459,14 +463,15 @@ def check_regret_bound(seeds: int = 20) -> list:
     rows = []
     for kind in ("covmulti", "labelmulti"):
         for drift in (False, True):
-            diags = [_whole_stream_replication(kind, seed, drift, ("OPS",), 0.1)[3] for seed in range(seeds)]
+            config = _whole_stream_config(kind, drift, ("OPS",))
+            diags = [run_replication(config, seed)[3] for seed in range(seeds)]
             worst = max(diags, key=lambda d: d["OPS_regret"] - d["OPS_regret_bound"])  # the least slack
             rows.append(
                 TheoremCheck(
                     name="regret-bound",
                     detail=f"{kind} {'drift' if drift else 'iid'} (worst seed)",
                     epsilon=float("nan"),
-                    T=5000,
+                    T=config.stream.T_test,
                     seeds=seeds,
                     measured=worst["OPS_regret"],
                     bound=worst["OPS_regret_bound"],
@@ -476,16 +481,15 @@ def check_regret_bound(seeds: int = 20) -> list:
     return rows
 
 
-def check_tracking_sharpness(seeds: int = 3, epsilons=(0.05, 0.1, 0.2)) -> list:
-    """Per-run tracking sharpness guarantee across bin widths: one online
-    run per stream, tracked at every width."""
-    schemes = [BinningScheme(eps) for eps in epsilons]
+def check_tracking_sharpness(seeds: int = 3) -> list:
+    """Per-run tracking sharpness guarantee at bin widths 0.05, 0.1 and 0.2:
+    one online run per drifting stream, tracked at every width."""
+    schemes = [BinningScheme(eps) for eps in (0.05, 0.1, 0.2)]
     worst = [np.inf] * len(schemes)
-    T = 0
     for kind in ("covmulti", "labelmulti"):
+        config = _whole_stream_config(kind, True, ("OPS",))
         for seed in range(seeds):
-            cols, ys, _, _ = _whole_stream_replication(kind, seed, True, ("OPS",), 0.1)
-            T = len(ys)
+            cols, ys, _, _ = run_replication(config, seed)
             for i, scheme in enumerate(schemes):
                 tracked = tracking_run(cols["OPS"], ys, scheme)
                 worst[i] = min(worst[i], _tracking_margin(tracked, cols["OPS"], ys, scheme))
@@ -494,7 +498,7 @@ def check_tracking_sharpness(seeds: int = 3, epsilons=(0.05, 0.1, 0.2)) -> list:
             name="tracking-sharpness",
             detail="SHP(tracked) - SHP(online) + slack, worst run",
             epsilon=scheme.epsilon,
-            T=T,
+            T=config.stream.T_test,
             seeds=seeds,
             measured=margin,
             bound=0.0,
@@ -504,18 +508,20 @@ def check_tracking_sharpness(seeds: int = 3, epsilons=(0.05, 0.1, 0.2)) -> list:
     ]
 
 
-def check_adversarial_calibration(seeds: int = 100, T: int = 10_000, epsilon: float = 0.1):
+def check_adversarial_calibration(seeds: int = 100):
     """Hedged forecasts stay calibrated against the outcome adversary; the
     deterministic online scaler does not. Also the Brier-score guarantee on
-    the same runs."""
+    the same runs. The canonical adversarial stream: T = 10,000, eps = 0.1."""
+    hedged = ExperimentConfig(stream=default_spec("adversarial"), methods=("OPS", "HOPS"))
+    alone = replace(hedged, methods=("OPS",))
+    epsilon, T = hedged.epsilon, hedged.stream.T_test
     scheme = BinningScheme(epsilon)
     ces_hedged, ces_det, bs_gap = [], [], []
     for seed in range(seeds):
-        spec = replace(default_spec("adversarial", seed=replication_seed(seed, 0)), T_test=T)
-        cols, ys = run_replication(spec, ("OPS", "HOPS"), epsilon)[:2]
+        cols, ys = run_replication(hedged, replication_seed(seed, 0))[:2]
         ces_hedged.append(calibration_error(cols["HOPS"], ys, scheme))
         bs_gap.append(brier(cols["HOPS"], ys) - brier(cols["OPS"], ys))
-        cols, ys = run_replication(spec, ("OPS",), epsilon)[:2]
+        cols, ys = run_replication(alone, replication_seed(seed, 0))[:2]
         ces_det.append(calibration_error(cols["OPS"], ys, scheme))
     return [
         TheoremCheck(
@@ -551,18 +557,19 @@ def check_adversarial_calibration(seeds: int = 100, T: int = 10_000, epsilon: fl
     ]
 
 
-def check_hedging_sharpness_and_brier(seeds: int = 100, epsilon: float = 0.1) -> list:
-    """Seed-averaged hedging guarantees on the four synthetic streams."""
-    scheme = BinningScheme(epsilon)
+def check_hedging_sharpness_and_brier(seeds: int = 100) -> list:
+    """Seed-averaged hedging guarantees on the four synthetic streams, at
+    eps = 0.1."""
     rows = []
     for kind in ("covmulti", "labelmulti"):
         for drift in (False, True):
+            config = _whole_stream_config(kind, drift, ("OPS", "HOPS"))
+            epsilon, T = config.epsilon, config.stream.T_test
+            scheme = BinningScheme(epsilon)
             shp_gaps, bs_gaps = [], []
-            T_used = 0
             for seed in range(seeds):
-                cols, ys, _, _ = _whole_stream_replication(kind, seed, drift, ("OPS", "HOPS"), epsilon)
+                cols, ys, _, _ = run_replication(config, seed)
                 probs, hedged = cols["OPS"], cols["HOPS"]
-                T_used = len(ys)
                 shp_gaps.append(sharpness(hedged, ys, scheme) - sharpness(probs, ys, scheme))
                 bs_gaps.append(brier(hedged, ys) - brier(probs, ys))
             label = f"{kind} {'drift' if drift else 'iid'}"
@@ -571,10 +578,10 @@ def check_hedging_sharpness_and_brier(seeds: int = 100, epsilon: float = 0.1) ->
                     name="hedging-sharpness",
                     detail=f"mean SHP(hedged) - SHP(online), {label}",
                     epsilon=epsilon,
-                    T=T_used,
+                    T=T,
                     seeds=seeds,
                     measured=float(np.mean(shp_gaps)),
-                    bound=float(-(hedging_sharpness_slack(epsilon, T_used) + 0.01)),
+                    bound=float(-(hedging_sharpness_slack(epsilon, T) + 0.01)),
                     direction=">=",
                 )
             )
@@ -583,18 +590,20 @@ def check_hedging_sharpness_and_brier(seeds: int = 100, epsilon: float = 0.1) ->
                     name="hedging-brier",
                     detail=f"mean BS(hedged) - BS(online), {label}",
                     epsilon=epsilon,
-                    T=T_used,
+                    T=T,
                     seeds=seeds,
                     measured=float(np.mean(bs_gaps)),
-                    bound=float(hedging_brier_slack(epsilon, T_used) + 0.01),
+                    bound=float(hedging_brier_slack(epsilon, T) + 0.01),
                     direction="<=",
                 )
             )
     return rows
 
 
-def check_climatology(seeds: int = 20, T: int = 5000, p: float = 0.37, epsilon: float = 0.1):
-    """Covariate-free hedging settles at the long-run outcome frequency."""
+def check_climatology(seeds: int = 20):
+    """Covariate-free hedging settles at the long-run outcome frequency
+    (Bernoulli(0.37), T = 5000, eps = 0.1)."""
+    p, T, epsilon = 0.37, 5000, 0.1
     tails = [run_climatology(p, T, epsilon, replications=1, master_seed=seed).tail_means[0]
              for seed in range(seeds)]
     tail_mean = float(np.mean(tails))
@@ -663,7 +672,7 @@ def run_climatology(
     for rep in range(replications):
         rep_seed = replication_seed(master_seed, rep)
         ys = (substream(rep_seed, P_STREAM).random(T) < p).astype(float)
-        fc = f99_run(ys, scheme, substream(rep_seed, P_HEDGE))
+        fc = hops_run(np.zeros(T), ys, scheme, substream(rep_seed, P_HEDGE))  # an expert in bin 0
         tails.append(float(np.mean(fc[-min(1000, T):])))
         if first is None:
             first = (fc, ys)

@@ -30,7 +30,8 @@ class TestBetaFamilyWiring:
     def test_beta_and_platt_calibeating_use_distinct_experts(self):
         spec = replace(default_spec("labelmulti", seed=3, drift=True),
                        T_train=300, T_test=1500, T_cal=300, W=200)
-        cols, _, _, _ = run_replication(spec, ("TOPS", "TOBS", "HOPS", "HOBS"), 0.1)
+        cols, _, _, _ = run_replication(ExperimentConfig(stream=spec, methods=("TOPS", "TOBS", "HOPS", "HOBS")),
+                                        spec.seed)
         # distinct experts produce distinct tracked/hedged columns
         assert not np.array_equal(cols["TOPS"], cols["TOBS"])
         assert not np.array_equal(cols["HOPS"], cols["HOBS"])
@@ -38,7 +39,7 @@ class TestBetaFamilyWiring:
     def test_windowed_histogram_binning_column(self):
         spec = replace(default_spec("labelmulti", seed=5, drift=False),
                        T_train=400, T_test=1600, T_cal=400, W=200)
-        cols, ys, _, _ = run_replication(spec, ("WHB", "TWHB", "BM"), 0.1)
+        cols, ys, _, _ = run_replication(ExperimentConfig(stream=spec, methods=("WHB", "TWHB", "BM")), spec.seed)
         from opscal.core import BinningScheme
         from opscal.metrics import calibration_error
 
@@ -54,7 +55,7 @@ class TestWindowedScheduleConsistency:
     def test_pipeline_wps_equals_stepwise_windowed(self):
         spec = replace(default_spec("labelmulti", seed=8, drift=False),
                        T_train=200, T_test=900, T_cal=200, W=100)
-        cols, _, _, _ = run_replication(spec, ("WPS",), 0.1)
+        cols, _, _, _ = run_replication(ExperimentConfig(stream=spec, methods=("WPS",)), spec.seed)
 
         from opscal.datagen import build_scored_stream
         from opscal.scalers import fit_platt_batch, platt_apply

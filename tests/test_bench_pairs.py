@@ -118,3 +118,14 @@ def test_resolved_past_the_spread_when_every_change_run_beats_every_parent_run()
     assert out["resolved"] and out["gain_shown"] and out["within_bound"]
     out = bench_pairs.compare_metric(wide, [w / 2.0 for w in wide], "lower", 0.25)  # 20 is not below 20
     assert not out["resolved"]
+
+
+def test_unresolved_below_the_minimum_pair_count():
+    # two pairs of setup_s, rounded from runs that read +25.1%, resolved and
+    # past the bound, for a change that ran none of the timed code
+    out = bench_pairs.compare_metric([0.236, 0.148], [0.238, 0.242], "lower", 0.25)
+    assert out["spread"]["parent"] <= 0.25 and out["median_delta_pct"] == 25.0
+    assert not out["resolved"] and out["within_bound"] is None and not out["gain_shown"]
+    wide = [20.0, 40.0, 25.0, 35.0]
+    assert not bench_pairs.compare_metric(wide[:3], [w / 4.0 for w in wide[:3]], "lower", 0.25)["resolved"]
+    assert bench_pairs.compare_metric(wide, [w / 4.0 for w in wide], "lower", 0.25)["resolved"]

@@ -9,8 +9,6 @@ from opscal.calibeating import (
     HedgeDistribution,
     HopsState,
     TrackingState,
-    f99_distribution,
-    f99_run,
     hops_run,
     hops_step,
     tracking_forecast,
@@ -44,6 +42,11 @@ def f99_state(scheme, counts, sums):
 def f99_step(state, y, rng):
     """The covariate-free step: hops_step on row 0, at expert 0.0."""
     return hops_step(state, 0.0, y, rng)
+
+
+def f99_run(ys, scheme, rng):
+    """Covariate-free hedging over outcomes: hops_run over an expert in bin 0."""
+    return hops_run(np.zeros(len(ys)), ys, scheme, rng)
 
 
 class FixedUniform:
@@ -108,7 +111,7 @@ class TestTracking:
 class TestF99:
     def test_fresh_state_forecasts_first_midpoint(self):
         st = HopsState(scheme10())
-        dist = f99_distribution(st)
+        dist = st.distribution(0.0)
         assert dist.support == (0.05,)
         assert dist.probs == (1.0,)
 
@@ -116,7 +119,7 @@ class TestF99:
         # any bin initialized at its midpoint is inside [l_b, r_b]
         chosen, st = f99_step(HopsState(scheme10()), 1.0, np.random.default_rng(0))
         assert chosen == 0.05  # p_1 = 1 now; bin 2 untouched
-        dist = f99_distribution(st)
+        dist = st.distribution(0.0)
         assert len(dist.support) == 1
         assert dist.support[0] == pytest.approx(0.15, abs=1e-12)
 
@@ -125,7 +128,7 @@ class TestF99:
         # (excess, deficit) pair: p_3 = 0.35 (e=0.05), p_4 = 0.25 (d=0.05)
         averages = [0.15, 0.25, 0.35, 0.25, 0.55, 0.65, 0.75, 0.85, 0.95, 0.8]
         st = f99_state(scheme10(), 1.0, averages)
-        dist = f99_distribution(st)
+        dist = st.distribution(0.0)
         assert dist.support == (pytest.approx(0.25), pytest.approx(0.35))
         assert dist.probs[0] == pytest.approx(0.5)
         assert dist.probs[1] == pytest.approx(0.5)
@@ -162,7 +165,7 @@ class TestF99:
         # so the lower point has probability 1/2 exactly; u == 1/2 draws the
         # upper one
         st = f99_state(BinningScheme(0.25), 8.0, [3.0, 1.0, 8.0, 4.0])
-        assert f99_distribution(st) == HedgeDistribution(support=(0.125, 0.375), probs=(0.5, 0.5))
+        assert st.distribution(0.0) == HedgeDistribution(support=(0.125, 0.375), probs=(0.5, 0.5))
         assert f99_step(st, 1.0, FixedUniform(u))[0] == want
 
     def test_invariant_violation_raises(self):
@@ -195,7 +198,7 @@ class TestF99:
         rng = np.random.default_rng(11)
         st = HopsState(scheme10())
         for _ in range(500):
-            dist = f99_distribution(st)
+            dist = st.distribution(0.0)
             assert all(p >= 0.0 for p in dist.probs)
             assert sum(dist.probs) == pytest.approx(1.0, abs=1e-12)
             _, st = f99_step(st, float(rng.integers(0, 2)), rng)

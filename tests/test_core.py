@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from opscal import kernels
-from opscal.calibeating import f99_run, hops_run, tracking_run
+from opscal.calibeating import hops_run, tracking_run
 from opscal.core import (
     BinningScheme,
     bins_of,
@@ -422,9 +422,10 @@ class TestColumnRule:
 
     @pytest.mark.parametrize("shape", [(2, 3), ()], ids=["2x3", "0-d"])
     def test_outcome_column_rejected(self, shape):
-        # f99_run takes outcomes only; a 0-d one used to end in len()'s TypeError
+        # covariate-free hedging runs a 1-D constant expert, so only the
+        # outcomes are bad here; a 0-d outcome once ended in len()'s TypeError
         with pytest.raises(ValueError, match="must be 1-D columns of equal length"):
-            f99_run(np.zeros(shape), BinningScheme(0.1), np.random.default_rng(0))
+            hops_run(np.zeros(math.prod(shape)), np.zeros(shape), BinningScheme(0.1), np.random.default_rng(0))
 
     @settings(max_examples=60, deadline=None)
     @given(shapes=st.tuples(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),

@@ -30,7 +30,6 @@ from opscal.calibeating import (
     HedgeDistribution,
     HopsState,
     TrackingState,
-    f99_run,
     hops_run,
     hops_step,
     tracking_forecast,
@@ -164,7 +163,7 @@ class TestStepReplay:
         scheme, expert, ys, seed = case
         hedged = hops_run(expert, ys, scheme, np.random.default_rng(seed))
         tracked = tracking_run(expert, ys, scheme)
-        climate = f99_run(ys, scheme, np.random.default_rng(seed))
+        climate = hops_run(np.zeros(len(ys)), ys, scheme, np.random.default_rng(seed))
         draw, f99_draw = np.random.default_rng(seed), np.random.default_rng(seed)
         hedge, track, f99 = HopsState(scheme), TrackingState(scheme), HopsState(scheme)
         for t in range(len(ys)):
@@ -575,7 +574,9 @@ class TestHedgingOracle:
     """The status-scanning hedging kernels against the two-loop reference
     that classified every bin on every call."""
 
-    @settings(max_examples=200, deadline=None)
+    # no shrink phase: shrinking a broken distribution's failing row ran
+    # past a two-minute timeout for the file
+    @settings(max_examples=200, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
     @given(row=ROWS)
     def test_dist_row(self, row):
         # a state built from the row's tallies announces the reference's
@@ -1010,7 +1011,9 @@ def reference_distribution(state, p):
 
 
 class TestHopsStateStatus:
-    @settings(max_examples=50, deadline=None)
+    # no shrink phase: shrinking a failing replay of up to 300 steps ran
+    # for minutes before the test failed
+    @settings(max_examples=50, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
     @given(case=scheme_and_stream(max_T=300), data=st.data())
     def test_rebuilt_state_continues_the_replay(self, case, data):
         # a state rebuilt from another's tallies derives the same status and

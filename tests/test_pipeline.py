@@ -142,7 +142,7 @@ class TestConfigValidation:
 class TestRunReplication:
     def test_bm_column_is_score_passthrough(self):
         spec = small_spec(seed=11)
-        cols, ys, truth, _ = run_replication(spec, ("BM",), 0.1)
+        cols, ys, truth, _ = run_replication(ExperimentConfig(stream=spec, methods=("BM",)), spec.seed)
         from opscal.datagen import build_scored_stream
 
         stream = build_scored_stream(spec)
@@ -150,15 +150,16 @@ class TestRunReplication:
 
     def test_bm_independent_of_epsilon_and_methods(self):
         spec = small_spec(seed=12)
-        a, _, _, _ = run_replication(spec, ("BM",), 0.1)
-        b, _, _, _ = run_replication(spec, ("BM", "OPS", "TOPS"), 0.2)
+        a, _, _, _ = run_replication(ExperimentConfig(stream=spec, methods=("BM",)), spec.seed)
+        b, _, _, _ = run_replication(ExperimentConfig(stream=spec, methods=("BM", "OPS", "TOPS"), epsilon=0.2),
+                                     spec.seed)
         assert np.array_equal(a["BM"], b["BM"])
 
     def test_all_thirteen_methods_run(self):
         spec = small_spec(seed=13)
         methods = ("BM", "FPS", "WPS", "OPS", "TOPS", "HOPS",
                    "FBS", "WBS", "OBS", "TOBS", "HOBS", "WHB", "TWHB")
-        cols, ys, truth, diag = run_replication(spec, methods, 0.1)
+        cols, ys, truth, diag = run_replication(ExperimentConfig(stream=spec, methods=methods), spec.seed)
         T_emit = spec.T_test - spec.T_cal
         assert set(cols) == set(methods)
         for m, col in cols.items():
@@ -169,18 +170,22 @@ class TestRunReplication:
     def test_forecast_dependencies_computed_silently(self):
         # TOPS alone still requires the online scaler internally
         spec = small_spec(seed=14)
-        cols, _, _, _ = run_replication(spec, ("TOPS",), 0.1)
+        cols, _, _, _ = run_replication(ExperimentConfig(stream=spec, methods=("TOPS",)), spec.seed)
         assert set(cols) == {"TOPS"}
 
     @pytest.mark.parametrize("methods", [("WPS",), ("BM", "OPS")])
-    def test_calibration_prefix_longer_than_test_stream_rejected(self, methods):
-        # before the stream is built, whichever methods would read the prefix
-        with pytest.raises(ValueError, match=r"T_cal \(1201\) must not exceed T_test \(1200\)"):
-            run_replication(small_spec(T_cal=1201), methods, 0.1)
+    def test_calibration_prefix_longer_than_test_stream_rejected(self, monkeypatch, methods):
+        # the config rejects it before any stream is built, whichever methods
+        # would read the prefix, so no replication can start from it
+        built = []
+        monkeypatch.setattr(pipeline, "build_scored_stream", lambda spec: built.append(spec))
+        with pytest.raises(ValueError, match=r"stream too short: need at least T_cal \+ 2W = 1501 points"):
+            ExperimentConfig(stream=small_spec(T_cal=1201), methods=methods)
+        assert built == []
 
     def test_adversarial_replication(self):
         spec = replace(default_spec("adversarial", seed=1), T_test=2000)
-        cols, ys, truth, _ = run_replication(spec, ("OPS", "HOPS"), 0.1)
+        cols, ys, truth, _ = run_replication(ExperimentConfig(stream=spec, methods=("OPS", "HOPS")), spec.seed)
         assert set(cols) == {"OPS", "HOPS"}
         assert truth is None
         assert set(np.unique(ys)) <= {0.0, 1.0}
@@ -203,7 +208,7 @@ ALL_METHODS = ("BM", "FPS", "WPS", "OPS", "TOPS", "HOPS",
 def replication_digest(spec, methods):
     """SHA-256 over every column, the outcomes, the truth and the diag
     values run_replication returns."""
-    cols, ys, truth, diag = run_replication(spec, methods, 0.1)
+    cols, ys, truth, diag = run_replication(ExperimentConfig(stream=spec, methods=methods), spec.seed)
     h = hashlib.sha256()
     for name in sorted(cols):
         h.update(name.encode())
@@ -310,7 +315,7 @@ def test_public_names():
         "BaseModelWeights", "BinningScheme", "CLIP_HI", "CLIP_LO", "CalibeatingInvariantError", "ExperimentConfig",
         "HedgeDistribution", "HistogramBinningModel", "HopsState", "MetricReport", "NUMBA_ENABLED", "OnsConfig",
         "OnsState", "RunReport", "ScoredStream", "StreamSpec", "TrackingState", "beta_apply", "brier",
-        "build_scored_stream", "calibration_error", "clip_score", "default_spec", "dump_stream", "f99_distribution",
+        "build_scored_stream", "calibration_error", "clip_score", "default_spec", "dump_stream",
         "fit_beta_batch", "fit_histogram_binning", "fit_platt_batch", "hops_run", "hops_step", "ingest_csv",
         "log_loss", "logit", "metric_report", "online_scaler_run", "online_scaler_step", "ons_regret_bound",
         "platt_apply", "project_ellipsoid", "refinement", "regret", "run_climatology", "run_pipeline",
@@ -425,6 +430,15 @@ class TestTruthWindows:
             run_truth_windows("labelmulti", seeds=[0], windows_global=((1, 6000), window))
         assert built == []
 
+    def test_rejects_a_kind_without_truth(self, monkeypatch):
+        # adversarial outcomes are drawn at run time and have no truth; the
+        # check comes before any stream is built
+        built = []
+        monkeypatch.setattr(pipeline, "build_scored_stream", lambda spec: built.append(spec))
+        with pytest.raises(ValueError, match="adversarial outcomes have no truth"):
+            run_truth_windows("adversarial", seeds=[0], windows_global=((1, 10),))
+        assert built == []
+
 
 class TestTheoremSuite:
     def test_quick_suite_passes_and_writes_csv(self, tmp_path):
@@ -441,7 +455,7 @@ class TestTheoremSuite:
         assert digest == "8da546b4b56bf3c4a3c71fb4c1c5ca8d2819a2a8328e26bd6c49919b9afb9c21"
 
     def test_climatology_check_alone(self):
-        rows = check_climatology(seeds=3, T=3000)
+        rows = check_climatology(seeds=3)
         assert rows[0].passed
 
     def test_degenerate_horizon_bounds_are_vacuous(self):
@@ -538,12 +552,12 @@ def tracked_reference(expert, ys, scheme):
     return out
 
 
-def assert_columns_sound(spec, methods, epsilon):
+def assert_columns_sound(config):
     """Every column ``run_replication`` emits is finite and in [0, 1]; hedged
     columns are bin midpoints and tracked columns past-outcome means."""
-    scheme = BinningScheme(epsilon)
-    cols, ys, _, _ = run_replication(spec, methods, epsilon)
-    assert set(cols) == set(methods)
+    scheme = BinningScheme(config.epsilon)
+    cols, ys, _, _ = run_replication(config, config.stream.seed)
+    assert set(cols) == set(config.methods)
     for name, col in cols.items():
         assert col.shape == ys.shape and np.all(np.isfinite(col)) and np.all((col >= 0.0) & (col <= 1.0)), name
     midpoints = (np.arange(scheme.m) + 0.5) * scheme.epsilon
@@ -551,7 +565,8 @@ def assert_columns_sound(spec, methods, epsilon):
         assert np.all(np.isin(cols[name], midpoints)), name
     tracked = [name for name in TRACKED if name in cols]
     if tracked:  # the experts, which the columns do not depend on, where not asked for
-        experts = run_replication(spec, tuple({TRACKED[name] for name in tracked}), epsilon)[0]
+        experts = run_replication(replace(config, methods=tuple({TRACKED[name] for name in tracked})),
+                                  config.stream.seed)[0]
         for name in tracked:
             assert np.array_equal(cols[name], tracked_reference(experts[TRACKED[name]], ys, scheme)), name
 
@@ -584,7 +599,7 @@ class TestEveryAcceptedConfiguration:
                                       eval_stride=eval_stride)
         except ValueError:
             return
-        assert_columns_sound(config.stream, config.methods, config.epsilon)
+        assert_columns_sound(config)
 
     def test_csv_stream(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -596,4 +611,4 @@ class TestEveryAcceptedConfiguration:
         spec = StreamSpec(kind="csv", seed=3, csv_path=str(path), label_column="label", sortby_column="age",
                           T_train=20, T_cal=10, W=10)
         config = ExperimentConfig(stream=spec, methods=("BM", "WPS", "TOPS", "HOBS", "TWHB"), epsilon=0.1)
-        assert_columns_sound(config.stream, config.methods, config.epsilon)
+        assert_columns_sound(config)

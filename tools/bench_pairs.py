@@ -21,7 +21,8 @@ the rest.
 The rules are the benchmark's. A metric is resolved unless the runs of
 either side spread wider than its bound (IQR / median), and an unresolved
 metric is resolved after all when every change run beats every parent
-run. A resolved metric is within its bound when the change's median is
+run. With fewer than ``MIN_PAIRS`` pairs no metric is resolved, since the
+quartiles of two or three runs say nothing of their spread. A resolved metric is within its bound when the change's median is
 worse than the parent's by no more than the bound ``BENCHMARK.json``
 declares; ``within_bound`` is null for an unresolved one. A gain is shown
 when the metric is resolved, the change wins at least nine tenths of the
@@ -39,6 +40,8 @@ import statistics
 import subprocess
 import tempfile
 from pathlib import Path
+
+MIN_PAIRS = 4  # the fewest pairs whose quartiles can resolve a metric
 
 
 def seed_list(text: str) -> list[int]:
@@ -73,7 +76,9 @@ def quartiles(values) -> tuple[float, float, float]:
 
 def compare_metric(parent, change, better: str, bound: float) -> dict:
     """Per-pair deltas, medians, quartiles and the win count of one metric,
-    ``parent[i]`` and ``change[i]`` being pair i."""
+    ``parent[i]`` and ``change[i]`` being pair i. Below ``MIN_PAIRS``
+    pairs the metric is unresolved: ``within_bound`` is null and no gain
+    is shown."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need one parent and one change value per pair")
     sign = 1.0 if better == "higher" else -1.0
@@ -82,7 +87,7 @@ def compare_metric(parent, change, better: str, bound: float) -> dict:
     wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
     spread = {"parent": (pq[2] - pq[0]) / pq[1], "change": (cq[2] - cq[0]) / cq[1]}
     separated = all(sign * (c - p) > 0.0 for p in parent for c in change)
-    resolved = max(spread.values()) <= bound or separated
+    resolved = len(parent) >= MIN_PAIRS and (max(spread.values()) <= bound or separated)
     return {
         "better": better, "bound": bound, "parent": list(parent), "change": list(change),
         "delta_pct": [round(100.0 * (c - p) / p, 2) for p, c in zip(parent, change)],
